@@ -10,12 +10,11 @@ generator images as elements of the quotient ray system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .elements import HoughtonElement
 from .errors import DomainError, InconclusiveError
 from .rays import RayPoint, RaySystem
-from .subgroups import GeneratedSubgroup, TranslationLattice, orbit_windows
+from .subgroups import GeneratedSubgroup, TranslationLattice, bounded_words, orbit_windows
 
 
 @dataclass(frozen=True)
@@ -122,18 +121,6 @@ class BlockVerification:
         return self.valid
 
 
-def _bounded_words(group: GeneratedSubgroup, max_len: int):
-    gens = group.symmetric_generators()
-    labels = [f"gen{i}" for i in range(len(group.generators))]
-    labels += [f"gen{i}^-1" for i in range(len(group.generators))]
-    for length in range(1, max_len + 1):
-        for combo in product(range(len(gens)), repeat=length):
-            word = gens[combo[0]]
-            for k in combo[1:]:
-                word = word.compose(gens[k])
-            yield "*".join(labels[k] for k in combo), word
-
-
 def verify_block_system(
     group: GeneratedSubgroup,
     system: BlockSystem,
@@ -156,17 +143,24 @@ def verify_block_system(
             orbit_ok = False
             witnesses.append(("orbit", cls[0], tuple(hits)))
     window = RaySystem(group.n).window(depth)
-    block_ok = True
-    for i, block in enumerate(system.blocks):
-        bset = set(block)
-        for label, w in _bounded_words(group, word_len):
-            img = {w.apply(p) for p in block}
+    bsets = [set(b) for b in system.blocks]
+    violations = {}  # block index -> (path, image) of the first violating word
+    for path, w, _ in bounded_words(group, word_len):
+        for i, bset in enumerate(bsets):
+            if i in violations:
+                continue
+            img = {w.apply(p) for p in bset}
             if any(q not in window for q in img):
                 continue
             if img & bset and img != bset:
-                block_ok = False
-                witnesses.append(("block", i, label, tuple(sorted(img))))
-                break
+                violations[i] = (path, img)
+        if len(violations) == len(bsets):
+            break
+    k = len(group.generators)
+    labels = [f"gen{i}" for i in range(k)] + [f"gen{i}^-1" for i in range(k)]
+    for i, (path, img) in sorted(violations.items()):
+        witnesses.append(("block", i, "*".join(labels[j] for j in path), tuple(sorted(img))))
+    block_ok = not violations
     multi_ray = 0
     for cls in congruence_classes(group, system, depth):
         if len(cls) > 1 and len({p.ray for p in cls}) > 1:
@@ -277,7 +271,7 @@ def finitary_class_transitivity(group: GeneratedSubgroup, depth: int, word_len: 
     report = orbit_windows(group, depth)
     finitary = [
         w
-        for _, w in _bounded_words(group, word_len)
+        for _, w, _ in bounded_words(group, word_len)
         if w.is_finitary() and w.threshold <= depth
     ]
     window = RaySystem(group.n).window(depth)

@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from . import intlattice as la
 from .errors import DomainError, UnsupportedCaseError
@@ -76,30 +77,18 @@ def in_sigma(chi: Character, m: int) -> bool:
 
 
 def rational_kernel(rows, n):
-    """Basis of {x in Q^n : row . x = 0 for every row}."""
-    mat = [[Fraction(v) for v in row] for row in rows if any(row)]
-    pivots = []
-    reduced = []
-    for row in mat:
-        for prow, pcol in zip(reduced, pivots):
-            if row[pcol]:
-                f = row[pcol]
-                row = [a - f * b for a, b in zip(row, prow)]
-        for col in range(n):
-            if row[col]:
-                row = [a / row[col] for a in row]
-                reduced.append(row)
-                pivots.append(col)
-                break
-    basis = []
-    free = [c for c in range(n) if c not in pivots]
-    for fcol in free:
-        vec = [Fraction(0)] * n
-        vec[fcol] = Fraction(1)
-        for prow, pcol in zip(reduced, pivots):
-            vec[pcol] = -prow[fcol]
-        basis.append(tuple(vec))
-    return basis
+    """Basis of {x in Q^n : row . x = 0 for every row}.
+
+    Each row is scaled to integers by the lcm of its denominators; the
+    integer left kernel of the transposed rows spans the rational kernel.
+    """
+    scaled = []
+    for row in rows:
+        row = [Fraction(v) for v in row]
+        denom = lcm(*(v.denominator for v in row))
+        scaled.append([int(v * denom) for v in row])
+    columns = [[row[c] for row in scaled] for c in range(n)]
+    return [tuple(map(Fraction, vec)) for vec in la.kernel_basis(columns)]
 
 
 def _nonneg_ray_in_span(basis, n):

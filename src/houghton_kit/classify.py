@@ -95,7 +95,6 @@ def classify(
     group: GeneratedSubgroup,
     window: int = 40,
     evidence: bool = True,
-    seed: int = 0,
 ) -> ClassificationReport:
     """Classify finiteness properties from the generators.
 

@@ -312,7 +312,7 @@ def _cmd_bns(args) -> int:
 
 def _cmd_classify(args) -> int:
     group = _load_subgroup(args.subgroup)
-    report = classify(group, window=args.window, seed=args.seed)
+    report = classify(group, window=args.window)
     payload = report.to_json_dict()
     lines = [
         f"n = {report.n}, hirsch = {report.hirsch} ({'full' if report.full_hirsch else 'not full'})",
@@ -379,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="full classification report")
     p.add_argument("--subgroup", required=True)
     p.add_argument("--window", type=int, default=40)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_classify)
 
     return parser

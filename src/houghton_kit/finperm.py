@@ -306,17 +306,6 @@ class FinitePermGroup:
 # -- invariant partitions ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GPartition:
-    """Partition of the domain, with its invariance status when checked."""
-
-    parts: tuple
-    g_invariant: bool | None = None
-
-    def __iter__(self):
-        return iter(self.parts)
-
-
 def is_invariant_partition(group: FinitePermGroup, parts) -> bool:
     sets = {frozenset(group._index[p] for p in part) for part in parts}
     for g in group.gens:

@@ -133,10 +133,6 @@ def kernel_basis(rows):
     return hnf_rows([r[cols:] for r in tail], m)
 
 
-def row_rank(rows) -> int:
-    return len(hnf_rows(rows))
-
-
 def lattice_determinant(rows_hnf) -> int:
     """Product of pivots of an HNF basis (covolume when full rank)."""
     det = 1

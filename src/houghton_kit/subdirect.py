@@ -11,13 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .blocks import infer_eventual_translation
-from .elements import HoughtonElement, identity as houghton_identity
+from .elements import HoughtonElement
 from .errors import DomainError, InconclusiveError
 from .rays import RayPoint
 from .subgroups import (
     GeneratedSubgroup,
     OrbitWindowReport,
     TranslationLattice,
+    bounded_words,
     is_level,
     orbit_windows,
     translation_lattice,
@@ -151,7 +152,6 @@ def kernel_intersection_probe(
     decomposition: SubdirectDecomposition,
     factor_index: int,
     word_budget: int = 4,
-    cap: int = 20000,
 ) -> ProbeResult:
     """Search for a nontrivial element moving only the chosen orbit.
 
@@ -168,24 +168,10 @@ def kernel_intersection_probe(
         return ProbeResult("inconclusive", None, None)
     orbit = set(decomposition.factors[factor_index].points)
     depth = decomposition.report.window_depth
-    sym = group.symmetric_generators()
-    frontier = [houghton_identity(group.n)]
-    seen = {frontier[0]}
-    for length in range(1, word_budget + 1):
-        nxt = []
-        for w in frontier:
-            for g in sym:
-                e = w.compose(g)
-                if e in seen:
-                    continue
-                if len(seen) >= cap:
-                    return ProbeResult("inconclusive", None, None)
-                seen.add(e)
-                nxt.append(e)
-                if not e.is_finitary() or e.is_identity() or e.threshold > depth:
-                    continue
-                moved, _ = e.support_description()
-                if set(moved) <= orbit:
-                    return ProbeResult("found", e, length)
-        frontier = nxt
+    for path, e, _ in bounded_words(group, word_budget, cap=20000):
+        if not e.is_finitary() or e.is_identity() or e.threshold > depth:
+            continue
+        moved, _ = e.support_description()
+        if set(moved) <= orbit:
+            return ProbeResult("found", e, len(path))
     return ProbeResult("inconclusive", None, None)

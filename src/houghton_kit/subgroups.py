@@ -308,6 +308,42 @@ def orbit_windows(group: GeneratedSubgroup, depth: int) -> OrbitWindowReport:
 # -- word search helpers ----------------------------------------------------------
 
 
+def bounded_words(group: GeneratedSubgroup, max_len: int, key=None, cap=None, images=None):
+    """Breadth-first words of length <= max_len over the symmetric generators.
+
+    Yields (path, word, image) triples: path holds indices into
+    ``group.symmetric_generators()`` and word is the element it spells.  The
+    empty word comes first; after it a word is yielded, and later extended,
+    only when its dedupe key (``key(word)``, else the word) is new, so words
+    arrive in shortlex order of their paths, each the shortlex-first spelling
+    of its key.  ``cap`` bounds the number of distinct keys.  ``images`` is
+    an (identity, per-letter images) pair carried along one letter at a time;
+    without it every image is None.
+    """
+    key = key or (lambda e: e)
+    gens = group.symmetric_generators()
+    one, letters = images or (None, None)
+    start = ((), identity(group.n), one)
+    yield start
+    seen = {key(start[1])}
+    frontier = [start]
+    for _ in range(max_len):
+        nxt = []
+        for path, w, wq in frontier:
+            for k, g in enumerate(gens):
+                e = w.compose(g)
+                ek = key(e)
+                if ek in seen:
+                    continue
+                if cap is not None and len(seen) >= cap:
+                    return
+                seen.add(ek)
+                item = (path + (k,), e, None if letters is None else wq.compose(letters[k]))
+                nxt.append(item)
+                yield item
+        frontier = nxt
+
+
 def element_with_translation(group: GeneratedSubgroup, target, max_len: int = 8):
     """An element of the subgroup with the given translation vector.
 
@@ -318,21 +354,9 @@ def element_with_translation(group: GeneratedSubgroup, target, max_len: int = 8)
     target = tuple(int(x) for x in target)
     if not any(target):
         return identity(group.n)
-    gens = group.symmetric_generators()
-    frontier = [identity(group.n)]
-    seen = {(0,) * group.n}
-    for _ in range(max_len):
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                e = w.compose(g)
-                t = e.translation_vector()
-                if t == target:
-                    return e
-                if t not in seen:
-                    seen.add(t)
-                    nxt.append(e)
-        frontier = nxt
+    for _, e, _ in bounded_words(group, max_len, key=HoughtonElement.translation_vector):
+        if e.translation_vector() == target:
+            return e
     rows = [g.translation_vector() for g in group.generators]
     coeffs = la.solve_row_combination(rows, target)
     if coeffs is None:
@@ -454,33 +478,12 @@ class LevelN2Probe:
 def level_n2_window_probe(group: GeneratedSubgroup, depth: int = 20, max_len: int = 4) -> LevelN2Probe:
     if group.n != 2:
         raise UnsupportedCaseError("this probe is the n = 2 case only")
-    report = orbit_windows(group, depth)
-    gens = group.symmetric_generators()
-    findings = []
-    for cls in report.classes:
-        rep = cls[0]
-        found = None
-        frontier = [identity(2)]
-        seen = {identity(2)}
-        for _ in range(max_len):
-            nxt = []
-            for w in frontier:
-                for g in gens:
-                    e = w.compose(g)
-                    if e in seen:
-                        continue
-                    seen.add(e)
-                    nxt.append(e)
-                    if e.apply(rep) == rep and any(e.translation_vector()):
-                        found = e
-                        break
-                if found:
-                    break
-            if found:
-                break
-            frontier = nxt
-        findings.append((rep, found is not None))
-    return LevelN2Probe("inconclusive", tuple(findings))
+    reps = [cls[0] for cls in orbit_windows(group, depth).classes]
+    found = set()
+    for _, e, _ in bounded_words(group, max_len):
+        if any(e.translation_vector()):
+            found.update(rep for rep in reps if e.apply(rep) == rep)
+    return LevelN2Probe("inconclusive", tuple((rep, rep in found) for rep in reps))
 
 
 # -- generator words ------------------------------------------------------------

@@ -21,24 +21,9 @@ from dataclasses import dataclass
 from .blocks import BlockSystem, QuotientStructure, quotient as build_quotient
 from .elements import HoughtonElement, identity as houghton_identity
 from .errors import DomainError, InconclusiveError
-from .finperm import FinitePermGroup
+from .finperm import FinitePermGroup, _inv, _is_id, _mul
 from .rays import RayPoint
-from .subgroups import GeneratedSubgroup
-
-
-def _perm_mul(p, q):
-    return tuple(q[i] for i in p)
-
-
-def _perm_inv(p):
-    out = [0] * len(p)
-    for i, j in enumerate(p):
-        out[j] = i
-    return tuple(out)
-
-
-def _is_id(p):
-    return all(i == j for i, j in enumerate(p))
+from .subgroups import GeneratedSubgroup, bounded_words
 
 
 class BlockContext:
@@ -179,14 +164,14 @@ class MultiWreathElement:
         points.update(a1_inv.apply(qp) for qp, _ in other.base)
         base = []
         for qp in points:
-            value = _perm_mul(self.base_value(qp), other.base_value(a1.apply(qp)))
+            value = _mul(self.base_value(qp), other.base_value(a1.apply(qp)))
             base.append((qp, value))
         return MultiWreathElement(self.ctx, tuple(base), head)
 
     def inverse(self) -> "MultiWreathElement":
         head_inv = self.head.inverse()
         base = [
-            (self.head.apply(qp), _perm_inv(v))
+            (self.head.apply(qp), _inv(v))
             for qp, v in self.base
         ]
         return MultiWreathElement(self.ctx, tuple(base), head_inv)
@@ -366,28 +351,16 @@ def w_groups(
     bset = set(block)
     ranks = {p: i for i, p in enumerate(block)}
     gens_g, gens_fin, gens_ker = [], [], []
-    seen = set()
-    frontier = [houghton_identity(group.n)]
-    sym = group.symmetric_generators()
-    for _ in range(max_len):
-        nxt = []
-        for w in frontier:
-            for g in sym:
-                e = w.compose(g)
-                if e in seen:
-                    continue
-                seen.add(e)
-                nxt.append(e)
-                img = {e.apply(p) for p in block}
-                if img != bset:
-                    continue
-                perm = tuple(ranks[e.apply(p)] for p in block)
-                gens_g.append(perm)
-                if e.is_finitary():
-                    gens_fin.append(perm)
-                    if _acts_trivially_on_classes(e, ctx):
-                        gens_ker.append(perm)
-        frontier = nxt
+    for _, e, _ in bounded_words(group, max_len):
+        img = {e.apply(p) for p in block}
+        if img != bset:
+            continue
+        perm = tuple(ranks[e.apply(p)] for p in block)
+        gens_g.append(perm)
+        if e.is_finitary():
+            gens_fin.append(perm)
+            if _acts_trivially_on_classes(e, ctx):
+                gens_ker.append(perm)
     domain = tuple(range(len(block)))
     w_g = FinitePermGroup(domain, sorted(set(gens_g)))
     w_fin = FinitePermGroup(domain, sorted(set(gens_fin)))
@@ -418,29 +391,13 @@ class DescentResult:
         return self.status == "ok"
 
 
-def _bfs_words(group: GeneratedSubgroup, ctx: BlockContext, max_len: int, cap: int = 20000):
+def _bfs_words(group: GeneratedSubgroup, ctx: BlockContext, max_len: int):
     """Words paired with their exact quotient images, breadth first."""
-    sym = group.symmetric_generators()
     sym_q = [ctx.quotient.induce(g) for g in group.generators]
     sym_q += [e.inverse() for e in sym_q]
-    ident = houghton_identity(group.n)
-    yield ident, houghton_identity(ctx.n)
-    frontier = [(ident, houghton_identity(ctx.n))]
-    seen = {ident}
-    for _ in range(max_len):
-        nxt = []
-        for w, wq in frontier:
-            for g, gq in zip(sym, sym_q):
-                e = w.compose(g)
-                if e in seen:
-                    continue
-                if len(seen) >= cap:
-                    return
-                seen.add(e)
-                eq = wq.compose(gq)
-                nxt.append((e, eq))
-                yield e, eq
-        frontier = nxt
+    images = (houghton_identity(ctx.n), sym_q)
+    for _, w, wq in bounded_words(group, max_len, cap=20000, images=images):
+        yield w, wq
 
 
 def _conjugator_candidates(group: GeneratedSubgroup, ctx: BlockContext, budget: int):

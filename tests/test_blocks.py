@@ -71,6 +71,13 @@ def test_cross_ray_pair_fails_block_axiom():
     assert any(w[0] == "block" for w in verdict.witnesses)
 
 
+def test_block_witness_is_the_shortlex_first_violating_word():
+    group = GeneratedSubgroup.from_elements(3, houghton_generators(3))
+    system = BlockSystem.from_lists([[(1, 0), (1, 2)]])
+    verdict = verify_block_system(group, system, depth=24)
+    assert verdict.witnesses == (("block", 0, "gen0*gen0", ((1, 2), (1, 4))),)
+
+
 def test_orbit_axiom_failure():
     d = delta_k(3, 2)
     # one block meeting only the even class: the odd class meets no block

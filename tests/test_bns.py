@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -157,6 +158,31 @@ def test_subgroup_type_invariant_under_basis_change():
         a[i] = [x + c * y for x, y in zip(a[i], a[j])]
         assert TranslationLattice.from_vectors(4, a) == lat
         assert subgroup_type(4, TranslationLattice.from_vectors(4, a)) == verdict
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_kernel_type_matches_the_support_rule(n):
+    # the characters vanishing on the kernel of chi are its multiples, so the
+    # degree is the smaller canonical support of chi and -chi, minus one
+    wrong = []
+    for coeffs in itertools.product(range(4), repeat=n):
+        low, high = min(coeffs), max(coeffs)
+        if low == high:
+            continue
+        want = min(sum(c != low for c in coeffs), sum(c != high for c in coeffs)) - 1
+        verdict = subgroup_type(n, kernel_lattice_of_character(coeffs, n))
+        if (verdict.type_f_max, verdict.capped) != (want, False):
+            wrong.append(coeffs)
+    assert wrong == []
+
+
+def test_rank_one_lattice_blocks_with_both_vanishing_characters():
+    verdict = subgroup_type(3, TranslationLattice.from_vectors(3, [(1, -2, 1)]))
+    assert verdict.type_f_max == 1
+    assert sorted(chi.coeffs for chi in verdict.blocking) == [
+        (0, 1, 2),
+        (1, Fraction(1, 2), 0),
+    ]
 
 
 def test_vanishing_sphere_empty_for_full_rank():

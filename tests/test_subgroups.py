@@ -4,12 +4,19 @@ import pytest
 from hypothesis import given, strategies as st
 
 from houghton_kit import intlattice as la
-from houghton_kit.elements import generator, houghton_generators, identity, transposition
+from houghton_kit.elements import (
+    HoughtonElement,
+    generator,
+    houghton_generators,
+    identity,
+    transposition,
+)
 from houghton_kit.errors import DomainError, UnsupportedCaseError
 from houghton_kit.rays import RayPoint
 from houghton_kit.subgroups import (
     GeneratedSubgroup,
     TranslationLattice,
+    bounded_words,
     congruence_exponent,
     delta_k,
     element_with_translation,
@@ -243,13 +250,35 @@ def test_ray_shift_action():
 # -- word search and finitary commutator ------------------------------------------
 
 
+def test_bounded_words_shortlex_first_spellings():
+    g = houghton_subgroup(3)
+    words = list(bounded_words(g, 3))
+    paths = [path for path, _, _ in words]
+    assert paths[0] == () and words[0][1] == identity(3)
+    assert paths == sorted(paths, key=lambda p: (len(p), p))
+    elements = [w for _, w, _ in words]
+    assert len(set(elements)) == len(elements)
+    gens = g.symmetric_generators()
+    for path, w, image in words:
+        spelled = identity(3)
+        for k in path:
+            spelled = spelled.compose(gens[k])
+        assert spelled == w and image is None
+        # a word is extended only if it was yielded
+        assert path[:-1] in paths
+    assert len(list(bounded_words(g, 3, cap=5))) == 5
+    by_t = bounded_words(g, 2, key=HoughtonElement.translation_vector)
+    vectors = [w.translation_vector() for _, w, _ in by_t]
+    assert len(set(vectors)) == len(vectors)
+
+
 def test_element_with_translation():
     g = houghton_subgroup(3)
     e = element_with_translation(g, (-1, 1, 0))
     assert e is not None and e.translation_vector() == (-1, 1, 0)
     assert element_with_translation(g, (0, 0, 0)) == identity(3)
     d = delta_k(3, 2)
-    assert element_with_translation(d, (-1, 1, 0), max_len=3) is None or True
+    assert element_with_translation(d, (-1, 1, 0), max_len=3) is None
     e2 = element_with_translation(d, (-2, 2, 0))
     assert e2 is not None and e2.translation_vector() == (-2, 2, 0)
 

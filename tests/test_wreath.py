@@ -179,6 +179,11 @@ def test_w_groups_trivial_for_singleton_blocks():
         assert report.from_kernel.order() == 1
 
 
+def test_w_groups_lists_the_identity_word():
+    group, ctx = delta_context()
+    assert w_groups(group, ctx).from_kernel.gens == [(0,)]
+
+
 def test_context_rejects_under_covered_system():
     # for the trivial group every class is its own orbit, so a single block
     # cannot satisfy the one-block-per-orbit axiom
