@@ -14,7 +14,16 @@ from dataclasses import dataclass
 from .elements import HoughtonElement
 from .errors import DomainError, InconclusiveError
 from .rays import RayPoint, RaySystem
-from .subgroups import GeneratedSubgroup, TranslationLattice, bounded_words, orbit_windows
+from .subgroups import (
+    GeneratedSubgroup,
+    TranslationLattice,
+    _close,
+    _window_action,
+    _window_classes,
+    _window_partition,
+    bounded_words,
+    orbit_windows,
+)
 
 
 @dataclass(frozen=True)
@@ -58,51 +67,33 @@ def block_size_bound(lattice: TranslationLattice) -> int:
 # -- congruence closure --------------------------------------------------------
 
 
+def _congruence(group: GeneratedSubgroup, blocks, depth: int, watch=None):
+    """Closure parent list of the equivalence generated by the blocks.
+
+    ``watch`` is a (point, cap) pair handed to the closure as an index pair.
+    """
+    n = group.n
+
+    def index(p) -> int:
+        ray, pos = p
+        if not (1 <= ray <= n and 0 <= pos < depth):
+            raise DomainError(f"block point outside the window of depth {depth}")
+        return (ray - 1) * depth + pos
+
+    pairs = [(index(a), index(b)) for block in blocks for a, b in zip(block, block[1:])]
+    if watch is not None:
+        watch = (index(watch[0]), watch[1])
+    return _close(n * depth, pairs, _window_action(group, depth), watch)
+
+
 def congruence_classes(group: GeneratedSubgroup, system: BlockSystem, depth: int):
     """Window classes of the equivalence generated by the blocks.
 
     Merging two points forces the merge of their images under every
     generator and inverse, propagated to a fixpoint inside the window.
     """
-    window = RaySystem(group.n).window(depth)
-    parent = {p: p for p in window}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return None
-        if rb < ra:
-            ra, rb = rb, ra
-        parent[rb] = ra
-        return ra, rb
-
-    work = []
-    for block in system.blocks:
-        for a, b in zip(block, block[1:]):
-            if a not in window or b not in window:
-                raise DomainError(f"block point outside the window of depth {depth}")
-            merged = union(a, b)
-            if merged:
-                work.append(merged)
-    gens = group.symmetric_generators()
-    while work:
-        a, b = work.pop()
-        for g in gens:
-            ga, gb = g.apply(a), g.apply(b)
-            if ga in window and gb in window:
-                merged = union(ga, gb)
-                if merged:
-                    work.append(merged)
-    buckets: dict[RayPoint, list[RayPoint]] = {}
-    for p in window:
-        buckets.setdefault(find(p), []).append(p)
-    return sorted((tuple(sorted(v)) for v in buckets.values()), key=lambda c: c[0])
+    parent = _congruence(group, system.blocks, depth)
+    return _window_partition(parent, group.n, depth, depth)
 
 
 # -- verification ------------------------------------------------------------
@@ -188,13 +179,17 @@ class BlockSearchResult:
 
 
 def _closure_class_of_pair(group, p, q, depth, cap):
-    """Class of p in the congruence generated by p ~ q, or None past the cap."""
-    seed = BlockSystem((tuple(sorted((p, q))),))
-    classes = congruence_classes(group, seed, depth)
+    """(class of p, all classes) in the congruence generated by p ~ q.
+
+    None once the class of p holds more than ``cap`` points: classes only
+    grow during the closure, so its final class would be over the cap too.
+    """
+    parent = _congruence(group, [tuple(sorted((p, q)))], depth, watch=(p, cap))
+    if parent is None:
+        return None
+    classes = _window_partition(parent, group.n, depth, depth)
     for cls in classes:
         if p in cls:
-            if len(cls) > cap:
-                return None, classes
             return cls, classes
     raise AssertionError("point lost by closure")
 
@@ -229,9 +224,10 @@ def find_block_systems(
         for q in seeds_q:
             if q == p:
                 continue
-            block, classes = _closure_class_of_pair(group, p, q, depth, bound)
-            if block is None:
+            closed = _closure_class_of_pair(group, p, q, depth, bound)
+            if closed is None:
                 continue
+            block, classes = closed
             if any(pt.pos >= depth - margin for pt in block):
                 continue
             if any(set(c) <= set(block) for c in report.classes):
@@ -269,30 +265,17 @@ def finitary_class_transitivity(group: GeneratedSubgroup, depth: int, word_len: 
     count above one says nothing at larger word lengths.
     """
     report = orbit_windows(group, depth)
-    finitary = [
+    finitary = tuple(
         w
         for _, w, _ in bounded_words(group, word_len)
         if w.is_finitary() and w.threshold <= depth
+    )
+    pieces = _window_classes(GeneratedSubgroup(group.n, finitary), depth, depth)
+    piece_of = {p: k for k, piece in enumerate(pieces) for p in piece}
+    return [
+        (idx, len(cls), len({piece_of[p] for p in cls}))
+        for idx, cls in enumerate(report.classes)
     ]
-    window = RaySystem(group.n).window(depth)
-    parent = {p: p for p in window}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for w in finitary:
-        for p in window:
-            q = w.apply(p)
-            if q in window:
-                parent[find(p)] = find(q)
-    out = []
-    for idx, cls in enumerate(report.classes):
-        roots = {find(p) for p in cls}
-        out.append((idx, len(cls), len(roots)))
-    return out
 
 
 # -- quotient structure ----------------------------------------------------------

@@ -122,14 +122,18 @@ class HoughtonElement:
 
     def apply(self, p) -> RayPoint:
         """Image of a point under this permutation."""
-        q = RaySystem(self.n).check(p)
+        q = as_point(p)
+        if q.ray > self.n:
+            raise DomainError(f"ray {q.ray} outside 1..{self.n}")
         img = self._head.get(q)
         if img is not None:
             return img
         return RayPoint(q.ray, q.pos + self.t[q.ray - 1])
 
     def preimage(self, p) -> RayPoint:
-        q = RaySystem(self.n).check(p)
+        q = as_point(p)
+        if q.ray > self.n:
+            raise DomainError(f"ray {q.ray} outside 1..{self.n}")
         for a, b in self._items:
             if b == q:
                 return a

@@ -1,0 +1,59 @@
+"""Write the golden classify reports that tests/test_classify_golden.py compares.
+
+Each fixture group is classified at window 40 and its report is stored as
+the exact text of ``json.dumps(report, sort_keys=True)``, so the test checks
+byte-identical output.  Regenerate only when a change to the report is
+intended:
+
+    PYTHONPATH=src python3 tests/data/make_classify_golden.py
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+from houghton_kit.classify import classify
+from houghton_kit.elements import from_cycles, generator, houghton_generators, transposition
+from houghton_kit.subgroups import GeneratedSubgroup, delta_k
+
+GOLDEN = Path(__file__).with_name("classify_golden.json")
+WINDOW = 40
+
+
+def pair_group() -> GeneratedSubgroup:
+    """The n = 2 pair group of the acceptance suite."""
+    return GeneratedSubgroup.from_elements(
+        2,
+        [
+            generator(2, 2) ** 2,
+            transposition(2, (1, 0), (1, 1)),
+            from_cycles(2, [[(1, 0), (1, 2)], [(1, 1), (1, 3)]]),
+        ],
+    )
+
+
+def golden_groups() -> dict:
+    """Fixture label -> subgroup, in a fixed order."""
+    return {
+        "delta_k(3,2)": delta_k(3, 2),
+        "delta_k(4,2)": delta_k(4, 2),
+        "delta_k(5,3)": delta_k(5, 3),
+        "pair": pair_group(),
+        "H_3": GeneratedSubgroup.from_elements(3, houghton_generators(3)),
+        "H_4": GeneratedSubgroup.from_elements(4, houghton_generators(4)),
+    }
+
+
+def report_text(group: GeneratedSubgroup, window: int = WINDOW) -> str:
+    return json.dumps(classify(group, window=window).to_json_dict(), sort_keys=True)
+
+
+def main() -> None:
+    golden = {label: report_text(group) for label, group in golden_groups().items()}
+    GOLDEN.write_text(json.dumps(golden, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(golden)} reports to {GOLDEN}")
+
+
+if __name__ == "__main__":
+    main()

@@ -111,6 +111,13 @@ def test_congruence_classes_pair_group():
         assert j == j2 and m2 == m + 1 and m % 2 == 0 and len(cls) == 2
 
 
+@pytest.mark.parametrize("point", [(1, 40), (2, 41), (0, 3), (3, 3)])
+def test_congruence_classes_reject_block_points_outside_the_window(point):
+    system = BlockSystem.from_lists([[(1, 2), point]])
+    with pytest.raises(DomainError, match="block point outside the window of depth 40"):
+        congruence_classes(pair_preserving_group(), system, depth=40)
+
+
 # -- search -------------------------------------------------------------------------
 
 
@@ -241,3 +248,11 @@ def test_finitary_words_respect_delta_classes():
     assert len(report) == 2
     for _, size, components in report:
         assert components < size
+
+
+def test_finitary_pieces_per_orbit_class():
+    from houghton_kit.blocks import finitary_class_transitivity
+
+    assert finitary_class_transitivity(delta_k(3, 2), depth=10) == [(0, 15, 11), (1, 15, 11)]
+    h3 = GeneratedSubgroup.from_elements(3, houghton_generators(3))
+    assert finitary_class_transitivity(h3, depth=10) == [(0, 30, 30)]

@@ -1,0 +1,138 @@
+"""Window closures checked against a naive closure written here.
+
+The oracle keys its union-find by RayPoint and moves points with the
+validating ``HoughtonElement.apply``; the library runs the same closures on
+int image tables.  Both propagate a merge of two classes through the images
+of the classes' least points, last merge first: near the window's edge an
+image can leave the window, so which pairs are propagated decides the
+result, and the oracle follows the same rule.
+"""
+
+import random
+
+import pytest
+
+from houghton_kit.blocks import BlockSystem, _closure_class_of_pair, congruence_classes
+from houghton_kit.elements import random_element
+from houghton_kit.rays import RaySystem
+from houghton_kit.subgroups import GeneratedSubgroup, _window_action, delta_k, orbit_windows
+
+FAMILIES = [(2, 2), (3, 1), (3, 2), (3, 3), (4, 2)]
+
+
+def naive_closure(group, blocks, depth, gens):
+    """Classes of the window after merging blocks and propagating under gens."""
+    window = set(RaySystem(group.n).window(depth))
+    parent = {p: p for p in window}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def union(a, b):
+        ra, rb = sorted((find(a), find(b)))
+        if ra == rb:
+            return None
+        parent[rb] = ra
+        return ra, rb
+
+    work = []
+    for block in blocks:
+        for a, b in zip(block, block[1:]):
+            merged = union(a, b)
+            if merged:
+                work.append(merged)
+    while work:
+        a, b = work.pop()
+        for g in gens:
+            ga, gb = g.apply(a), g.apply(b)
+            if ga in window and gb in window:
+                merged = union(ga, gb)
+                if merged:
+                    work.append(merged)
+    classes = {}
+    for p in sorted(window):
+        classes.setdefault(find(p), []).append(p)
+    return [tuple(c) for c in classes.values()]
+
+
+def naive_orbit_classes(group, report_depth, closure_depth):
+    window = RaySystem(group.n).window(closure_depth)
+    moves = [(p, g.apply(p)) for g in group.generators for p in window]
+    classes = naive_closure(group, [m for m in moves if m[1] in window], closure_depth, [])
+    cut = [tuple(p for p in c if p.pos < report_depth) for c in classes]
+    return tuple(sorted((c for c in cut if c), key=lambda c: c[0]))
+
+
+def conjugated_delta(rng):
+    n, k = rng.choice(FAMILIES)
+    c = random_element(n, head_budget=3, t_bound=1, seed=rng)
+    c_inv = c.inverse()
+    gens = tuple(c_inv.compose(g).compose(c) for g in delta_k(n, k).generators)
+    return GeneratedSubgroup(n, gens)
+
+
+def seed_pairs(rng, n, depth, count):
+    points = list(RaySystem(n).window(depth))
+    return [tuple(sorted(rng.sample(points, 2))) for _ in range(count)]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_image_tables_follow_apply_up_to_the_window_edge(seed):
+    rng = random.Random(300 + seed)
+    group = conjugated_delta(rng)
+    for depth in range(1, 9):
+        window = RaySystem(group.n).window(depth)
+        tables = _window_action(group, depth)
+        assert len(tables) == 2 * len(group.generators)
+        for g, table in zip(group.symmetric_generators(), tables):
+            want = []
+            for p in window:
+                q = g.apply(p)
+                want.append((q.ray - 1) * depth + q.pos if q in window else -1)
+            assert list(table) == want
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_congruence_classes_match_the_naive_closure(seed):
+    rng = random.Random(seed)
+    group = conjugated_delta(rng)
+    depth = rng.choice([8, 12, 16])
+    gens = group.symmetric_generators()
+    for pair in seed_pairs(rng, group.n, depth, 6):
+        system = BlockSystem((pair,))
+        assert congruence_classes(group, system, depth) == naive_closure(
+            group, system.blocks, depth, gens
+        )
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_orbit_windows_match_the_naive_closure(seed):
+    rng = random.Random(100 + seed)
+    group = conjugated_delta(rng)
+    depth = rng.choice([6, 10, 14])
+    report = orbit_windows(group, depth)
+    classes = naive_orbit_classes(group, depth, 2 * depth)
+    assert report.classes == classes
+    assert report.stabilized == (classes == naive_orbit_classes(group, depth, 4 * depth))
+    assert report.ray_incidence == tuple(tuple(sorted({p.ray for p in c})) for c in classes)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_pair_closure_stops_exactly_past_the_cap(seed):
+    rng = random.Random(200 + seed)
+    group = conjugated_delta(rng)
+    depth = rng.choice([8, 12, 16])
+    gens = group.symmetric_generators()
+    for p, q in seed_pairs(rng, group.n, depth, 6):
+        if rng.random() < 0.5:
+            p, q = q, p
+        full = naive_closure(group, [tuple(sorted((p, q)))], depth, gens)
+        size = len(next(c for c in full if p in c))
+        for cap in {1, size - 1, size, size + 1, rng.randint(1, 3 * size)}:
+            got = _closure_class_of_pair(group, p, q, depth, cap)
+            if size > cap:
+                assert got is None
+            else:
+                assert got == (next(c for c in full if p in c), full)
