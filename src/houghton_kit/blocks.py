@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 from .elements import HoughtonElement
 from .errors import DomainError, InconclusiveError
+from .finperm import _close
 from .rays import RayPoint, RaySystem
 from .subgroups import (
     GeneratedSubgroup,
     TranslationLattice,
-    _close,
     _window_action,
     _window_classes,
     _window_partition,
@@ -68,7 +68,7 @@ def block_size_bound(lattice: TranslationLattice) -> int:
 
 
 def _congruence(group: GeneratedSubgroup, blocks, depth: int, watch=None):
-    """Closure parent list of the equivalence generated by the blocks.
+    """Closure root list of the equivalence generated by the blocks.
 
     ``watch`` is a (point, cap) pair handed to the closure as an index pair.
     """
@@ -92,8 +92,8 @@ def congruence_classes(group: GeneratedSubgroup, system: BlockSystem, depth: int
     Merging two points forces the merge of their images under every
     generator and inverse, propagated to a fixpoint inside the window.
     """
-    parent = _congruence(group, system.blocks, depth)
-    return _window_partition(parent, group.n, depth, depth)
+    roots = _congruence(group, system.blocks, depth)
+    return _window_partition(roots, group.n, depth, depth)
 
 
 # -- verification ------------------------------------------------------------
@@ -184,10 +184,10 @@ def _closure_class_of_pair(group, p, q, depth, cap):
     None once the class of p holds more than ``cap`` points: classes only
     grow during the closure, so its final class would be over the cap too.
     """
-    parent = _congruence(group, [tuple(sorted((p, q)))], depth, watch=(p, cap))
-    if parent is None:
+    roots = _congruence(group, [tuple(sorted((p, q)))], depth, watch=(p, cap))
+    if roots is None:
         return None
-    classes = _window_partition(parent, group.n, depth, depth)
+    classes = _window_partition(roots, group.n, depth, depth)
     for cls in classes:
         if p in cls:
             return cls, classes

@@ -328,6 +328,13 @@ def _cmd_classify(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="houghton-kit",
@@ -346,21 +353,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("subgroup", help="lattice, hirsch, level and orbit reports")
     p.add_argument("action", choices=["lattice", "hirsch", "level", "orbits"])
     p.add_argument("--subgroup", required=True, help="subgroup JSON file")
-    p.add_argument("--window", type=int, default=40)
+    p.add_argument("--window", type=_positive_int, default=40)
     p.set_defaults(func=_cmd_subgroup)
 
     p = sub.add_parser("blocks", help="find, verify and quotient block systems")
     p.add_argument("action", choices=["find", "verify", "quotient"])
     p.add_argument("--subgroup", required=True)
     p.add_argument("--blocks", help="block system JSON file")
-    p.add_argument("--window", type=int, default=40)
+    p.add_argument("--window", type=_positive_int, default=40)
     p.set_defaults(func=_cmd_blocks)
 
     p = sub.add_parser("wreath", help="embed into the multi-wreath product")
     p.add_argument("action", choices=["embed", "verify"])
     p.add_argument("--subgroup", required=True)
     p.add_argument("--blocks", required=True)
-    p.add_argument("--window", type=int, default=60)
+    p.add_argument("--window", type=_positive_int, default=60)
     p.add_argument("--word", action="append", default=[])
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
@@ -378,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="full classification report")
     p.add_argument("--subgroup", required=True)
-    p.add_argument("--window", type=int, default=40)
+    p.add_argument("--window", type=_positive_int, default=40)
     p.set_defaults(func=_cmd_classify)
 
     return parser

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import DomainError, InvalidElementError
+from .finperm import _classes, _close
 from .rays import RayPoint, RaySystem, as_point
 
 
@@ -129,15 +130,6 @@ class HoughtonElement:
         if img is not None:
             return img
         return RayPoint(q.ray, q.pos + self.t[q.ray - 1])
-
-    def preimage(self, p) -> RayPoint:
-        q = as_point(p)
-        if q.ray > self.n:
-            raise DomainError(f"ray {q.ray} outside 1..{self.n}")
-        for a, b in self._items:
-            if b == q:
-                return a
-        return RayPoint(q.ray, q.pos - self.t[q.ray - 1])
 
     def compose(self, other: "HoughtonElement") -> "HoughtonElement":
         """Product "self then other" (right action)."""
@@ -351,6 +343,22 @@ def _finite_cycles(g: HoughtonElement):
     return tuple(cycles)
 
 
+def _image_table(g: HoughtonElement, depth: int) -> tuple:
+    """Window index of each window point's image under g, -1 where it leaves.
+
+    Point (ray, pos) of the depth window has index (ray - 1) * depth + pos.
+    """
+    table = []
+    for ray, shift in enumerate(g.t):
+        base = ray * depth
+        table.extend(base + pos + shift if pos + shift < depth else -1 for pos in range(depth))
+    for p, q in g._items:
+        if p.pos < depth:
+            image = (q.ray - 1) * depth + q.pos if q.pos < depth else -1
+            table[(p.ray - 1) * depth + p.pos] = image
+    return tuple(table)
+
+
 def window_cycle_counts(g: HoughtonElement, depth: int | None = None):
     """Count cycles by tracing orbits inside a finite window.
 
@@ -360,39 +368,17 @@ def window_cycle_counts(g: HoughtonElement, depth: int | None = None):
     """
     if depth is None:
         depth = g.threshold + 3 * max(1, g.max_shift())
-    window = RaySystem(g.n).window(depth)
-    parent: dict[RayPoint, RayPoint] = {p: p for p in window}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    exits = set()
-    entries = set()
-    for p in window:
-        q = g.apply(p)
-        if q in window:
-            parent[find(p)] = find(q)
-        else:
-            exits.add(p)
-        r = g.preimage(p)
-        if r not in window:
-            entries.add(p)
-    classes: dict[RayPoint, list[RayPoint]] = {}
-    for p in window:
-        classes.setdefault(find(p), []).append(p)
+    table = _image_table(g, depth)
+    roots = _close(len(table), ((i, j) for i, j in enumerate(table) if j >= 0))
     finite_sizes = []
     infinite = 0
-    for members in classes.values():
-        boundary = any(p in exits or p in entries for p in members)
-        if boundary:
+    for members in _classes(roots):
+        # g is injective, so each class is a cycle or a path, and the last
+        # point of a path leaves the window: exits alone mark the strands
+        if any(table[i] < 0 for i in members):
             infinite += 1
         elif len(members) > 1:
             finite_sizes.append(len(members))
-        elif g.apply(members[0]) != members[0]:
-            raise AssertionError("moved singleton class inside window")
     return sorted(finite_sizes), infinite
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain
 from typing import Hashable, Iterable, Sequence
 
 from .errors import DegreeCapError, DomainError
@@ -35,6 +36,83 @@ def _inv(p):
 
 def _is_id(p):
     return all(i == j for i, j in enumerate(p))
+
+
+def _close(size: int, pairs, tables=(), watch=None):
+    """Array union-find closure over the indices 0..size-1.
+
+    Merges each seed pair in order, then, for every merge of two classes,
+    merges the images of their least points under each table while both
+    images exist (an entry of -1 has none), until nothing changes.  Every
+    class is rooted at its least index.  Returns the root of each index, or
+    None as soon as the class of index ``watch[0]`` holds more than
+    ``watch[1]`` points.
+    """
+    parent = list(range(size))
+    count = [1] * size
+    watched, cap = watch or (0, size)
+    work = []
+
+    def images():
+        while work:
+            a, b = work.pop()
+            for table in tables:
+                x, y = table[a], table[b]
+                if x >= 0 and y >= 0:
+                    yield x, y
+
+    for a, b in chain(pairs, images()):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a == b:
+            continue
+        if b < a:
+            a, b = b, a
+        parent[b] = a
+        count[a] += count[b]
+        work.append((a, b))
+        if count[a] > cap:
+            w = watched
+            while parent[w] != w:
+                parent[w] = w = parent[parent[w]]
+            if w == a:
+                return None
+    for i, j in enumerate(parent):
+        parent[i] = parent[j]  # j <= i, and every entry below i already holds its root
+    return parent
+
+
+def _classes(roots) -> list[list[int]]:
+    """Classes of a closure's root list, each sorted, in order of least index."""
+    buckets: dict[int, list[int]] = {}
+    for i, r in enumerate(roots):
+        buckets.setdefault(r, []).append(i)
+    return list(buckets.values())
+
+
+def _schreier_transversal(base: int, gens, ident: tuple) -> dict:
+    """Point -> permutation taking base to it, over the orbit of base, breadth first."""
+    transversal = {base: ident}
+    queue = [base]
+    for x in queue:
+        for g in gens:
+            y = g[x]
+            if y not in transversal:
+                transversal[y] = _mul(transversal[x], g)
+                queue.append(y)
+    return transversal
+
+
+def _schreier_generators(transversal: dict, gens):
+    """Non-identity Schreier generators of the base point's stabilizer."""
+    for x in sorted(transversal):
+        ux = transversal[x]
+        for h in gens:
+            s = _mul(_mul(ux, h), _inv(transversal[h[x]]))
+            if not _is_id(s):
+                yield s
 
 
 @dataclass
@@ -88,24 +166,9 @@ class FinitePermGroup:
 
     def orbits(self) -> list[tuple]:
         """Partition of the domain into orbits, ordered by first point."""
-        seen = set()
-        out = []
-        for i in range(len(self.domain)):
-            if i in seen:
-                continue
-            orbit = [i]
-            seen.add(i)
-            k = 0
-            while k < len(orbit):
-                x = orbit[k]
-                k += 1
-                for g in self.gens:
-                    y = g[x]
-                    if y not in seen:
-                        seen.add(y)
-                        orbit.append(y)
-            out.append(tuple(self.domain[i] for i in sorted(orbit)))
-        return out
+        d = len(self.domain)
+        roots = _close(d, ((i, g[i]) for g in self.gens for i in range(d)))
+        return [tuple(self.domain[i] for i in orbit) for orbit in _classes(roots)]
 
     def orbit_of(self, p) -> tuple:
         for orbit in self.orbits():
@@ -122,20 +185,6 @@ class FinitePermGroup:
                 if not _is_id(g):
                     self._add_gen(0, g)
         return self._levels
-
-    def _rebuild_orbit(self, lvl: _Level):
-        ident = self.identity()
-        lvl.transversal = {lvl.base: ident}
-        queue = [lvl.base]
-        k = 0
-        while k < len(queue):
-            x = queue[k]
-            k += 1
-            for g in lvl.gens:
-                y = g[x]
-                if y not in lvl.transversal:
-                    lvl.transversal[y] = _mul(lvl.transversal[x], g)
-                    queue.append(y)
 
     def _sift(self, perm, start=0):
         levels = self._levels
@@ -155,19 +204,13 @@ class FinitePermGroup:
             levels.append(_Level(base, [], {}))
         lvl = levels[level_idx]
         lvl.gens.append(g)
-        self._rebuild_orbit(lvl)
-        for x in sorted(lvl.transversal):
-            ux = lvl.transversal[x]
-            for h in lvl.gens:
-                uy = lvl.transversal[h[x]]
-                schreier = _mul(_mul(ux, h), _inv(uy))
-                if _is_id(schreier):
-                    continue
-                residue, _ = self._sift(schreier, level_idx + 1)
-                if not _is_id(residue):
-                    # residues must enter the very next level so that each
-                    # level's generators keep generating its stabilizer
-                    self._add_gen(level_idx + 1, residue)
+        lvl.transversal = _schreier_transversal(lvl.base, lvl.gens, self.identity())
+        for schreier in _schreier_generators(lvl.transversal, lvl.gens):
+            residue, _ = self._sift(schreier, level_idx + 1)
+            if not _is_id(residue):
+                # residues must enter the very next level so that each
+                # level's generators keep generating its stabilizer
+                self._add_gen(level_idx + 1, residue)
 
     def order(self) -> int:
         return reduce(lambda a, lvl: a * len(lvl.transversal), self._chain(), 1)
@@ -203,26 +246,8 @@ class FinitePermGroup:
         i = self._index[p]
         if i in self._stab_gens_cache:
             return self._stab_gens_cache[i]
-        ident = self.identity()
-        transversal = {i: ident}
-        queue = [i]
-        k = 0
-        while k < len(queue):
-            x = queue[k]
-            k += 1
-            for g in self.gens:
-                y = g[x]
-                if y not in transversal:
-                    transversal[y] = _mul(transversal[x], g)
-                    queue.append(y)
-        gens = set()
-        for x in sorted(transversal):
-            ux = transversal[x]
-            for h in self.gens:
-                s = _mul(_mul(ux, h), _inv(transversal[h[x]]))
-                if not _is_id(s):
-                    gens.add(s)
-        out = sorted(gens)
+        transversal = _schreier_transversal(i, self.gens, self.identity())
+        out = sorted(set(_schreier_generators(transversal, self.gens)))
         self._stab_gens_cache[i] = out
         return out
 
@@ -242,39 +267,14 @@ class FinitePermGroup:
     def minimal_block(self, p, q) -> frozenset:
         """Smallest block of the orbit action containing both points.
 
-        Union-find refinement: merging two points forces the merge of their
+        Union-find closure: merging two points forces the merge of their
         images under every generator, to a fixpoint.
         """
-        orbit = self.orbit_of(p)
-        if q not in orbit or p == q:
+        if q not in self.orbit_of(p) or p == q:
             raise DomainError("need two distinct points of one orbit")
-        parent = {self._index[x]: self._index[x] for x in orbit}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                return None
-            if rb < ra:
-                ra, rb = rb, ra
-            parent[rb] = ra
-            return ra, rb
-
-        work = [(self._index[p], self._index[q])]
-        union(self._index[p], self._index[q])
-        while work:
-            a, b = work.pop()
-            for g in self.gens:
-                merged = union(g[a], g[b])
-                if merged:
-                    work.append(merged)
-        root = find(self._index[p])
-        return frozenset(x for x in orbit if find(self._index[x]) == root)
+        roots = _close(len(self.domain), [(self._index[p], self._index[q])], self.gens)
+        root = roots[self._index[p]]
+        return frozenset(x for x, r in zip(self.domain, roots) if r == root)
 
     def restriction(self, points: Sequence) -> "FinitePermGroup":
         """Image of the group acting on an invariant subset."""

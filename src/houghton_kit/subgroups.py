@@ -9,12 +9,20 @@ import json
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from typing import Iterable
 
 from . import intlattice as la
-from .elements import HoughtonElement, commutator, cycle_structure, from_cycles, generator, identity
+from .elements import (
+    HoughtonElement,
+    _image_table,
+    commutator,
+    cycle_structure,
+    from_cycles,
+    generator,
+    identity,
+)
 from .errors import DomainError, InconclusiveError, UnsupportedCaseError
+from .finperm import _close
 from .rays import RayPoint, RaySystem
 
 
@@ -272,19 +280,6 @@ class OrbitWindowReport:
         raise DomainError(f"{p} outside the reported window")
 
 
-def _image_table(g: HoughtonElement, depth: int) -> tuple:
-    """Window index of each window point's image under g, -1 where it leaves."""
-    table = []
-    for ray, shift in enumerate(g.t):
-        base = ray * depth
-        table.extend(base + pos + shift if pos + shift < depth else -1 for pos in range(depth))
-    for p, q in g._items:
-        if p.pos < depth:
-            image = (q.ray - 1) * depth + q.pos if q.pos < depth else -1
-            table[(p.ray - 1) * depth + p.pos] = image
-    return tuple(table)
-
-
 @lru_cache(maxsize=8)
 def _window_action(group: GeneratedSubgroup, depth: int) -> tuple:
     """Image tables of the symmetric generators on the window of this depth.
@@ -305,68 +300,23 @@ def _window_action(group: GeneratedSubgroup, depth: int) -> tuple:
     return tuple(forward + inverse)
 
 
-def _close(size: int, pairs, tables=(), watch=None):
-    """Array union-find closure over window indices.
-
-    Merges each seed pair in order, then, for every merge of two classes,
-    merges the images of their least points under each table while both
-    stay in the window, until nothing changes.  Every class is rooted at its
-    least index.  Returns the parent list, or None as soon as the class of
-    index ``watch[0]`` holds more than ``watch[1]`` points.
-    """
-    parent = list(range(size))
-    count = [1] * size
-    watched, cap = watch or (0, size)
-    work = []
-
-    def images():
-        while work:
-            a, b = work.pop()
-            for table in tables:
-                x, y = table[a], table[b]
-                if x >= 0 and y >= 0:
-                    yield x, y
-
-    for a, b in chain(pairs, images()):
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a == b:
-            continue
-        if b < a:
-            a, b = b, a
-        parent[b] = a
-        count[a] += count[b]
-        work.append((a, b))
-        if count[a] > cap:
-            w = watched
-            while parent[w] != w:
-                parent[w] = w = parent[parent[w]]
-            if w == a:
-                return None
-    return parent
-
-
-def _window_partition(parent: list, n: int, depth: int, report_depth: int) -> list:
+def _window_partition(roots: list, n: int, depth: int, report_depth: int) -> list:
     """Classes of a closure on the depth window, cut to the report window.
 
     Each class is a sorted tuple of points; classes come in order of their
     least point.
     """
-    for i, j in enumerate(parent):
-        parent[i] = parent[j]  # j <= i, and every entry below i already holds its root
     buckets: dict[int, list[RayPoint]] = {}
     for p in RaySystem(n).window(report_depth):
-        buckets.setdefault(parent[(p.ray - 1) * depth + p.pos], []).append(p)
+        buckets.setdefault(roots[(p.ray - 1) * depth + p.pos], []).append(p)
     return [tuple(v) for v in buckets.values()]
 
 
 def _window_classes(group: GeneratedSubgroup, report_depth: int, closure_depth: int):
     tables = _window_action(group, closure_depth)[: len(group.generators)]
     pairs = ((i, j) for table in tables for i, j in enumerate(table) if j >= 0)
-    parent = _close(group.n * closure_depth, pairs)
-    return tuple(_window_partition(parent, group.n, closure_depth, report_depth))
+    roots = _close(group.n * closure_depth, pairs)
+    return tuple(_window_partition(roots, group.n, closure_depth, report_depth))
 
 
 def orbit_windows(group: GeneratedSubgroup, depth: int) -> OrbitWindowReport:

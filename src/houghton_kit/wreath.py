@@ -21,13 +21,18 @@ from dataclasses import dataclass
 from .blocks import BlockSystem, QuotientStructure, quotient as build_quotient
 from .elements import HoughtonElement, identity as houghton_identity
 from .errors import DomainError, InconclusiveError
-from .finperm import FinitePermGroup, _inv, _is_id, _mul
+from .finperm import FinitePermGroup, _classes, _close, _inv, _is_id, _mul
 from .rays import RayPoint
 from .subgroups import GeneratedSubgroup, bounded_words
 
 
 class BlockContext:
-    """Verified block system, its quotient, orbit typing and rank bijections."""
+    """Verified block system, its quotient, orbit typing and rank bijections.
+
+    Orbits of the induced generators on the quotient points are numbered in
+    order of their least quotient point, so ids first appear in increasing
+    order along ``structure.quotient_points``.
+    """
 
     def __init__(self, group: GeneratedSubgroup, structure: QuotientStructure, twists=None):
         self.group = group
@@ -47,25 +52,19 @@ class BlockContext:
             raise DomainError("an orbit of classes carries no block")
         self.single_orbit = orbit_count == 1
 
-    @staticmethod
-    def _compute_orbits(structure) -> dict:
-        parent = {qp: qp for qp in structure.quotient_points}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        elements = [e for e in structure.induced] + [e.inverse() for e in structure.induced]
-        for qp in structure.quotient_points:
-            for e in elements:
-                img = e.apply(qp)
-                if img in parent:
-                    parent[find(qp)] = find(img)
-        roots = sorted({find(qp) for qp in structure.quotient_points})
-        root_ids = {r: i for i, r in enumerate(roots)}
-        return {qp: root_ids[find(qp)] for qp in structure.quotient_points}
+    def _compute_orbits(self, structure) -> dict:
+        pairs = []
+        for e in structure.induced:
+            for k, qp in enumerate(structure.quotient_points):
+                image = self._index.get(e.apply(qp))
+                if image is not None:
+                    pairs.append((k, image))
+        roots = _close(len(self._index), pairs)
+        return {
+            structure.quotient_points[k]: i
+            for i, orbit in enumerate(_classes(roots))
+            for k in orbit
+        }
 
     # -- typing and transversal ------------------------------------------------
 
@@ -391,16 +390,17 @@ class DescentResult:
         return self.status == "ok"
 
 
-def _bfs_words(group: GeneratedSubgroup, ctx: BlockContext, max_len: int):
-    """Words paired with their exact quotient images, breadth first."""
-    sym_q = [ctx.quotient.induce(g) for g in group.generators]
-    sym_q += [e.inverse() for e in sym_q]
-    images = (houghton_identity(ctx.n), sym_q)
+def _bfs_words(group: GeneratedSubgroup, ctx: BlockContext, letters, max_len: int):
+    """Words paired with their exact quotient images, breadth first.
+
+    ``letters`` are the quotient images of ``group.symmetric_generators()``.
+    """
+    images = (houghton_identity(ctx.n), letters)
     for _, w, wq in bounded_words(group, max_len, cap=20000, images=images):
         yield w, wq
 
 
-def _conjugator_candidates(group: GeneratedSubgroup, ctx: BlockContext, budget: int):
+def _conjugator_candidates(group: GeneratedSubgroup, ctx: BlockContext, letters, budget: int):
     """Class movers, cheapest first: generator powers, pairs of powers, short words.
 
     Powers of translating generators sweep a block class along the rays, which
@@ -408,11 +408,9 @@ def _conjugator_candidates(group: GeneratedSubgroup, ctx: BlockContext, budget: 
     the end covers leftovers.
     """
     seen = set()
-    gens = list(group.generators) + [g.inverse() for g in group.generators]
-    gens_q = [ctx.quotient.induce(g) for g in group.generators]
-    gens_q += [e.inverse() for e in gens_q[: len(group.generators)]]
+    gens = group.symmetric_generators()
     powers = [[(houghton_identity(group.n), houghton_identity(ctx.n))] for _ in gens]
-    for i, (g, gq) in enumerate(zip(gens, gens_q)):
+    for i, (g, gq) in enumerate(zip(gens, letters)):
         for _ in range(budget):
             w, wq = powers[i][-1]
             powers[i].append((w.compose(g), wq.compose(gq)))
@@ -433,7 +431,7 @@ def _conjugator_candidates(group: GeneratedSubgroup, ctx: BlockContext, budget: 
                         continue
                     seen.add(w)
                     yield w, powers[i][a][1].compose(powers[j][b][1])
-    for w, wq in _bfs_words(group, ctx, min(4, budget)):
+    for w, wq in _bfs_words(group, ctx, letters, min(4, budget)):
         if w not in seen:
             seen.add(w)
             yield w, wq
@@ -460,7 +458,9 @@ def phi_s_descent(
     supports = [set(k.support()) for k in kk_kernel]
     big_s = set().union(*supports) if supports else set()
     witness = None
-    for w, wq in _bfs_words(group, ctx, word_budget):
+    letters = [ctx.quotient.induce(g) for g in group.generators]
+    letters += [e.inverse() for e in letters]
+    for w, wq in _bfs_words(group, ctx, letters, word_budget):
         if wq == alpha.head:
             witness = w
             break
@@ -476,7 +476,7 @@ def phi_s_descent(
     while measure:
         target = min(set(psi.support()) - big_s)
         cleared = False
-        for c, cq in _conjugator_candidates(group, ctx, conj_budget):
+        for c, cq in _conjugator_candidates(group, ctx, letters, conj_budget):
             moved_s = {cq.apply(qp) for qp in big_s}
             if not moved_s <= big_s | {target}:
                 continue

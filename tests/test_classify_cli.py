@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from houghton_kit.classify import classify
 from houghton_kit.cli import cli_main
 from houghton_kit.elements import from_cycles, generator, houghton_generators, transposition
@@ -204,6 +206,27 @@ def test_cli_invalid_input_exit_2(tmp_path, capsys):
     assert cli_main(["element", "parse", "--word", "h1", "--n", "2"]) == 2
     assert cli_main(["nonsense"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["subgroup", "orbits", "--window", "0"],
+        ["blocks", "find", "--window", "-1"],
+        ["wreath", "embed", "--blocks", "BLOCKS", "--window", "0"],
+        ["classify", "--window", "-2"],
+    ],
+    ids=["subgroup", "blocks", "wreath", "classify"],
+)
+def test_cli_window_must_be_positive(tmp_path, capsys, argv):
+    spath = write_subgroup(tmp_path, delta_k(3, 2))
+    bpath = tmp_path / "blocks.json"
+    bpath.write_text(json.dumps([[[1, 0]], [[1, 1]]]))
+    argv = [str(bpath) if a == "BLOCKS" else a for a in argv] + ["--subgroup", spath]
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "positive integer" in captured.err
 
 
 def test_cli_inconclusive_exit_3(tmp_path, capsys):

@@ -13,7 +13,7 @@ import random
 import pytest
 
 from houghton_kit.blocks import BlockSystem, _closure_class_of_pair, congruence_classes
-from houghton_kit.elements import random_element
+from houghton_kit.elements import random_element, window_cycle_counts
 from houghton_kit.rays import RaySystem
 from houghton_kit.subgroups import GeneratedSubgroup, _window_action, delta_k, orbit_windows
 
@@ -63,6 +63,26 @@ def naive_orbit_classes(group, report_depth, closure_depth):
     classes = naive_closure(group, [m for m in moves if m[1] in window], closure_depth, [])
     cut = [tuple(p for p in c if p.pos < report_depth) for c in classes]
     return tuple(sorted((c for c in cut if c), key=lambda c: c[0]))
+
+
+def naive_cycle_counts(g, depth):
+    """(finite cycle sizes, strand count) from a RayPoint-keyed window closure.
+
+    A class with an exit (image outside the window) or an entry (no window
+    preimage) is a strand of an infinite cycle.
+    """
+    window = RaySystem(g.n).window(depth)
+    moves = [(p, g.apply(p)) for p in window]
+    hit = {q for _, q in moves}
+    exits = {p for p, q in moves if q not in window}
+    classes = naive_closure(g, [m for m in moves if m[1] in window], depth, [])
+    sizes, strands = [], 0
+    for cls in classes:
+        if any(p in exits or p not in hit for p in cls):
+            strands += 1
+        elif len(cls) > 1:
+            sizes.append(len(cls))
+    return sorted(sizes), strands
 
 
 def conjugated_delta(rng):
@@ -136,3 +156,31 @@ def test_pair_closure_stops_exactly_past_the_cap(seed):
                 assert got is None
             else:
                 assert got == (next(c for c in full if p in c), full)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_window_cycle_counts_match_the_naive_closure(n):
+    rng = random.Random(400 + n)
+    for _ in range(40):
+        g = random_element(n, head_budget=6, t_bound=2, seed=rng)
+        default = g.threshold + 3 * max(1, g.max_shift())
+        for depth in (default, g.threshold + 1, g.threshold + 7, 0):
+            assert window_cycle_counts(g, depth) == naive_cycle_counts(g, depth)
+        assert window_cycle_counts(g) == naive_cycle_counts(g, default)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the closure propagates a merge only through the images of the two "
+    "classes' least points, so classes near the window's edge need not be closed",
+)
+def test_congruence_classes_are_closed_under_the_generators():
+    group = delta_k(2, 2)
+    depth = 6
+    classes = congruence_classes(group, BlockSystem((((1, 2), (2, 3)),)), depth)
+    class_of = {p: k for k, cls in enumerate(classes) for p in cls}
+    window = RaySystem(group.n).window(depth)
+    for g in group.symmetric_generators():
+        for cls in classes:
+            images = {class_of[g.apply(p)] for p in cls if g.apply(p) in window}
+            assert len(images) <= 1, (g, cls)

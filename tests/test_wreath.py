@@ -7,6 +7,7 @@ from houghton_kit.elements import (
     from_cycles,
     generator,
     identity,
+    random_element,
     transposition,
 )
 from houghton_kit.errors import DomainError
@@ -191,6 +192,21 @@ def test_context_rejects_under_covered_system():
     system = BlockSystem.from_lists([[(1, 0)]])
     with pytest.raises(DomainError):
         build_block_context(group, system, 20)
+
+
+def test_context_orbit_ids_follow_the_least_quotient_point():
+    c = random_element(3, head_budget=3, t_bound=1, seed=5)
+    c_inv = c.inverse()
+    group = GeneratedSubgroup(
+        3, tuple(c_inv.compose(g).compose(c) for g in delta_k(3, 2).generators)
+    )
+    system = BlockSystem.from_lists([[c.apply((1, 0))], [c.apply((1, 1))]])
+    ctx = build_block_context(group, system, 30)
+    ids = [ctx.orbit_of(qp) for qp in ctx.quotient.quotient_points]
+    assert list(dict.fromkeys(ids)) == [0, 1]
+    for k, block in enumerate(ctx.block_of_orbit):
+        i = ctx.quotient.class_index_of(block[0])
+        assert ctx.orbit_of(ctx.quotient.quotient_points[i]) == k
 
 
 # -- coset descent -----------------------------------------------------------------
