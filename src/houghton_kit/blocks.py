@@ -23,6 +23,7 @@ from .subgroups import (
     _window_partition,
     bounded_words,
     orbit_windows,
+    translation_lattice,
 )
 
 
@@ -52,9 +53,6 @@ class BlockSystem:
     def max_block_size(self) -> int:
         return max(len(b) for b in self.blocks)
 
-    def is_trivial(self) -> bool:
-        return all(len(b) == 1 for b in self.blocks)
-
 
 def block_size_bound(lattice: TranslationLattice) -> int:
     """Upper bound on finite block sizes: the index of the translation image."""
@@ -62,6 +60,15 @@ def block_size_bound(lattice: TranslationLattice) -> int:
     if e is None:
         raise DomainError("block size bound needs a full-rank translation lattice")
     return e
+
+
+def _generator_margin(group: GeneratedSubgroup) -> int:
+    """Largest threshold plus shift over the generators.
+
+    Window data closer than this to the window's edge may depend on points
+    beyond it.
+    """
+    return max((g.threshold + g.max_shift() for g in group.generators), default=1)
 
 
 # -- congruence closure --------------------------------------------------------
@@ -116,15 +123,22 @@ def verify_block_system(
     group: GeneratedSubgroup,
     system: BlockSystem,
     depth: int,
-    word_len: int = 3,
 ) -> BlockVerification:
     """Check the block-system axioms against window data.
 
     Orbit axiom: every stabilized window orbit class meets exactly one
-    block.  Block axiom: for words up to ``word_len`` whose action on a
-    block stays inside the window, a partial overlap with the original
-    block is a violation.
+    block.  Block axiom: for words up to length 3 whose action on a block
+    stays inside the window, a partial overlap with the original block is a
+    violation.  Raises InconclusiveError when the orbit report, taken at half
+    the depth, is shallower than the generator margin.
     """
+    margin = _generator_margin(group)
+    if depth // 2 < margin:
+        raise InconclusiveError(
+            f"window depth {depth} is too shallow to verify blocks "
+            f"against generators of margin {margin}",
+            hint=2 * margin,
+        )
     witnesses = []
     report = orbit_windows(group, depth // 2)
     orbit_ok = True
@@ -136,7 +150,7 @@ def verify_block_system(
     window = RaySystem(group.n).window(depth)
     bsets = [set(b) for b in system.blocks]
     violations = {}  # block index -> (path, image) of the first violating word
-    for path, w, _ in bounded_words(group, word_len):
+    for path, w, _ in bounded_words(group, 3):
         for i, bset in enumerate(bsets):
             if i in violations:
                 continue
@@ -194,29 +208,19 @@ def _closure_class_of_pair(group, p, q, depth, cap):
     raise AssertionError("point lost by closure")
 
 
-def find_block_systems(
-    group: GeneratedSubgroup,
-    depth: int,
-    bound: int | None = None,
-) -> BlockSearchResult:
+def find_block_systems(group: GeneratedSubgroup, depth: int) -> BlockSearchResult:
     """Bounded search for proper non-trivial block systems.
 
     Seeds are pairs of a fixed representative per orbit class with the first
-    4 * bound window points; every candidate that survives the size bound and
+    4 * bound window points, where bound is the block size bound of the
+    translation lattice; every candidate that survives the size bound and
     the window margin is verified before being returned.  An empty result is
     evidence only, never a proof of strong orbit primitivity.
     """
-    lattice = None
-    if bound is None:
-        from .subgroups import translation_lattice
-
-        lattice = translation_lattice(group)
-        bound = block_size_bound(lattice)
+    bound = block_size_bound(translation_lattice(group))
     report = orbit_windows(group, depth // 2)
-    margin = max(
-        (g.threshold + g.max_shift() for g in group.generators), default=1
-    )
-    seeds_q = sorted(RaySystem(group.n).window(depth))[: 4 * bound]
+    margin = _generator_margin(group)
+    seeds_q = list(RaySystem(group.n).window(depth))[: 4 * bound]
     found = []
     seen_keys = set()
     for cls in report.classes:
@@ -304,9 +308,6 @@ class QuotientStructure:
 
     def quotient_group(self) -> GeneratedSubgroup:
         return GeneratedSubgroup.from_elements(self.n, self.induced)
-
-    def quotient_point_of_class(self, k: int):
-        return self.quotient_points[k]
 
     def partial_action(self, element: HoughtonElement) -> dict:
         """Partial map on quotient points induced by an element of the group.

@@ -91,16 +91,12 @@ def _level_section(group, lattice):
     return section
 
 
-def classify(
-    group: GeneratedSubgroup,
-    window: int = 40,
-    evidence: bool = True,
-) -> ClassificationReport:
+def classify(group: GeneratedSubgroup, window: int = 40) -> ClassificationReport:
     """Classify finiteness properties from the generators.
 
     Pipeline: translation lattice, Hirsch length, level and congruence
-    checks, window orbits, optional block-system search, certificate, then
-    the theorem-backed verdict.
+    checks, window orbits, block-system search (full Hirsch length only),
+    certificate, then the theorem-backed verdict.
     """
     n = group.n
     lattice = translation_lattice(group)
@@ -122,7 +118,7 @@ def classify(
         notes.append("orbit classes did not stabilize at this window depth")
 
     block_findings = {"searched": False, "systems": [], "caveat": ""}
-    if evidence and full and group.generators:
+    if full and group.generators:
         try:
             result = find_block_systems(group, depth=window)
             block_findings = {

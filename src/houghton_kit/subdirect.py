@@ -36,10 +36,6 @@ class FactorRestriction:
     full_hirsch: bool
     level: bool | None  # None when n = 2 (no lattice criterion)
 
-    def rank_of(self, p) -> RayPoint:
-        ray_pts = [q for q in self.points if q.ray == p.ray]
-        return RayPoint(p.ray, ray_pts.index(p))
-
 
 @dataclass(frozen=True)
 class SubdirectDecomposition:
@@ -92,19 +88,14 @@ def induce_on_orbit(orbit_points, g: HoughtonElement, n: int) -> HoughtonElement
     return infer_eventual_translation(partial, n, _contiguous_prefix(partial, n))
 
 
-def decompose(
-    group: GeneratedSubgroup,
-    report: OrbitWindowReport | None = None,
-    depth: int = 40,
-) -> SubdirectDecomposition:
+def decompose(group: GeneratedSubgroup, depth: int = 40) -> SubdirectDecomposition:
     """Split the action along its stabilized window orbit classes.
 
     Every factor of a full-Hirsch subgroup lands on an intrinsic copy of the
     ray system because each infinite orbit meets each ray infinitely often;
     the induced generators, lattices and flags are computed per factor.
     """
-    if report is None:
-        report = orbit_windows(group, depth)
+    report = orbit_windows(group, depth)
     if not report.stabilized:
         raise InconclusiveError(
             "orbit classes did not stabilize; decompose needs a stabilized report",

@@ -45,8 +45,8 @@ class GeneratedSubgroup:
             raise DomainError("labels must match generators one to one")
 
     @classmethod
-    def from_elements(cls, n: int, gens: Iterable[HoughtonElement], labels=None):
-        return cls(n, tuple(gens), tuple(labels) if labels else ())
+    def from_elements(cls, n: int, gens: Iterable[HoughtonElement]):
+        return cls(n, tuple(gens))
 
     def symmetric_generators(self) -> list[HoughtonElement]:
         out = list(self.generators)
@@ -403,7 +403,7 @@ def _lcm(values) -> int:
     return abs(out)
 
 
-def finitary_commutator(group: GeneratedSubgroup, search_len: int = 8) -> HoughtonElement:
+def finitary_commutator(group: GeneratedSubgroup) -> HoughtonElement:
     """A finitary element whose support meets every infinite orbit.
 
     Finds elements pulling ray 1 down while pushing ray 2 (resp. ray 3) up,
@@ -423,7 +423,7 @@ def finitary_commutator(group: GeneratedSubgroup, search_len: int = 8) -> Hought
         for d in la.divisors(index):
             target = [0] * n
             target[0], target[j - 1] = -d, d
-            h = element_with_translation(group, target, search_len)
+            h = element_with_translation(group, target)
             if h is not None:
                 break
         if h is None:
@@ -502,12 +502,12 @@ class LevelN2Probe:
     evidence: tuple
 
 
-def level_n2_window_probe(group: GeneratedSubgroup, depth: int = 20, max_len: int = 4) -> LevelN2Probe:
+def level_n2_window_probe(group: GeneratedSubgroup, depth: int = 20) -> LevelN2Probe:
     if group.n != 2:
         raise UnsupportedCaseError("this probe is the n = 2 case only")
     reps = [cls[0] for cls in orbit_windows(group, depth).classes]
     found = set()
-    for _, e, _ in bounded_words(group, max_len):
+    for _, e, _ in bounded_words(group, 4):
         if any(e.translation_vector()):
             found.update(rep for rep in reps if e.apply(rep) == rep)
     return LevelN2Probe("inconclusive", tuple((rep, rep in found) for rep in reps))

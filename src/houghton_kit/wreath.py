@@ -18,7 +18,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .blocks import BlockSystem, QuotientStructure, quotient as build_quotient
+from .blocks import (
+    BlockSystem,
+    QuotientStructure,
+    infer_eventual_translation,
+    quotient as build_quotient,
+)
 from .elements import HoughtonElement, identity as houghton_identity
 from .errors import DomainError, InconclusiveError
 from .finperm import FinitePermGroup, _classes, _close, _inv, _is_id, _mul
@@ -216,8 +221,8 @@ def kk_embed(g: HoughtonElement, ctx: BlockContext) -> MultiWreathElement:
         raise InconclusiveError(
             "element head region exceeds the verified window", hint=g.threshold
         )
-    head = q.induce(g)
     partial = q.partial_action(g)
+    head = infer_eventual_translation(partial, q.n, q._known_ranks)
     for k, cls in enumerate(q.classes):
         if cls[0].pos < g.threshold and q.quotient_points[k] not in partial:
             raise InconclusiveError(
@@ -390,26 +395,21 @@ class DescentResult:
         return self.status == "ok"
 
 
-def _bfs_words(group: GeneratedSubgroup, ctx: BlockContext, letters, max_len: int):
-    """Words paired with their exact quotient images, breadth first.
-
-    ``letters`` are the quotient images of ``group.symmetric_generators()``.
-    """
-    images = (houghton_identity(ctx.n), letters)
-    for _, w, wq in bounded_words(group, max_len, cap=20000, images=images):
-        yield w, wq
-
-
-def _conjugator_candidates(group: GeneratedSubgroup, ctx: BlockContext, letters, budget: int):
+def _conjugator_candidates(group: GeneratedSubgroup, images):
     """Class movers, cheapest first: generator powers, pairs of powers, short words.
+
+    ``images`` is the quotient identity with the quotient images of
+    ``group.symmetric_generators()``, as ``bounded_words`` takes it.
 
     Powers of translating generators sweep a block class along the rays, which
     is what clearing an off-support class needs; the shallow word search at
     the end covers leftovers.
     """
+    budget = 10
     seen = set()
     gens = group.symmetric_generators()
-    powers = [[(houghton_identity(group.n), houghton_identity(ctx.n))] for _ in gens]
+    quotient_identity, letters = images
+    powers = [[(houghton_identity(group.n), quotient_identity)] for _ in gens]
     for i, (g, gq) in enumerate(zip(gens, letters)):
         for _ in range(budget):
             w, wq = powers[i][-1]
@@ -431,7 +431,7 @@ def _conjugator_candidates(group: GeneratedSubgroup, ctx: BlockContext, letters,
                         continue
                     seen.add(w)
                     yield w, powers[i][a][1].compose(powers[j][b][1])
-    for w, wq in _bfs_words(group, ctx, letters, min(4, budget)):
+    for _, w, wq in bounded_words(group, 4, cap=20000, images=images):
         if w not in seen:
             seen.add(w)
             yield w, wq
@@ -442,8 +442,6 @@ def phi_s_descent(
     group: GeneratedSubgroup,
     ctx: BlockContext,
     kernel_elements,
-    word_budget: int = 10,
-    conj_budget: int = 10,
 ) -> DescentResult:
     """Write a wreath element as (finite-support residue over S) * kk(g).
 
@@ -460,7 +458,8 @@ def phi_s_descent(
     witness = None
     letters = [ctx.quotient.induce(g) for g in group.generators]
     letters += [e.inverse() for e in letters]
-    for w, wq in _bfs_words(group, ctx, letters, word_budget):
+    images = (houghton_identity(ctx.n), letters)
+    for _, w, wq in bounded_words(group, 10, cap=20000, images=images):
         if wq == alpha.head:
             witness = w
             break
@@ -476,7 +475,7 @@ def phi_s_descent(
     while measure:
         target = min(set(psi.support()) - big_s)
         cleared = False
-        for c, cq in _conjugator_candidates(group, ctx, letters, conj_budget):
+        for c, cq in _conjugator_candidates(group, images):
             moved_s = {cq.apply(qp) for qp in big_s}
             if not moved_s <= big_s | {target}:
                 continue

@@ -9,7 +9,7 @@ from houghton_kit.blocks import (
     verify_block_system,
 )
 from houghton_kit.elements import from_cycles, generator, houghton_generators, transposition
-from houghton_kit.errors import DomainError
+from houghton_kit.errors import DomainError, InconclusiveError
 from houghton_kit.rays import RayPoint
 from houghton_kit.subgroups import (
     GeneratedSubgroup,
@@ -84,6 +84,20 @@ def test_orbit_axiom_failure():
     system = BlockSystem.from_lists([[(1, 0)]])
     verdict = verify_block_system(d, system, depth=40)
     assert not verdict.orbit_axiom
+    # depth 8 is the shallowest window its generator margin allows
+    assert not verify_block_system(d, system, depth=8).orbit_axiom
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 7])
+def test_verification_below_the_generator_margin_is_inconclusive(depth):
+    # at depths 1 to 3 the half-depth orbit report holds no class or only
+    # that of (1, 0), so the failing orbit axiom above would read as valid;
+    # 7 is the deepest window below the margin
+    d = delta_k(3, 2)  # generator margin 4
+    system = BlockSystem.from_lists([[(1, 0)]])
+    with pytest.raises(InconclusiveError) as info:
+        verify_block_system(d, system, depth=depth)
+    assert info.value.hint == 8
 
 
 def test_multi_ray_translates_bounded():

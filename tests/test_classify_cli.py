@@ -155,6 +155,15 @@ def test_cli_blocks_roundtrip(tmp_path, capsys):
     assert data["kernel_generators"] == [1]
 
 
+def test_cli_blocks_verify_below_the_generator_margin_exits_3(tmp_path, capsys):
+    spath = write_subgroup(tmp_path, delta_k(3, 2))
+    bpath = tmp_path / "blocks.json"
+    bpath.write_text(json.dumps([[[1, 0]]]))
+    argv = ["blocks", "verify", "--subgroup", spath, "--blocks", str(bpath), "--window", "3"]
+    assert cli_main(argv) == 3
+    assert "hint: 8" in capsys.readouterr().err
+
+
 def test_cli_wreath(tmp_path, capsys):
     g2sq = generator(2, 2) ** 2
     swap = transposition(2, (1, 0), (1, 1))
