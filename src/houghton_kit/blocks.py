@@ -71,7 +71,31 @@ def _generator_margin(group: GeneratedSubgroup) -> int:
     return max((g.threshold + g.max_shift() for g in group.generators), default=1)
 
 
+def _require_margin(group: GeneratedSubgroup, depth: int) -> int:
+    """The generator margin; InconclusiveError when half the depth is below it."""
+    margin = _generator_margin(group)
+    if depth // 2 < margin:
+        raise InconclusiveError(
+            f"window depth {depth} is too shallow to verify blocks "
+            f"against generators of margin {margin}",
+            hint=2 * margin,
+        )
+    return margin
+
+
+def _same_rays(element: HoughtonElement, n: int) -> None:
+    """DomainError unless the element acts on n rays."""
+    if element.n != n:
+        raise DomainError(f"element acts on {element.n} rays, the block system on {n}")
+
+
 # -- congruence closure --------------------------------------------------------
+
+
+def _check_in_window(p, n: int, depth: int) -> None:
+    ray, pos = p
+    if not (1 <= ray <= n and 0 <= pos < depth):
+        raise DomainError(f"block point outside the window of depth {depth}")
 
 
 def _congruence(group: GeneratedSubgroup, blocks, depth: int, watch=None):
@@ -82,9 +106,8 @@ def _congruence(group: GeneratedSubgroup, blocks, depth: int, watch=None):
     n = group.n
 
     def index(p) -> int:
+        _check_in_window(p, n, depth)
         ray, pos = p
-        if not (1 <= ray <= n and 0 <= pos < depth):
-            raise DomainError(f"block point outside the window of depth {depth}")
         return (ray - 1) * depth + pos
 
     pairs = [(index(a), index(b)) for block in blocks for a, b in zip(block, block[1:])]
@@ -130,15 +153,13 @@ def verify_block_system(
     block.  Block axiom: for words up to length 3 whose action on a block
     stays inside the window, a partial overlap with the original block is a
     violation.  Raises InconclusiveError when the orbit report, taken at half
-    the depth, is shallower than the generator margin.
+    the depth, is shallower than the generator margin, and DomainError when
+    a block point lies outside the window.
     """
-    margin = _generator_margin(group)
-    if depth // 2 < margin:
-        raise InconclusiveError(
-            f"window depth {depth} is too shallow to verify blocks "
-            f"against generators of margin {margin}",
-            hint=2 * margin,
-        )
+    _require_margin(group, depth)
+    for block in system.blocks:
+        for p in block:
+            _check_in_window(p, group.n, depth)
     witnesses = []
     report = orbit_windows(group, depth // 2)
     orbit_ok = True
@@ -154,7 +175,7 @@ def verify_block_system(
         for i, bset in enumerate(bsets):
             if i in violations:
                 continue
-            img = {w.apply(p) for p in bset}
+            img = {w._image(p) for p in bset}
             if any(q not in window for q in img):
                 continue
             if img & bset and img != bset:
@@ -215,11 +236,13 @@ def find_block_systems(group: GeneratedSubgroup, depth: int) -> BlockSearchResul
     4 * bound window points, where bound is the block size bound of the
     translation lattice; every candidate that survives the size bound and
     the window margin is verified before being returned.  An empty result is
-    evidence only, never a proof of strong orbit primitivity.
+    evidence only, never a proof of strong orbit primitivity.  Raises
+    InconclusiveError when half the depth is below the generator margin,
+    since no candidate could then be verified.
     """
     bound = block_size_bound(translation_lattice(group))
+    margin = _require_margin(group, depth)
     report = orbit_windows(group, depth // 2)
-    margin = _generator_margin(group)
     seeds_q = list(RaySystem(group.n).window(depth))[: 4 * bound]
     found = []
     seen_keys = set()
@@ -312,12 +335,13 @@ class QuotientStructure:
     def partial_action(self, element: HoughtonElement) -> dict:
         """Partial map on quotient points induced by an element of the group.
 
-        Raises DomainError when the element fails to preserve the congruence
-        on the window.
+        Raises DomainError when the element acts on another number of rays
+        or fails to preserve the congruence on the window.
         """
+        _same_rays(element, self.n)
         partial = {}
         for k, cls in enumerate(self.classes):
-            images = {element.apply(p) for p in cls}
+            images = {element._image(p) for p in cls}
             targets = {self._point_class.get(q) for q in images}
             if None in targets:
                 continue

@@ -6,6 +6,13 @@ minimal threshold beyond which every ray translates.  All constructors
 canonicalise, so structural equality of the stored data is equality of
 permutations.
 
+Validity is checked once, at the boundary: the public constructor validates
+untrusted data in O(|head| + n) time, naming ``translation-validity`` when a
+point below -t_j is missing from the head and ``bijection`` for every other
+failure.  ``compose``, ``inverse`` and ``**`` build their results, which are
+bijections by construction, without re-validating them, and internal callers
+holding in-range points use ``_image`` in place of the checked ``apply``.
+
 Composition uses the right-action convention: compose(g, h) means "g then h",
 and apply(compose(g, h), p) == apply(h, apply(g, p)).
 """
@@ -44,59 +51,63 @@ class HoughtonElement:
             raise InvalidElementError("zero-sum", f"translation vector {t} has nonzero sum")
         system = RaySystem(n)
         items = head.items() if isinstance(head, Mapping) else head
-        table: dict[RayPoint, RayPoint] = {}
+        given: dict[RayPoint, RayPoint] = {}
         for p, q in items:
-            p = system.check(p)
-            q = system.check(q)
-            if p in table and table[p] != q:
+            p, q = system.check(p), system.check(q)
+            if given.setdefault(p, q) != q:
                 raise InvalidElementError("format", f"head maps {p} twice")
-            if q != RayPoint(p.ray, p.pos + t[p.ray - 1]):
-                table[p] = q
-        threshold = 0
-        for j, tj in enumerate(t, start=1):
-            if tj < 0:
-                threshold = max(threshold, -tj)
-        if table:
-            threshold = max(threshold, 1 + max(p.pos for p in table))
-        self._validate_bijection(n, t, table, threshold)
+        table = _off_translation(t, given)
+        self._validate_bijection(t, table)
+        self._set(n, t, table)
+
+    @classmethod
+    def _trusted(cls, n: int, t: tuple, head: dict) -> "HoughtonElement":
+        """Canonicalise data already known to describe a bijection.
+
+        For products and inverses of valid elements: no point or bijection
+        check, only the canonical form (translation-agreeing entries dropped,
+        minimal threshold, sorted items).
+        """
+        elt = object.__new__(cls)
+        elt._set(n, t, _off_translation(t, head))
+        return elt
+
+    def _set(self, n, t, table):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "t", t)
-        object.__setattr__(self, "threshold", threshold)
+        object.__setattr__(self, "threshold", _threshold(t, table))
         object.__setattr__(self, "_head", table)
         object.__setattr__(self, "_items", tuple(sorted(table.items())))
 
     @staticmethod
-    def _validate_bijection(n, t, table, threshold):
-        # Below the threshold the map must biject onto the per-ray initial
-        # segments of length threshold + t_j; beyond it, translation covers
-        # the rest injectively.
-        expected = set()
-        for j in range(1, n + 1):
-            for m in range(threshold + t[j - 1]):
-                expected.add(RayPoint(j, m))
+    def _validate_bijection(t, table):
+        """Check in O(|head| + n) that head and translation form a bijection.
+
+        Below the threshold the domain and the per-ray target segments of
+        length threshold + t_j have the same size, and points off the head
+        translate injectively, so it suffices that every point below -t_j is
+        in the head (else ``translation-validity``), and that head images are
+        pairwise distinct and none is the translate of a point off the head
+        (else ``bijection``).  The last check also keeps every head image
+        inside its target segment.
+        """
+        for j, tj in enumerate(t, start=1):
+            for pos in range(-tj):
+                if RayPoint(j, pos) not in table:
+                    raise InvalidElementError(
+                        "translation-validity",
+                        f"{RayPoint(j, pos)} translates to negative position {pos + tj}",
+                    )
         seen = set()
-        for j in range(1, n + 1):
-            tj = t[j - 1]
-            for pos in range(threshold):
-                p = RayPoint(j, pos)
-                q = table.get(p)
-                if q is None:
-                    if pos + tj < 0:
-                        raise InvalidElementError(
-                            "translation-validity",
-                            f"{p} translates to negative position {pos + tj}",
-                        )
-                    q = RayPoint(j, pos + tj)
-                if q in seen:
-                    raise InvalidElementError("bijection", f"{q} hit twice")
-                seen.add(q)
-        if seen != expected:
-            missed = sorted(expected - seen)[:3]
-            extra = sorted(seen - expected)[:3]
-            raise InvalidElementError(
-                "bijection",
-                f"head region image mismatch (missing {missed}, extra {extra})",
-            )
+        for q in table.values():
+            if q in seen:
+                raise InvalidElementError("bijection", f"{q} hit twice")
+            seen.add(q)
+            source = RayPoint(q.ray, q.pos - t[q.ray - 1])
+            if source.pos >= 0 and source not in table:
+                raise InvalidElementError(
+                    "bijection", f"{q} hit twice: also the translate of {source}"
+                )
 
     # -- basic protocol ----------------------------------------------------
 
@@ -126,10 +137,15 @@ class HoughtonElement:
         q = as_point(p)
         if q.ray > self.n:
             raise DomainError(f"ray {q.ray} outside 1..{self.n}")
-        img = self._head.get(q)
+        return self._image(q)
+
+    def _image(self, p: RayPoint) -> RayPoint:
+        """Unchecked ``apply`` for a RayPoint known to lie on one of the n rays."""
+        img = self._head.get(p)
         if img is not None:
             return img
-        return RayPoint(q.ray, q.pos + self.t[q.ray - 1])
+        ray, pos = p
+        return RayPoint(ray, pos + self.t[ray - 1])
 
     def compose(self, other: "HoughtonElement") -> "HoughtonElement":
         """Product "self then other" (right action)."""
@@ -148,12 +164,12 @@ class HoughtonElement:
                     continue
             candidates.add(p)
         t = tuple(a + b for a, b in zip(self.t, other.t))
-        head = {p: other.apply(self.apply(p)) for p in candidates}
-        return HoughtonElement(self.n, t, head)
+        head = {p: other._image(self._image(p)) for p in candidates}
+        return HoughtonElement._trusted(self.n, t, head)
 
     def inverse(self) -> "HoughtonElement":
         head = {q: p for p, q in self._items}
-        return HoughtonElement(self.n, tuple(-x for x in self.t), head)
+        return HoughtonElement._trusted(self.n, tuple(-x for x in self.t), head)
 
     def __mul__(self, other):
         return self.compose(other)
@@ -240,6 +256,19 @@ class HoughtonElement:
         return cls.from_json_dict(data)
 
 
+def _off_translation(t: tuple, head: dict) -> dict:
+    """The head entries that differ from the translation rule."""
+    return {p: q for p, q in head.items() if q != RayPoint(p.ray, p.pos + t[p.ray - 1])}
+
+
+def _threshold(t: tuple, table: dict) -> int:
+    """Least position from which every ray acts by its translation."""
+    threshold = max((-tj for tj in t if tj < 0), default=0)
+    if table:
+        threshold = max(threshold, 1 + max(p.pos for p in table))
+    return threshold
+
+
 def identity(n: int) -> HoughtonElement:
     return HoughtonElement(n, (0,) * n)
 
@@ -324,7 +353,7 @@ def _finite_cycles(g: HoughtonElement):
             continue
         orbit = [start]
         orbit_set = {start}
-        p = g.apply(start)
+        p = g._image(start)
         escaped = False
         while p != start:
             if p.pos >= g.threshold and g.t[p.ray - 1] > 0:
@@ -334,7 +363,7 @@ def _finite_cycles(g: HoughtonElement):
                 raise AssertionError("orbit re-entered off its start; not a bijection")
             orbit.append(p)
             orbit_set.add(p)
-            p = g.apply(p)
+            p = g._image(p)
         seen.update(orbit_set)
         if not escaped:
             k = orbit.index(min(orbit))
@@ -407,7 +436,7 @@ def order_violations(g: HoughtonElement, depth: int | None = None):
     if depth is None:
         depth = _violation_window_depth(g)
     pts = sorted(RaySystem(g.n).window(depth))
-    images = {p: g.apply(p) for p in pts}
+    images = {p: g._image(p) for p in pts}
     out = []
     for i, p in enumerate(pts):
         gp = images[p]

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from .blocks import (
     BlockSystem,
     QuotientStructure,
+    _same_rays,
     infer_eventual_translation,
     quotient as build_quotient,
 )
@@ -61,7 +62,7 @@ class BlockContext:
         pairs = []
         for e in structure.induced:
             for k, qp in enumerate(structure.quotient_points):
-                image = self._index.get(e.apply(qp))
+                image = self._index.get(e._image(qp))
                 if image is not None:
                     pairs.append((k, image))
         roots = _close(len(self._index), pairs)
@@ -130,7 +131,12 @@ class MultiWreathElement:
             sorted((qp, tuple(v)) for qp, v in dict(self.base).items() if not _is_id(v))
         )
         object.__setattr__(self, "base", cleaned)
+        n = self.ctx.n
+        _same_rays(self.head, n)
         for qp, v in cleaned:
+            ray, pos = qp
+            if not (1 <= ray <= n and pos >= 0):
+                raise DomainError(f"base key {qp} is not a point of the quotient ray system")
             if len(v) != self.ctx.block_size(qp):
                 raise DomainError(
                     f"base value at {qp} is not a permutation of its block"
@@ -165,17 +171,17 @@ class MultiWreathElement:
         a1 = self.head
         a1_inv = a1.inverse()
         points = {qp for qp, _ in self.base}
-        points.update(a1_inv.apply(qp) for qp, _ in other.base)
+        points.update(a1_inv._image(qp) for qp, _ in other.base)
         base = []
         for qp in points:
-            value = _mul(self.base_value(qp), other.base_value(a1.apply(qp)))
+            value = _mul(self.base_value(qp), other.base_value(a1._image(qp)))
             base.append((qp, value))
         return MultiWreathElement(self.ctx, tuple(base), head)
 
     def inverse(self) -> "MultiWreathElement":
         head_inv = self.head.inverse()
         base = [
-            (self.head.apply(qp), _inv(v))
+            (self.head._image(qp), _inv(v))
             for qp, v in self.base
         ]
         return MultiWreathElement(self.ctx, tuple(base), head_inv)
@@ -233,15 +239,16 @@ def kk_embed(g: HoughtonElement, ctx: BlockContext) -> MultiWreathElement:
         src = ctx.transversal_points(qp)
         dst = ctx.transversal_points(target)
         pos = {p: i for i, p in enumerate(dst)}
-        value = tuple(pos[g.apply(p)] for p in src)
+        value = tuple(pos[g._image(p)] for p in src)
         if not _is_id(value):
             base.append((qp, value))
     return MultiWreathElement(ctx, tuple(base), head)
 
 
 def order_preserving_on_class(g: HoughtonElement, ctx: BlockContext, qpoint) -> bool:
+    _same_rays(g, ctx.n)
     pts = ctx.class_points(qpoint)
-    images = [g.apply(p) for p in pts]
+    images = [g._image(p) for p in pts]
     return images == sorted(images)
 
 
@@ -351,15 +358,17 @@ def w_groups(
     Three nested collections: all words stabilizing the block setwise, the
     finitary ones among them, and those acting trivially on every class.
     """
+    if group.n != ctx.n:
+        raise DomainError(f"group acts on {group.n} rays, the block context on {ctx.n}")
     block = ctx.block_of_orbit[orbit]
     bset = set(block)
     ranks = {p: i for i, p in enumerate(block)}
     gens_g, gens_fin, gens_ker = [], [], []
     for _, e, _ in bounded_words(group, max_len):
-        img = {e.apply(p) for p in block}
+        img = {e._image(p) for p in block}
         if img != bset:
             continue
-        perm = tuple(ranks[e.apply(p)] for p in block)
+        perm = tuple(ranks[e._image(p)] for p in block)
         gens_g.append(perm)
         if e.is_finitary():
             gens_fin.append(perm)
@@ -476,11 +485,11 @@ def phi_s_descent(
         target = min(set(psi.support()) - big_s)
         cleared = False
         for c, cq in _conjugator_candidates(group, images):
-            moved_s = {cq.apply(qp) for qp in big_s}
+            moved_s = {cq._image(qp) for qp in big_s}
             if not moved_s <= big_s | {target}:
                 continue
             for f, kf in zip(kernel_elements, kk_kernel):
-                if not {cq.apply(qp) for qp in kf.support()} <= big_s | {target}:
+                if not {cq._image(qp) for qp in kf.support()} <= big_s | {target}:
                     continue
                 h = c.inverse().compose(f).compose(c)
                 try:

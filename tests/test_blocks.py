@@ -8,6 +8,7 @@ from houghton_kit.blocks import (
     quotient,
     verify_block_system,
 )
+from houghton_kit.classify import classify
 from houghton_kit.elements import from_cycles, generator, houghton_generators, transposition
 from houghton_kit.errors import DomainError, InconclusiveError
 from houghton_kit.rays import RayPoint
@@ -100,6 +101,18 @@ def test_verification_below_the_generator_margin_is_inconclusive(depth):
     assert info.value.hint == 8
 
 
+@pytest.mark.parametrize("window", range(2, 8))
+def test_block_search_below_the_generator_margin_is_inconclusive(window):
+    # the pair group's generator margin is 4; below a window of 8 no
+    # candidate could be verified, so an empty search would be no evidence
+    with pytest.raises(InconclusiveError) as info:
+        find_block_systems(pair_preserving_group(), depth=window)
+    assert info.value.hint == 8
+    report = classify(pair_preserving_group(), window=window)
+    assert report.block_findings["searched"] is False
+    assert any(note.startswith("block search inconclusive") for note in report.evidence_notes)
+
+
 def test_multi_ray_translates_bounded():
     verdict = verify_block_system(pair_preserving_group(), pair_blocks(), depth=40)
     # only finitely many pair translates straddle rays; here none do, and a
@@ -130,6 +143,8 @@ def test_congruence_classes_reject_block_points_outside_the_window(point):
     system = BlockSystem.from_lists([[(1, 2), point]])
     with pytest.raises(DomainError, match="block point outside the window of depth 40"):
         congruence_classes(pair_preserving_group(), system, depth=40)
+    with pytest.raises(DomainError, match="block point outside the window of depth 40"):
+        verify_block_system(pair_preserving_group(), system, depth=40)
 
 
 # -- search -------------------------------------------------------------------------

@@ -283,6 +283,18 @@ def test_json_rejects_redundant_head_rows():
     assert exc.value.invariant == "canonical-form"
 
 
+def test_head_mapping_a_point_twice_is_a_format_error():
+    # one of the two rows agrees with the translation rule; the row is still
+    # a second image of (1, 0)
+    head = [[[1, 0], [1, 0]], [[1, 0], [1, 1]], [[1, 1], [1, 0]]]
+    with pytest.raises(InvalidElementError) as exc:
+        HoughtonElement(2, (0, 0), [(tuple(p), tuple(q)) for p, q in head])
+    assert exc.value.invariant == "format"
+    with pytest.raises(InvalidElementError) as exc:
+        HoughtonElement.from_json_dict({"n": 2, "t": [0, 0], "threshold": 2, "head": head})
+    assert exc.value.invariant == "format"
+
+
 def test_json_rejects_malformed():
     with pytest.raises(InvalidElementError):
         HoughtonElement.from_json("{\"n\": 2}")

@@ -1,0 +1,164 @@
+"""Element validation and the trusted constructor against reference code.
+
+``quadratic_bijection_check`` is the original O(n * threshold) validator: it
+walks every point below the threshold and compares the image set with the
+per-ray target segments.  The linear-time validator must accept and reject
+exactly the same inputs, and products, inverses and powers built without
+validation must equal the validated construction from the same data.
+"""
+
+import random
+
+from houghton_kit.elements import HoughtonElement, _threshold, random_element, transposition
+from houghton_kit.errors import DomainError, InvalidElementError
+from houghton_kit.rays import RayPoint
+
+
+def quadratic_bijection_check(n, t, table, threshold):
+    expected = set()
+    for j in range(1, n + 1):
+        for m in range(threshold + t[j - 1]):
+            expected.add(RayPoint(j, m))
+    seen = set()
+    for j in range(1, n + 1):
+        tj = t[j - 1]
+        for pos in range(threshold):
+            p = RayPoint(j, pos)
+            q = table.get(p)
+            if q is None:
+                if pos + tj < 0:
+                    raise InvalidElementError("translation-validity", f"{p}")
+                q = RayPoint(j, pos + tj)
+            if q in seen:
+                raise InvalidElementError("bijection", f"{q} hit twice")
+            seen.add(q)
+    if seen != expected:
+        raise InvalidElementError("bijection", "head region image mismatch")
+
+
+def outcome(n, t, head):
+    """None when the data is accepted, else (error type, invariant)."""
+    try:
+        HoughtonElement(n, t, head)
+    except InvalidElementError as exc:
+        return ("invalid", exc.invariant)
+    except DomainError:
+        return ("domain", None)
+    return None
+
+
+def random_head(rng, n):
+    depth = rng.randint(1, 6)
+    pts = [(rng.randint(1, n), rng.randrange(depth)) for _ in range(rng.randint(0, 6))]
+    if rng.random() < 0.5:
+        images = pts[:]
+        rng.shuffle(images)
+    else:
+        images = [(rng.randint(1, n), rng.randrange(depth + 2)) for _ in pts]
+    return dict(zip(pts, images))
+
+
+def mutate(rng, g):
+    """One field of a valid element's data changed at random."""
+    n, t, head = g.n, list(g.t), {tuple(p): tuple(q) for p, q in g.head}
+    kind = rng.choice(("image", "domain", "drop", "add", "shift", "swap"))
+    keys = sorted(head)
+    if kind == "image" and keys:
+        p = rng.choice(keys)
+        ray, pos = head[p]
+        head[p] = (rng.randint(1, n), max(0, pos + rng.choice((-1, 1))))
+    elif kind == "domain" and keys:
+        p = rng.choice(keys)
+        q = head.pop(p)
+        head[(p[0], p[1] + 1)] = q
+    elif kind == "drop" and keys:
+        del head[rng.choice(keys)]
+    elif kind == "add":
+        p = (rng.randint(1, n), rng.randrange(g.threshold + 2))
+        head[p] = (rng.randint(1, n), rng.randrange(g.threshold + 2))
+    elif kind == "shift" and n > 1:
+        i, j = rng.sample(range(n), 2)
+        t[i] += 1
+        t[j] -= 1
+    elif kind == "swap" and len(keys) > 1:
+        a, b = rng.sample(keys, 2)
+        head[a], head[b] = head[b], head[a]
+    return n, tuple(t), head
+
+
+def cases():
+    rng = random.Random(2024)
+    for _ in range(1500):
+        n = rng.randint(1, 5)
+        t = tuple(random_element(n, t_bound=2, seed=rng).t)
+        yield n, t, random_head(rng, n)
+    for _ in range(1500):
+        g = random_element(rng.randint(1, 5), head_budget=rng.randint(0, 6), seed=rng)
+        yield mutate(rng, g)
+
+
+def test_linear_check_accepts_and_rejects_like_the_quadratic_reference(monkeypatch):
+    data = list(cases())
+    fast = [outcome(*case) for case in data]
+    def reference(t, table):
+        quadratic_bijection_check(len(t), t, table, _threshold(t, table))
+
+    monkeypatch.setattr(HoughtonElement, "_validate_bijection", staticmethod(reference))
+    slow = [outcome(*case) for case in data]
+    assert [r is None for r in fast] == [r is None for r in slow]
+    accepted = sum(r is None for r in fast)
+    assert 300 < accepted < len(data) - 300
+
+
+def test_rejections_name_translation_validity_exactly_when_a_low_point_translates_off_its_ray():
+    # the name rule: translation-validity when some point below -t_j is off
+    # the head table, else bijection
+    named = 0
+    for n, t, head in cases():
+        got = outcome(n, t, head)
+        if got is None or got[1] not in ("translation-validity", "bijection"):
+            continue
+        keys = {RayPoint(*p) for p in head}
+        low_gap = any(
+            RayPoint(j, pos) not in keys for j, tj in enumerate(t, 1) for pos in range(-tj)
+        )
+        assert got[1] == ("translation-validity" if low_gap else "bijection")
+        named += 1
+    assert named > 300
+
+
+def test_trusted_products_inverses_and_powers_equal_the_validated_construction():
+    rng = random.Random(77)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        g = random_element(n, head_budget=5, t_bound=2, seed=rng)
+        h = random_element(n, head_budget=5, t_bound=2, seed=rng)
+        for r in (g.compose(h), g.inverse(), g ** rng.randint(-4, 4)):
+            rebuilt = HoughtonElement(r.n, r.t, r.head)
+            assert rebuilt == r
+            assert (rebuilt.threshold, rebuilt.head) == (r.threshold, r.head)
+
+
+def test_trusted_constructor_canonicalises_like_the_validated_one():
+    rng = random.Random(78)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        g = random_element(n, head_budget=5, t_bound=2, seed=rng)
+        raw = dict(g.head)
+        for _ in range(rng.randint(0, 4)):
+            ray, pos = rng.randint(1, n), rng.randrange(g.threshold + 4)
+            raw[RayPoint(ray, pos)] = g.apply((ray, pos))
+        trusted = HoughtonElement._trusted(n, g.t, raw)
+        validated = HoughtonElement(n, g.t, raw)
+        assert trusted == validated
+        assert (trusted.threshold, trusted.head) == (validated.threshold, validated.head)
+
+
+def test_parsing_a_far_transposition_is_linear_in_the_head():
+    # a quadratic check would walk 3 * 10**6 points here
+    far = 10**6
+    g = transposition(3, (1, 0), (2, far))
+    assert g.threshold == far + 1
+    back = HoughtonElement.from_json_dict(g.to_json_dict())
+    assert back == g
+    assert back.apply((2, far)) == RayPoint(1, 0)

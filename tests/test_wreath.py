@@ -126,6 +126,29 @@ def test_kk_rejects_non_preserving_element():
         kk_embed(bad, ctx)
 
 
+@pytest.mark.parametrize("context, element, counts", [
+    (pair_context, lambda: generator(3, 2), "3 rays, the block system on 2"),
+    (delta_context, lambda: generator(2, 2), "2 rays, the block system on 3"),
+], ids=["more-rays", "fewer-rays"])
+def test_kk_rejects_an_element_on_another_ray_count(context, element, counts):
+    _, ctx = context()
+    with pytest.raises(DomainError, match=counts):
+        kk_embed(element(), ctx)
+    with pytest.raises(DomainError, match=counts):
+        ctx.quotient.induce(element())
+
+
+def test_wreath_element_rejects_data_off_the_quotient_ray_system():
+    _, ctx = pair_context()
+    assert ctx.single_orbit
+    with pytest.raises(DomainError, match="not a point of the quotient ray system"):
+        MultiWreathElement(ctx, (((3, 0), (1, 0)),), identity(2))
+    with pytest.raises(DomainError, match="3 rays"):
+        MultiWreathElement(ctx, (), identity(3))
+    with pytest.raises(DomainError, match="3 rays"):
+        w_groups(delta_k(3, 2), ctx)
+
+
 def test_kk_homomorphism_pair_group():
     group, ctx = pair_context()
     report = verify_kk(group, ctx, samples=120, max_len=5, seed=1)
