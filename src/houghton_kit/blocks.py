@@ -44,6 +44,19 @@ class BlockSystem:
 
     @classmethod
     def from_lists(cls, blocks) -> "BlockSystem":
+        """Blocks given as lists of [ray, pos] integer pairs.
+
+        DomainError on any other shape; range checks against a window are
+        left to the computations that use one.
+        """
+        if not isinstance(blocks, (list, tuple)):
+            raise DomainError("a block system must be a list of blocks")
+        for k, b in enumerate(blocks):
+            if not isinstance(b, (list, tuple)) or not all(
+                isinstance(p, (list, tuple)) and len(p) == 2 and all(type(x) is int for x in p)
+                for p in b
+            ):
+                raise DomainError(f"block {k} is not a list of [ray, pos] integer pairs")
         return cls(tuple(tuple(sorted(RayPoint(*p) for p in b)) for b in blocks))
 
     def to_json_list(self):
@@ -209,9 +222,6 @@ class BlockSearchResult:
     systems: tuple
     caveat: str
 
-    def __iter__(self):
-        return iter(self.systems)
-
 
 def _closure_class_of_pair(group, p, q, depth, cap):
     """(class of p, all classes) in the congruence generated by p ~ q.
@@ -284,17 +294,17 @@ def find_block_systems(group: GeneratedSubgroup, depth: int) -> BlockSearchResul
     return BlockSearchResult(tuple(found), caveat)
 
 
-def finitary_class_transitivity(group: GeneratedSubgroup, depth: int, word_len: int = 3):
+def finitary_class_transitivity(group: GeneratedSubgroup, depth: int):
     """Window evidence for finitary transitivity on each orbit class.
 
-    Connects window points by bounded finitary words and reports, per orbit
-    class, how many pieces the class interior falls into.  Evidence only: a
-    count above one says nothing at larger word lengths.
+    Connects window points by finitary words of length at most 3 and
+    reports, per orbit class, how many pieces the class interior falls into.
+    Evidence only: a count above one says nothing at larger word lengths.
     """
     report = orbit_windows(group, depth)
     finitary = tuple(
         w
-        for _, w, _ in bounded_words(group, word_len)
+        for _, w, _ in bounded_words(group, 3)
         if w.is_finitary() and w.threshold <= depth
     )
     pieces = _window_classes(GeneratedSubgroup(group.n, finitary), depth, depth)
@@ -328,9 +338,6 @@ class QuotientStructure:
             if p in cls:
                 return k
         return None
-
-    def quotient_group(self) -> GeneratedSubgroup:
-        return GeneratedSubgroup.from_elements(self.n, self.induced)
 
     def partial_action(self, element: HoughtonElement) -> dict:
         """Partial map on quotient points induced by an element of the group.

@@ -292,7 +292,10 @@ def parse_character(text: str, n: int) -> Character:
         ray = int(m.group("ray"))
         if not 1 <= ray <= n:
             raise DomainError(f"t{ray} outside t1..t{n}")
-        coef = Fraction(m.group("coef") or 1)
+        try:
+            coef = Fraction(m.group("coef") or 1)
+        except ZeroDivisionError:
+            raise DomainError(f"zero denominator in {m.group('coef')!r}") from None
         if m.group("sign") == "-":
             coef = -coef
         coeffs[ray - 1] += coef

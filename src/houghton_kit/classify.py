@@ -17,7 +17,6 @@ from .errors import InconclusiveError, UnsupportedCaseError
 from .subgroups import (
     GeneratedSubgroup,
     congruence_exponent,
-    hirsch_length,
     is_congruence_lifting,
     is_level,
     orbit_windows,
@@ -68,7 +67,7 @@ def _level_section(group, lattice):
     if group.n < 3:
         return {
             "status": "not-applicable",
-            "note": "the lattice criterion needs n >= 3; see the n = 2 probe",
+            "note": "the lattice criterion needs n >= 3",
         }
     verdict = is_level(lattice)
     if verdict.is_level:
@@ -100,7 +99,8 @@ def classify(group: GeneratedSubgroup, window: int = 40) -> ClassificationReport
     """
     n = group.n
     lattice = translation_lattice(group)
-    rank, full = hirsch_length(group)
+    rank = lattice.rank
+    full = rank == n - 1
     notes = []
 
     level = _level_section(group, lattice)

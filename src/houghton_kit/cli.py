@@ -63,9 +63,14 @@ def _load_blocks(path) -> BlockSystem:
 def _parse_lattice(text: str, n: int) -> TranslationLattice:
     rows = []
     for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if chunk:
-            rows.append([int(v) for v in chunk.replace(",", " ").split()])
+        row = []
+        for v in chunk.replace(",", " ").split():
+            try:
+                row.append(int(v))
+            except ValueError:
+                raise DomainError(f"lattice entry {v!r} is not an integer") from None
+        if row:
+            rows.append(row)
     return TranslationLattice.from_vectors(n, rows)
 
 
@@ -369,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blocks", required=True)
     p.add_argument("--window", type=_positive_int, default=60)
     p.add_argument("--word", action="append", default=[])
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_wreath)
 

@@ -247,14 +247,6 @@ class HoughtonElement:
             )
         return elt
 
-    @classmethod
-    def from_json(cls, text: str) -> "HoughtonElement":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InvalidElementError("format", f"invalid JSON: {exc}") from None
-        return cls.from_json_dict(data)
-
 
 def _off_translation(t: tuple, head: dict) -> dict:
     """The head entries that differ from the translation rule."""

@@ -11,7 +11,6 @@ and compose as a right action: x^(g*h) = (x^g)^h.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
@@ -288,20 +287,6 @@ class FinitePermGroup:
             gens.append(img)
         return FinitePermGroup(pts, gens)
 
-    def contains_full_alternating(self, orbit) -> bool:
-        """Whether the restriction to an orbit contains its alternating group.
-
-        The only subgroups of Sym(m) of order at least m!/2 are Alt and Sym,
-        so an order comparison decides it.
-        """
-        m = len(orbit)
-        if m <= 2:
-            return True
-        fact = 1
-        for k in range(2, m + 1):
-            fact *= k
-        return 2 * self.restriction(orbit).order() >= fact
-
 
 # -- invariant partitions ------------------------------------------------------
 
@@ -407,32 +392,7 @@ def brute_force_partition_check(group: FinitePermGroup) -> SOPVerdict:
     return SOPVerdict(True)
 
 
-# -- parsing and fixtures ----------------------------------------------------
-
-
-def parse_cycles(text: str, domain: Sequence) -> dict:
-    """Parse cycle notation like "(1 2)(4 5)" into a point mapping.
-
-    Point labels are matched against the domain by string form; separators
-    may be spaces or commas.
-    """
-    by_repr = {str(p): p for p in domain}
-    mapping = {}
-    body = text.strip()
-    if not re.fullmatch(r"(\s*\([^()]*\)\s*)*", body):
-        raise DomainError(f"malformed cycle notation: {text!r}")
-    for cyc in re.findall(r"\(([^()]*)\)", body):
-        labels = [tok for tok in re.split(r"[,\s]+", cyc.strip()) if tok]
-        pts = []
-        for lab in labels:
-            if lab not in by_repr:
-                raise DomainError(f"unknown point {lab!r}")
-            pts.append(by_repr[lab])
-        for a, b in zip(pts, pts[1:] + pts[:1]):
-            if a in mapping:
-                raise DomainError("cycles are not disjoint")
-            mapping[a] = b
-    return mapping
+# -- fixtures ----------------------------------------------------------------
 
 
 def symmetric_group(points: Sequence) -> FinitePermGroup:

@@ -142,13 +142,13 @@ def kernel_intersection_probe(
     group: GeneratedSubgroup,
     decomposition: SubdirectDecomposition,
     factor_index: int,
-    word_budget: int = 4,
 ) -> ProbeResult:
     """Search for a nontrivial element moving only the chosen orbit.
 
-    Only finitary words are eligible (an element trivial on the other orbits
-    must have zero translation since every orbit meets every ray), and their
-    supports are exact, so a hit is a certificate.  A miss is inconclusive.
+    Words of length at most 4 are tried.  Only finitary words are eligible
+    (an element trivial on the other orbits must have zero translation since
+    every orbit meets every ray), and their supports are exact, so a hit is a
+    certificate.  A miss is inconclusive.
     """
     if not 0 <= factor_index < len(decomposition.factors):
         raise DomainError("no such factor")
@@ -159,7 +159,7 @@ def kernel_intersection_probe(
         return ProbeResult("inconclusive", None, None)
     orbit = set(decomposition.factors[factor_index].points)
     depth = decomposition.report.window_depth
-    for path, e, _ in bounded_words(group, word_budget, cap=20000):
+    for path, e, _ in bounded_words(group, 4, cap=20000):
         if not e.is_finitary() or e.is_identity() or e.threshold > depth:
             continue
         moved, _ = e.support_description()

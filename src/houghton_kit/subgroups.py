@@ -5,7 +5,6 @@ finitary commutator construction and the residue-class stabilizer family.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -61,12 +60,17 @@ class GeneratedSubgroup:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "GeneratedSubgroup":
-        gens = tuple(HoughtonElement.from_json_dict(g) for g in data["generators"])
-        return cls(int(data["n"]), gens, tuple(data.get("labels", ())))
-
-    @classmethod
-    def from_json(cls, text: str) -> "GeneratedSubgroup":
-        return cls.from_json_dict(json.loads(text))
+        """Parse the subgroup wrapper; DomainError names a malformed field."""
+        if not isinstance(data, dict):
+            raise DomainError("subgroup data must be a JSON object")
+        n, gens, labels = data.get("n"), data.get("generators"), data.get("labels", [])
+        if type(n) is not int or n < 1:
+            raise DomainError(f"subgroup field 'n' must be a positive integer, not {n!r}")
+        if not isinstance(gens, list):
+            raise DomainError("subgroup field 'generators' must be a list")
+        if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+            raise DomainError("subgroup field 'labels' must be a list of strings")
+        return cls(n, tuple(HoughtonElement.from_json_dict(g) for g in gens), tuple(labels))
 
 
 @dataclass(frozen=True)
@@ -144,23 +148,10 @@ def translation_lattice(group: GeneratedSubgroup) -> TranslationLattice:
     )
 
 
-class HirschLength(tuple):
-    def __new__(cls, rank: int, full: bool):
-        return super().__new__(cls, (rank, full))
-
-    @property
-    def rank(self):
-        return self[0]
-
-    @property
-    def full(self):
-        return self[1]
-
-
-def hirsch_length(group: GeneratedSubgroup) -> HirschLength:
-    """Rank of the translation lattice, flagged when it matches n - 1."""
+def hirsch_length(group: GeneratedSubgroup) -> tuple[int, bool]:
+    """(rank of the translation lattice, whether it is n - 1)."""
     rank = translation_lattice(group).rank
-    return HirschLength(rank, rank == group.n - 1)
+    return rank, rank == group.n - 1
 
 
 # -- level and congruence lifting --------------------------------------------------
@@ -185,9 +176,7 @@ def is_level(lattice: TranslationLattice) -> LevelVerdict:
     """
     n = lattice.n
     if n < 3:
-        raise UnsupportedCaseError(
-            "the lattice criterion needs n >= 3; for n = 2 see level_n2_window_probe"
-        )
+        raise UnsupportedCaseError("the lattice criterion needs n >= 3")
     for j in range(1, n + 1):
         full = lattice.projection_gcd(j)
         for i in range(1, n + 1):
@@ -272,12 +261,6 @@ class OrbitWindowReport:
     @property
     def class_count(self) -> int:
         return len(self.classes)
-
-    def class_of(self, p) -> int:
-        for k, cls in enumerate(self.classes):
-            if p in cls:
-                return k
-        raise DomainError(f"{p} outside the reported window")
 
 
 @lru_cache(maxsize=8)
@@ -371,17 +354,17 @@ def bounded_words(group: GeneratedSubgroup, max_len: int, key=None, cap=None, im
         frontier = nxt
 
 
-def element_with_translation(group: GeneratedSubgroup, target, max_len: int = 8):
+def element_with_translation(group: GeneratedSubgroup, target):
     """An element of the subgroup with the given translation vector.
 
-    Breadth-first search over short words first; if the target is in the
-    lattice at all, an integer combination of generator translations always
-    produces it, so the fallback never misses.
+    Breadth-first search over words of length at most 8 first; if the target
+    is in the lattice at all, an integer combination of generator
+    translations always produces it, so the fallback never misses.
     """
     target = tuple(int(x) for x in target)
     if not any(target):
         return identity(group.n)
-    for _, e, _ in bounded_words(group, max_len, key=HoughtonElement.translation_vector):
+    for _, e, _ in bounded_words(group, 8, key=HoughtonElement.translation_vector):
         if e.translation_vector() == target:
             return e
     rows = [g.translation_vector() for g in group.generators]
@@ -483,34 +466,6 @@ def preserves_residue_classes(g: HoughtonElement, k: int, depth: int) -> bool:
         if q.pos % k != p.pos % k:
             return False
     return True
-
-
-# -- the n = 2 level probe -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LevelN2Probe:
-    """Window-scale evidence for the n = 2 point-stabilizer dichotomy.
-
-    Always inconclusive: deciding whether a point stabilizer joins the
-    finitary part to the whole group needs more than window data.  The
-    evidence records, per window orbit class, whether a bounded word fixing
-    the class representative has nonzero translation.
-    """
-
-    status: str
-    evidence: tuple
-
-
-def level_n2_window_probe(group: GeneratedSubgroup, depth: int = 20) -> LevelN2Probe:
-    if group.n != 2:
-        raise UnsupportedCaseError("this probe is the n = 2 case only")
-    reps = [cls[0] for cls in orbit_windows(group, depth).classes]
-    found = set()
-    for _, e, _ in bounded_words(group, 4):
-        if any(e.translation_vector()):
-            found.update(rep for rep in reps if e.apply(rep) == rep)
-    return LevelN2Probe("inconclusive", tuple((rep, rep in found) for rep in reps))
 
 
 # -- generator words ------------------------------------------------------------

@@ -101,18 +101,6 @@ class BlockContext:
             return pts
         return tuple(pts[i] for i in twist)
 
-    def with_twist(self, qpoint, perm) -> "BlockContext":
-        """Same context with the rank bijection at one class permuted."""
-        perm = tuple(perm)
-        if sorted(perm) != list(range(self.block_size(qpoint))):
-            raise DomainError("twist must permute the block ranks")
-        twists = dict(self._twists)
-        twists[qpoint] = perm
-        return BlockContext(self.group, self.quotient, twists)
-
-    def identity_element(self) -> "MultiWreathElement":
-        return MultiWreathElement(self, (), houghton_identity(self.n))
-
 
 def build_block_context(group: GeneratedSubgroup, system: BlockSystem, depth: int) -> BlockContext:
     return BlockContext(group, build_quotient(group, system, depth))
@@ -351,9 +339,8 @@ def w_groups(
     group: GeneratedSubgroup,
     ctx: BlockContext,
     orbit: int = 0,
-    max_len: int = 4,
 ) -> WGroupsReport:
-    """Permutations of one block induced by bounded words.
+    """Permutations of one block induced by words of length at most 4.
 
     Three nested collections: all words stabilizing the block setwise, the
     finitary ones among them, and those acting trivially on every class.
@@ -364,7 +351,7 @@ def w_groups(
     bset = set(block)
     ranks = {p: i for i, p in enumerate(block)}
     gens_g, gens_fin, gens_ker = [], [], []
-    for _, e, _ in bounded_words(group, max_len):
+    for _, e, _ in bounded_words(group, 4):
         img = {e._image(p) for p in block}
         if img != bset:
             continue

@@ -3,7 +3,8 @@
 Each fixture group is classified at window 40 and its report is stored as
 the exact text of ``json.dumps(report, sort_keys=True)``, so the test checks
 byte-identical output.  Regenerate only when a change to the report is
-intended:
+intended; the script prints the labels whose report text moved, or "no
+report moved":
 
     PYTHONPATH=src python3 tests/data/make_classify_golden.py
 """
@@ -50,9 +51,12 @@ def report_text(group: GeneratedSubgroup, window: int = WINDOW) -> str:
 
 
 def main() -> None:
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     golden = {label: report_text(group) for label, group in golden_groups().items()}
     GOLDEN.write_text(json.dumps(golden, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(golden)} reports to {GOLDEN}")
+    moved = [label for label in golden if old.get(label) != golden[label]]
+    print(f"moved: {', '.join(moved)}" if moved else "no report moved")
 
 
 if __name__ == "__main__":

@@ -199,7 +199,7 @@ def test_quotient_of_pair_blocks():
 def test_quotient_translation_lattice_is_full():
     group = pair_preserving_group()
     q = quotient(group, pair_blocks(), depth=60)
-    lat = translation_lattice(q.quotient_group())
+    lat = translation_lattice(GeneratedSubgroup.from_elements(q.n, q.induced))
     assert lat == TranslationLattice.zero_sum(2)
 
 
@@ -263,7 +263,7 @@ def test_quotient_class_order_is_initial_segment():
 def test_finitary_words_connect_classes_partially():
     from houghton_kit.blocks import finitary_class_transitivity
 
-    report = finitary_class_transitivity(pair_preserving_group(), depth=20, word_len=3)
+    report = finitary_class_transitivity(pair_preserving_group(), depth=20)
     # bounded finitary words already merge points within the single orbit
     # class; full transitivity is out of reach of a window check
     for _, size, components in report:
@@ -273,7 +273,7 @@ def test_finitary_words_connect_classes_partially():
 def test_finitary_words_respect_delta_classes():
     from houghton_kit.blocks import finitary_class_transitivity
 
-    report = finitary_class_transitivity(delta_k(3, 2), depth=16, word_len=2)
+    report = finitary_class_transitivity(delta_k(3, 2), depth=16)
     assert len(report) == 2
     for _, size, components in report:
         assert components < size

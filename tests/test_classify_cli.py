@@ -212,6 +212,8 @@ def test_cli_invalid_input_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"n": 2, "t": [1, 0], "threshold": 0, "head": []}))
     assert cli_main(["element", "cycles", "--file", str(bad)]) == 2
+    bad.write_text("not json")
+    assert cli_main(["subgroup", "lattice", "--subgroup", str(bad)]) == 2
     assert cli_main(["element", "parse", "--word", "h1", "--n", "2"]) == 2
     assert cli_main(["nonsense"]) == 2
     capsys.readouterr()
@@ -224,8 +226,10 @@ def test_cli_invalid_input_exit_2(tmp_path, capsys):
         ["blocks", "find", "--window", "-1"],
         ["wreath", "embed", "--blocks", "BLOCKS", "--window", "0"],
         ["classify", "--window", "-2"],
+        ["wreath", "verify", "--blocks", "BLOCKS", "--samples", "-3"],
+        ["wreath", "verify", "--blocks", "BLOCKS", "--samples", "0"],
     ],
-    ids=["subgroup", "blocks", "wreath", "classify"],
+    ids=["subgroup", "blocks", "wreath", "classify", "samples-negative", "samples-zero"],
 )
 def test_cli_window_must_be_positive(tmp_path, capsys, argv):
     spath = write_subgroup(tmp_path, delta_k(3, 2))
@@ -288,3 +292,70 @@ def test_n2_full_hirsch_never_unconditional():
         assert report.full_hirsch
         assert report.conditional
         assert "unless" in report.verdict
+
+
+# -- malformed input files and numbers --------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [[[[1.5, 1]]], [[["1", 0]]], [[[1, 0, 3]]], [[[1]]], [[[[1, 0], [1, 0]]]], "x"],
+    ids=["float", "string", "triple", "single", "nested", "not-a-list"],
+)
+def test_cli_blocks_verify_malformed_point_exits_2(tmp_path, capsys, blocks):
+    spath = write_subgroup(tmp_path, delta_k(3, 2))
+    bpath = tmp_path / "blocks.json"
+    bpath.write_text(json.dumps(blocks))
+    assert cli_main(["blocks", "verify", "--subgroup", spath, "--blocks", str(bpath)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "block" in captured.err
+
+
+@pytest.mark.parametrize(
+    "malform, field",
+    [
+        (lambda d: {**d, "n": "x"}, "'n'"),
+        (lambda d: {**d, "n": 3.5}, "'n'"),
+        (lambda d: {**d, "n": 0}, "'n'"),
+        (lambda d: {**d, "generators": 5}, "'generators'"),
+        (lambda d: {**d, "labels": 7}, "'labels'"),
+        (lambda d: {**d, "labels": [1, 2, 3, 4]}, "'labels'"),
+        (lambda d: [d], "JSON object"),
+    ],
+    ids=["n-string", "n-float", "n-zero", "generators-int", "labels-int", "labels-ints", "list"],
+)
+def test_cli_malformed_subgroup_file_exits_2(tmp_path, capsys, malform, field):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(malform(delta_k(3, 2).to_json_dict())))
+    assert cli_main(["subgroup", "lattice", "--subgroup", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert field in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bns", "certificate", "--n", "3", "--lattice", "1,a"], "'a'"),
+        (["bns", "certificate", "--n", "3", "--lattice", "1.5,2,-3.5"], "'1.5'"),
+        (["bns", "sigma", "--n", "3", "--chi", "1/0 t1"], "zero denominator"),
+        (["bns", "type", "--n", "3", "--kernel", "1/0 t1"], "zero denominator"),
+    ],
+    ids=["lattice-letter", "lattice-fraction", "sigma-zero-denominator", "type-zero-denominator"],
+)
+def test_cli_malformed_number_exits_2(capsys, argv, message):
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_cli_level_on_two_rays_needs_n_at_least_3(tmp_path, capsys):
+    group = GeneratedSubgroup.from_elements(2, houghton_generators(2))
+    path = write_subgroup(tmp_path, group)
+    assert cli_main(["subgroup", "level", "--subgroup", path]) == 2
+    err = capsys.readouterr().err
+    assert "needs n >= 3" in err and "probe" not in err
+    note = classify(group).level["note"]
+    assert note == "the lattice criterion needs n >= 3"

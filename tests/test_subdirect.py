@@ -51,7 +51,7 @@ def test_kernel_probe_delta2_finds_single_orbit_element():
     d = delta_k(3, 2)
     dec = decompose(d, depth=40)
     for i in (0, 1):
-        result = kernel_intersection_probe(d, dec, i, word_budget=2)
+        result = kernel_intersection_probe(d, dec, i)
         assert result.found
         moved, rays = result.element.support_description()
         assert result.element.is_finitary()

@@ -14,6 +14,7 @@ from houghton_kit.errors import DomainError
 from houghton_kit.rays import RayPoint
 from houghton_kit.subgroups import GeneratedSubgroup, delta_k
 from houghton_kit.wreath import (
+    BlockContext,
     MultiWreathElement,
     build_block_context,
     kk_embed,
@@ -48,7 +49,7 @@ def delta_context(depth=30):
 
 def test_identity_and_inverse():
     group, ctx = pair_context()
-    e = ctx.identity_element()
+    e = MultiWreathElement(ctx, (), identity(2))
     assert e.is_identity()
     x = kk_embed(group.generators[0].compose(group.generators[1]), ctx)
     assert x.multiply(x.inverse()) == e
@@ -77,8 +78,8 @@ def test_associativity_random():
 def test_context_mismatch_rejected():
     _, ctx1 = pair_context()
     _, ctx2 = pair_context()
-    a = ctx1.identity_element()
-    b = ctx2.identity_element()
+    a = MultiWreathElement(ctx1, (), identity(2))
+    b = MultiWreathElement(ctx2, (), identity(2))
     with pytest.raises(DomainError):
         a.multiply(b)
 
@@ -116,7 +117,7 @@ def test_kk_of_shift_base_is_exactly_the_order_reversed_class():
 
 def test_kk_identity():
     group, ctx = pair_context()
-    assert kk_embed(identity(2), ctx) == ctx.identity_element()
+    assert kk_embed(identity(2), ctx) == MultiWreathElement(ctx, (), identity(2))
 
 
 def test_kk_rejects_non_preserving_element():
@@ -172,7 +173,7 @@ def test_corrupted_transversal_keeps_homomorphism_breaks_restriction():
         for k, qp in enumerate(ctx.quotient.quotient_points)
         if qp.ray == 1 and 10 <= ctx.quotient.classes[k][0].pos <= 20
     )
-    twisted = ctx.with_twist(far, (1, 0))
+    twisted = BlockContext(group, ctx.quotient, {far: (1, 0)})
     report = verify_kk(group, twisted, samples=60, max_len=4, seed=4)
     assert report.homomorphism_failures == 0
     assert report.injectivity_failures == 0
@@ -188,7 +189,7 @@ def test_corrupted_transversal_keeps_homomorphism_breaks_restriction():
 
 def test_w_groups_pair_block():
     group, ctx = pair_context()
-    report = w_groups(group, ctx, orbit=0, max_len=3)
+    report = w_groups(group, ctx, orbit=0)
     assert report.from_group.order() == 2
     assert report.from_finitary.order() == 2
     assert report.from_kernel.order() == 2
@@ -198,7 +199,7 @@ def test_w_groups_pair_block():
 def test_w_groups_trivial_for_singleton_blocks():
     group, ctx = delta_context()
     for orbit in (0, 1):
-        report = w_groups(group, ctx, orbit=orbit, max_len=2)
+        report = w_groups(group, ctx, orbit=orbit)
         assert report.from_group.order() == 1
         assert report.from_kernel.order() == 1
 
