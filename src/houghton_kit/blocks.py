@@ -105,27 +105,33 @@ def _same_rays(element: HoughtonElement, n: int) -> None:
 # -- congruence closure --------------------------------------------------------
 
 
-def _check_in_window(p, n: int, depth: int) -> None:
-    ray, pos = p
-    if not (1 <= ray <= n and 0 <= pos < depth):
-        raise DomainError(f"block point outside the window of depth {depth}")
+def _check_in_window(blocks, n: int, depth: int) -> None:
+    """DomainError unless every point of every block lies in the window."""
+    for block in blocks:
+        for ray, pos in block:
+            if not (1 <= ray <= n and 0 <= pos < depth):
+                raise DomainError(f"block point outside the window of depth {depth}")
 
 
 def _congruence(group: GeneratedSubgroup, blocks, depth: int, watch=None):
     """Closure root list of the equivalence generated by the blocks.
 
-    ``watch`` is a (point, cap) pair handed to the closure as an index pair.
+    ``watch`` is a (point, cap, edge) triple, the point one of the block
+    points.  The closure watches the point's class with weight 1 per point
+    and ``cap + 1`` per point at position ``edge`` or beyond, so it stops
+    once the class holds more than ``cap`` points or reaches the edge.
     """
     n = group.n
+    _check_in_window(blocks, n, depth)
 
     def index(p) -> int:
-        _check_in_window(p, n, depth)
         ray, pos = p
         return (ray - 1) * depth + pos
 
     pairs = [(index(a), index(b)) for block in blocks for a, b in zip(block, block[1:])]
     if watch is not None:
-        watch = (index(watch[0]), watch[1])
+        p, cap, edge = watch
+        watch = (index(p), cap, ([1] * edge + [cap + 1] * (depth - edge)) * n)
     return _close(n * depth, pairs, _window_action(group, depth), watch)
 
 
@@ -170,9 +176,7 @@ def verify_block_system(
     a block point lies outside the window.
     """
     _require_margin(group, depth)
-    for block in system.blocks:
-        for p in block:
-            _check_in_window(p, group.n, depth)
+    _check_in_window(system.blocks, group.n, depth)
     witnesses = []
     report = orbit_windows(group, depth // 2)
     orbit_ok = True
@@ -223,13 +227,14 @@ class BlockSearchResult:
     caveat: str
 
 
-def _closure_class_of_pair(group, p, q, depth, cap):
+def _closure_class_of_pair(group, p, q, depth, cap, edge):
     """(class of p, all classes) in the congruence generated by p ~ q.
 
-    None once the class of p holds more than ``cap`` points: classes only
-    grow during the closure, so its final class would be over the cap too.
+    None as soon as the class of p holds more than ``cap`` points or a point
+    at position ``edge`` or beyond: classes only grow during the closure, so
+    its final class would break the same limit.
     """
-    roots = _congruence(group, [tuple(sorted((p, q)))], depth, watch=(p, cap))
+    roots = _congruence(group, [tuple(sorted((p, q)))], depth, watch=(p, cap, edge))
     if roots is None:
         return None
     classes = _window_partition(roots, group.n, depth, depth)
@@ -244,11 +249,14 @@ def find_block_systems(group: GeneratedSubgroup, depth: int) -> BlockSearchResul
 
     Seeds are pairs of a fixed representative per orbit class with the first
     4 * bound window points, where bound is the block size bound of the
-    translation lattice; every candidate that survives the size bound and
-    the window margin is verified before being returned.  An empty result is
-    evidence only, never a proof of strong orbit primitivity.  Raises
-    InconclusiveError when half the depth is below the generator margin,
-    since no candidate could then be verified.
+    translation lattice.  A seed's closure stops as soon as the block of the
+    representative exceeds the bound or reaches the last generator-margin
+    positions of the window, where its data may depend on points beyond it;
+    classes only grow, so such a closure could not have yielded a candidate.
+    Every candidate that survives is verified before being returned.  An
+    empty result is evidence only, never a proof of strong orbit
+    primitivity.  Raises InconclusiveError when half the depth is below the
+    generator margin, since no candidate could then be verified.
     """
     bound = block_size_bound(translation_lattice(group))
     margin = _require_margin(group, depth)
@@ -261,12 +269,10 @@ def find_block_systems(group: GeneratedSubgroup, depth: int) -> BlockSearchResul
         for q in seeds_q:
             if q == p:
                 continue
-            closed = _closure_class_of_pair(group, p, q, depth, bound)
+            closed = _closure_class_of_pair(group, p, q, depth, bound, depth - margin)
             if closed is None:
                 continue
             block, classes = closed
-            if any(pt.pos >= depth - margin for pt in block):
-                continue
             if any(set(c) <= set(block) for c in report.classes):
                 continue
             interior = frozenset(

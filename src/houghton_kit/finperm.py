@@ -43,13 +43,25 @@ def _close(size: int, pairs, tables=(), watch=None):
     Merges each seed pair in order, then, for every merge of two classes,
     merges the images of their least points under each table while both
     images exist (an entry of -1 has none), until nothing changes.  Every
-    class is rooted at its least index.  Returns the root of each index, or
-    None as soon as the class of index ``watch[0]`` holds more than
-    ``watch[1]`` points.
+    class is rooted at its least index.  Returns the root of each index.
+
+    ``watch`` is an (index, cap, weights) triple, ``weights`` a list with an
+    int per index: the closure returns None as soon as the weights in the
+    class of that index add up to more than ``cap``, the watched index itself
+    included.  With unit weights that is a size cap; an index weighing more
+    than ``cap`` stops the closure as soon as it joins the class.  Classes
+    only grow, so the class at the fixpoint would break the same limit:
+    stopping early changes no result a caller keeps.
     """
     parent = list(range(size))
-    count = [1] * size
-    watched, cap = watch or (0, size)
+    if watch is None:
+        watched, cap = -1, size
+        count = [1] * size
+    else:
+        watched, cap, weights = watch
+        count = list(weights)
+        if count[watched] > cap:
+            return None
     work = []
 
     def images():
@@ -72,12 +84,10 @@ def _close(size: int, pairs, tables=(), watch=None):
         parent[b] = a
         count[a] += count[b]
         work.append((a, b))
-        if count[a] > cap:
-            w = watched
-            while parent[w] != w:
-                parent[w] = w = parent[parent[w]]
-            if w == a:
-                return None
+        if b == watched:
+            watched = a
+        if a == watched and count[a] > cap:
+            return None
     for i, j in enumerate(parent):
         parent[i] = parent[j]  # j <= i, and every entry below i already holds its root
     return parent

@@ -147,6 +147,15 @@ def test_congruence_classes_reject_block_points_outside_the_window(point):
         verify_block_system(pair_preserving_group(), system, depth=40)
 
 
+@pytest.mark.parametrize("singleton", [(9, 5), (0, 1)], ids=["ray-9", "ray-0"])
+def test_singleton_blocks_outside_the_window_are_rejected(singleton):
+    system = BlockSystem.from_lists([[singleton], [(1, 1)]])
+    with pytest.raises(DomainError, match="block point outside the window of depth 40"):
+        congruence_classes(delta_k(3, 2), system, depth=40)
+    with pytest.raises(DomainError, match="block point outside the window of depth 80"):
+        quotient(delta_k(3, 2), system, depth=40)
+
+
 # -- search -------------------------------------------------------------------------
 
 

@@ -313,6 +313,20 @@ def test_cli_blocks_verify_malformed_point_exits_2(tmp_path, capsys, blocks):
 
 
 @pytest.mark.parametrize(
+    "blocks", [[[[9, 5]], [[1, 1]]], [[[0, 1]], [[1, 1]]]], ids=["ray-9", "ray-0"]
+)
+def test_cli_blocks_quotient_singleton_outside_the_window_exits_2(tmp_path, capsys, blocks):
+    spath = write_subgroup(tmp_path, delta_k(3, 2))
+    bpath = tmp_path / "blocks.json"
+    bpath.write_text(json.dumps(blocks))
+    argv = ["blocks", "quotient", "--subgroup", spath, "--blocks", str(bpath), "--window", "40"]
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "block point outside the window of depth" in captured.err
+
+
+@pytest.mark.parametrize(
     "malform, field",
     [
         (lambda d: {**d, "n": "x"}, "'n'"),

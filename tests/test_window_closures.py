@@ -12,10 +12,31 @@ import random
 
 import pytest
 
-from houghton_kit.blocks import BlockSystem, _closure_class_of_pair, congruence_classes
-from houghton_kit.elements import random_element, window_cycle_counts
+from houghton_kit.blocks import (
+    BlockSystem,
+    _closure_class_of_pair,
+    block_size_bound,
+    congruence_classes,
+    find_block_systems,
+    verify_block_system,
+)
+from houghton_kit.elements import (
+    from_cycles,
+    generator,
+    identity,
+    random_element,
+    transposition,
+    window_cycle_counts,
+)
+from houghton_kit.errors import InconclusiveError
 from houghton_kit.rays import RaySystem
-from houghton_kit.subgroups import GeneratedSubgroup, _window_action, delta_k, orbit_windows
+from houghton_kit.subgroups import (
+    GeneratedSubgroup,
+    _window_action,
+    delta_k,
+    orbit_windows,
+    translation_lattice,
+)
 
 FAMILIES = [(2, 2), (3, 1), (3, 2), (3, 3), (4, 2)]
 
@@ -151,11 +172,100 @@ def test_pair_closure_stops_exactly_past_the_cap(seed):
         full = naive_closure(group, [tuple(sorted((p, q)))], depth, gens)
         size = len(next(c for c in full if p in c))
         for cap in {1, size - 1, size, size + 1, rng.randint(1, 3 * size)}:
-            got = _closure_class_of_pair(group, p, q, depth, cap)
+            got = _closure_class_of_pair(group, p, q, depth, cap, depth)
             if size > cap:
                 assert got is None
             else:
                 assert got == (next(c for c in full if p in c), full)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_pair_closure_stops_when_the_class_reaches_the_edge(seed):
+    rng = random.Random(500 + seed)
+    group = conjugated_delta(rng)
+    depth = rng.choice([8, 12, 16])
+    gens = group.symmetric_generators()
+    for p, q in seed_pairs(rng, group.n, depth, 6):
+        if rng.random() < 0.5:
+            p, q = q, p
+        full = naive_closure(group, [tuple(sorted((p, q)))], depth, gens)
+        cls = next(c for c in full if p in c)
+        reach = max(pt.pos for pt in cls)
+        for cap in {len(cls) - 1, len(cls), 3 * len(cls)}:
+            for edge in {0, p.pos, reach, reach + 1, depth, rng.randint(0, depth)}:
+                got = _closure_class_of_pair(group, p, q, depth, cap, edge)
+                if len(cls) > cap or reach >= edge:
+                    assert got is None
+                else:
+                    assert got == (cls, full)
+
+
+def block_preserving_group(rng):
+    """A conjugated group on 2 or 3 rays preserving the runs of b positions."""
+    n, b = rng.choice([2, 3]), rng.choice([2, 3])
+    gens = [generator(n, j) ** b for j in range(2, n + 1)]
+    ray, m, i = rng.randint(1, n), rng.randrange(4), rng.randrange(b - 1)
+    gens.append(transposition(n, (ray, b * m + i), (ray, b * m + i + 1)))
+    ray, (m1, m2) = rng.randint(1, n), rng.sample(range(4), 2)
+    gens.append(from_cycles(n, [[(ray, b * m1 + i), (ray, b * m2 + i)] for i in range(b)]))
+    if rng.random() < 0.5:
+        r1, r2 = rng.sample(range(1, n + 1), 2)
+        m1, m2 = rng.randrange(3), rng.randrange(3)
+        gens.append(from_cycles(n, [[(r1, b * m1 + i), (r2, b * m2 + i)] for i in range(b)]))
+    c = identity(n)
+    for _ in range(rng.randint(0, 3)):
+        c = c * rng.choice(gens) ** rng.choice([1, -1])
+    c_inv = c.inverse()
+    return GeneratedSubgroup.from_elements(n, [c_inv * g * c for g in gens])
+
+
+def reference_search(group, depth):
+    """The block search over naive closures, filtering each finished closure."""
+    bound = block_size_bound(translation_lattice(group))
+    margin = max(g.threshold + g.max_shift() for g in group.generators)
+    if depth // 2 < margin:
+        return None
+    report = orbit_windows(group, depth // 2)
+    gens = group.symmetric_generators()
+    found, seen = [], set()
+    for cls in report.classes:
+        p = cls[0]
+        for q in list(RaySystem(group.n).window(depth))[: 4 * bound]:
+            if q == p:
+                continue
+            classes = naive_closure(group, [tuple(sorted((p, q)))], depth, gens)
+            block = next(c for c in classes if p in c)
+            if len(block) > bound or any(pt.pos >= depth - margin for pt in block):
+                continue
+            if any(set(c) <= set(block) for c in report.classes):
+                continue
+            interior = frozenset(
+                frozenset(c) for c in classes if all(pt.pos < depth // 2 for pt in c)
+            )
+            if interior in seen:
+                continue
+            blocks = [block] + [(c[0],) for c in report.classes if not set(c) & set(block)]
+            system = BlockSystem(tuple(blocks))
+            if verify_block_system(group, system, depth).valid:
+                seen.add(interior)
+                found.append(system)
+    return tuple(sorted(found, key=lambda s: s.blocks[0][0]))
+
+
+def test_block_search_matches_the_reference_search():
+    rng = random.Random(600)
+    found = 0
+    for _ in range(12):
+        group = block_preserving_group(rng)
+        for depth in (16, 24):
+            want = reference_search(group, depth)
+            if want is None:
+                with pytest.raises(InconclusiveError):
+                    find_block_systems(group, depth)
+                continue
+            assert find_block_systems(group, depth).systems == want
+            found += len(want)
+    assert found > 0
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
