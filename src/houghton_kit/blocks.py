@@ -113,26 +113,20 @@ def _check_in_window(blocks, n: int, depth: int) -> None:
                 raise DomainError(f"block point outside the window of depth {depth}")
 
 
-def _congruence(group: GeneratedSubgroup, blocks, depth: int, watch=None):
-    """Closure root list of the equivalence generated by the blocks.
+def _index(p, depth: int) -> int:
+    """Window index of a point: (ray - 1) * depth + pos."""
+    ray, pos = p
+    return (ray - 1) * depth + pos
 
-    ``watch`` is a (point, cap, edge) triple, the point one of the block
-    points.  The closure watches the point's class with weight 1 per point
-    and ``cap + 1`` per point at position ``edge`` or beyond, so it stops
-    once the class holds more than ``cap`` points or reaches the edge.
-    """
+
+def _congruence(group: GeneratedSubgroup, blocks, depth: int):
+    """Closure root list of the equivalence generated by the blocks."""
     n = group.n
     _check_in_window(blocks, n, depth)
-
-    def index(p) -> int:
-        ray, pos = p
-        return (ray - 1) * depth + pos
-
-    pairs = [(index(a), index(b)) for block in blocks for a, b in zip(block, block[1:])]
-    if watch is not None:
-        p, cap, edge = watch
-        watch = (index(p), cap, ([1] * edge + [cap + 1] * (depth - edge)) * n)
-    return _close(n * depth, pairs, _window_action(group, depth), watch)
+    pairs = [
+        (_index(a, depth), _index(b, depth)) for block in blocks for a, b in zip(block, block[1:])
+    ]
+    return _close(n * depth, pairs, _window_action(group, depth))
 
 
 def congruence_classes(group: GeneratedSubgroup, system: BlockSystem, depth: int):
@@ -227,14 +221,21 @@ class BlockSearchResult:
     caveat: str
 
 
-def _closure_class_of_pair(group, p, q, depth, cap, edge):
+def _edge_weights(n: int, depth: int, cap: int, edge: int) -> list:
+    """Pair-closure weights: 1 per window point, ``cap + 1`` from ``edge`` on."""
+    return ([1] * edge + [cap + 1] * (depth - edge)) * n
+
+
+def _closure_class_of_pair(group, tables, p, q, depth, cap, weights):
     """(class of p, all classes) in the congruence generated by p ~ q.
 
-    None as soon as the class of p holds more than ``cap`` points or a point
-    at position ``edge`` or beyond: classes only grow during the closure, so
-    its final class would break the same limit.
+    ``tables`` is ``_window_action(group, depth)`` and ``weights`` holds an
+    int per window index, as from ``_edge_weights``.  None as soon as the
+    weights in the class of p add up to more than ``cap``: classes only grow
+    during the closure, so its final class would break the same limit.
     """
-    roots = _congruence(group, [tuple(sorted((p, q)))], depth, watch=(p, cap, edge))
+    ip = _index(p, depth)
+    roots = _close(group.n * depth, [(ip, _index(q, depth))], tables, (ip, cap, weights))
     if roots is None:
         return None
     classes = _window_partition(roots, group.n, depth, depth)
@@ -253,24 +254,33 @@ def find_block_systems(group: GeneratedSubgroup, depth: int) -> BlockSearchResul
     representative exceeds the bound or reaches the last generator-margin
     positions of the window, where its data may depend on points beyond it;
     classes only grow, so such a closure could not have yielded a candidate.
-    Every candidate that survives is verified before being returned.  An
-    empty result is evidence only, never a proof of strong orbit
-    primitivity.  Raises InconclusiveError when half the depth is below the
-    generator margin, since no candidate could then be verified.
+    The closure is the least congruence holding its seed pair, so a later
+    seed whose closure pulls a failed seed into the representative's block
+    contains the failed closure and fails too: each failed seed weighs like
+    a point past the edge for the representative's later seeds, and seeds
+    that weigh that much are skipped.  Every candidate that survives is
+    verified before being returned.  An empty result is evidence only,
+    never a proof of strong orbit primitivity.  Raises InconclusiveError
+    when half the depth is below the generator margin, since no candidate
+    could then be verified.
     """
     bound = block_size_bound(translation_lattice(group))
     margin = _require_margin(group, depth)
     report = orbit_windows(group, depth // 2)
+    tables = _window_action(group, depth)
     seeds_q = list(RaySystem(group.n).window(depth))[: 4 * bound]
     found = []
     seen_keys = set()
     for cls in report.classes:
         p = cls[0]
+        weights = _edge_weights(group.n, depth, bound, depth - margin)
         for q in seeds_q:
-            if q == p:
+            iq = _index(q, depth)
+            if q == p or weights[iq] > bound:
                 continue
-            closed = _closure_class_of_pair(group, p, q, depth, bound, depth - margin)
+            closed = _closure_class_of_pair(group, tables, p, q, depth, bound, weights)
             if closed is None:
+                weights[iq] = bound + 1
                 continue
             block, classes = closed
             if any(set(c) <= set(block) for c in report.classes):
@@ -418,8 +428,10 @@ def quotient(group: GeneratedSubgroup, system: BlockSystem, depth: int) -> Quoti
     Classes bucket by the ray of their least element and rank within the
     bucket; the resulting map to the quotient ray system is the order
     isomorphism used everywhere downstream.  Kernel generators (trivial on
-    every class) must be finitary.
+    every class) must be finitary.  Raises DomainError when a block point
+    lies outside the window of this depth.
     """
+    _check_in_window(system.blocks, group.n, depth)
     closure_depth = 2 * depth
     classes_all = congruence_classes(group, system, closure_depth)
     deeper = congruence_classes(group, system, 2 * closure_depth)

@@ -38,12 +38,20 @@ def _is_id(p):
 
 
 def _close(size: int, pairs, tables=(), watch=None):
-    """Array union-find closure over the indices 0..size-1.
+    """Array union-find congruence closure over the indices 0..size-1.
 
-    Merges each seed pair in order, then, for every merge of two classes,
-    merges the images of their least points under each table while both
-    images exist (an entry of -1 has none), until nothing changes.  Every
-    class is rooted at its least index.  Returns the root of each index.
+    Returns the root of each index in the least equivalence that holds the
+    seed pairs and is closed under each table: whenever two indices are
+    equivalent and both have an image (an entry of -1 has none), their
+    images are equivalent.  Every class is rooted at its least index.
+
+    Each class keeps, per table, one image of some member (a dict keyed by
+    root, the root's own table entry by default).  A merge of two classes
+    merges their two stored images when both exist, and otherwise keeps the
+    one that does; so a class whose least point leaves through a table still
+    passes merges on through its other members (Downey-Sethi-Tarjan).  The
+    result is the least such equivalence whatever the merge order, and it
+    grows with the seed pairs.
 
     ``watch`` is an (index, cap, weights) triple, ``weights`` a list with an
     int per index: the closure returns None as soon as the weights in the
@@ -63,14 +71,11 @@ def _close(size: int, pairs, tables=(), watch=None):
         if count[watched] > cap:
             return None
     work = []
+    stored = [(table, {}) for table in tables]
 
     def images():
         while work:
-            a, b = work.pop()
-            for table in tables:
-                x, y = table[a], table[b]
-                if x >= 0 and y >= 0:
-                    yield x, y
+            yield work.pop()
 
     for a, b in chain(pairs, images()):
         while parent[a] != a:
@@ -83,7 +88,14 @@ def _close(size: int, pairs, tables=(), watch=None):
             a, b = b, a
         parent[b] = a
         count[a] += count[b]
-        work.append((a, b))
+        for table, image in stored:
+            y = image.get(b, table[b])
+            if y >= 0:
+                x = image.get(a, table[a])
+                if x >= 0:
+                    work.append((x, y))
+                else:
+                    image[a] = y
         if b == watched:
             watched = a
         if a == watched and count[a] > cap:

@@ -8,6 +8,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 from typing import Iterable
 
 from . import intlattice as la
@@ -251,7 +252,12 @@ def is_congruence_lifting(lattice: TranslationLattice) -> CongruenceVerdict:
 
 @dataclass(frozen=True)
 class OrbitWindowReport:
-    """Orbit classes of the window, with a doubling stabilization check."""
+    """Orbit classes of a window closure, cut to the window.
+
+    ``stabilized`` says they are the exact orbit partition cut to the
+    window; it is False when they are not, or when the generators' thresholds
+    put that partition's certificate beyond four times the window depth.
+    """
 
     window_depth: int
     classes: tuple  # tuples of RayPoint, ordered by least point
@@ -302,15 +308,71 @@ def _window_classes(group: GeneratedSubgroup, report_depth: int, closure_depth: 
     return tuple(_window_partition(roots, group.n, closure_depth, report_depth))
 
 
+def _certificate_shape(group: GeneratedSubgroup) -> tuple:
+    """(depth D, per-ray moduli m_i) of ``_orbit_certificate``."""
+    gens = group.generators
+    moduli = tuple(gcd(*(g.t[i] for g in gens)) for i in range(group.n))
+    top = max((g.threshold for g in gens), default=0)
+    shift = max((g.max_shift() for g in gens), default=0)
+    return top + max(moduli) + 2 * shift + 1, moduli
+
+
+@lru_cache(maxsize=8)
+def _orbit_certificate(group: GeneratedSubgroup) -> tuple:
+    """(depth D, per-ray moduli m_i, closure roots) of the exact orbits.
+
+    m_i is the gcd of the generators' i-th translations, T the largest
+    generator threshold and s the largest |shift|; the roots close the
+    generator moves inside the window of depth D = T + max m_i + 2s + 1.
+    That closure is the orbit partition on the window:
+
+    - Head images lie below T + s, so a move that touches a point at D or
+      beyond stays on its ray, translates it, and keeps its residue mod m_i.
+    - On [T, D) each translation t of ray i is a period of the closure's
+      class labels, and the interval is at least 2s long, so by Fine and
+      Wilf's theorem gcd(t, t') is a period too: the labels have period
+      m_i there.
+    - So a path of moves between two window points stays connected when
+      each deeper point is replaced by the point of its residue in
+      [D - m_i, D), which is the class a deeper point joins.  On a ray
+      with m_i = 0 every point beyond T is fixed, its own orbit.
+    """
+    depth, moduli = _certificate_shape(group)
+    n, gens = group.n, group.generators
+    pairs = ((i, j) for g in gens for i, j in enumerate(_image_table(g, depth)) if j >= 0)
+    return depth, moduli, _close(n * depth, pairs)
+
+
+def _orbit_classes(group: GeneratedSubgroup, depth: int) -> tuple:
+    """The exact orbit partition cut to the window, classes by least point."""
+    cert_depth, moduli, roots = _orbit_certificate(group)
+    buckets: dict = {}
+    for p in RaySystem(group.n).window(depth):
+        ray, pos = p
+        m = moduli[ray - 1]
+        if pos < cert_depth:
+            key = roots[(ray - 1) * cert_depth + pos]
+        elif m:
+            key = roots[ray * cert_depth - m + (pos - cert_depth) % m]
+        else:
+            key = p
+        buckets.setdefault(key, []).append(p)
+    return tuple(tuple(v) for v in buckets.values())
+
+
 def orbit_windows(group: GeneratedSubgroup, depth: int) -> OrbitWindowReport:
     """Union-find closure of generator moves inside a window of depth 2W.
 
-    Restricted to depth W for reporting; stabilized when a 4W closure gives
-    the same classes on the reported window.
+    Restricted to depth W for reporting; stabilized when the classes equal
+    the exact orbit partition cut to depth W (``_orbit_certificate``).  The
+    certificate is a closure of depth D, which grows with the generators'
+    thresholds; when D exceeds 4W it is not built and the report is not
+    stabilized, so the cost stays that of closures of depth at most 4W.
     """
     classes = _window_classes(group, depth, 2 * depth)
-    classes_deeper = _window_classes(group, depth, 4 * depth)
-    stabilized = classes == classes_deeper
+    stabilized = (
+        _certificate_shape(group)[0] <= 4 * depth and classes == _orbit_classes(group, depth)
+    )
     incidence = tuple(tuple(sorted({p.ray for p in cls})) for cls in classes)
     return OrbitWindowReport(depth, classes, stabilized, incidence)
 

@@ -152,8 +152,18 @@ def test_singleton_blocks_outside_the_window_are_rejected(singleton):
     system = BlockSystem.from_lists([[singleton], [(1, 1)]])
     with pytest.raises(DomainError, match="block point outside the window of depth 40"):
         congruence_classes(delta_k(3, 2), system, depth=40)
-    with pytest.raises(DomainError, match="block point outside the window of depth 80"):
+    with pytest.raises(DomainError, match="block point outside the window of depth 40"):
         quotient(delta_k(3, 2), system, depth=40)
+
+
+@pytest.mark.parametrize("point", [(1, 40), (1, 50), (3, 79)])
+def test_quotient_rejects_block_points_past_the_requested_depth(point):
+    # the closure runs at twice the depth, but the blocks must lie in the depth window
+    system = BlockSystem.from_lists([[point], [(1, 1)]])
+    with pytest.raises(DomainError, match="block point outside the window of depth 40"):
+        quotient(delta_k(3, 2), system, depth=40)
+    with pytest.raises(DomainError, match="block point outside the window of depth 40"):
+        verify_block_system(delta_k(3, 2), system, depth=40)
 
 
 # -- search -------------------------------------------------------------------------

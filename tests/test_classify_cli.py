@@ -256,6 +256,22 @@ def test_cli_inconclusive_exit_3(tmp_path, capsys):
     assert code == 3
 
 
+def test_deep_join_orbits_are_not_stabilized(tmp_path, capsys):
+    # <g^2, (1:0 1:41)> has one orbit; the closures at windows 20 and 40
+    # both split it by parity, since neither reaches (1, 41)
+    group = GeneratedSubgroup.from_elements(
+        2, [generator(2, 2) ** 2, transposition(2, (1, 0), (1, 41))]
+    )
+    report = classify(group, window=10)
+    assert report.orbit_summary["class_count"] == 2
+    assert not report.orbit_summary["stabilized"]
+    assert "orbit classes did not stabilize at this window depth" in report.evidence_notes
+    path = write_subgroup(tmp_path, group)
+    assert cli_main(["subgroup", "orbits", "--subgroup", path, "--window", "10"]) == 3
+    assert cli_main(["subgroup", "orbits", "--subgroup", path, "--window", "21"]) == 0
+    capsys.readouterr()
+
+
 def test_full_hirsch_verdicts_exact_for_n_at_least_3():
     from houghton_kit.subgroups import element_with_translation
 
@@ -324,6 +340,18 @@ def test_cli_blocks_quotient_singleton_outside_the_window_exits_2(tmp_path, caps
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "block point outside the window of depth" in captured.err
+
+
+@pytest.mark.parametrize("action", ["quotient", "verify"])
+def test_cli_blocks_point_past_the_window_exits_2(tmp_path, capsys, action):
+    spath = write_subgroup(tmp_path, delta_k(3, 2))
+    bpath = tmp_path / "blocks.json"
+    bpath.write_text(json.dumps([[[1, 50]], [[1, 1]]]))
+    argv = ["blocks", action, "--subgroup", spath, "--blocks", str(bpath), "--window", "40"]
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "block point outside the window of depth 40" in captured.err
 
 
 @pytest.mark.parametrize(

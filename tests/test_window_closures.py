@@ -2,19 +2,23 @@
 
 The oracle keys its union-find by RayPoint and moves points with the
 validating ``HoughtonElement.apply``; the library runs the same closures on
-int image tables.  Both propagate a merge of two classes through the images
-of the classes' least points, last merge first: near the window's edge an
-image can leave the window, so which pairs are propagated decides the
-result, and the oracle follows the same rule.
+int image tables.  The oracle is a fixpoint: it sweeps every class's
+in-window images under every generator, merging them, until a sweep merges
+nothing, so it gives the least equivalence that holds the seed pairs and is
+closed under the generators inside the window.  The library's congruence
+closure reaches the same classes through per-class image representatives,
+whatever order it merges in.
 """
 
 import random
+from functools import lru_cache
 
 import pytest
 
 from houghton_kit.blocks import (
     BlockSystem,
     _closure_class_of_pair,
+    _edge_weights,
     block_size_bound,
     congruence_classes,
     find_block_systems,
@@ -23,6 +27,7 @@ from houghton_kit.blocks import (
 from houghton_kit.elements import (
     from_cycles,
     generator,
+    houghton_generators,
     identity,
     random_element,
     transposition,
@@ -32,6 +37,9 @@ from houghton_kit.errors import InconclusiveError
 from houghton_kit.rays import RaySystem
 from houghton_kit.subgroups import (
     GeneratedSubgroup,
+    _certificate_shape,
+    _orbit_certificate,
+    _orbit_classes,
     _window_action,
     delta_k,
     orbit_windows,
@@ -41,39 +49,68 @@ from houghton_kit.subgroups import (
 FAMILIES = [(2, 2), (3, 1), (3, 2), (3, 3), (4, 2)]
 
 
-def naive_closure(group, blocks, depth, gens):
-    """Classes of the window after merging blocks and propagating under gens."""
-    window = set(RaySystem(group.n).window(depth))
+@lru_cache(maxsize=16)
+def window_moves(gens, n, depth):
+    """Per generator, the (point, image) pairs with both ends in the window."""
+    window = RaySystem(n).window(depth)
+    return tuple(
+        tuple((p, q) for p in window for q in [g.apply(p)] if q in window) for g in gens
+    )
+
+
+def naive_closure(group, blocks, depth, gens, stop=None):
+    """Classes of the window after merging blocks and closing under gens.
+
+    ``stop`` is a (point, cap, edge) triple: None is returned as soon as the
+    point's class holds more than ``cap`` points or one at position ``edge``
+    or beyond.  A class at any sweep lies inside its class at the fixpoint.
+    """
+    window = RaySystem(group.n).window(depth)
     parent = {p: p for p in window}
+    size = {p: 1 for p in window}
+    reach = {p: p.pos for p in window}
 
     def find(x):
         while parent[x] != x:
-            x = parent[x]
+            parent[x] = x = parent[parent[x]]
         return x
 
     def union(a, b):
         ra, rb = sorted((find(a), find(b)))
         if ra == rb:
-            return None
+            return False
         parent[rb] = ra
-        return ra, rb
+        size[ra] += size[rb]
+        reach[ra] = max(reach[ra], reach[rb])
+        return True
 
-    work = []
+    def stopped():
+        if stop is None:
+            return False
+        p, cap, edge = stop
+        r = find(p)
+        return size[r] > cap or reach[r] >= edge
+
     for block in blocks:
         for a, b in zip(block, block[1:]):
-            merged = union(a, b)
-            if merged:
-                work.append(merged)
-    while work:
-        a, b = work.pop()
-        for g in gens:
-            ga, gb = g.apply(a), g.apply(b)
-            if ga in window and gb in window:
-                merged = union(ga, gb)
-                if merged:
-                    work.append(merged)
+            union(a, b)
+    if stopped():
+        return None
+    changed = True
+    while changed:
+        changed = False
+        for moves in window_moves(tuple(gens), group.n, depth):
+            image_of = {}  # root -> an image of some member
+            for p, q in moves:
+                r = find(p)
+                if r not in image_of:
+                    image_of[r] = q
+                elif union(image_of[r], q):
+                    changed = True
+                    if stopped():
+                        return None
     classes = {}
-    for p in sorted(window):
+    for p in window:
         classes.setdefault(find(p), []).append(p)
     return [tuple(c) for c in classes.values()]
 
@@ -156,8 +193,84 @@ def test_orbit_windows_match_the_naive_closure(seed):
     report = orbit_windows(group, depth)
     classes = naive_orbit_classes(group, depth, 2 * depth)
     assert report.classes == classes
-    assert report.stabilized == (classes == naive_orbit_classes(group, depth, 4 * depth))
+    deep = naive_orbit_classes(group, depth, 16 * depth + 200)
+    assert report.stabilized == (classes == deep)
     assert report.ray_incidence == tuple(tuple(sorted({p.ray for p in c})) for c in classes)
+
+
+def orbit_test_groups():
+    """delta_k grids, H_2 to H_4, random and conjugated subgroups.
+
+    Half the random subgroups get a transposition reaching positions 10 to
+    59, which joins classes only beyond small windows.  The group with
+    translations 10 and -3 on ray 1 needs the certificate's depth beyond its
+    threshold: a closure at depth T + 1 splits its one orbit.
+    """
+    rng = random.Random(800)
+    groups = [delta_k(n, k) for n in (2, 3, 4, 5) for k in (1, 2, 3)]
+    groups += [GeneratedSubgroup.from_elements(n, houghton_generators(n)) for n in (2, 3, 4)]
+    groups.append(GeneratedSubgroup.from_elements(3, [generator(3, 3) ** 10, generator(3, 2) ** -3]))
+    for _ in range(20):
+        n = rng.randint(2, 4)
+        gens = [
+            random_element(n, head_budget=4, t_bound=rng.choice([1, 2]), seed=rng)
+            for _ in range(rng.randint(1, 3))
+        ]
+        if rng.random() < 0.5:
+            a, b = rng.randrange(6), rng.randrange(10, 60)
+            gens.append(transposition(n, (rng.randint(1, n), a), (rng.randint(1, n), b)))
+        groups.append(GeneratedSubgroup.from_elements(n, gens))
+    groups += [conjugated_delta(rng) for _ in range(15)]
+    return groups
+
+
+def test_exact_orbits_match_a_deep_closure():
+    windows = (5, 10, 20, 40)
+    shallow = {w: 0 for w in windows}
+    for group in orbit_test_groups():
+        # one closure at 16 * 40 + 200, cut to each window: 16W + 200 or deeper
+        deep = naive_orbit_classes(group, windows[-1], 16 * windows[-1] + 200)
+        for window in windows:
+            exact = _orbit_classes(group, window)
+            cut = (tuple(p for p in c if p.pos < window) for c in deep)
+            assert exact == tuple(c for c in cut if c)
+            report = orbit_windows(group, window)
+            certified = _certificate_shape(group)[0] <= 4 * window
+            assert report.stabilized == (report.classes == exact and certified)
+            shallow[window] += not report.stabilized
+    assert shallow[5] > 0 and shallow[10] > 0  # joins beyond the 2W closure occur
+
+
+def deep_join_group():
+    """<g^2, (1:0 1:41)> in H_2: one orbit, whose two parities meet at (1, 41)."""
+    return GeneratedSubgroup.from_elements(
+        2, [generator(2, 2) ** 2, transposition(2, (1, 0), (1, 41))]
+    )
+
+
+def test_deep_join_is_stabilized_only_once_the_closure_reaches_it():
+    group = deep_join_group()
+    for window in (10, 20):
+        report = orbit_windows(group, window)
+        assert report.class_count == 2
+        assert not report.stabilized
+    report = orbit_windows(group, 21)
+    assert report.class_count == 1
+    assert report.stabilized
+    assert _orbit_classes(group, 10) == (tuple(RaySystem(2).window(10)),)
+
+
+def test_a_certificate_deeper_than_four_windows_is_not_built():
+    # the join at (1, 10^4 + 1) puts the certificate's depth far beyond 4W
+    group = GeneratedSubgroup.from_elements(
+        2, [generator(2, 2) ** 2, transposition(2, (1, 0), (1, 10**4 + 1))]
+    )
+    assert _certificate_shape(group)[0] > 4 * 10
+    misses = _orbit_certificate.cache_info().misses
+    report = orbit_windows(group, 10)
+    assert report.class_count == 2
+    assert not report.stabilized
+    assert _orbit_certificate.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -166,13 +279,15 @@ def test_pair_closure_stops_exactly_past_the_cap(seed):
     group = conjugated_delta(rng)
     depth = rng.choice([8, 12, 16])
     gens = group.symmetric_generators()
+    tables = _window_action(group, depth)
     for p, q in seed_pairs(rng, group.n, depth, 6):
         if rng.random() < 0.5:
             p, q = q, p
         full = naive_closure(group, [tuple(sorted((p, q)))], depth, gens)
         size = len(next(c for c in full if p in c))
         for cap in {1, size - 1, size, size + 1, rng.randint(1, 3 * size)}:
-            got = _closure_class_of_pair(group, p, q, depth, cap, depth)
+            weights = _edge_weights(group.n, depth, cap, depth)
+            got = _closure_class_of_pair(group, tables, p, q, depth, cap, weights)
             if size > cap:
                 assert got is None
             else:
@@ -185,6 +300,7 @@ def test_pair_closure_stops_when_the_class_reaches_the_edge(seed):
     group = conjugated_delta(rng)
     depth = rng.choice([8, 12, 16])
     gens = group.symmetric_generators()
+    tables = _window_action(group, depth)
     for p, q in seed_pairs(rng, group.n, depth, 6):
         if rng.random() < 0.5:
             p, q = q, p
@@ -193,7 +309,8 @@ def test_pair_closure_stops_when_the_class_reaches_the_edge(seed):
         reach = max(pt.pos for pt in cls)
         for cap in {len(cls) - 1, len(cls), 3 * len(cls)}:
             for edge in {0, p.pos, reach, reach + 1, depth, rng.randint(0, depth)}:
-                got = _closure_class_of_pair(group, p, q, depth, cap, edge)
+                weights = _edge_weights(group.n, depth, cap, edge)
+                got = _closure_class_of_pair(group, tables, p, q, depth, cap, weights)
                 if len(cls) > cap or reach >= edge:
                     assert got is None
                 else:
@@ -233,10 +350,11 @@ def reference_search(group, depth):
         for q in list(RaySystem(group.n).window(depth))[: 4 * bound]:
             if q == p:
                 continue
-            classes = naive_closure(group, [tuple(sorted((p, q)))], depth, gens)
-            block = next(c for c in classes if p in c)
-            if len(block) > bound or any(pt.pos >= depth - margin for pt in block):
+            stop = (p, bound, depth - margin)
+            classes = naive_closure(group, [tuple(sorted((p, q)))], depth, gens, stop)
+            if classes is None:
                 continue
+            block = next(c for c in classes if p in c)
             if any(set(c) <= set(block) for c in report.classes):
                 continue
             interior = frozenset(
@@ -254,17 +372,37 @@ def reference_search(group, depth):
 
 def test_block_search_matches_the_reference_search():
     rng = random.Random(600)
-    found = 0
+    runs = []
     for _ in range(12):
         group = block_preserving_group(rng)
-        for depth in (16, 24):
-            want = reference_search(group, depth)
-            if want is None:
-                with pytest.raises(InconclusiveError):
-                    find_block_systems(group, depth)
-                continue
-            assert find_block_systems(group, depth).systems == want
-            found += len(want)
+        runs += [(group, 16), (group, 24)]
+    # nested systems, runs of 2 inside runs of 4: a seed whose closure gives
+    # the 2-blocks sits inside the 4-block of a later seed
+    nested = GeneratedSubgroup.from_elements(
+        2,
+        [
+            generator(2, 2) ** 4,
+            transposition(2, (1, 0), (1, 1)),
+            from_cycles(2, [[(1, 0), (1, 2)], [(1, 1), (1, 3)]]),
+        ],
+    )
+    runs += [(nested, 16), (nested, 24)]
+    # block size bound 81: many seeds fail, and later seeds meet the failed ones
+    base = delta_k(5, 3)
+    runs.append((base, 40))
+    for _ in range(2):
+        c = random_element(5, head_budget=3, t_bound=1, seed=rng)
+        c_inv = c.inverse()
+        runs.append((GeneratedSubgroup(5, tuple(c_inv * g * c for g in base.generators)), 40))
+    found = 0
+    for group, depth in runs:
+        want = reference_search(group, depth)
+        if want is None:
+            with pytest.raises(InconclusiveError):
+                find_block_systems(group, depth)
+            continue
+        assert find_block_systems(group, depth).systems == want
+        found += len(want)
     assert found > 0
 
 
@@ -279,11 +417,6 @@ def test_window_cycle_counts_match_the_naive_closure(n):
         assert window_cycle_counts(g) == naive_cycle_counts(g, default)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the closure propagates a merge only through the images of the two "
-    "classes' least points, so classes near the window's edge need not be closed",
-)
 def test_congruence_classes_are_closed_under_the_generators():
     group = delta_k(2, 2)
     depth = 6
