@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .elements import HoughtonElement
+from .elements import HoughtonElement, _image_table
 from .errors import DomainError, InconclusiveError
 from .finperm import _close
 from .rays import RayPoint, RaySystem
@@ -336,7 +336,12 @@ def finitary_class_transitivity(group: GeneratedSubgroup, depth: int):
 
 @dataclass(eq=False)
 class QuotientStructure:
-    """Window classes ordered by least element, with induced generator images."""
+    """Window classes ordered by least element, with induced generator images.
+
+    The action on classes runs over int indices of the closure window: point
+    (ray, pos) has index (ray - 1) * closure_depth + pos, the layout of
+    ``elements._image_table``.
+    """
 
     system: BlockSystem
     n: int
@@ -345,38 +350,59 @@ class QuotientStructure:
     quotient_points: tuple  # per class, its point of the quotient ray system
     induced: tuple  # per subgroup generator, a HoughtonElement on the quotient
     kernel_generators: tuple  # indices of generators acting trivially on classes
-    _point_class: dict  # every window point -> internal class id
-    _qpoint_by_id: dict  # internal class id -> quotient point (kept classes)
+    _closure_depth: int  # depth of the closure window the tables cover
+    _class_of: list  # per window index its class id (kept classes first), then -1
+    _rank_of: list  # per window index its rank inside its sorted class, then 0
+    _members: tuple  # window indices of the kept classes' points, class by class
+    _bounds: tuple  # per kept class, the (start, stop) of its points in _members
     _known_ranks: tuple  # per ray, contiguous rank prefix with complete data
 
     def class_index_of(self, p) -> int | None:
-        for k, cls in enumerate(self.classes):
-            if p in cls:
-                return k
-        return None
+        ray, pos = p
+        if not (1 <= ray <= self.n and 0 <= pos < self._closure_depth):
+            return None
+        k = self._class_of[(ray - 1) * self._closure_depth + pos]
+        return k if k < len(self.classes) else None
+
+    def _act(self, element: HoughtonElement) -> list:
+        """Per kept class, (target class, ranks of the images in it) or None.
+
+        None where an image leaves the closure window, even if the other
+        images fall in two classes, and where the images land in a class that
+        crosses the depth.  Images in two classes raise DomainError.
+        """
+        table = _image_table(element, self._closure_depth)
+        # an image -1 (past the window) reads the trailing entries: class -1
+        images = list(map(table.__getitem__, self._members))
+        classes = list(map(self._class_of.__getitem__, images))
+        ranks = list(map(self._rank_of.__getitem__, images))
+        kept = len(self.classes)
+        out = []
+        for k, (start, stop) in enumerate(self._bounds):
+            found = classes[start:stop]
+            target = found[0]
+            if found.count(target) != stop - start:
+                if -1 in found:
+                    out.append(None)
+                    continue
+                raise DomainError(
+                    f"element does not preserve the congruence near {self.classes[k][0]}"
+                )
+            out.append((target, tuple(ranks[start:stop])) if 0 <= target < kept else None)
+        return out
 
     def partial_action(self, element: HoughtonElement) -> dict:
         """Partial map on quotient points induced by an element of the group.
 
-        Raises DomainError when the element acts on another number of rays
-        or fails to preserve the congruence on the window.
+        A class is left out when one of its images leaves the closure window,
+        even if its other images fall in two classes, and when its images land
+        in a class that crosses the depth.  Raises DomainError when the element
+        acts on another number of rays or when the images of a remaining class
+        fall in two classes.
         """
         _same_rays(element, self.n)
-        partial = {}
-        for k, cls in enumerate(self.classes):
-            images = {element._image(p) for p in cls}
-            targets = {self._point_class.get(q) for q in images}
-            if None in targets:
-                continue
-            if len(targets) > 1:
-                raise DomainError(
-                    f"element does not preserve the congruence near {cls[0]}"
-                )
-            target = targets.pop()
-            qtarget = self._qpoint_by_id.get(target)
-            if qtarget is not None:
-                partial[self.quotient_points[k]] = qtarget
-        return partial
+        qps = self.quotient_points
+        return {qps[k]: qps[acted[0]] for k, acted in enumerate(self._act(element)) if acted}
 
     def induce(self, element: HoughtonElement) -> HoughtonElement:
         """The permutation the element induces on the quotient ray system."""
@@ -444,10 +470,6 @@ def quotient(group: GeneratedSubgroup, system: BlockSystem, depth: int) -> Quoti
             "congruence classes did not stabilize under window doubling",
             hint=closure_depth * 2,
         )
-    class_index = {}
-    for k, cls in enumerate(classes_all):
-        for p in cls:
-            class_index[p] = k
     ranks_per_ray = [0] * group.n
     qpoints: dict[int, RayPoint] = {}
     # ranks the partial quotient data is contiguously complete up to, per ray
@@ -462,7 +484,22 @@ def quotient(group: GeneratedSubgroup, system: BlockSystem, depth: int) -> Quoti
         else:
             prefix_broken[ray - 1] = True
         ranks_per_ray[ray - 1] += 1
-    kept_indices = [k for k, cls in enumerate(classes_all) if k in qpoints]
+    kept_indices = list(qpoints)
+    # kept classes take ids 0..K-1 in their order, the classes crossing the depth follow
+    order = kept_indices + [k for k in range(len(classes_all)) if k not in qpoints]
+    class_of = [0] * (group.n * closure_depth) + [-1]
+    rank_of = [0] * (group.n * closure_depth + 1)
+    for cid, k in enumerate(order):
+        for rank, p in enumerate(classes_all[k]):
+            i = _index(p, closure_depth)
+            class_of[i] = cid
+            rank_of[i] = rank
+    members = []
+    bounds = []
+    for k in kept_indices:
+        start = len(members)
+        members.extend(_index(p, closure_depth) for p in classes_all[k])
+        bounds.append((start, len(members)))
     structure = QuotientStructure(
         system=system,
         n=group.n,
@@ -471,8 +508,11 @@ def quotient(group: GeneratedSubgroup, system: BlockSystem, depth: int) -> Quoti
         quotient_points=tuple(qpoints[k] for k in kept_indices),
         induced=(),
         kernel_generators=(),
-        _point_class=class_index,
-        _qpoint_by_id=qpoints,
+        _closure_depth=closure_depth,
+        _class_of=class_of,
+        _rank_of=rank_of,
+        _members=tuple(members),
+        _bounds=tuple(bounds),
         _known_ranks=tuple(known_ranks),
     )
     induced = []

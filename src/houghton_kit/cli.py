@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .blocks import BlockSystem, find_block_systems, quotient, verify_block_system
@@ -40,17 +41,49 @@ from .subgroups import (
 from .wreath import build_block_context, kk_embed, verify_kk
 
 
+# Largest threshold, head position, word exponent and cycle position the
+# command line accepts: element work grows with them (window tables, powers),
+# so input past it is rejected up front.  The library itself is unbounded.
+POSITION_BOUND = 10**5
+
+_WORD_EXPONENT = re.compile(r"\^(-?\d+)")
+_WORD_POSITION = re.compile(r"\d+:(\d+)")
+
+
+def _within_bound(value: int, what: str) -> None:
+    if abs(value) > POSITION_BOUND:
+        raise DomainError(f"{what} {value} is above the command-line bound {POSITION_BOUND}")
+
+
+def _bounded(elt: HoughtonElement) -> HoughtonElement:
+    _within_bound(elt.threshold, "element threshold")
+    for _, q in elt.head:
+        _within_bound(q.pos, "head position")
+    return elt
+
+
+def _parse_word(text: str, n: int) -> HoughtonElement:
+    for m in _WORD_EXPONENT.finditer(text):
+        _within_bound(int(m.group(1)), "word exponent")
+    for m in _WORD_POSITION.finditer(text):
+        _within_bound(int(m.group(1)), "cycle position")
+    return parse_word(text, n)
+
+
 def _read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
 
 
 def _load_element(path) -> HoughtonElement:
-    return HoughtonElement.from_json_dict(_read_json(path))
+    return _bounded(HoughtonElement.from_json_dict(_read_json(path)))
 
 
 def _load_subgroup(path) -> GeneratedSubgroup:
-    return GeneratedSubgroup.from_json_dict(_read_json(path))
+    group = GeneratedSubgroup.from_json_dict(_read_json(path))
+    for g in group.generators:
+        _bounded(g)
+    return group
 
 
 def _load_blocks(path) -> BlockSystem:
@@ -92,7 +125,7 @@ def _cmd_element(args) -> int:
         else:
             if not args.word or args.n is None:
                 raise DomainError("element parse needs --file or both --word and --n")
-            elt = parse_word(args.word[0], args.n)
+            elt = _parse_word(args.word[0], args.n)
         _emit(args, elt.to_json_dict(), [elt.to_json()])
         return 0
     if args.action == "compose":
@@ -100,7 +133,7 @@ def _cmd_element(args) -> int:
         if args.word:
             if args.n is None:
                 raise DomainError("--word needs --n")
-            elts += [parse_word(w, args.n) for w in args.word]
+            elts += [_parse_word(w, args.n) for w in args.word]
         if not elts:
             raise DomainError("nothing to compose")
         out = elts[0]
@@ -237,7 +270,7 @@ def _cmd_wreath(args) -> int:
     ctx = build_block_context(group, system, args.window)
     if args.action == "embed":
         if args.word:
-            elements = [parse_word(w, group.n) for w in args.word]
+            elements = [_parse_word(w, group.n) for w in args.word]
         else:
             elements = list(group.generators)
         embedded = [kk_embed(e, ctx) for e in elements]

@@ -372,7 +372,12 @@ def _image_table(g: HoughtonElement, depth: int) -> tuple:
     table = []
     for ray, shift in enumerate(g.t):
         base = ray * depth
-        table.extend(base + pos + shift if pos + shift < depth else -1 for pos in range(depth))
+        if shift >= 0:
+            table.extend(range(base + shift, base + depth))
+            table.extend([-1] * min(shift, depth))
+        else:
+            # the first -shift positions are head points, set below
+            table.extend(range(base + shift, base + depth + shift))
     for p, q in g._items:
         if p.pos < depth:
             image = (q.ray - 1) * depth + q.pos if q.pos < depth else -1

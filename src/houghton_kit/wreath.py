@@ -93,14 +93,6 @@ class BlockContext:
             raise InconclusiveError(f"class of {qpoint} is outside the verified window")
         return self.quotient.classes[k]
 
-    def transversal_points(self, qpoint):
-        """The class in transversal order (sorted, then any twist applied)."""
-        pts = self.class_points(qpoint)
-        twist = self._twists.get(qpoint)
-        if twist is None:
-            return pts
-        return tuple(pts[i] for i in twist)
-
 
 def build_block_context(group: GeneratedSubgroup, system: BlockSystem, depth: int) -> BlockContext:
     return BlockContext(group, build_quotient(group, system, depth))
@@ -207,29 +199,44 @@ def kk_embed(g: HoughtonElement, ctx: BlockContext) -> MultiWreathElement:
 
     Head: the induced quotient permutation.  Base at a class: the rank
     permutation obtained by following the element from the class to its
-    image and reading positions through the transversal order; classes on
-    which the element is order preserving contribute nothing.
+    image and reading positions through the transversal order (the sorted
+    class, then any twist of the context); classes on which the element is
+    order preserving contribute nothing.  As in ``partial_action``, a class
+    with an image past the closure window is skipped even if its other
+    images fall in two classes, and raises DomainError otherwise; a skipped
+    class below the element's threshold makes the result inconclusive.
     """
     q = ctx.quotient
     if g.threshold > q.window_depth:
         raise InconclusiveError(
             "element head region exceeds the verified window", hint=g.threshold
         )
-    partial = q.partial_action(g)
-    head = infer_eventual_translation(partial, q.n, q._known_ranks)
-    for k, cls in enumerate(q.classes):
-        if cls[0].pos < g.threshold and q.quotient_points[k] not in partial:
-            raise InconclusiveError(
-                f"image of class {cls[0]} is outside the verified window"
-            )
+    _same_rays(g, q.n)
+    qps, twists = q.quotient_points, ctx._twists
+    partial = {}
     base = []
-    for qp, target in partial.items():
-        src = ctx.transversal_points(qp)
-        dst = ctx.transversal_points(target)
-        pos = {p: i for i, p in enumerate(dst)}
-        value = tuple(pos[g._image(p)] for p in src)
-        if not _is_id(value):
-            base.append((qp, value))
+    skipped = None  # the first class below the threshold whose image is unknown
+    for k, acted in enumerate(q._act(g)):
+        if acted is None:
+            if skipped is None and q.classes[k][0].pos < g.threshold:
+                skipped = q.classes[k][0]
+            continue
+        target, value = acted
+        partial[qps[k]] = qps[target]
+        if twists:
+            # transversal position i holds sorted rank src[i]; sorted rank r
+            # sits at transversal position dst^-1[r]
+            src, dst = twists.get(qps[k]), twists.get(qps[target])
+            if src is not None:
+                value = tuple(value[i] for i in src)
+            if dst is not None:
+                dst_inv = _inv(dst)
+                value = tuple(dst_inv[r] for r in value)
+        if value != tuple(range(len(value))):
+            base.append((qps[k], value))
+    head = infer_eventual_translation(partial, q.n, q._known_ranks)
+    if skipped is not None:
+        raise InconclusiveError(f"image of class {skipped} is outside the verified window")
     return MultiWreathElement(ctx, tuple(base), head)
 
 

@@ -215,6 +215,20 @@ def test_quotient_of_pair_blocks():
     assert q.induced[2] == transposition(2, (1, 0), (1, 1))
 
 
+@pytest.mark.parametrize(
+    "point",
+    [(3, 0), (1, 42), (1, 20)],
+    ids=["ray-n-plus-1", "past-the-closure-window", "class-crossing-the-depth"],
+)
+def test_class_index_of_is_none_off_the_kept_classes(point):
+    # at depth 21 the closure window has depth 42, and the class
+    # {(1:20), (1:21)} crosses the depth, so it is not kept
+    q = quotient(pair_preserving_group(), pair_blocks(), depth=21)
+    assert q.class_index_of(RayPoint(*point)) is None
+    k = q.class_index_of(RayPoint(1, 19))
+    assert q.classes[k] == (RayPoint(1, 18), RayPoint(1, 19))
+
+
 def test_quotient_translation_lattice_is_full():
     group = pair_preserving_group()
     q = quotient(group, pair_blocks(), depth=60)

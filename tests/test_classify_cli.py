@@ -208,6 +208,51 @@ def test_cli_classify_json(tmp_path, capsys):
     assert data["orbit_summary"]["class_count"] == 2
 
 
+def transposition_file(tmp_path, pos, name="far.json"):
+    """(1:0 1:pos) as an element file: head position pos, threshold pos + 1."""
+    path = tmp_path / name
+    path.write_text(json.dumps(transposition(2, (1, 0), (1, pos)).to_json_dict()))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["element", "parse", "--file", "FAR"],
+        ["subgroup", "lattice", "--subgroup", "GROUP"],
+        ["element", "parse", "--n", "2", "--word", "g2^100001"],
+        ["element", "parse", "--n", "2", "--word", "(1:0 1:1)^-100001"],
+        ["element", "compose", "--n", "2", "--word", "g2 * (1:100001 2:0)"],
+        ["wreath", "embed", "--subgroup", "DELTA", "--blocks", "BLOCKS", "--word", "(1:0 1:100001)"],
+    ],
+    ids=["element-file", "subgroup-file", "exponent", "negative-exponent", "cycle", "wreath"],
+)
+def test_cli_input_past_the_position_bound_exits_2(tmp_path, capsys, argv):
+    # threshold 10^5 + 1 (head position 10^5); exponents and positions 10^5 + 1
+    far = transposition_file(tmp_path, 10**5)
+    group = write_subgroup(
+        tmp_path, GeneratedSubgroup.from_elements(2, [transposition(2, (1, 0), (1, 10**5))])
+    )
+    delta = write_subgroup(tmp_path, delta_k(3, 2), "delta.json")
+    blocks = tmp_path / "blocks.json"
+    blocks.write_text(json.dumps([[[1, 0]], [[1, 1]]]))
+    paths = {"FAR": far, "GROUP": group, "DELTA": delta, "BLOCKS": str(blocks)}
+    assert cli_main([paths.get(a, a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "above the command-line bound 100000" in captured.err
+
+
+def test_cli_input_at_the_position_bound_is_accepted(tmp_path, capsys):
+    # threshold exactly 10^5, a cycle position and an exponent of exactly 10^5
+    at = transposition_file(tmp_path, 10**5 - 1)
+    assert cli_main(["--json", "element", "parse", "--file", at]) == 0
+    assert json.loads(capsys.readouterr().out)["threshold"] == 10**5
+    word = "(1:0 1:1)^100000 * (1:0 1:100000)"
+    assert cli_main(["--json", "element", "parse", "--n", "2", "--word", word]) == 0
+    assert json.loads(capsys.readouterr().out)["threshold"] == 10**5 + 1
+
+
 def test_cli_invalid_input_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"n": 2, "t": [1, 0], "threshold": 0, "head": []}))
