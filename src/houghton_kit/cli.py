@@ -42,8 +42,11 @@ from .wreath import build_block_context, kk_embed, verify_kk
 
 
 # Largest threshold, head position, word exponent and cycle position the
-# command line accepts: element work grows with them (window tables, powers),
-# so input past it is rejected up front.  The library itself is unbounded.
+# command line accepts.  Element work still grows with them: the window trace
+# behind `element cycles`' window_checked covers n * (threshold + 3 max|t_i|)
+# points, the finite cycles it lists can be as long, and word powers grow with
+# the exponent.  So input past it is rejected up front.  The library itself
+# is unbounded.
 POSITION_BOUND = 10**5
 
 _WORD_EXPONENT = re.compile(r"\^(-?\d+)")
@@ -429,10 +432,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def cli_main(argv=None) -> int:
-    parser = build_parser()
+    # parse_args keeps no state between calls, so one parser serves them all;
+    # it is built on the first call, not at import
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

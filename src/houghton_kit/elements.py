@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -226,15 +227,33 @@ class HoughtonElement:
         """Parse and validate; rejects non-canonical input.
 
         Every invariant is checked and a violation raises
-        InvalidElementError naming the failed invariant.
+        InvalidElementError naming the failed invariant.  Numbers must be
+        ints (not floats, strings or booleans) and each head entry a pair of
+        [ray, pos] pairs; anything else is a ``format`` error naming the field.
         """
-        try:
-            n = int(data["n"])
-            t = [int(x) for x in data["t"]]
-            threshold = int(data["threshold"])
-            head = [(tuple(p), tuple(q)) for p, q in data["head"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidElementError("format", f"malformed element data: {exc}") from None
+        if not isinstance(data, dict):
+            raise InvalidElementError("format", "element data must be a JSON object")
+        for key in ("n", "t", "threshold", "head"):
+            if key not in data:
+                raise InvalidElementError("format", f"element field {key!r} is missing")
+        n, t, threshold, head = data["n"], data["t"], data["threshold"], data["head"]
+        if type(n) is not int:
+            raise InvalidElementError("format", f"element field 'n' must be an integer, not {n!r}")
+        if not _is_int_list(t):
+            raise InvalidElementError("format", f"element field 't' must be a list of integers, not {t!r}")
+        if type(threshold) is not int:
+            raise InvalidElementError(
+                "format", f"element field 'threshold' must be an integer, not {threshold!r}"
+            )
+        if not isinstance(head, (list, tuple)):
+            raise InvalidElementError("format", f"element field 'head' must be a list, not {head!r}")
+        for entry in head:
+            if not (isinstance(entry, (list, tuple)) and len(entry) == 2
+                    and all(_is_int_list(p) and len(p) == 2 for p in entry)):
+                raise InvalidElementError(
+                    "format", f"element field 'head' has {entry!r}, not a pair of [ray, pos] pairs"
+                )
+        head = [(tuple(p), tuple(q)) for p, q in head]
         elt = cls(n, t, head)
         if len(elt._items) != len(head):
             raise InvalidElementError(
@@ -246,6 +265,10 @@ class HoughtonElement:
                 f"threshold {threshold} is not minimal (expected {elt.threshold})",
             )
         return elt
+
+
+def _is_int_list(value) -> bool:
+    return isinstance(value, (list, tuple)) and all(type(x) is int for x in value)
 
 
 def _off_translation(t: tuple, head: dict) -> dict:
@@ -337,29 +360,75 @@ def _finite_cycles(g: HoughtonElement):
 
     Pure translation steps never change ray and move monotonically, so a
     cycle that avoids the head table entirely cannot close up.
+
+    Run lemma: off the head, ray i acts by pos -> pos + t_i, so an orbit that
+    leaves the head at (i, p) runs through p, p + t_i, p + 2 t_i, ... inside
+    one residue class mod |t_i| until it meets the next head point of that
+    class in the direction of t_i.  If t_i > 0 and no such point lies ahead,
+    every later step is a translation and the orbit escapes.  If t_i < 0, a
+    valid element has every position below -t_i in its head, so a stop always
+    lies below; and with t_i = 0 a point off the head is fixed, so a
+    bijection never reaches it from the head.
+
+    So the walk indexes the head once by (ray, pos mod |t_i|) and finds each
+    stop by bisection.  An orbit that reaches a head point of an escaping
+    orbit escapes with it.  An escaping orbit costs O(log |head|) per run; a
+    finite cycle costs the points it lists, built from ranges.  Revisiting a
+    head point, listing a point twice, or stepping where a bijection cannot
+    go raises AssertionError.
     """
-    seen: set[RayPoint] = set()
+    head, t = g._head, g.t
+    stops: dict[tuple[int, int], list[int]] = {}
+    for p, _ in g._items:
+        step = t[p.ray - 1]
+        if step:
+            stops.setdefault((p.ray, p.pos % abs(step)), []).append(p.pos)
+    in_cycle: set[RayPoint] = set()
+    escaping: set[RayPoint] = set()
     cycles = []
     for start, img in g._items:
-        if start in seen or img == start:
+        if start in in_cycle or start in escaping or img == start:
             continue
-        orbit = [start]
-        orbit_set = {start}
-        p = g._image(start)
+        visited = {start}
+        runs = [(start.ray, range(start.pos, start.pos + 1))]
+        p = img
         escaped = False
         while p != start:
-            if p.pos >= g.threshold and g.t[p.ray - 1] > 0:
-                escaped = True
-                break
-            if p in orbit_set:
-                raise AssertionError("orbit re-entered off its start; not a bijection")
-            orbit.append(p)
-            orbit_set.add(p)
-            p = g._image(p)
-        seen.update(orbit_set)
-        if not escaped:
-            k = orbit.index(min(orbit))
-            cycles.append(tuple(orbit[k:] + orbit[:k]))
+            if p in head:
+                if p in escaping:
+                    escaped = True
+                    break
+                if p in visited or p in in_cycle:
+                    raise AssertionError("orbit re-entered off its start; not a bijection")
+                visited.add(p)
+                runs.append((p.ray, range(p.pos, p.pos + 1)))
+                p = head[p]
+                continue
+            ray, pos = p
+            step = t[ray - 1]
+            if not step:
+                raise AssertionError(f"orbit reaches {p}, fixed off the head; not a bijection")
+            line = stops.get((ray, pos % abs(step)), ())
+            if step > 0:
+                k = bisect_right(line, pos)
+                if k == len(line):
+                    escaped = True
+                    break
+            else:
+                k = bisect_left(line, pos) - 1
+                if k < 0:
+                    raise AssertionError(f"orbit runs down from {p} past position 0; not a bijection")
+            runs.append((ray, range(pos, line[k], step)))
+            p = RayPoint(ray, line[k])
+        if escaped:
+            escaping.update(visited)
+            continue
+        orbit = [RayPoint(ray, pos) for ray, run in runs for pos in run]
+        if len(set(orbit)) != len(orbit):
+            raise AssertionError("orbit re-entered off its start; not a bijection")
+        in_cycle.update(visited)
+        k = orbit.index(min(orbit))
+        cycles.append(tuple(orbit[k:] + orbit[:k]))
     cycles.sort(key=lambda c: c[0])
     return tuple(cycles)
 

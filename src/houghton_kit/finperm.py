@@ -297,18 +297,6 @@ class FinitePermGroup:
         root = roots[self._index[p]]
         return frozenset(x for x, r in zip(self.domain, roots) if r == root)
 
-    def restriction(self, points: Sequence) -> "FinitePermGroup":
-        """Image of the group acting on an invariant subset."""
-        pts = tuple(points)
-        idx = set(pts)
-        gens = []
-        for g in self.gens:
-            img = {p: self.domain[g[self._index[p]]] for p in pts}
-            if any(v not in idx for v in img.values()):
-                raise DomainError("subset is not invariant")
-            gens.append(img)
-        return FinitePermGroup(pts, gens)
-
 
 # -- invariant partitions ------------------------------------------------------
 

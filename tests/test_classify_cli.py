@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from houghton_kit import cli
 from houghton_kit.classify import classify
 from houghton_kit.cli import cli_main
 from houghton_kit.elements import from_cycles, generator, houghton_generators, transposition
@@ -262,6 +263,67 @@ def test_cli_invalid_input_exit_2(tmp_path, capsys):
     assert cli_main(["element", "parse", "--word", "h1", "--n", "2"]) == 2
     assert cli_main(["nonsense"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("n", 2.5), ("n", "2"), ("t", [1.5, -1.5]), ("threshold", 1.9), ("head", [[[2, 0, 7], [1, 0]]])],
+    ids=["n-float", "n-string", "t-floats", "threshold-float", "head-triple"],
+)
+def test_cli_element_parse_rejects_non_int_fields(tmp_path, capsys, field, value):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({**generator(2, 2).to_json_dict(), field: value}))
+    assert cli_main(["element", "parse", "--file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"'{field}'" in captured.err
+
+
+def test_cli_append_lists_do_not_leak_between_calls(tmp_path, capsys):
+    paths = []
+    for j in (2, 3):
+        path = tmp_path / f"g{j}.json"
+        path.write_text(generator(3, j).to_json())
+        paths.append(str(path))
+    assert cli_main(["element", "compose", "--file", paths[0], "--file", paths[1]]) == 0
+    capsys.readouterr()
+    assert cli_main(["--json", "element", "compose", "--file", paths[1]]) == 0
+    assert json.loads(capsys.readouterr().out)["t"] == [1, 0, -1]
+    assert cli_main(["element", "compose", "--n", "3", "--word", "g2", "--word", "g3"]) == 0
+    capsys.readouterr()
+    assert cli_main(["--json", "element", "compose", "--n", "3", "--word", "g3^2"]) == 0
+    assert json.loads(capsys.readouterr().out)["t"] == [2, 0, -2]
+    assert cli_main(["element", "compose"]) == 2
+    assert "nothing to compose" in capsys.readouterr().err
+
+
+def test_cli_call_after_a_parse_error_matches_a_fresh_call(tmp_path, capsys, monkeypatch):
+    path = write_subgroup(tmp_path, delta_k(3, 2))
+    argv = ["--json", "subgroup", "lattice", "--subgroup", path]
+    monkeypatch.setattr(cli, "_parser", None)
+    assert cli_main(argv) == 0
+    fresh = capsys.readouterr()
+    for bad in (["subgroup", "lattice"], ["element", "spin"], ["--window", "3"]):
+        assert cli_main(bad) == 2
+        assert capsys.readouterr().out == ""
+        assert cli_main(argv) == 0
+        assert capsys.readouterr() == fresh
+
+
+def test_cli_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    build, built = cli.build_parser, []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    monkeypatch.setattr(cli, "_parser", None)
+    path = write_subgroup(tmp_path, delta_k(3, 2))
+    for argv in (
+        ["subgroup", "hirsch", "--subgroup", path],
+        ["nonsense"],
+        ["--json", "subgroup", "lattice", "--subgroup", path],
+        ["element", "parse", "--word", "g2", "--n", "2"],
+    ):
+        cli_main(argv)
+    capsys.readouterr()
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize(

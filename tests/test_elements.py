@@ -300,6 +300,31 @@ def test_json_rejects_malformed():
         HoughtonElement.from_json_dict({"n": 2})
 
 
+def _malformed(field, value, n=2):
+    g = generator(2, 2) if n == 2 else from_cycles(1, [[(1, 0), (1, 1)]])
+    return {**g.to_json_dict(), field: value}
+
+
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        (_malformed("n", 2.5), "'n'"),
+        (_malformed("n", "2"), "'n'"),
+        (_malformed("n", True, n=1), "'n'"),
+        (_malformed("t", [1.5, -1.5]), "'t'"),
+        (_malformed("threshold", 1.9), "'threshold'"),
+        (_malformed("head", [[[2, 0, 7], [1, 0]]]), "'head'"),
+    ],
+    ids=["n-float", "n-string", "n-true", "t-floats", "threshold-float", "head-triple"],
+)
+def test_json_rejects_non_int_fields_naming_the_field(data, field):
+    # each of these used to be coerced to a valid element
+    with pytest.raises(InvalidElementError) as exc:
+        HoughtonElement.from_json_dict(data)
+    assert exc.value.invariant == "format"
+    assert field in str(exc.value)
+
+
 def test_element_constructor_rejects_negative_translation_target():
     with pytest.raises(InvalidElementError) as exc:
         HoughtonElement(2, (2, -2), {RayPoint(2, 0): RayPoint(1, 0)})

@@ -1,15 +1,31 @@
-"""Element validation and the trusted constructor against reference code.
+"""Element validation, the trusted constructor and the cycle walk against
+reference code.
 
 ``quadratic_bijection_check`` is the original O(n * threshold) validator: it
 walks every point below the threshold and compares the image set with the
 per-ray target segments.  The linear-time validator must accept and reject
 exactly the same inputs, and products, inverses and powers built without
 validation must equal the validated construction from the same data.
+
+``stepwise_finite_cycles`` is the original cycle walk, one point per step.
+The walk that jumps over translation runs must list the same cycles, point
+for point and in the same order.
 """
 
 import random
 
-from houghton_kit.elements import HoughtonElement, _threshold, random_element, transposition
+import pytest
+
+from houghton_kit.elements import (
+    HoughtonElement,
+    _finite_cycles,
+    _threshold,
+    from_cycles,
+    generator,
+    identity,
+    random_element,
+    transposition,
+)
 from houghton_kit.errors import DomainError, InvalidElementError
 from houghton_kit.rays import RayPoint
 
@@ -162,3 +178,111 @@ def test_parsing_a_far_transposition_is_linear_in_the_head():
     back = HoughtonElement.from_json_dict(g.to_json_dict())
     assert back == g
     assert back.apply((2, far)) == RayPoint(1, 0)
+
+
+def stepwise_finite_cycles(g):
+    seen = set()
+    cycles = []
+    for start, img in g.head:
+        if start in seen or img == start:
+            continue
+        orbit = [start]
+        orbit_set = {start}
+        p = g._image(start)
+        escaped = False
+        while p != start:
+            if p.pos >= g.threshold and g.t[p.ray - 1] > 0:
+                escaped = True
+                break
+            if p in orbit_set:
+                raise AssertionError("orbit re-entered off its start; not a bijection")
+            orbit.append(p)
+            orbit_set.add(p)
+            p = g._image(p)
+        seen.update(orbit_set)
+        if not escaped:
+            k = orbit.index(min(orbit))
+            cycles.append(tuple(orbit[k:] + orbit[:k]))
+    cycles.sort(key=lambda c: c[0])
+    return tuple(cycles)
+
+
+def scramble_over_translation(rng, n, threshold):
+    """Cycles on points above the translation head, then a translation with |t_i| <= 3.
+
+    Scramble points sit in few residue classes, so that orbits leave the
+    head into long runs, come back in another class or escape.
+    """
+    t = [0] * n
+    trans = identity(n)
+    for j in range(2, n + 1):
+        k = rng.randint(-3, 3)
+        if abs(t[0] + k) <= 3:
+            t[0] += k
+            trans = trans.compose(generator(n, j) ** -k)
+    positions = range(3, threshold)
+    pts = {(rng.randint(1, n), threshold - 1)}
+    while len(pts) < rng.randint(2, 7):
+        pos = rng.choice(positions) if rng.random() < 0.5 else 3 + rng.randrange(6)
+        pts.add((rng.randint(1, n), pos))
+    pts = list(pts)
+    rng.shuffle(pts)
+    cut = rng.randint(1, len(pts))
+    cycles = [c for c in (pts[:cut], pts[cut:]) if len(c) > 1]
+    return from_cycles(n, cycles).compose(trans) if cycles else trans
+
+
+def walk_cases():
+    rng = random.Random(2026)
+    for threshold in (10, 31, 100, 316, 1000, 3162, 10**4):
+        for _ in range(20):
+            yield scramble_over_translation(rng, rng.randint(2, 5), threshold)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        g = random_element(n, head_budget=rng.randint(0, 8), t_bound=3, seed=rng)
+        h = random_element(n, head_budget=rng.randint(0, 8), t_bound=3, seed=rng)
+        yield g
+        yield g.compose(h)
+        yield g.compose(h).compose(g.inverse())
+        yield g ** rng.choice((-3, -2, 2, 3))
+
+
+def test_jumping_walk_lists_the_stepwise_cycles_exactly():
+    long_runs = escapes = finite = 0
+    for g in walk_cases():
+        got = _finite_cycles(g)
+        assert got == stepwise_finite_cycles(g)
+        finite += len(got)
+        long_runs += any(len(c) > 50 for c in got)
+        escapes += any(g._image(p).pos >= g.threshold for p, _ in g.head)
+    assert finite > 300 and long_runs > 20 and escapes > 200
+
+
+@pytest.mark.parametrize(
+    "t, head",
+    [
+        # (1, 0) -> (1, 1), which is off the head and fixed
+        ((0, 0), {(1, 0): (1, 1)}),
+        # (1, 0) and (1, 1) share the image (1, 2)
+        ((0, 0), {(1, 0): (1, 2), (1, 1): (1, 2), (1, 2): (1, 0)}),
+        # the run from (1, 0) up to the head point (1, 3) is also the image of (2, 0)
+        ((1, -1), {(1, 3): (1, 0), (2, 0): (1, 0)}),
+        # the run up from (1, 2) stops at (1, 4), whose image re-enters the run
+        ((1, -1), {(1, 0): (1, 2), (1, 4): (1, 3)}),
+    ],
+    ids=["fixed-off-head", "shared-head-image", "run-hit-twice", "run-re-entered"],
+)
+def test_walk_rejects_non_bijections_like_the_stepwise_walk(t, head):
+    g = HoughtonElement._trusted(len(t), t, {RayPoint(*p): RayPoint(*q) for p, q in head.items()})
+    with pytest.raises(AssertionError):
+        stepwise_finite_cycles(g)
+    with pytest.raises(AssertionError):
+        _finite_cycles(g)
+
+
+def test_walk_rejects_a_run_below_position_0():
+    # (2, 5) runs down ray 2 with no head point below it; the stepwise walk
+    # would never stop here
+    g = HoughtonElement._trusted(2, (1, -1), {RayPoint(1, 0): RayPoint(2, 5)})
+    with pytest.raises(AssertionError):
+        _finite_cycles(g)
