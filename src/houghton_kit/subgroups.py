@@ -31,7 +31,12 @@ from .rays import RayPoint, RaySystem
 
 @dataclass(frozen=True)
 class GeneratedSubgroup:
-    """A subgroup given by a finite list of generating elements."""
+    """A subgroup given by a finite list of generating elements.
+
+    Equality compares every field; the hash is computed once, from the ray
+    count and the generators, because the window caches look groups up on
+    every call.
+    """
 
     n: int
     generators: tuple
@@ -43,6 +48,10 @@ class GeneratedSubgroup:
                 raise DomainError("generators must share the ray count")
         if self.labels and len(self.labels) != len(self.generators):
             raise DomainError("labels must match generators one to one")
+        object.__setattr__(self, "_hash", hash((self.n, self.generators)))
+
+    def __hash__(self):
+        return self._hash
 
     @classmethod
     def from_elements(cls, n: int, gens: Iterable[HoughtonElement]):

@@ -57,6 +57,10 @@ class BlockContext:
         if any(b is None for b in self.block_of_orbit):
             raise DomainError("an orbit of classes carries no block")
         self.single_orbit = orbit_count == 1
+        # the work phi_s_descent shares across descents over this context:
+        # kernel element -> kk_embed, and group -> _DescentTables
+        self._kernel_kk = {}
+        self._descent_tables = {}
 
     def _compute_orbits(self, structure) -> dict:
         pairs = []
@@ -440,6 +444,50 @@ def _conjugator_candidates(group: GeneratedSubgroup, images):
             yield w, wq
 
 
+class _DescentTables:
+    """The group-level work of ``phi_s_descent`` over one block context.
+
+    Built on a context's first descent with a group and kept on the context:
+    the quotient images of the symmetric generators (as ``bounded_words``
+    takes them), one lazily extended list of ``_conjugator_candidates``, and
+    the memo of conjugated kernel elements with their embeddings.
+    """
+
+    def __init__(self, group: GeneratedSubgroup, ctx: BlockContext):
+        letters = [ctx.quotient.induce(g) for g in group.generators]
+        letters += [e.inverse() for e in letters]
+        self.images = (houghton_identity(ctx.n), letters)
+        self._candidate_stream = _conjugator_candidates(group, self.images)
+        self._candidates = []
+        self._conjugates = {}  # (candidate index, f) -> (c^-1 f c, its embedding) or None
+
+    def candidates(self):
+        """(index, c, cq) in ``_conjugator_candidates`` order."""
+        k = 0
+        while True:
+            if k == len(self._candidates):
+                nxt = next(self._candidate_stream, None)
+                if nxt is None:
+                    return
+                self._candidates.append(nxt)
+            yield (k, *self._candidates[k])
+            k += 1
+
+    def conjugate(self, ctx: BlockContext, k: int, c: HoughtonElement, f: HoughtonElement):
+        """(c^-1 f c, its embedding) for candidate k, or None if the embedding
+        is inconclusive."""
+        key = (k, f)
+        if key in self._conjugates:
+            return self._conjugates[key]
+        h = c.inverse().compose(f).compose(c)
+        try:
+            got = h, kk_embed(h, ctx)
+        except InconclusiveError:
+            got = None
+        self._conjugates[key] = got
+        return got
+
+
 def phi_s_descent(
     alpha: MultiWreathElement,
     group: GeneratedSubgroup,
@@ -453,16 +501,30 @@ def phi_s_descent(
     conjugated kernel element whose embedded support stays inside S plus the
     class being cleared; the off-S support size strictly decreases at every
     step.
+
+    Every descent over one context shares its group-level work: the kernel
+    elements' embeddings, and per group (by equality) the quotient letters,
+    the conjugator candidates and the conjugated kernel elements
+    (``_DescentTables``).  The tables live as long as the context.  The
+    20000-word cap of the candidate enumeration bounds the candidate table;
+    the memos hold one entry per kernel element, and per candidate and kernel
+    element, that a descent has used.  The head's word search runs afresh on
+    every descent.
     """
     kernel_elements = list(kernel_elements)
-    kk_kernel = [kk_embed(f, ctx) for f in kernel_elements]
+    kk_kernel = []
+    for f in kernel_elements:
+        kf = ctx._kernel_kk.get(f)
+        if kf is None:
+            kf = ctx._kernel_kk[f] = kk_embed(f, ctx)
+        kk_kernel.append(kf)
     supports = [set(k.support()) for k in kk_kernel]
     big_s = set().union(*supports) if supports else set()
+    tables = ctx._descent_tables.get(group)
+    if tables is None:
+        tables = ctx._descent_tables[group] = _DescentTables(group, ctx)
     witness = None
-    letters = [ctx.quotient.induce(g) for g in group.generators]
-    letters += [e.inverse() for e in letters]
-    images = (houghton_identity(ctx.n), letters)
-    for _, w, wq in bounded_words(group, 10, cap=20000, images=images):
+    for _, w, wq in bounded_words(group, 10, cap=20000, images=tables.images):
         if wq == alpha.head:
             witness = w
             break
@@ -477,20 +539,19 @@ def phi_s_descent(
     measure = len(set(psi.support()) - big_s)
     while measure:
         target = min(set(psi.support()) - big_s)
+        allowed = big_s | {target}
         cleared = False
-        for c, cq in _conjugator_candidates(group, images):
-            moved_s = {cq._image(qp) for qp in big_s}
-            if not moved_s <= big_s | {target}:
+        for k, c, cq in tables.candidates():
+            if not all(cq._image(qp) in allowed for qp in big_s):
                 continue
             for f, kf in zip(kernel_elements, kk_kernel):
-                if not {cq._image(qp) for qp in kf.support()} <= big_s | {target}:
+                if not all(cq._image(qp) in allowed for qp in kf.support()):
                     continue
-                h = c.inverse().compose(f).compose(c)
-                try:
-                    kh = kk_embed(h, ctx)
-                except InconclusiveError:
+                got = tables.conjugate(ctx, k, c, f)
+                if got is None:
                     continue
-                if not set(kh.support()) <= big_s | {target}:
+                h, kh = got
+                if not set(kh.support()) <= allowed:
                     continue
                 if kh.base_value(target) != psi.base_value(target):
                     continue

@@ -273,6 +273,19 @@ def test_a_certificate_deeper_than_four_windows_is_not_built():
     assert _orbit_certificate.cache_info().misses == misses
 
 
+def test_equal_groups_built_apart_share_one_certificate():
+    # the cached hash keeps equality: a second, equal group object is a hit
+    group, twin = delta_k(4, 3), delta_k(4, 3)
+    assert group is not twin and group == twin and hash(group) == hash(twin)
+    _orbit_certificate(group)
+    before = _orbit_certificate.cache_info()
+    assert _orbit_certificate(twin) is _orbit_certificate(group)
+    after = _orbit_certificate.cache_info()
+    assert (after.hits, after.misses, after.currsize) == (
+        before.hits + 2, before.misses, before.currsize
+    )
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_pair_closure_stops_exactly_past_the_cap(seed):
     rng = random.Random(200 + seed)

@@ -12,6 +12,13 @@ The elements are seeded group words (which preserve the congruence), seeded
 class point just inside, exactly onto and just past the closure window's edge;
 a class whose images partly leave the window is skipped even when the images
 that stay fall in two classes.
+
+``reference_descent`` is ``phi_s_descent`` before its group-level work was
+shared: it rebuilds the quotient letters, the head-match enumeration, the
+conjugator candidates and every conjugated kernel element's embedding on each
+call.  ``wreath.phi_s_descent``, which keeps that work on the context, must
+return the same ``DescentResult`` whatever the contexts, groups, kernels and
+order of the descents before it.
 """
 
 import random
@@ -24,16 +31,24 @@ from houghton_kit.blocks import (
     congruence_classes,
     infer_eventual_translation,
 )
-from houghton_kit.elements import from_cycles, generator, random_element, transposition
+from houghton_kit.elements import (
+    from_cycles,
+    generator,
+    identity,
+    random_element,
+    transposition,
+)
 from houghton_kit.errors import DomainError, InconclusiveError
 from houghton_kit.finperm import _is_id
 from houghton_kit.rays import RayPoint
-from houghton_kit.subgroups import GeneratedSubgroup, delta_k
+from houghton_kit.subgroups import GeneratedSubgroup, bounded_words, delta_k
 from houghton_kit.wreath import (
     BlockContext,
+    DescentResult,
     MultiWreathElement,
     build_block_context,
     kk_embed,
+    phi_s_descent,
     random_words,
 )
 
@@ -266,3 +281,220 @@ def test_class_index_of_matches_the_scan(label):
     points = [RayPoint(ray, pos) for ray in range(1, q.n + 2) for pos in range(edge + 2)]
     for p in points:
         assert q.class_index_of(p) == ref.class_index_of(p), p
+
+
+# -- coset descent against the uncached reference ------------------------------------
+
+
+def reference_candidates(group, images):
+    """Class movers, cheapest first: generator powers, pairs of powers, short words."""
+    budget = 10
+    seen = set()
+    gens = group.symmetric_generators()
+    quotient_identity, letters = images
+    powers = [[(identity(group.n), quotient_identity)] for _ in gens]
+    for i, (g, gq) in enumerate(zip(gens, letters)):
+        for _ in range(budget):
+            w, wq = powers[i][-1]
+            powers[i].append((w.compose(g), wq.compose(gq)))
+    for i in range(len(gens)):
+        for k in range(budget + 1):
+            w, wq = powers[i][k]
+            if w not in seen:
+                seen.add(w)
+                yield w, wq
+    for i in range(len(gens)):
+        for j in range(len(gens)):
+            if i == j:
+                continue
+            for a in range(1, budget + 1):
+                for b in range(1, budget + 1 - a):
+                    w = powers[i][a][0].compose(powers[j][b][0])
+                    if w in seen:
+                        continue
+                    seen.add(w)
+                    yield w, powers[i][a][1].compose(powers[j][b][1])
+    for _, w, wq in bounded_words(group, 4, cap=20000, images=images):
+        if w not in seen:
+            seen.add(w)
+            yield w, wq
+
+
+def reference_descent(alpha, group, ctx, kernel_elements):
+    kernel_elements = list(kernel_elements)
+    kk_kernel = [kk_embed(f, ctx) for f in kernel_elements]
+    supports = [set(k.support()) for k in kk_kernel]
+    big_s = set().union(*supports) if supports else set()
+    witness = None
+    letters = [ctx.quotient.induce(g) for g in group.generators]
+    letters += [e.inverse() for e in letters]
+    images = (identity(ctx.n), letters)
+    for _, w, wq in bounded_words(group, 10, cap=20000, images=images):
+        if wq == alpha.head:
+            witness = w
+            break
+    if witness is None:
+        return DescentResult(
+            "inconclusive", None, None, (), "no word matches the head within the budget"
+        )
+    psi = alpha.multiply(kk_embed(witness, ctx).inverse())
+    if not psi.head.is_identity():
+        raise AssertionError("head did not cancel after the word match")
+    steps = []
+    measure = len(set(psi.support()) - big_s)
+    while measure:
+        target = min(set(psi.support()) - big_s)
+        cleared = False
+        for c, cq in reference_candidates(group, images):
+            moved_s = {cq._image(qp) for qp in big_s}
+            if not moved_s <= big_s | {target}:
+                continue
+            for f, kf in zip(kernel_elements, kk_kernel):
+                if not {cq._image(qp) for qp in kf.support()} <= big_s | {target}:
+                    continue
+                h = c.inverse().compose(f).compose(c)
+                try:
+                    kh = kk_embed(h, ctx)
+                except InconclusiveError:
+                    continue
+                if not set(kh.support()) <= big_s | {target}:
+                    continue
+                if kh.base_value(target) != psi.base_value(target):
+                    continue
+                nxt = psi.multiply(kh.inverse())
+                nxt_measure = len(set(nxt.support()) - big_s)
+                if nxt_measure >= measure:
+                    continue
+                psi = nxt
+                witness = h.compose(witness)
+                steps.append((target, kernel_elements.index(f), nxt_measure))
+                measure = nxt_measure
+                cleared = True
+                break
+            if cleared:
+                break
+        if not cleared:
+            return DescentResult(
+                "inconclusive",
+                psi,
+                witness,
+                tuple(steps),
+                f"no conjugated kernel element clears {target} within the budget",
+            )
+    return DescentResult("ok", psi, witness, tuple(steps))
+
+
+PAIR = BlockSystem.from_lists([[(1, 0), (1, 1)]])
+TRIPLE = BlockSystem.from_lists([[(1, 0), (1, 1), (1, 2)]])
+
+
+def alphas(ctx, group, count, seed, values):
+    """Seeded kk(word) times a base of one to three off classes near the origin."""
+    rng = random.Random(seed)
+    near = [qp for qp in ctx.quotient.quotient_points if 1 <= qp.pos <= 6]
+    out = []
+    for _ in range(count):
+        g = random_words(group, 1, 3, rng)[0]
+        offs = rng.sample(near, rng.randint(1, 3))
+        base = tuple((qp, rng.choice(values)) for qp in offs)
+        out.append(kk_embed(g, ctx).multiply(MultiWreathElement(ctx, base, identity(ctx.n))))
+    return out
+
+
+def assert_descents_match(runs):
+    """Run (alpha, group, ctx, kernel) descents in order against the reference."""
+    statuses = set()
+    for alpha, group, ctx, kernel in runs:
+        want = outcome(reference_descent, alpha, group, ctx, kernel)
+        assert outcome(phi_s_descent, alpha, group, ctx, kernel) == want, alpha.to_json_dict()
+        statuses.add(want[1].status if want[0] == "ok" else want[0])
+    return statuses
+
+
+def test_descent_on_a_fresh_context_matches_the_reference():
+    group = pair_group()
+    runs = []
+    for seed in range(6):
+        ctx = build_block_context(group, PAIR, 60)
+        (alpha,) = alphas(ctx, group, 1, seed, [(1, 0)])
+        runs.append((alpha, group, ctx, [group.generators[1]]))
+    assert assert_descents_match(runs) == {"ok"}
+
+
+@pytest.mark.parametrize("order_seed", range(3))
+def test_descents_sharing_a_context_match_the_reference_in_any_order(order_seed):
+    group = pair_group()
+    ctx = build_block_context(group, PAIR, 60)
+    batch = alphas(ctx, group, 12, 40, [(1, 0)])
+    random.Random(order_seed).shuffle(batch)
+    kernel = [group.generators[1]]
+    assert assert_descents_match([(a, group, ctx, kernel) for a in batch]) == {"ok"}
+
+
+def test_kernels_and_equal_groups_mixed_on_one_context_match_the_reference():
+    group, twin = pair_group(), pair_group()
+    labelled = GeneratedSubgroup(2, group.generators, ("s", "t", "u"))
+    assert group == twin and group is not twin and labelled != group
+    ctx = build_block_context(group, PAIR, 60)
+    swap, far_swap = group.generators[1], transposition(2, (1, 2), (1, 3))
+    # a kernel element on two classes: which candidate clears a class decides
+    # which of them the conjugate also flips
+    both = swap.compose(far_swap)
+    kernels = [[swap], [far_swap, swap], [swap, far_swap], [both]]
+    rng = random.Random(7)
+    runs = []
+    for k, alpha in enumerate(alphas(ctx, group, 24, 41, [(1, 0)])):
+        runs.append((alpha, rng.choice([group, twin, labelled]), ctx, kernels[k % 4]))
+    assert "ok" in assert_descents_match(runs)
+    assert set(ctx._descent_tables) == {group, labelled}
+
+
+def test_twisted_contexts_match_the_reference():
+    pair = pair_group()
+    plain = build_block_context(pair, PAIR, 60)
+    twisted_pair = twisted(plain, (1, 0))
+    runs = [(a, pair, twisted_pair, [pair.generators[1]]) for a in alphas(plain, pair, 6, 42, [(1, 0)])]
+    triple = triple_group()
+    ctx = twisted(build_block_context(triple, TRIPLE, 30), (1, 2, 0))
+    kernels = [[triple.generators[2]], [triple.generators[1], triple.generators[2]]]
+    values = [(1, 0, 2), (0, 2, 1), (1, 2, 0), (2, 0, 1)]
+    for k, alpha in enumerate(alphas(ctx, triple, 8, 43, values)):
+        runs.append((alpha, triple, ctx, kernels[k % 2]))
+    statuses = assert_descents_match(runs)
+    assert "ok" in statuses
+    assert not plain._descent_tables
+
+
+def test_an_unmatched_head_matches_the_reference():
+    # the words of <g2^2> induce quotient translations of at most 10, so a
+    # head translating by 12 runs the head's word search to its end
+    group = GeneratedSubgroup(2, (generator(2, 2) ** 2,))
+    ctx = build_block_context(group, PAIR, 60)
+    kernel = [transposition(2, (1, 0), (1, 1))]
+    far = MultiWreathElement(ctx, (), generator(2, 2) ** 12)
+    runs = [(far, group, ctx, kernel)]
+    runs += [(a, group, ctx, kernel) for a in alphas(ctx, group, 8, 44, [(1, 0)])]
+    assert assert_descents_match(runs) == {"inconclusive", "ok"}
+    want = reference_descent(far, group, ctx, kernel)
+    assert want.reason == "no word matches the head within the budget"
+
+
+def test_descents_that_clear_nothing_match_the_reference():
+    # a transposition's conjugates never give a three-cycle, and an empty
+    # kernel has nothing to conjugate: both run the candidate list to its end
+    triple = triple_group()
+    ctx = build_block_context(triple, TRIPLE, 30)
+    near = next(qp for qp in ctx.quotient.quotient_points if qp.ray == 2 and qp.pos == 1)
+    stuck = MultiWreathElement(ctx, ((near, (1, 2, 0)),), identity(2))
+    runs = [
+        (stuck, triple, ctx, [triple.generators[2]]),
+        (stuck, triple, ctx, []),
+    ]
+    runs += [
+        (a, triple, ctx, [triple.generators[2], triple.generators[1]])
+        for a in alphas(ctx, triple, 4, 45, [(1, 0, 2), (1, 2, 0)])
+    ]
+    statuses = assert_descents_match(runs)
+    want = reference_descent(stuck, triple, ctx, [triple.generators[2]])
+    assert want.reason == f"no conjugated kernel element clears {near} within the budget"
+    assert {"ok", "inconclusive"} <= statuses
