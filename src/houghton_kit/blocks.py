@@ -10,6 +10,7 @@ generator images as elements of the quotient ray system.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .elements import HoughtonElement, _image_table
 from .errors import DomainError, InconclusiveError
@@ -18,8 +19,6 @@ from .rays import RayPoint, RaySystem
 from .subgroups import (
     GeneratedSubgroup,
     TranslationLattice,
-    _window_action,
-    _window_classes,
     _window_partition,
     bounded_words,
     orbit_windows,
@@ -117,6 +116,26 @@ def _index(p, depth: int) -> int:
     """Window index of a point: (ray - 1) * depth + pos."""
     ray, pos = p
     return (ray - 1) * depth + pos
+
+
+@lru_cache(maxsize=8)
+def _window_action(group: GeneratedSubgroup, depth: int) -> tuple:
+    """Image tables of the symmetric generators on the window of this depth.
+
+    Point (ray, pos) has index (ray - 1) * depth + pos, so index order is the
+    lexicographic order of points.  Tables follow ``symmetric_generators()``:
+    a forward table is read from the generator's head table and translation
+    vector, and the inverse's table is the forward table read backwards.
+    """
+    forward = [_image_table(g, depth) for g in group.generators]
+    inverse = []
+    for table in forward:
+        back = [-1] * len(table)
+        for i, j in enumerate(table):
+            if j >= 0:
+                back[j] = i
+        inverse.append(tuple(back))
+    return tuple(forward + inverse)
 
 
 def _congruence(group: GeneratedSubgroup, blocks, depth: int):
@@ -263,6 +282,11 @@ def find_block_systems(group: GeneratedSubgroup, depth: int) -> BlockSearchResul
     never a proof of strong orbit primitivity.  Raises InconclusiveError
     when half the depth is below the generator margin, since no candidate
     could then be verified.
+
+    The orbit report at W = depth // 2 is exact: the certificate depth is
+    D = T + max m_i + 2s + 1 with per-ray translation gcds m_i <= s, and a
+    generator that moves a point has threshold >= 1, so W >= margin >=
+    max(T, s + 1) gives D <= 4 * margin - 2 < 4W (D = 1 if none moves one).
     """
     bound = block_size_bound(translation_lattice(group))
     margin = _require_margin(group, depth)
@@ -323,7 +347,7 @@ def finitary_class_transitivity(group: GeneratedSubgroup, depth: int):
         for _, w, _ in bounded_words(group, 3)
         if w.is_finitary() and w.threshold <= depth
     )
-    pieces = _window_classes(GeneratedSubgroup(group.n, finitary), depth, depth)
+    pieces = orbit_windows(GeneratedSubgroup(group.n, finitary), depth).classes
     piece_of = {p: k for k, piece in enumerate(pieces) for p in piece}
     return [
         (idx, len(cls), len({piece_of[p] for p in cls}))

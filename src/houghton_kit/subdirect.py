@@ -18,6 +18,7 @@ from .subgroups import (
     GeneratedSubgroup,
     OrbitWindowReport,
     TranslationLattice,
+    _certificate_shape,
     bounded_words,
     is_level,
     orbit_windows,
@@ -99,7 +100,7 @@ def decompose(group: GeneratedSubgroup, depth: int = 40) -> SubdirectDecompositi
     if not report.stabilized:
         raise InconclusiveError(
             "orbit classes did not stabilize; decompose needs a stabilized report",
-            hint=2 * report.window_depth,
+            hint=-(-_certificate_shape(group)[0] // 4),  # the least W with D <= 4W
         )
     if not translation_lattice(group).rank == group.n - 1:
         raise DomainError("decompose needs a subgroup of full Hirsch length")

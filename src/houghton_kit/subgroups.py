@@ -261,11 +261,10 @@ def is_congruence_lifting(lattice: TranslationLattice) -> CongruenceVerdict:
 
 @dataclass(frozen=True)
 class OrbitWindowReport:
-    """Orbit classes of a window closure, cut to the window.
+    """Orbit classes cut to the window of depth W (see ``orbit_windows``).
 
-    ``stabilized`` says they are the exact orbit partition cut to the
-    window; it is False when they are not, or when the generators' thresholds
-    put that partition's certificate beyond four times the window depth.
+    ``stabilized``: the orbit certificate's depth D is at most 4W, and the
+    classes are the exact orbit partition cut to the window.
     """
 
     window_depth: int
@@ -278,43 +277,30 @@ class OrbitWindowReport:
         return len(self.classes)
 
 
-@lru_cache(maxsize=8)
-def _window_action(group: GeneratedSubgroup, depth: int) -> tuple:
-    """Image tables of the symmetric generators on the window of this depth.
-
-    Point (ray, pos) has index (ray - 1) * depth + pos, so index order is the
-    lexicographic order of points.  Tables follow ``symmetric_generators()``:
-    a forward table is read from the generator's head table and translation
-    vector, and the inverse's table is the forward table read backwards.
-    """
-    forward = [_image_table(g, depth) for g in group.generators]
-    inverse = []
-    for table in forward:
-        back = [-1] * len(table)
-        for i, j in enumerate(table):
-            if j >= 0:
-                back[j] = i
-        inverse.append(tuple(back))
-    return tuple(forward + inverse)
-
-
-def _window_partition(roots: list, n: int, depth: int, report_depth: int) -> list:
+def _window_partition(roots: list, n: int, depth: int, report_depth: int, moduli=None) -> list:
     """Classes of a closure on the depth window, cut to the report window.
 
     Each class is a sorted tuple of points; classes come in order of their
-    least point.
+    least point.  With per-ray ``moduli`` a point past the depth joins the
+    class of its residue mod m_i in [depth - m_i, depth), or is alone if m_i = 0.
     """
-    buckets: dict[int, list[RayPoint]] = {}
+    buckets: dict = {}
     for p in RaySystem(n).window(report_depth):
-        buckets.setdefault(roots[(p.ray - 1) * depth + p.pos], []).append(p)
+        ray, pos = p
+        if pos < depth:
+            key = roots[(ray - 1) * depth + pos]
+        elif moduli[ray - 1]:
+            key = roots[ray * depth - moduli[ray - 1] + (pos - depth) % moduli[ray - 1]]
+        else:
+            key = p
+        buckets.setdefault(key, []).append(p)
     return [tuple(v) for v in buckets.values()]
 
 
-def _window_classes(group: GeneratedSubgroup, report_depth: int, closure_depth: int):
-    tables = _window_action(group, closure_depth)[: len(group.generators)]
-    pairs = ((i, j) for table in tables for i, j in enumerate(table) if j >= 0)
-    roots = _close(group.n * closure_depth, pairs)
-    return tuple(_window_partition(roots, group.n, closure_depth, report_depth))
+def _move_closure(group: GeneratedSubgroup, depth: int) -> list:
+    """Closure roots of the generator moves inside the window of this depth."""
+    tables = [_image_table(g, depth) for g in group.generators]
+    return _close(group.n * depth, ((i, j) for t in tables for i, j in enumerate(t) if j >= 0))
 
 
 def _certificate_shape(group: GeneratedSubgroup) -> tuple:
@@ -347,41 +333,29 @@ def _orbit_certificate(group: GeneratedSubgroup) -> tuple:
       with m_i = 0 every point beyond T is fixed, its own orbit.
     """
     depth, moduli = _certificate_shape(group)
-    n, gens = group.n, group.generators
-    pairs = ((i, j) for g in gens for i, j in enumerate(_image_table(g, depth)) if j >= 0)
-    return depth, moduli, _close(n * depth, pairs)
+    return depth, moduli, _move_closure(group, depth)
 
 
 def _orbit_classes(group: GeneratedSubgroup, depth: int) -> tuple:
     """The exact orbit partition cut to the window, classes by least point."""
     cert_depth, moduli, roots = _orbit_certificate(group)
-    buckets: dict = {}
-    for p in RaySystem(group.n).window(depth):
-        ray, pos = p
-        m = moduli[ray - 1]
-        if pos < cert_depth:
-            key = roots[(ray - 1) * cert_depth + pos]
-        elif m:
-            key = roots[ray * cert_depth - m + (pos - cert_depth) % m]
-        else:
-            key = p
-        buckets.setdefault(key, []).append(p)
-    return tuple(tuple(v) for v in buckets.values())
+    return tuple(_window_partition(roots, group.n, cert_depth, depth, moduli))
 
 
 def orbit_windows(group: GeneratedSubgroup, depth: int) -> OrbitWindowReport:
-    """Union-find closure of generator moves inside a window of depth 2W.
+    """Orbit classes of the window of depth W, from one source.
 
-    Restricted to depth W for reporting; stabilized when the classes equal
-    the exact orbit partition cut to depth W (``_orbit_certificate``).  The
-    certificate is a closure of depth D, which grows with the generators'
-    thresholds; when D exceeds 4W it is not built and the report is not
-    stabilized, so the cost stays that of closures of depth at most 4W.
+    When the certificate depth D (``_certificate_shape``) is at most 4W, they
+    are the exact orbit partition, read from the cached certificate, and the
+    report is stabilized.  Beyond 4W the certificate is not built: the classes
+    come from a closure on the window of depth 2W, and may split an orbit.
     """
-    classes = _window_classes(group, depth, 2 * depth)
-    stabilized = (
-        _certificate_shape(group)[0] <= 4 * depth and classes == _orbit_classes(group, depth)
-    )
+    stabilized = _certificate_shape(group)[0] <= 4 * depth
+    if stabilized:
+        classes = _orbit_classes(group, depth)
+    else:
+        roots = _move_closure(group, 2 * depth)
+        classes = tuple(_window_partition(roots, group.n, 2 * depth, depth))
     incidence = tuple(tuple(sorted({p.ray for p in cls})) for cls in classes)
     return OrbitWindowReport(depth, classes, stabilized, incidence)
 

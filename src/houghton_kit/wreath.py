@@ -312,10 +312,10 @@ def verify_kk(
             inj_fail += 1
         by_image[kg] = g
         if not ctx._twists:
+            # kk_embed(g) raised for any class below g's threshold with no known image
             supp = set(kg.support())
-            partial = ctx.quotient.partial_action(g)
             for k, qp in enumerate(ctx.quotient.quotient_points):
-                if ctx.quotient.classes[k][0].pos >= g.threshold or qp not in partial:
+                if ctx.quotient.classes[k][0].pos >= g.threshold:
                     continue
                 if (qp in supp) == order_preserving_on_class(g, ctx, qp):
                     supp_fail += 1

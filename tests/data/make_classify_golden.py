@@ -1,10 +1,10 @@
 """Write the golden classify reports that tests/test_classify_golden.py compares.
 
-Each fixture group is classified at window 40 and its report is stored as
-the exact text of ``json.dumps(report, sort_keys=True)``, so the test checks
-byte-identical output.  Regenerate only when a change to the report is
-intended; the script prints the labels whose report text moved, or "no
-report moved":
+Each fixture group is classified at its own window (40 unless the fixture
+names another) and its report is stored as the exact text of
+``json.dumps(report, sort_keys=True)``, so the test checks byte-identical
+output.  Regenerate only when a change to the report is intended; the
+script prints the labels whose report text moved, or "no report moved":
 
     PYTHONPATH=src python3 tests/data/make_classify_golden.py
 """
@@ -34,9 +34,20 @@ def pair_group() -> GeneratedSubgroup:
     )
 
 
+def deep_join_group() -> GeneratedSubgroup:
+    """<g2^2, (1:0 1:41)>: one orbit, whose two parities meet only at (1, 41).
+
+    Its orbit certificate has depth 49, so the report at window 10 comes
+    from the 2W closure and the report at window 20 from the certificate.
+    """
+    return GeneratedSubgroup.from_elements(
+        2, [generator(2, 2) ** 2, transposition(2, (1, 0), (1, 41))]
+    )
+
+
 def golden_groups() -> dict:
-    """Fixture label -> subgroup, in a fixed order."""
-    return {
+    """Fixture label -> (subgroup, window), in a fixed order."""
+    groups = {
         "delta_k(3,2)": delta_k(3, 2),
         "delta_k(4,2)": delta_k(4, 2),
         "delta_k(5,3)": delta_k(5, 3),
@@ -44,15 +55,21 @@ def golden_groups() -> dict:
         "H_3": GeneratedSubgroup.from_elements(3, houghton_generators(3)),
         "H_4": GeneratedSubgroup.from_elements(4, houghton_generators(4)),
     }
+    fixtures = {label: (group, WINDOW) for label, group in groups.items()}
+    fixtures["deep_join@10"] = (deep_join_group(), 10)
+    fixtures["deep_join@20"] = (deep_join_group(), 20)
+    return fixtures
 
 
-def report_text(group: GeneratedSubgroup, window: int = WINDOW) -> str:
+def report_text(fixture: tuple) -> str:
+    """The golden text of one (subgroup, window) fixture."""
+    group, window = fixture
     return json.dumps(classify(group, window=window).to_json_dict(), sort_keys=True)
 
 
 def main() -> None:
     old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
-    golden = {label: report_text(group) for label, group in golden_groups().items()}
+    golden = {label: report_text(fixture) for label, fixture in golden_groups().items()}
     GOLDEN.write_text(json.dumps(golden, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(golden)} reports to {GOLDEN}")
     moved = [label for label in golden if old.get(label) != golden[label]]

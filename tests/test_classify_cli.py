@@ -350,15 +350,16 @@ def test_cli_window_must_be_positive(tmp_path, capsys, argv):
 
 
 def test_cli_inconclusive_exit_3(tmp_path, capsys):
-    # (1,0) and (1,1) are joined only through the detour point (1,25), which
-    # the doubling closure sees but the first closure does not
+    # (1,0) and (1,1) are joined only through the detour point (1,25); the
+    # orbit certificate has depth 27 > 4 * 5, so window 5 reports the 2W
+    # closure, which does not reach the detour
     gens = [
         from_cycles(2, [[(1, 0), (1, 25)]]),
         from_cycles(2, [[(1, 1), (1, 25)]]),
     ]
     group = GeneratedSubgroup.from_elements(2, gens)
     path = write_subgroup(tmp_path, group)
-    code = cli_main(["subgroup", "orbits", "--subgroup", path, "--window", "10"])
+    code = cli_main(["subgroup", "orbits", "--subgroup", path, "--window", "5"])
     capsys.readouterr()
     assert code == 3
 

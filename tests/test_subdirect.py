@@ -2,10 +2,16 @@ import random
 
 import pytest
 
-from houghton_kit.elements import commutator, generator, houghton_generators, identity
+from houghton_kit.elements import (
+    commutator,
+    from_cycles,
+    generator,
+    houghton_generators,
+    identity,
+)
 from houghton_kit.errors import DomainError, InconclusiveError
 from houghton_kit.subdirect import decompose, induce_on_orbit, kernel_intersection_probe
-from houghton_kit.subgroups import GeneratedSubgroup, TranslationLattice, delta_k
+from houghton_kit.subgroups import GeneratedSubgroup, TranslationLattice, delta_k, orbit_windows
 from houghton_kit.wreath import random_words
 
 
@@ -31,6 +37,18 @@ def test_decompose_needs_full_hirsch():
     g = GeneratedSubgroup.from_elements(3, [generator(3, 2)])
     with pytest.raises((DomainError, InconclusiveError)):
         decompose(g, depth=30)
+
+
+def test_decompose_hints_the_first_stabilized_window():
+    # the cycle (1:0 1:1001) puts the orbit certificate at depth 1009
+    d = delta_k(3, 2)
+    group = GeneratedSubgroup(3, d.generators + (from_cycles(3, [[(1, 0), (1, 1001)]]),))
+    with pytest.raises(InconclusiveError) as info:
+        decompose(group, depth=10)
+    hint = info.value.hint
+    assert hint == 253
+    assert orbit_windows(group, hint).stabilized
+    assert not orbit_windows(group, hint - 1).stabilized
 
 
 def test_factor_projections_are_homomorphisms():

@@ -15,10 +15,13 @@ from functools import lru_cache
 
 import pytest
 
+from houghton_kit import subgroups
 from houghton_kit.blocks import (
     BlockSystem,
     _closure_class_of_pair,
     _edge_weights,
+    _require_margin,
+    _window_action,
     block_size_bound,
     congruence_classes,
     find_block_systems,
@@ -40,7 +43,6 @@ from houghton_kit.subgroups import (
     _certificate_shape,
     _orbit_certificate,
     _orbit_classes,
-    _window_action,
     delta_k,
     orbit_windows,
     translation_lattice,
@@ -185,17 +187,31 @@ def test_congruence_classes_match_the_naive_closure(seed):
         )
 
 
+def check_orbit_report(group, window, deep):
+    """The report's contract against naive closures.
+
+    Stabilized exactly when the certificate depth D is at most 4W; then the
+    classes are ``deep`` (a deep naive closure) cut to the window, otherwise
+    the naive closure on the window of depth 2W.
+    """
+    report = orbit_windows(group, window)
+    assert report.stabilized == (_certificate_shape(group)[0] <= 4 * window)
+    if report.stabilized:
+        cut = (tuple(p for p in c if p.pos < window) for c in deep)
+        classes = tuple(c for c in cut if c)
+    else:
+        classes = naive_orbit_classes(group, window, 2 * window)
+    assert report.classes == classes
+    assert report.ray_incidence == tuple(tuple(sorted({p.ray for p in c})) for c in classes)
+    return report
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_orbit_windows_match_the_naive_closure(seed):
     rng = random.Random(100 + seed)
     group = conjugated_delta(rng)
     depth = rng.choice([6, 10, 14])
-    report = orbit_windows(group, depth)
-    classes = naive_orbit_classes(group, depth, 2 * depth)
-    assert report.classes == classes
-    deep = naive_orbit_classes(group, depth, 16 * depth + 200)
-    assert report.stabilized == (classes == deep)
-    assert report.ray_incidence == tuple(tuple(sorted({p.ray for p in c})) for c in classes)
+    check_orbit_report(group, depth, naive_orbit_classes(group, depth, 16 * depth + 200))
 
 
 def orbit_test_groups():
@@ -231,30 +247,61 @@ def test_exact_orbits_match_a_deep_closure():
         # one closure at 16 * 40 + 200, cut to each window: 16W + 200 or deeper
         deep = naive_orbit_classes(group, windows[-1], 16 * windows[-1] + 200)
         for window in windows:
-            exact = _orbit_classes(group, window)
             cut = (tuple(p for p in c if p.pos < window) for c in deep)
-            assert exact == tuple(c for c in cut if c)
-            report = orbit_windows(group, window)
-            certified = _certificate_shape(group)[0] <= 4 * window
-            assert report.stabilized == (report.classes == exact and certified)
-            shallow[window] += not report.stabilized
-    assert shallow[5] > 0 and shallow[10] > 0  # joins beyond the 2W closure occur
+            assert _orbit_classes(group, window) == tuple(c for c in cut if c)
+            shallow[window] += not check_orbit_report(group, window, deep).stabilized
+    assert shallow[5] > 0 and shallow[10] > 0  # certificates beyond 4W occur
+
+
+def test_the_block_search_reads_exact_orbits():
+    # _require_margin gives depth // 2 >= margin, so D <= 4 * (depth // 2) - 2
+    checked = 0
+    for group in orbit_test_groups():
+        for depth in range(2, 121):
+            try:
+                _require_margin(group, depth)
+            except InconclusiveError:
+                continue
+            assert orbit_windows(group, depth // 2).stabilized, (group, depth)
+            checked += 1
+    assert checked > 1000
+
+
+def test_orbit_windows_closes_only_when_the_certificate_is_too_deep(monkeypatch):
+    sizes = []
+    close = subgroups._close
+
+    def counted(size, *args):
+        sizes.append(size)
+        return close(size, *args)
+
+    monkeypatch.setattr(subgroups, "_close", counted)
+    group = deep_join_group()  # certificate depth 49
+    _orbit_certificate(group)
+    sizes.clear()
+    assert orbit_windows(group, 13).stabilized  # 49 <= 52: read from the cache
+    assert sizes == []
+    assert not orbit_windows(group, 12).stabilized  # 49 > 48: one 2W closure
+    assert sizes == [group.n * 2 * 12]
 
 
 def deep_join_group():
-    """<g^2, (1:0 1:41)> in H_2: one orbit, whose two parities meet at (1, 41)."""
+    """<g^2, (1:0 1:41)> in H_2: one orbit, whose two parities meet at (1, 41).
+
+    Its certificate has depth D = 42 + 2 + 2 * 2 + 1 = 49.
+    """
     return GeneratedSubgroup.from_elements(
         2, [generator(2, 2) ** 2, transposition(2, (1, 0), (1, 41))]
     )
 
 
-def test_deep_join_is_stabilized_only_once_the_closure_reaches_it():
+def test_deep_join_is_exact_once_the_certificate_is_built():
     group = deep_join_group()
-    for window in (10, 20):
-        report = orbit_windows(group, window)
-        assert report.class_count == 2
-        assert not report.stabilized
-    report = orbit_windows(group, 21)
+    assert _certificate_shape(group)[0] == 49
+    report = orbit_windows(group, 10)  # 49 > 40: the 2W closure splits the parities
+    assert report.class_count == 2
+    assert not report.stabilized
+    report = orbit_windows(group, 20)  # 49 <= 80: the exact single orbit
     assert report.class_count == 1
     assert report.stabilized
     assert _orbit_classes(group, 10) == (tuple(RaySystem(2).window(10)),)
