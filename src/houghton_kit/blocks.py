@@ -379,6 +379,8 @@ class QuotientStructure:
     _rank_of: list  # per window index its rank inside its sorted class, then 0
     _members: tuple  # window indices of the kept classes' points, class by class
     _bounds: tuple  # per kept class, the (start, stop) of its points in _members
+    _lead: tuple  # per entry of _members, the start of its class in _members
+    _identity: tuple  # per kept class, the identity rank tuple of its size
     _known_ranks: tuple  # per ray, contiguous rank prefix with complete data
 
     def class_index_of(self, p) -> int | None:
@@ -393,7 +395,9 @@ class QuotientStructure:
 
         None where an image leaves the closure window, even if the other
         images fall in two classes, and where the images land in a class that
-        crosses the depth.  Images in two classes raise DomainError.
+        crosses the depth.  Images in two classes raise DomainError.  One
+        comparison over the whole window shows that every kept class lands in
+        one class; only when it fails does the per-class diagnosis run.
         """
         table = _image_table(element, self._closure_depth)
         # an image -1 (past the window) reads the trailing entries: class -1
@@ -401,6 +405,12 @@ class QuotientStructure:
         classes = list(map(self._class_of.__getitem__, images))
         ranks = list(map(self._rank_of.__getitem__, images))
         kept = len(self.classes)
+        if list(map(classes.__getitem__, self._lead)) == classes:
+            return [
+                (target, tuple(ranks[start:stop])) if 0 <= (target := classes[start]) < kept
+                else None
+                for start, stop in self._bounds
+            ]
         out = []
         for k, (start, stop) in enumerate(self._bounds):
             found = classes[start:stop]
@@ -436,33 +446,33 @@ class QuotientStructure:
 
 
 def infer_eventual_translation(partial: dict, n: int, known_ranks) -> HoughtonElement:
-    """Build an element from a partial map on quotient points.
+    """Build an element from a partial map on the points of n rays.
 
     ``known_ranks`` caps, per ray, the ranks the partial map is complete up
     to.  The translation on each ray is read off the top half of the known
-    range; everything deviating goes into the head table.  Raises
-    InconclusiveError when the data does not pin the element down.
+    range: its pairs must be at least two, stay on the ray and share one
+    shift.  Every entry that differs from the translation goes into the head
+    table.  Raises InconclusiveError when the data does not pin the element
+    down.  Two passes over the map, O(|partial| + n).
     """
-    t = []
-    for ray in range(1, n + 1):
-        limit = known_ranks[ray - 1]
-        pairs = [
-            (p, q)
-            for p, q in partial.items()
-            if p.ray == ray and p.pos < limit
-        ]
-        top = [pq for pq in pairs if pq[0].pos >= limit // 2]
-        shifts = {q.pos - p.pos for p, q in top if q.ray == ray}
-        if len(top) < 2 or len(shifts) != 1 or any(q.ray != ray for p, q in top):
+    halves = [limit // 2 for limit in known_ranks]
+    count = [0] * n  # per ray, its top pairs
+    t = [None] * n  # per ray, the shift of its last top pair
+    clean = [True] * n  # per ray, whether its top pairs stay on it with one shift
+    for (ray, pos), (qray, qpos) in partial.items():
+        i = ray - 1
+        if halves[i] <= pos < known_ranks[i]:
+            count[i] += 1
+            if qray != ray or t[i] not in (None, qpos - pos):
+                clean[i] = False
+            t[i] = qpos - pos
+    for i in range(n):
+        if count[i] < 2 or not clean[i]:
             raise InconclusiveError(
-                f"cannot read an eventual translation on quotient ray {ray}",
+                f"cannot read an eventual translation on quotient ray {i + 1}",
                 hint="increase the window depth",
             )
-        t.append(shifts.pop())
-    head = {}
-    for p, q in partial.items():
-        if q != RayPoint(p.ray, p.pos + t[p.ray - 1]):
-            head[p] = q
+    head = {p: q for p, q in partial.items() if q[0] != p[0] or q[1] != p[1] + t[p[0] - 1]}
     try:
         return HoughtonElement(n, t, head)
     except Exception as exc:
@@ -520,10 +530,12 @@ def quotient(group: GeneratedSubgroup, system: BlockSystem, depth: int) -> Quoti
             rank_of[i] = rank
     members = []
     bounds = []
+    lead = []
     for k in kept_indices:
         start = len(members)
         members.extend(_index(p, closure_depth) for p in classes_all[k])
         bounds.append((start, len(members)))
+        lead.extend([start] * len(classes_all[k]))
     structure = QuotientStructure(
         system=system,
         n=group.n,
@@ -537,6 +549,8 @@ def quotient(group: GeneratedSubgroup, system: BlockSystem, depth: int) -> Quoti
         _rank_of=rank_of,
         _members=tuple(members),
         _bounds=tuple(bounds),
+        _lead=tuple(lead),
+        _identity=tuple(tuple(range(stop - start)) for start, stop in bounds),
         _known_ranks=tuple(known_ranks),
     )
     induced = []

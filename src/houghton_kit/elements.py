@@ -229,7 +229,8 @@ class HoughtonElement:
         Every invariant is checked and a violation raises
         InvalidElementError naming the failed invariant.  Numbers must be
         ints (not floats, strings or booleans) and each head entry a pair of
-        [ray, pos] pairs; anything else is a ``format`` error naming the field.
+        [ray, pos] pairs of points on the n rays; anything else is a
+        ``format`` error naming the field.
         """
         if not isinstance(data, dict):
             raise InvalidElementError("format", "element data must be a JSON object")
@@ -254,7 +255,13 @@ class HoughtonElement:
                     "format", f"element field 'head' has {entry!r}, not a pair of [ray, pos] pairs"
                 )
         head = [(tuple(p), tuple(q)) for p, q in head]
-        elt = cls(n, t, head)
+        try:
+            elt = cls(n, t, head)
+        except DomainError as exc:
+            # only a head point off the n rays gets past the checks above
+            raise InvalidElementError(
+                "format", f"element field 'head' has a point off the {n} rays: {exc}"
+            ) from None
         if len(elt._items) != len(head):
             raise InvalidElementError(
                 "canonical-form", "head table contains points that act by translation"

@@ -216,7 +216,7 @@ def kk_embed(g: HoughtonElement, ctx: BlockContext) -> MultiWreathElement:
             "element head region exceeds the verified window", hint=g.threshold
         )
     _same_rays(g, q.n)
-    qps, twists = q.quotient_points, ctx._twists
+    qps, twists, identity = q.quotient_points, ctx._twists, q._identity
     partial = {}
     base = []
     skipped = None  # the first class below the threshold whose image is unknown
@@ -236,7 +236,7 @@ def kk_embed(g: HoughtonElement, ctx: BlockContext) -> MultiWreathElement:
             if dst is not None:
                 dst_inv = _inv(dst)
                 value = tuple(dst_inv[r] for r in value)
-        if value != tuple(range(len(value))):
+        if value != identity[k]:
             base.append((qps[k], value))
     head = infer_eventual_translation(partial, q.n, q._known_ranks)
     if skipped is not None:
@@ -275,8 +275,9 @@ def random_words(group: GeneratedSubgroup, count: int, max_len: int, rng) -> lis
     gens = group.symmetric_generators()
     out = []
     for _ in range(count):
-        w = houghton_identity(group.n)
-        for _ in range(rng.randint(1, max_len)):
+        length = rng.randint(1, max_len)
+        w = rng.choice(gens)
+        for _ in range(length - 1):
             w = w.compose(rng.choice(gens))
         out.append(w)
     return out

@@ -263,13 +263,13 @@ def _induced_of(group, q, element):
             continue
         assert len(targets) == 1
         partial[q.quotient_points[k]] = q.quotient_points[targets.pop()]
-    from houghton_kit.blocks import infer_eventual_translation
+    from test_wreath_oracle import reference_inference
 
     known = [0] * q.n
     for p in q.quotient_points:
         if p.pos == known[p.ray - 1]:
             known[p.ray - 1] += 1
-    return infer_eventual_translation(partial, q.n, known)
+    return reference_inference(partial, q.n, known)
 
 
 def test_quotient_of_singleton_system_is_identity_map():

@@ -126,6 +126,11 @@ def single_field_mutations(data, k):
         bad = copy.deepcopy(head)
         bad[i][0] = bad[i][0] + [0]
         out.append(("head point of three ints", with_field("head", bad), "format"))
+        for label, point in (("past ray n", [n + 1, 0]), ("on ray 0", [0, 0]),
+                             ("at position -1", [ray, -1])):
+            off = copy.deepcopy(head)
+            off[i][0] = point
+            out.append((f"head point {label}", with_field("head", off), "format"))
         if len(head) > 1:
             twice = copy.deepcopy(head)
             twice[i][1] = list(head[(i + 1) % len(head)][1])

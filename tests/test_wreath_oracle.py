@@ -13,6 +13,13 @@ class point just inside, exactly onto and just past the closure window's edge;
 a class whose images partly leave the window is skipped even when the images
 that stay fall in two classes.
 
+``reference_inference`` is ``infer_eventual_translation`` as a per-ray scan
+that rereads the whole partial map for every ray; the kernel comparisons read
+heads through it, and the one-pass inference must give the same element, or
+the same message and hint, on seeded partial maps that reach every branch.
+``reference_words`` is ``random_words`` composing each word onto the identity
+letter by letter.
+
 ``reference_descent`` is ``phi_s_descent`` before its group-level work was
 shared: it rebuilds the quotient letters, the head-match enumeration, the
 conjugator candidates and every conjugated kernel element's embedding on each
@@ -32,6 +39,7 @@ from houghton_kit.blocks import (
     infer_eventual_translation,
 )
 from houghton_kit.elements import (
+    HoughtonElement,
     from_cycles,
     generator,
     identity,
@@ -53,6 +61,55 @@ from houghton_kit.wreath import (
 )
 
 # -- the reference -------------------------------------------------------------
+
+
+def reference_inference(partial, n, known_ranks):
+    """The element a partial map pins down, read ray by ray.
+
+    For each ray, every entry of the map is scanned for the pairs in the top
+    half of the known ranks; they must be at least two, stay on the ray and
+    share one shift.  The entries that differ from the translations form the
+    head.
+    """
+    t = []
+    for ray in range(1, n + 1):
+        limit = known_ranks[ray - 1]
+        pairs = [
+            (p, q)
+            for p, q in partial.items()
+            if p.ray == ray and p.pos < limit
+        ]
+        top = [pq for pq in pairs if pq[0].pos >= limit // 2]
+        shifts = {q.pos - p.pos for p, q in top if q.ray == ray}
+        if len(top) < 2 or len(shifts) != 1 or any(q.ray != ray for p, q in top):
+            raise InconclusiveError(
+                f"cannot read an eventual translation on quotient ray {ray}",
+                hint="increase the window depth",
+            )
+        t.append(shifts.pop())
+    head = {}
+    for p, q in partial.items():
+        if q != RayPoint(p.ray, p.pos + t[p.ray - 1]):
+            head[p] = q
+    try:
+        return HoughtonElement(n, t, head)
+    except Exception as exc:
+        raise InconclusiveError(
+            f"partial quotient data does not close to a bijection: {exc}",
+            hint="increase the window depth",
+        ) from None
+
+
+def reference_words(group, count, max_len, rng):
+    """Seeded words, each composed onto the identity one letter at a time."""
+    gens = group.symmetric_generators()
+    out = []
+    for _ in range(count):
+        w = identity(group.n)
+        for _ in range(rng.randint(1, max_len)):
+            w = w.compose(rng.choice(gens))
+        out.append(w)
+    return out
 
 
 class Reference:
@@ -96,7 +153,7 @@ class Reference:
                 "element head region exceeds the verified window", hint=g.threshold
             )
         partial = self.partial_action(g)
-        head = infer_eventual_translation(partial, q.n, q._known_ranks)
+        head = reference_inference(partial, q.n, q._known_ranks)
         for k, cls in enumerate(q.classes):
             if cls[0].pos < g.threshold and q.quotient_points[k] not in partial:
                 raise InconclusiveError(f"image of class {cls[0]} is outside the verified window")
@@ -270,6 +327,94 @@ def test_the_elements_reach_every_branch():
             elif got[0] == "ok" and got[1].base:
                 seen.add("base")
     assert seen == {"split", "edge", "edge and split", "inconclusive", "base"}
+
+
+# -- the inference and the words against their references ----------------------------
+
+
+def seeded_partial(seed):
+    """(partial map, n, known ranks) from an element's map on a window, then
+    one seeded change: none, a shallow ray, a top image shifted on its ray or
+    sent to another ray, an image that another point also hits, a whole ray
+    shifted by one, dropped entries, or random known ranks."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 4)
+    g = random_element(n, head_budget=6, t_bound=2, seed=rng)
+    depth = 2 * g.threshold + 4 + rng.randint(0, 6)
+    partial = {p: g.apply(p) for ray in range(1, n + 1) for p in
+               (RayPoint(ray, pos) for pos in range(depth))}
+    known = [depth] * n
+    ray = rng.randint(1, n)
+    top = [p for p in partial if p.ray == ray and p.pos >= depth // 2]
+    change = rng.choice(["none", "shallow", "shift", "other ray", "hit twice", "ray shift",
+                         "drop", "known"])
+    if change == "shallow":
+        known[ray - 1] = rng.randint(0, 2)
+    elif change == "shift":
+        p = rng.choice(top)
+        partial[p] = RayPoint(partial[p].ray, partial[p].pos + 1)
+    elif change == "other ray":
+        p = rng.choice(top)
+        partial[p] = RayPoint(ray % n + 1, partial[p].pos)
+    elif change == "hit twice":
+        p, q = rng.sample(sorted(partial), 2)
+        partial[p] = partial[q]
+    elif change == "ray shift":
+        for p in [p for p in partial if p.ray == ray]:
+            partial[p] = RayPoint(partial[p].ray, partial[p].pos + 1)
+    elif change == "drop":
+        for p in rng.sample(sorted(partial), rng.randint(1, 4)):
+            del partial[p]
+    elif change == "known":
+        known = [rng.randint(0, depth) for _ in range(n)]
+    return partial, n, tuple(known)
+
+
+def inference_branch(partial, n, known):
+    """The branch the reference inference ends in."""
+    got = outcome(reference_inference, partial, n, known)
+    if got[0] == "ok":
+        return "element"
+    message = got[1]
+    if message.startswith("cannot read"):
+        ray = int(message.rsplit(" ", 1)[1])
+        limit = known[ray - 1]
+        top = [(p, q) for p, q in partial.items() if p.ray == ray and limit // 2 <= p.pos < limit]
+        if len(top) < 2:
+            return "fewer than two top pairs"
+        if any(q.ray != ray for _, q in top):
+            return "top image on another ray"
+        return "two shifts"
+    if "zero-sum" in message:
+        return "nonzero-sum t"
+    return "no bijection"
+
+
+def test_inference_matches_the_per_ray_scan_on_every_branch():
+    # derandomized: a fixed range of seeds, whose maps reach every branch
+    seen = set()
+    for seed in range(300):
+        partial, n, known = seeded_partial(seed)
+        want = outcome(reference_inference, partial, n, known)
+        assert outcome(infer_eventual_translation, partial, n, known) == want, seed
+        seen.add(inference_branch(partial, n, known))
+    assert seen == {
+        "element",
+        "fewer than two top pairs",
+        "two shifts",
+        "top image on another ray",
+        "no bijection",
+        "nonzero-sum t",
+    }
+
+
+@pytest.mark.parametrize("label", ["pair-20", "delta_k(3,3)", "twisted-triple"])
+def test_random_words_match_the_letter_by_letter_words(label):
+    group = CONTEXTS[label].group
+    for max_len in (1, 3, 5):
+        rng, ref_rng = random.Random(label), random.Random(label)
+        assert random_words(group, 40, max_len, rng) == reference_words(group, 40, max_len, ref_rng)
+        assert rng.getstate() == ref_rng.getstate()
 
 
 @pytest.mark.parametrize("label", ["pair-20", "delta_k(3,3)", "conjugated-3", "twisted-triple"])
