@@ -155,7 +155,7 @@ def congruence_classes(group: GeneratedSubgroup, system: BlockSystem, depth: int
     generator and inverse, propagated to a fixpoint inside the window.
     """
     roots = _congruence(group, system.blocks, depth)
-    return _window_partition(roots, group.n, depth, depth)
+    return _window_partition(roots, group.n, depth)
 
 
 # -- verification ------------------------------------------------------------
@@ -167,7 +167,6 @@ class BlockVerification:
     orbit_axiom: bool
     block_axiom: bool
     witnesses: tuple
-    orbit_report_stabilized: bool
     multi_ray_translate_count: int
 
     def __bool__(self):
@@ -181,7 +180,7 @@ def verify_block_system(
 ) -> BlockVerification:
     """Check the block-system axioms against window data.
 
-    Orbit axiom: every stabilized window orbit class meets exactly one
+    Orbit axiom: every window orbit class meets exactly one
     block.  Block axiom: for words up to length 3 whose action on a block
     stays inside the window, a partial overlap with the original block is a
     violation.  Raises InconclusiveError when the orbit report, taken at half
@@ -226,7 +225,6 @@ def verify_block_system(
         orbit_axiom=orbit_ok,
         block_axiom=block_ok,
         witnesses=tuple(witnesses),
-        orbit_report_stabilized=report.stabilized,
         multi_ray_translate_count=multi_ray,
     )
 
@@ -257,7 +255,7 @@ def _closure_class_of_pair(group, tables, p, q, depth, cap, weights):
     roots = _close(group.n * depth, [(ip, _index(q, depth))], tables, (ip, cap, weights))
     if roots is None:
         return None
-    classes = _window_partition(roots, group.n, depth, depth)
+    classes = _window_partition(roots, group.n, depth)
     for cls in classes:
         if p in cls:
             return cls, classes
@@ -282,11 +280,6 @@ def find_block_systems(group: GeneratedSubgroup, depth: int) -> BlockSearchResul
     never a proof of strong orbit primitivity.  Raises InconclusiveError
     when half the depth is below the generator margin, since no candidate
     could then be verified.
-
-    The orbit report at W = depth // 2 is exact: the certificate depth is
-    D = T + max m_i + 2s + 1 with per-ray translation gcds m_i <= s, and a
-    generator that moves a point has threshold >= 1, so W >= margin >=
-    max(T, s + 1) gives D <= 4 * margin - 2 < 4W (D = 1 if none moves one).
     """
     bound = block_size_bound(translation_lattice(group))
     margin = _require_margin(group, depth)

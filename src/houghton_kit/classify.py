@@ -114,8 +114,6 @@ def classify(group: GeneratedSubgroup, window: int = 40) -> ClassificationReport
         "stabilized": report.stabilized,
         "ray_incidence": [list(r) for r in report.ray_incidence],
     }
-    if not report.stabilized:
-        notes.append("orbit classes did not stabilize at this window depth")
 
     block_findings = {"searched": False, "systems": [], "caveat": ""}
     if full and group.generators:

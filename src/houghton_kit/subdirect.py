@@ -1,9 +1,9 @@
 """Subdirect-product bookkeeping for intransitive actions.
 
-Each stabilized orbit class carries an order isomorphism onto a fresh ray
-system (rank along each ray), so the restriction of the subgroup to an orbit
-becomes a subgroup of the same kind and every element-level tool applies per
-factor.
+Each orbit class of the window (the exact orbit partition cut to it, from
+``orbit_windows``) carries an order isomorphism onto a fresh ray system (rank
+along each ray), so the restriction of the subgroup to an orbit becomes a
+subgroup of the same kind and every element-level tool applies per factor.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .subgroups import (
     GeneratedSubgroup,
     OrbitWindowReport,
     TranslationLattice,
-    _certificate_shape,
     bounded_words,
     is_level,
     orbit_windows,
@@ -90,18 +89,13 @@ def induce_on_orbit(orbit_points, g: HoughtonElement, n: int) -> HoughtonElement
 
 
 def decompose(group: GeneratedSubgroup, depth: int = 40) -> SubdirectDecomposition:
-    """Split the action along its stabilized window orbit classes.
+    """Split the action along its window orbit classes.
 
     Every factor of a full-Hirsch subgroup lands on an intrinsic copy of the
     ray system because each infinite orbit meets each ray infinitely often;
     the induced generators, lattices and flags are computed per factor.
     """
     report = orbit_windows(group, depth)
-    if not report.stabilized:
-        raise InconclusiveError(
-            "orbit classes did not stabilize; decompose needs a stabilized report",
-            hint=-(-_certificate_shape(group)[0] // 4),  # the least W with D <= 4W
-        )
     if not translation_lattice(group).rank == group.n - 1:
         raise DomainError("decompose needs a subgroup of full Hirsch length")
     factors = []

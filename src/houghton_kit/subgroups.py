@@ -6,15 +6,15 @@ finitary commutator construction and the residue-class stabilizer family.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
-from math import gcd
+from functools import cached_property, lru_cache
+from math import gcd, inf
 from typing import Iterable
 
 from . import intlattice as la
 from .elements import (
     HoughtonElement,
-    _image_table,
     commutator,
     cycle_structure,
     from_cycles,
@@ -35,7 +35,7 @@ class GeneratedSubgroup:
 
     Equality compares every field; the hash is computed once, from the ray
     count and the generators, because the window caches look groups up on
-    every call.
+    every call.  The symmetric generators are built once, on first use.
     """
 
     n: int
@@ -57,10 +57,13 @@ class GeneratedSubgroup:
     def from_elements(cls, n: int, gens: Iterable[HoughtonElement]):
         return cls(n, tuple(gens))
 
-    def symmetric_generators(self) -> list[HoughtonElement]:
-        out = list(self.generators)
-        out.extend(g.inverse() for g in self.generators)
-        return out
+    @cached_property
+    def _symmetric(self) -> tuple:
+        return self.generators + tuple(g.inverse() for g in self.generators)
+
+    def symmetric_generators(self) -> tuple:
+        """The generators, then their inverses in the same order."""
+        return self._symmetric
 
     def to_json_dict(self) -> dict:
         data = {"n": self.n, "generators": [g.to_json_dict() for g in self.generators]}
@@ -261,10 +264,9 @@ def is_congruence_lifting(lattice: TranslationLattice) -> CongruenceVerdict:
 
 @dataclass(frozen=True)
 class OrbitWindowReport:
-    """Orbit classes cut to the window of depth W (see ``orbit_windows``).
+    """The exact orbit partition cut to the window of depth W.
 
-    ``stabilized``: the orbit certificate's depth D is at most 4W, and the
-    classes are the exact orbit partition cut to the window.
+    ``stabilized`` is always True; the key stays in the report schema.
     """
 
     window_depth: int
@@ -277,87 +279,99 @@ class OrbitWindowReport:
         return len(self.classes)
 
 
-def _window_partition(roots: list, n: int, depth: int, report_depth: int, moduli=None) -> list:
-    """Classes of a closure on the depth window, cut to the report window.
-
-    Each class is a sorted tuple of points; classes come in order of their
-    least point.  With per-ray ``moduli`` a point past the depth joins the
-    class of its residue mod m_i in [depth - m_i, depth), or is alone if m_i = 0.
-    """
+def _window_partition(roots: list, n: int, depth: int) -> list:
+    """Sorted classes, by least point, of the window points with equal ``roots`` entries."""
     buckets: dict = {}
-    for p in RaySystem(n).window(report_depth):
-        ray, pos = p
-        if pos < depth:
-            key = roots[(ray - 1) * depth + pos]
-        elif moduli[ray - 1]:
-            key = roots[ray * depth - moduli[ray - 1] + (pos - depth) % moduli[ray - 1]]
-        else:
-            key = p
-        buckets.setdefault(key, []).append(p)
+    for p, root in zip(RaySystem(n).window(depth), roots):
+        buckets.setdefault(root, []).append(p)
     return [tuple(v) for v in buckets.values()]
-
-
-def _move_closure(group: GeneratedSubgroup, depth: int) -> list:
-    """Closure roots of the generator moves inside the window of this depth."""
-    tables = [_image_table(g, depth) for g in group.generators]
-    return _close(group.n * depth, ((i, j) for t in tables for i, j in enumerate(t) if j >= 0))
-
-
-def _certificate_shape(group: GeneratedSubgroup) -> tuple:
-    """(depth D, per-ray moduli m_i) of ``_orbit_certificate``."""
-    gens = group.generators
-    moduli = tuple(gcd(*(g.t[i] for g in gens)) for i in range(group.n))
-    top = max((g.threshold for g in gens), default=0)
-    shift = max((g.max_shift() for g in gens), default=0)
-    return top + max(moduli) + 2 * shift + 1, moduli
 
 
 @lru_cache(maxsize=8)
 def _orbit_certificate(group: GeneratedSubgroup) -> tuple:
-    """(depth D, per-ray moduli m_i, closure roots) of the exact orbits.
+    """(per-ray segments, closure roots): the exact orbit partition, folded.
 
-    m_i is the gcd of the generators' i-th translations, T the largest
-    generator threshold and s the largest |shift|; the roots close the
-    generator moves inside the window of depth D = T + max m_i + 2s + 1.
-    That closure is the orbit partition on the window:
+    On ray i, s_i is the largest |t_i| and m_i the gcd of the translations
+    t_i.  A position is touched if it is a head point or head image of some
+    generator; others move by translation alone.  Dense stretches are the
+    touched positions +- s_i, joined across gaps shorter than 2 s_i, with a
+    node per point.  Every other maximal run, the infinite tail included, has
+    a node per residue mod m_i, or fixed points if m_i = 0.  A segment (start,
+    stop, base, period) sends (ray, pos) to node base + (pos - start) % period,
+    or none if the period is 0.  The roots close each dense point p with the
+    nodes of g(p) and g^-1(p), for every generator g.  They give the orbits:
 
-    - Head images lie below T + s, so a move that touches a point at D or
-      beyond stays on its ray, translates it, and keeps its residue mod m_i.
-    - On [T, D) each translation t of ray i is a period of the closure's
-      class labels, and the interval is at least 2s long, so by Fine and
-      Wilf's theorem gcd(t, t') is a period too: the labels have period
-      m_i there.
-    - So a path of moves between two window points stays connected when
-      each deeper point is replaced by the point of its residue in
-      [D - m_i, D), which is the class a deeper point joins.  On a ray
-      with m_i = 0 every point beyond T is fixed, its own orbit.
+    - On a run R each translation t of ray i is a period of the orbit labels
+      (x ~ x + t while both lie in R), and R is at least 2 s_i long, so by
+      Fine and Wilf's theorem gcd(t, t') is one too: a node lies in one
+      orbit, so does each seeded pair, and so does every class.
+    - A move from a run point goes at most s_i along its ray, and a dense
+      stretch between runs is longer than s_i: it stays at its residue in
+      its run, or it enters an adjacent dense stretch and is seeded.  So a
+      path of moves stays in one class, and so does every orbit.
+
+    Position 0 is touched when m_i >= 1, so no run starts there.  The nodes
+    number O(n max m_i + sum |head| (2s + 1)), whatever the thresholds.
     """
-    depth, moduli = _certificate_shape(group)
-    return depth, moduli, _move_closure(group, depth)
+    touched = [set() for _ in range(group.n)]
+    for ray, pos in (p for g in group.generators for pair in g.head for p in pair):
+        touched[ray - 1].add(pos)
+    shifts = list(zip(*(g.t for g in group.generators))) or [()] * group.n  # per ray
+    segments, size = [], 0
+    for ray_shifts, positions in zip(shifts, touched):
+        s, m = max(map(abs, ray_shifts), default=0), gcd(*ray_shifts)
+        dense: list = []
+        for pos in sorted(positions):
+            if dense and pos - s - dense[-1][1] < max(2 * s, 1):  # a run is 2s long, not empty
+                dense[-1][1] = pos + s + 1
+            else:
+                dense.append([max(pos - s, 0), pos + s + 1])
+        segs, cuts = [], [0, *(x for stretch in dense for x in stretch), inf]
+        for k, (lo, hi) in enumerate(zip(cuts, cuts[1:])):  # a run, a dense stretch, ..., a run
+            if lo < hi:
+                segs.append((lo, hi, size, hi - lo if k % 2 else m))
+                size += segs[-1][3]
+        segments.append(tuple(segs))
+    starts = [[seg[0] for seg in segs] for segs in segments]
+    stretches = [[seg for seg in segs if seg[3] == seg[1] - seg[0]] for segs in segments]
 
+    def node(ray, pos):
+        start, _, base, period = segments[ray - 1][bisect_right(starts[ray - 1], pos) - 1]
+        return base + (pos - start) % period
 
-def _orbit_classes(group: GeneratedSubgroup, depth: int) -> tuple:
-    """The exact orbit partition cut to the window, classes by least point."""
-    cert_depth, moduli, roots = _orbit_certificate(group)
-    return tuple(_window_partition(roots, group.n, cert_depth, depth, moduli))
+    pairs = []
+    for g in group.generators:
+        moves = {}  # node -> node of its image, where a translation or the head moves it
+        for ray, dense in enumerate(stretches, start=1):  # a run's moves stay at their nodes
+            t = g.t[ray - 1]
+            for start, stop, base, _ in dense if t else ():
+                lo, hi = start + max(-t, 0), stop - max(t, 0)  # x + t stays in the stretch
+                moves.update((i, i + t) for i in range(base + lo - start, base + hi - start))
+                # x + t < 0 only for a head point, whose entry the head loop sets
+                edge = (*range(start, lo), *range(hi, stop))
+                moves.update((base + x - start, node(ray, x + t)) for x in edge if x + t >= 0)
+                # run points x with g(x) = x + t in the stretch: g^-1 of its dense points
+                entering = range(max(start - t, 0), start) if t > 0 else range(stop, stop - t)
+                pairs.extend((node(ray, x), node(ray, x + t)) for x in entering)
+        for p, q in g.head:
+            moves[node(*p)] = node(*q)
+        pairs.extend(moves.items())
+    return tuple(segments), _close(size, pairs)
 
 
 def orbit_windows(group: GeneratedSubgroup, depth: int) -> OrbitWindowReport:
-    """Orbit classes of the window of depth W, from one source.
-
-    When the certificate depth D (``_certificate_shape``) is at most 4W, they
-    are the exact orbit partition, read from the cached certificate, and the
-    report is stabilized.  Beyond 4W the certificate is not built: the classes
-    come from a closure on the window of depth 2W, and may split an orbit.
-    """
-    stabilized = _certificate_shape(group)[0] <= 4 * depth
-    if stabilized:
-        classes = _orbit_classes(group, depth)
-    else:
-        roots = _move_closure(group, 2 * depth)
-        classes = tuple(_window_partition(roots, group.n, 2 * depth, depth))
+    """The exact orbit partition cut to the window of depth W (``_orbit_certificate``)."""
+    segments, roots = _orbit_certificate(group)
+    keys = []  # per window point, its closure root, or a key of its own when it is fixed
+    for segs in segments:
+        for start, stop, base, period in segs:
+            count = max(min(stop, depth) - start, 0)
+            own = range(-1 - len(keys), -1 - len(keys) - count, -1)  # keys of fixed points
+            cycle = roots[base:base + period] * (count // period + 1) if period else own
+            keys.extend(cycle[:count])
+    classes = tuple(_window_partition(keys, group.n, depth))
     incidence = tuple(tuple(sorted({p.ray for p in cls})) for cls in classes)
-    return OrbitWindowReport(depth, classes, stabilized, incidence)
+    return OrbitWindowReport(depth, classes, True, incidence)
 
 
 # -- word search helpers ----------------------------------------------------------

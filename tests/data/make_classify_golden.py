@@ -34,14 +34,10 @@ def pair_group() -> GeneratedSubgroup:
     )
 
 
-def deep_join_group() -> GeneratedSubgroup:
-    """<g2^2, (1:0 1:41)>: one orbit, whose two parities meet only at (1, 41).
-
-    Its orbit certificate has depth 49, so the report at window 10 comes
-    from the 2W closure and the report at window 20 from the certificate.
-    """
+def deep_join_group(join: int = 41) -> GeneratedSubgroup:
+    """<g2^2, (1:0 1:join)>: one orbit, whose two parities meet only at (1, join)."""
     return GeneratedSubgroup.from_elements(
-        2, [generator(2, 2) ** 2, transposition(2, (1, 0), (1, 41))]
+        2, [generator(2, 2) ** 2, transposition(2, (1, 0), (1, join))]
     )
 
 
@@ -58,6 +54,7 @@ def golden_groups() -> dict:
     fixtures = {label: (group, WINDOW) for label, group in groups.items()}
     fixtures["deep_join@10"] = (deep_join_group(), 10)
     fixtures["deep_join@20"] = (deep_join_group(), 20)
+    fixtures["deep_join_far@10"] = (deep_join_group(10**4 + 1), 10)
     return fixtures
 
 

@@ -350,34 +350,35 @@ def test_cli_window_must_be_positive(tmp_path, capsys, argv):
 
 
 def test_cli_inconclusive_exit_3(tmp_path, capsys):
-    # (1,0) and (1,1) are joined only through the detour point (1,25); the
-    # orbit certificate has depth 27 > 4 * 5, so window 5 reports the 2W
-    # closure, which does not reach the detour
-    gens = [
-        from_cycles(2, [[(1, 0), (1, 25)]]),
-        from_cycles(2, [[(1, 1), (1, 25)]]),
-    ]
-    group = GeneratedSubgroup.from_elements(2, gens)
+    # the pair group's generator margin is 4, so window 2 is too shallow to
+    # verify blocks against it
+    group = GeneratedSubgroup.from_elements(
+        2,
+        [
+            generator(2, 2) ** 2,
+            transposition(2, (1, 0), (1, 1)),
+            from_cycles(2, [[(1, 0), (1, 2)], [(1, 1), (1, 3)]]),
+        ],
+    )
     path = write_subgroup(tmp_path, group)
-    code = cli_main(["subgroup", "orbits", "--subgroup", path, "--window", "5"])
-    capsys.readouterr()
-    assert code == 3
+    assert cli_main(["blocks", "find", "--subgroup", path, "--window", "2"]) == 3
+    err = capsys.readouterr().err
+    assert "hint: 8" in err.splitlines()
 
 
-def test_deep_join_orbits_are_not_stabilized(tmp_path, capsys):
-    # <g^2, (1:0 1:41)> has one orbit; the closures at windows 20 and 40
-    # both split it by parity, since neither reaches (1, 41)
+def test_deep_join_orbits_are_one_exact_class(tmp_path, capsys):
+    # <g^2, (1:0 1:41)> has one orbit, whose parities meet only at (1, 41),
+    # far past window 10
     group = GeneratedSubgroup.from_elements(
         2, [generator(2, 2) ** 2, transposition(2, (1, 0), (1, 41))]
     )
     report = classify(group, window=10)
-    assert report.orbit_summary["class_count"] == 2
-    assert not report.orbit_summary["stabilized"]
-    assert "orbit classes did not stabilize at this window depth" in report.evidence_notes
+    assert report.orbit_summary["class_count"] == 1
+    assert report.orbit_summary["stabilized"]
+    assert not any("orbit" in note for note in report.evidence_notes)
     path = write_subgroup(tmp_path, group)
-    assert cli_main(["subgroup", "orbits", "--subgroup", path, "--window", "10"]) == 3
-    assert cli_main(["subgroup", "orbits", "--subgroup", path, "--window", "21"]) == 0
-    capsys.readouterr()
+    assert cli_main(["--json", "subgroup", "orbits", "--subgroup", path, "--window", "10"]) == 0
+    assert json.loads(capsys.readouterr().out)["class_count"] == 1
 
 
 def test_full_hirsch_verdicts_exact_for_n_at_least_3():

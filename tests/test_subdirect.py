@@ -11,7 +11,8 @@ from houghton_kit.elements import (
 )
 from houghton_kit.errors import DomainError, InconclusiveError
 from houghton_kit.subdirect import decompose, induce_on_orbit, kernel_intersection_probe
-from houghton_kit.subgroups import GeneratedSubgroup, TranslationLattice, delta_k, orbit_windows
+from houghton_kit.rays import RaySystem
+from houghton_kit.subgroups import GeneratedSubgroup, TranslationLattice, delta_k
 from houghton_kit.wreath import random_words
 
 
@@ -39,16 +40,19 @@ def test_decompose_needs_full_hirsch():
         decompose(g, depth=30)
 
 
-def test_decompose_hints_the_first_stabilized_window():
-    # the cycle (1:0 1:1001) puts the orbit certificate at depth 1009
+def test_decompose_reads_one_orbit_past_a_far_cycle():
+    # the cycle (1:0 1:1001) joins delta_k(3, 2)'s two parity classes far past
+    # a window of 10: the orbit report is one exact class there, and what is
+    # left inconclusive is reading the cycle back from the window
     d = delta_k(3, 2)
-    group = GeneratedSubgroup(3, d.generators + (from_cycles(3, [[(1, 0), (1, 1001)]]),))
-    with pytest.raises(InconclusiveError) as info:
+    cycle = from_cycles(3, [[(1, 0), (1, 1001)]])
+    group = GeneratedSubgroup(3, d.generators + (cycle,))
+    with pytest.raises(InconclusiveError, match="eventual translation"):
         decompose(group, depth=10)
-    hint = info.value.hint
-    assert hint == 253
-    assert orbit_windows(group, hint).stabilized
-    assert not orbit_windows(group, hint - 1).stabilized
+    dec = decompose(group, depth=2010)
+    assert len(dec.factors) == 1
+    assert dec.factors[0].points == tuple(RaySystem(3).window(2010))
+    assert dec.factors[0].generators == group.generators
 
 
 def test_factor_projections_are_homomorphisms():

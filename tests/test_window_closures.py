@@ -12,6 +12,7 @@ whatever order it merges in.
 
 import random
 from functools import lru_cache
+from math import gcd
 
 import pytest
 
@@ -40,9 +41,7 @@ from houghton_kit.errors import InconclusiveError
 from houghton_kit.rays import RaySystem
 from houghton_kit.subgroups import (
     GeneratedSubgroup,
-    _certificate_shape,
     _orbit_certificate,
-    _orbit_classes,
     delta_k,
     orbit_windows,
     translation_lattice,
@@ -188,22 +187,50 @@ def test_congruence_classes_match_the_naive_closure(seed):
 
 
 def check_orbit_report(group, window, deep):
-    """The report's contract against naive closures.
-
-    Stabilized exactly when the certificate depth D is at most 4W; then the
-    classes are ``deep`` (a deep naive closure) cut to the window, otherwise
-    the naive closure on the window of depth 2W.
-    """
+    """The report is ``deep`` (a deep naive closure) cut to the window."""
     report = orbit_windows(group, window)
-    assert report.stabilized == (_certificate_shape(group)[0] <= 4 * window)
-    if report.stabilized:
-        cut = (tuple(p for p in c if p.pos < window) for c in deep)
-        classes = tuple(c for c in cut if c)
-    else:
-        classes = naive_orbit_classes(group, window, 2 * window)
+    cut = (tuple(p for p in c if p.pos < window) for c in deep)
+    classes = tuple(c for c in cut if c)
+    assert report.stabilized
     assert report.classes == classes
     assert report.ray_incidence == tuple(tuple(sorted({p.ray for p in c})) for c in classes)
     return report
+
+
+def window_depth(group):
+    """D = T + max m_i + 2s + 1: a window on which the generator moves close to the orbits.
+
+    T is the largest threshold, s the largest |shift| and m_i the gcd of the
+    translations on ray i; a naive closure at depth D or more, cut to a
+    shallower window, is the exact orbit partition there.
+    """
+    gens = group.generators
+    top = max((g.threshold for g in gens), default=0)
+    shift = max((g.max_shift() for g in gens), default=0)
+    moduli = [gcd(*(g.t[i] for g in gens)) for i in range(group.n)]
+    return top + max(moduli) + 2 * shift + 1
+
+
+def closure_sizes(monkeypatch):
+    """The list that collects the size of every closure ``subgroups`` runs."""
+    sizes = []
+    close = subgroups._close
+
+    def counted(size, *args):
+        sizes.append(size)
+        return close(size, *args)
+
+    monkeypatch.setattr(subgroups, "_close", counted)
+    return sizes
+
+
+def certificate_nodes(group, monkeypatch):
+    """The node count the orbit certificate closes over, built afresh."""
+    sizes = closure_sizes(monkeypatch)
+    _orbit_certificate.__wrapped__(group)
+    monkeypatch.undo()
+    (size,) = sizes
+    return size
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -240,21 +267,21 @@ def orbit_test_groups():
     return groups
 
 
+@lru_cache(maxsize=128)
+def deep_orbit_classes(group):
+    """The naive closure at depth 16 * 40 + 200, cut to depth 60."""
+    return naive_orbit_classes(group, 60, 16 * 40 + 200)
+
+
 def test_exact_orbits_match_a_deep_closure():
-    windows = (5, 10, 20, 40)
-    shallow = {w: 0 for w in windows}
     for group in orbit_test_groups():
-        # one closure at 16 * 40 + 200, cut to each window: 16W + 200 or deeper
-        deep = naive_orbit_classes(group, windows[-1], 16 * windows[-1] + 200)
-        for window in windows:
-            cut = (tuple(p for p in c if p.pos < window) for c in deep)
-            assert _orbit_classes(group, window) == tuple(c for c in cut if c)
-            shallow[window] += not check_orbit_report(group, window, deep).stabilized
-    assert shallow[5] > 0 and shallow[10] > 0  # certificates beyond 4W occur
+        assert window_depth(group) <= 16 * 40 + 200
+        for window in (5, 10, 20, 40):
+            check_orbit_report(group, window, deep_orbit_classes(group))
 
 
 def test_the_block_search_reads_exact_orbits():
-    # _require_margin gives depth // 2 >= margin, so D <= 4 * (depth // 2) - 2
+    # every depth the block search accepts reads the exact orbits at depth // 2
     checked = 0
     for group in orbit_test_groups():
         for depth in range(2, 121):
@@ -262,62 +289,113 @@ def test_the_block_search_reads_exact_orbits():
                 _require_margin(group, depth)
             except InconclusiveError:
                 continue
-            assert orbit_windows(group, depth // 2).stabilized, (group, depth)
+            check_orbit_report(group, depth // 2, deep_orbit_classes(group))
             checked += 1
     assert checked > 1000
 
 
-def test_orbit_windows_closes_only_when_the_certificate_is_too_deep(monkeypatch):
-    sizes = []
-    close = subgroups._close
+def test_certificate_nodes_never_exceed_the_window_closure(monkeypatch):
+    for group in orbit_test_groups():
+        assert certificate_nodes(group, monkeypatch) <= group.n * window_depth(group)
 
-    def counted(size, *args):
-        sizes.append(size)
-        return close(size, *args)
 
-    monkeypatch.setattr(subgroups, "_close", counted)
-    group = deep_join_group()  # certificate depth 49
+def test_orbit_windows_reads_the_cached_certificate(monkeypatch):
+    group = deep_join_group()
     _orbit_certificate(group)
-    sizes.clear()
-    assert orbit_windows(group, 13).stabilized  # 49 <= 52: read from the cache
+    sizes = closure_sizes(monkeypatch)
+    for window in (5, 12, 13, 100):
+        assert orbit_windows(group, window).class_count == 1
     assert sizes == []
-    assert not orbit_windows(group, 12).stabilized  # 49 > 48: one 2W closure
-    assert sizes == [group.n * 2 * 12]
 
 
-def deep_join_group():
-    """<g^2, (1:0 1:41)> in H_2: one orbit, whose two parities meet at (1, 41).
-
-    Its certificate has depth D = 42 + 2 + 2 * 2 + 1 = 49.
-    """
+def deep_join_group(join=41):
+    """<g^2, (1:0 1:join)> in H_2: one orbit, whose two parities meet at (1, join)."""
     return GeneratedSubgroup.from_elements(
-        2, [generator(2, 2) ** 2, transposition(2, (1, 0), (1, 41))]
+        2, [generator(2, 2) ** 2, transposition(2, (1, 0), (1, join))]
     )
 
 
 def test_deep_join_is_exact_once_the_certificate_is_built():
     group = deep_join_group()
-    assert _certificate_shape(group)[0] == 49
-    report = orbit_windows(group, 10)  # 49 > 40: the 2W closure splits the parities
-    assert report.class_count == 2
-    assert not report.stabilized
-    report = orbit_windows(group, 20)  # 49 <= 80: the exact single orbit
-    assert report.class_count == 1
-    assert report.stabilized
-    assert _orbit_classes(group, 10) == (tuple(RaySystem(2).window(10)),)
+    for window in (10, 20):
+        report = orbit_windows(group, window)
+        assert report.classes == (tuple(RaySystem(2).window(window)),)
+        assert report.stabilized
 
 
-def test_a_certificate_deeper_than_four_windows_is_not_built():
-    # the join at (1, 10^4 + 1) puts the certificate's depth far beyond 4W
-    group = GeneratedSubgroup.from_elements(
-        2, [generator(2, 2) ** 2, transposition(2, (1, 0), (1, 10**4 + 1))]
+def test_a_far_join_is_one_exact_class(monkeypatch):
+    # the join at (1, 10^4 + 1): a closure up to it would hold 2 * 10^4 points
+    group = deep_join_group(10**4 + 1)
+    assert orbit_windows(group, 10).class_count == 1
+    assert certificate_nodes(group, monkeypatch) < 50
+
+
+def far_head_groups():
+    """Subgroups whose heads reach 10^3 and 10^4, with the window to check them at."""
+    d = delta_k(3, 2)
+    out = []
+    for far in (10**3, 10**4):
+        # joins the two parity classes at `far` + 1, and again at `far` + 8
+        cycle = from_cycles(3, [[(1, 0), (2, far + 1)], [(3, 1), (2, far + 8)]])
+        out.append((GeneratedSubgroup(3, d.generators + (cycle,)), far + 12))
+        # a 3-cycle of far points on a ray that only a finitary element moves
+        gens = (generator(3, 2) ** 3, from_cycles(3, [[(3, far), (3, far + 2), (1, far + 1)]]))
+        out.append((GeneratedSubgroup(3, gens), far + 6))
+    return out
+
+
+def cluster_group(gap):
+    """Two touched clusters on ray 1 of a shift-3 group, ``gap`` points apart.
+
+    Ray 1 is touched at 0..2 and at 20 and 27 + gap (with s = 3, the dense
+    stretches [17, 24) and [24 + gap, 31 + gap)).
+    """
+    gens = (
+        generator(2, 2) ** 3,
+        transposition(2, (1, 20), (2, 4)),
+        transposition(2, (1, 27 + gap), (2, 5)),
     )
-    assert _certificate_shape(group)[0] > 4 * 10
-    misses = _orbit_certificate.cache_info().misses
+    return GeneratedSubgroup(2, gens)
+
+
+@pytest.mark.parametrize(
+    "group, window",
+    far_head_groups()
+    + [(cluster_group(6), 60), (cluster_group(5), 60)]
+    + [
+        # a touched ray with m_i = 0: ray 3 only moves under a finitary cycle
+        (GeneratedSubgroup(3, (generator(3, 2), from_cycles(3, [[(3, 2), (3, 9), (1, 4)]]))), 20),
+        (GeneratedSubgroup(2, ()), 8),
+    ],
+    ids=[
+        "join@10^3", "fixed-ray@10^3", "join@10^4", "fixed-ray@10^4",
+        "gap-2s", "gap-2s-1", "touched-fixed-ray", "empty",
+    ],
+)
+def test_far_and_clustered_heads_match_a_deep_closure(group, window):
+    top = max(window, 40)
+    deep = naive_orbit_classes(group, top, top + window_depth(group))
+    for w in (5, 40, window):
+        check_orbit_report(group, w, deep)
+
+
+def test_a_gap_shorter_than_2s_is_dense():
+    # with s = 3, a gap of 6 between the stretches is a run, one of 5 is dense
+    run = _orbit_certificate(cluster_group(6))[0][0]
+    dense = _orbit_certificate(cluster_group(5))[0][0]
+    assert [seg[:2] for seg in run[1:5]] == [(6, 17), (17, 24), (24, 30), (30, 37)]
+    assert [seg[:2] for seg in dense[1:4]] == [(6, 17), (17, 36), (36, float("inf"))]
+
+
+def test_a_head_at_10_to_the_5_closes_over_few_nodes(monkeypatch):
+    # parities of <g_j^2> meet at (2, 10^5) only: one orbit
+    gens = [generator(5, j) ** 2 for j in range(2, 6)]
+    gens.append(transposition(5, (1, 0), (2, 10**5)))
+    group = GeneratedSubgroup.from_elements(5, gens)
+    assert certificate_nodes(group, monkeypatch) < 100
     report = orbit_windows(group, 10)
-    assert report.class_count == 2
-    assert not report.stabilized
-    assert _orbit_certificate.cache_info().misses == misses
+    assert report.class_count == 1
+    assert report.ray_incidence == ((1, 2, 3, 4, 5),)
 
 
 def test_equal_groups_built_apart_share_one_certificate():
