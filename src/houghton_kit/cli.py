@@ -11,6 +11,7 @@ import argparse
 import json
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .blocks import BlockSystem, find_block_systems, quotient, verify_block_system
 from .bns import (
@@ -42,11 +43,11 @@ from .wreath import build_block_context, kk_embed, verify_kk
 
 
 # Largest threshold, head position, word exponent and cycle position the
-# command line accepts.  Element work still grows with them: the window trace
-# behind `element cycles`' window_checked covers n * (threshold + 3 max|t_i|)
-# points, the finite cycles it lists can be as long, and word powers grow with
-# the exponent.  So input past it is rejected up front.  The library itself
-# is unbounded.
+# command line accepts.  Element work still grows with them: the finite
+# cycles that `element cycles` lists can be as long as the threshold, and
+# word powers grow with the exponent.  (The recount behind window_checked
+# folds the runs between head points, so its cost does not.)  So input past
+# it is rejected up front.  The library itself is unbounded.
 POSITION_BOUND = 10**5
 
 _WORD_EXPONENT = re.compile(r"\^(-?\d+)")
@@ -110,9 +111,41 @@ def _parse_lattice(text: str, n: int) -> TranslationLattice:
     return TranslationLattice.from_vectors(n, rows)
 
 
+def _json_text(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` written at ``indent``, byte for byte.
+
+    With an indent, ``json.dumps`` always runs the pure-Python encoder, which
+    is slow on long cycle lists.  Here ints, strings, non-empty dicts with
+    string keys and non-empty lists are written directly, and a list of
+    [ray, pos] int pairs from one template; every other value goes to
+    ``json.dumps``, its lines moved to ``indent``.
+    """
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    inner = indent + "  "
+    if kind is list and value:
+        if all(type(p) is list and len(p) == 2 and type(p[0]) is int and type(p[1]) is int
+               for p in value):
+            pair = f"{inner}[\n{inner}  %d,\n{inner}  %d\n{inner}]"
+            body = ",\n".join([pair % (ray, pos) for ray, pos in value])
+        else:
+            body = ",\n".join([inner + _json_text(x, inner) for x in value])
+        return f"[\n{body}\n{indent}]"
+    if kind is dict and value and all(type(k) is str for k in value):
+        body = ",\n".join(
+            f"{inner}{encode_basestring_ascii(k)}: {_json_text(value[k], inner)}"
+            for k in sorted(value)
+        )
+        return f"{{\n{body}\n{indent}}}"
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+
+
 def _emit(args, payload: dict, text_lines) -> None:
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_json_text(payload))
     else:
         for line in text_lines:
             print(line)

@@ -23,6 +23,7 @@ import json
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from math import gcd, inf
 from typing import Iterable, Mapping
 
 from .errors import DomainError, InvalidElementError
@@ -353,8 +354,11 @@ def commutator(a: HoughtonElement, b: HoughtonElement) -> HoughtonElement:
 class CycleStructure:
     """Finite cycles listed exactly; infinite cycles counted.
 
-    ``window_checked`` records that orbit tracing on a finite window
-    reproduced both counts.
+    ``window_checked`` records that an independent recount reproduced both
+    counts (``_folded_cycle_counts``): the orbits of <g> closed on folded
+    nodes, one per point near the head and one per residue of each longer
+    run, so its cost does not grow with the threshold.  The field keeps its
+    name, which is a key of the ``houghton-kit/1`` CLI schema.
     """
 
     finite_cycles: tuple
@@ -461,6 +465,91 @@ def _image_table(g: HoughtonElement, depth: int) -> tuple:
     return tuple(table)
 
 
+def _fold_orbits(n: int, generators: tuple) -> tuple:
+    """(per-ray segments, closure roots): the exact orbit partition of the
+    group the generators span, folded to nodes.
+
+    Dense stretches (touched positions +- s_i) have a node per point; every
+    other run of ray i, the tail included, a node per residue mod m_i.  A
+    segment (start, stop, base, period) sends (ray, pos) to node
+    base + (pos - start) % period, or none if the period is 0.  The proof
+    that the closure gives the orbits is in ``subgroups._orbit_certificate``,
+    the cached wrapper for subgroups.
+    """
+    touched = [set() for _ in range(n)]
+    for ray, pos in (p for g in generators for pair in g.head for p in pair):
+        touched[ray - 1].add(pos)
+    shifts = list(zip(*(g.t for g in generators))) or [()] * n  # per ray
+    segments, size = [], 0
+    for ray_shifts, positions in zip(shifts, touched):
+        s, m = max(map(abs, ray_shifts), default=0), gcd(*ray_shifts)
+        dense: list = []
+        for pos in sorted(positions):
+            if dense and pos - s - dense[-1][1] < max(2 * s, 1):  # a run is 2s long, not empty
+                dense[-1][1] = pos + s + 1
+            else:
+                dense.append([max(pos - s, 0), pos + s + 1])
+        segs, cuts = [], [0, *(x for stretch in dense for x in stretch), inf]
+        for k, (lo, hi) in enumerate(zip(cuts, cuts[1:])):  # a run, a dense stretch, ..., a run
+            if lo < hi:
+                segs.append((lo, hi, size, hi - lo if k % 2 else m))
+                size += segs[-1][3]
+        segments.append(tuple(segs))
+    starts = [[seg[0] for seg in segs] for segs in segments]
+    stretches = [[seg for seg in segs if seg[3] == seg[1] - seg[0]] for segs in segments]
+
+    def node(ray, pos):
+        start, _, base, period = segments[ray - 1][bisect_right(starts[ray - 1], pos) - 1]
+        return base + (pos - start) % period
+
+    pairs = []
+    for g in generators:
+        moves = {}  # node -> node of its image, where a translation or the head moves it
+        for ray, dense in enumerate(stretches, start=1):  # a run's moves stay at their nodes
+            t = g.t[ray - 1]
+            for start, stop, base, _ in dense if t else ():
+                lo, hi = start + max(-t, 0), stop - max(t, 0)  # x + t stays in the stretch
+                moves.update((i, i + t) for i in range(base + lo - start, base + hi - start))
+                # x + t < 0 only for a head point, whose entry the head loop sets
+                edge = (*range(start, lo), *range(hi, stop))
+                moves.update((base + x - start, node(ray, x + t)) for x in edge if x + t >= 0)
+                # run points x with g(x) = x + t in the stretch: g^-1 of its dense points
+                entering = range(max(start - t, 0), start) if t > 0 else range(stop, stop - t)
+                pairs.extend((node(ray, x), node(ray, x + t)) for x in entering)
+        for p, q in g.head:
+            moves[node(*p)] = node(*q)
+        pairs.extend(moves.items())
+    return tuple(segments), _close(size, pairs)
+
+
+def _folded_cycle_counts(g: HoughtonElement):
+    """(finite cycle sizes sorted, infinite cycle count) from the folded orbits of <g>.
+
+    Each node weighs the points it stands for: 1 in a dense stretch, the
+    positions of its residue in a finite run, infinitely many in the tail.
+    The orbits of <g> are the cycles of g, so a finite class weighing more
+    than 1 is a finite cycle of that size, and a class holding a tail node is
+    an infinite cycle.  The cost follows the head and the shifts, not the
+    threshold.
+    """
+    segments, roots = _fold_orbits(g.n, (g,))
+    weight = [1] * len(roots)
+    tails = set()
+    for segs in segments:
+        for start, stop, base, period in segs:
+            if period and period != stop - start:  # a run: a node per residue
+                for node in range(base, base + period):
+                    if stop == inf:
+                        tails.add(roots[node])
+                    else:
+                        weight[node] = len(range(start + node - base, stop, period))
+    sizes: dict[int, int] = {}
+    for node, root in enumerate(roots):
+        sizes[root] = sizes.get(root, 0) + weight[node]
+    finite = sorted(w for root, w in sizes.items() if w > 1 and root not in tails)
+    return finite, len(tails)
+
+
 def window_cycle_counts(g: HoughtonElement, depth: int | None = None):
     """Count cycles by tracing orbits inside a finite window.
 
@@ -487,12 +576,14 @@ def window_cycle_counts(g: HoughtonElement, depth: int | None = None):
 def cycle_structure(g: HoughtonElement) -> CycleStructure:
     """Disjoint cycle data: exact finite cycles plus the infinite-cycle count.
 
-    The infinite count is half the total absolute translation; a window
-    trace cross-checks both counts and the result records that it agreed.
+    The infinite count is half the total absolute translation.  A recount on
+    the folded orbits of <g> (``_folded_cycle_counts``), which shares nothing
+    with the walk's head index, cross-checks both counts, and the result
+    records that it agreed.
     """
     finite = _finite_cycles(g)
     infinite = sum(abs(x) for x in g.t) // 2
-    sizes, strands = window_cycle_counts(g)
+    sizes, strands = _folded_cycle_counts(g)
     checked = sizes == sorted(len(c) for c in finite) and strands == infinite
     return CycleStructure(finite, infinite, checked)
 

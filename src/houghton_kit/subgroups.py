@@ -6,23 +6,21 @@ finitary commutator construction and the residue-class stabilizer family.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import gcd, inf
 from typing import Iterable
 
 from . import intlattice as la
 from .elements import (
     HoughtonElement,
+    _finite_cycles,
+    _fold_orbits,
     commutator,
-    cycle_structure,
     from_cycles,
     generator,
     identity,
 )
 from .errors import DomainError, InconclusiveError, UnsupportedCaseError
-from .finperm import _close
 from .rays import RayPoint, RaySystem
 
 
@@ -312,51 +310,12 @@ def _orbit_certificate(group: GeneratedSubgroup) -> tuple:
 
     Position 0 is touched when m_i >= 1, so no run starts there.  The nodes
     number O(n max m_i + sum |head| (2s + 1)), whatever the thresholds.
+
+    ``elements._fold_orbits`` builds the segments and the closure; this
+    wrapper caches them per group, and ``cycle_structure`` calls the builder
+    itself, so one-off elements do not evict the groups cached here.
     """
-    touched = [set() for _ in range(group.n)]
-    for ray, pos in (p for g in group.generators for pair in g.head for p in pair):
-        touched[ray - 1].add(pos)
-    shifts = list(zip(*(g.t for g in group.generators))) or [()] * group.n  # per ray
-    segments, size = [], 0
-    for ray_shifts, positions in zip(shifts, touched):
-        s, m = max(map(abs, ray_shifts), default=0), gcd(*ray_shifts)
-        dense: list = []
-        for pos in sorted(positions):
-            if dense and pos - s - dense[-1][1] < max(2 * s, 1):  # a run is 2s long, not empty
-                dense[-1][1] = pos + s + 1
-            else:
-                dense.append([max(pos - s, 0), pos + s + 1])
-        segs, cuts = [], [0, *(x for stretch in dense for x in stretch), inf]
-        for k, (lo, hi) in enumerate(zip(cuts, cuts[1:])):  # a run, a dense stretch, ..., a run
-            if lo < hi:
-                segs.append((lo, hi, size, hi - lo if k % 2 else m))
-                size += segs[-1][3]
-        segments.append(tuple(segs))
-    starts = [[seg[0] for seg in segs] for segs in segments]
-    stretches = [[seg for seg in segs if seg[3] == seg[1] - seg[0]] for segs in segments]
-
-    def node(ray, pos):
-        start, _, base, period = segments[ray - 1][bisect_right(starts[ray - 1], pos) - 1]
-        return base + (pos - start) % period
-
-    pairs = []
-    for g in group.generators:
-        moves = {}  # node -> node of its image, where a translation or the head moves it
-        for ray, dense in enumerate(stretches, start=1):  # a run's moves stay at their nodes
-            t = g.t[ray - 1]
-            for start, stop, base, _ in dense if t else ():
-                lo, hi = start + max(-t, 0), stop - max(t, 0)  # x + t stays in the stretch
-                moves.update((i, i + t) for i in range(base + lo - start, base + hi - start))
-                # x + t < 0 only for a head point, whose entry the head loop sets
-                edge = (*range(start, lo), *range(hi, stop))
-                moves.update((base + x - start, node(ray, x + t)) for x in edge if x + t >= 0)
-                # run points x with g(x) = x + t in the stretch: g^-1 of its dense points
-                entering = range(max(start - t, 0), start) if t > 0 else range(stop, stop - t)
-                pairs.extend((node(ray, x), node(ray, x + t)) for x in entering)
-        for p, q in g.head:
-            moves[node(*p)] = node(*q)
-        pairs.extend(moves.items())
-    return tuple(segments), _close(size, pairs)
+    return _fold_orbits(group.n, group.generators)
 
 
 def orbit_windows(group: GeneratedSubgroup, depth: int) -> OrbitWindowReport:
@@ -472,7 +431,7 @@ def finitary_commutator(group: GeneratedSubgroup) -> HoughtonElement:
             raise InconclusiveError(
                 f"no element with the ray-(1,{j}) sign pattern within the budget"
             )
-        k = _lcm(len(c) for c in cycle_structure(h).finite_cycles) or 1
+        k = _lcm(len(c) for c in _finite_cycles(h)) or 1
         parts.append(h ** k)
     result = commutator(parts[0], parts[1])
     if not result.is_finitary():

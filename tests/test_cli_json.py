@@ -1,0 +1,125 @@
+"""The CLI's JSON writer against ``json.dumps(indent=2, sort_keys=True)``.
+
+Every payload the CLI emits is caught on its way into ``cli._emit`` and
+written both ways; the comparison is on the payload object itself, so a
+difference that a ``json.loads`` round trip would hide still fails.
+"""
+
+import json
+
+import pytest
+
+from houghton_kit import cli
+from houghton_kit.cli import _json_text, cli_main
+from houghton_kit.elements import from_cycles, generator, houghton_generators, transposition
+from houghton_kit.subgroups import GeneratedSubgroup, delta_k
+
+
+def dumps(value):
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+def write(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def pair_group():
+    g2sq = generator(2, 2) ** 2
+    swap = transposition(2, (1, 0), (1, 1))
+    pair_swap = from_cycles(2, [[(1, 0), (1, 2)], [(1, 1), (1, 3)]])
+    return GeneratedSubgroup.from_elements(2, [g2sq, swap, pair_swap])
+
+
+def emitting_commands(tmp_path):
+    """One argv per ``_emit`` call site, some sites twice for their other shapes."""
+    spin = transposition(3, (1, 0), (2, 7)).compose(generator(3, 2))
+    f = {
+        "cycles": write(tmp_path, "cycles.json", spin.to_json_dict()),
+        "no-cycles": write(tmp_path, "gen.json", generator(3, 3).to_json_dict()),
+        "swap": write(tmp_path, "swap.json", transposition(2, (1, 0), (1, 1)).to_json_dict()),
+        "h3": write(tmp_path, "h3.json", GeneratedSubgroup(3, tuple(houghton_generators(3))).to_json_dict()),
+        "delta": write(tmp_path, "delta.json", delta_k(3, 2).to_json_dict()),
+        "pair": write(tmp_path, "pair.json", pair_group().to_json_dict()),
+        "blocks": write(tmp_path, "blocks.json", [[[1, 0], [1, 1]]]),
+        "finitary": write(
+            tmp_path, "finitary.json",
+            GeneratedSubgroup(3, (from_cycles(3, [[(1, 0), (1, 1), (1, 2)]]),)).to_json_dict(),
+        ),
+    }
+    return [
+        ["element", "parse", "--file", f["cycles"]],
+        ["element", "parse", "--word", "g2^2 * (1:0 2:3)", "--n", "3"],
+        ["element", "compose", "--file", f["swap"], "--file", f["swap"]],
+        ["element", "cycles", "--file", f["cycles"]],
+        ["element", "cycles", "--file", f["no-cycles"]],
+        ["subgroup", "lattice", "--subgroup", f["delta"]],
+        ["subgroup", "lattice", "--subgroup", f["finitary"]],
+        ["subgroup", "hirsch", "--subgroup", f["h3"]],
+        ["subgroup", "level", "--subgroup", f["h3"]],
+        ["subgroup", "level", "--subgroup", f["delta"]],
+        ["subgroup", "orbits", "--subgroup", f["delta"], "--window", "12"],
+        ["blocks", "find", "--subgroup", f["pair"], "--window", "40"],
+        ["blocks", "find", "--subgroup", f["delta"], "--window", "20"],
+        ["blocks", "verify", "--subgroup", f["pair"], "--blocks", f["blocks"]],
+        ["blocks", "quotient", "--subgroup", f["pair"], "--blocks", f["blocks"], "--window", "60"],
+        ["wreath", "embed", "--subgroup", f["pair"], "--blocks", f["blocks"]],
+        ["wreath", "embed", "--subgroup", f["pair"], "--blocks", f["blocks"], "--word", "g2^2"],
+        ["wreath", "verify", "--subgroup", f["pair"], "--blocks", f["blocks"],
+         "--samples", "20", "--seed", "3"],
+        ["bns", "sigma", "--n", "3", "--chi", "t1 - 2 t2", "--m", "2"],
+        ["bns", "type", "--n", "3", "--kernel", "t1 + 2 t2"],
+        ["bns", "certificate", "--n", "3", "--lattice", "1,2,-3;2,1,-3"],
+        ["bns", "certificate", "--subgroup", f["delta"], "--n", "3"],
+        ["classify", "--subgroup", f["delta"]],
+        ["classify", "--subgroup", f["pair"]],
+        ["classify", "--subgroup", f["finitary"]],
+    ]
+
+
+def test_every_cli_payload_is_written_as_json_dumps_writes_it(tmp_path, capsys, monkeypatch):
+    payloads = []
+    emit = cli._emit
+
+    def caught(args, payload, text_lines):
+        payloads.append(payload)
+        emit(args, payload, text_lines)
+
+    monkeypatch.setattr(cli, "_emit", caught)
+    commands = emitting_commands(tmp_path)
+    # every call site of _emit: 3 element, 4 subgroup, 3 blocks, 2 wreath, 3 bns, classify
+    assert len({tuple(argv[:2]) for argv in commands}) == 16
+    for count, argv in enumerate(commands, start=1):
+        capsys.readouterr()
+        assert cli_main(["--json", *argv]) == 0, argv
+        assert len(payloads) == count
+        payload = payloads[-1]
+        assert _json_text(payload) == dumps(payload), argv
+        assert capsys.readouterr().out == dumps(payload) + "\n"
+    cycles, no_cycles = payloads[3], payloads[4]
+    assert cycles["finite_cycles"] and no_cycles["finite_cycles"] == []
+
+
+EDGE_PAYLOADS = [
+    {},
+    [],
+    {"empty": [], "nothing": {}, "none": None, "yes": True, "no": False},
+    {"text": "café ☃ \U0001d11e \"quoted\" back\\slash\n\ttab \x00  "},
+    {"b": 1, "a": 2, "A": 3, "_": 4, "é": 5, "": 6},
+    {"pairs": [[1, 2], [-3, 40], [0, 10**20]], "empty_pairs": [[]], "one": [[7, 8]]},
+    {"near_pairs": [[1, 2], [True, 3]], "floats": [[1.0, 2]], "triple": [[1, 2, 3]]},
+    {"tuples": [(1, 2), (3, 4)], "tuple": (1, 2), "mixed": [[1, 2], (3, 4)]},
+    {"nested": [[[1, 0], [2, 5]], [], [[3, 3]]], "deep": {"x": {"y": [{"z": []}]}}},
+    {"int_keys": {2: "b", 1: "a"}, "scalars": [1.5, -0.0, None, True, "s", 10**30]},
+    {"cycles": [[[p % 5 + 1, p] for p in range(200)]], "count": 0},
+    [None, False, [], {}, "", 0, [[]], [{}]],
+    "top-level string",
+    12345,
+    None,
+]
+
+
+@pytest.mark.parametrize("payload", EDGE_PAYLOADS, ids=range(len(EDGE_PAYLOADS)))
+def test_edge_payloads_are_written_as_json_dumps_writes_them(payload):
+    assert _json_text(payload) == dumps(payload)

@@ -16,7 +16,7 @@ from math import gcd
 
 import pytest
 
-from houghton_kit import subgroups
+from houghton_kit import elements
 from houghton_kit.blocks import (
     BlockSystem,
     _closure_class_of_pair,
@@ -212,15 +212,18 @@ def window_depth(group):
 
 
 def closure_sizes(monkeypatch):
-    """The list that collects the size of every closure ``subgroups`` runs."""
+    """The list that collects the size of every closure ``elements`` runs.
+
+    The orbit certificate is closed there, in ``elements._fold_orbits``.
+    """
     sizes = []
-    close = subgroups._close
+    close = elements._close
 
     def counted(size, *args):
         sizes.append(size)
         return close(size, *args)
 
-    monkeypatch.setattr(subgroups, "_close", counted)
+    monkeypatch.setattr(elements, "_close", counted)
     return sizes
 
 
