@@ -1,16 +1,21 @@
 """Finite block systems for subgroup actions on the ray set.
 
-Verification and bounded search run on a finite window, so positive results
-are certificates while an empty search is only evidence: the caveat string on
-search results says so.  The quotient construction orders congruence classes
-by least element, ranks them along each ray and rebuilds the induced
-generator images as elements of the quotient ray system.
+``find_block_systems`` first tries a proof that no proper non-trivial system
+of finite blocks exists (``_finitary_alternating_proof``: every orbit is
+infinite and the group contains its finitary alternating group); where it
+holds, the empty result is a proof at every window, and its caveat says so.
+Otherwise verification and bounded search run on a finite window, so
+positive results are certificates while an empty search is only evidence:
+the search's caveat says that instead.  The quotient construction orders
+congruence classes by least element, ranks them along each ray and rebuilds
+the induced generator images as elements of the quotient ray system.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 from .elements import HoughtonElement, _image_table
 from .errors import DomainError, InconclusiveError
@@ -19,6 +24,7 @@ from .rays import RayPoint, RaySystem
 from .subgroups import (
     GeneratedSubgroup,
     TranslationLattice,
+    _orbit_certificate,
     _window_partition,
     bounded_words,
     orbit_windows,
@@ -262,8 +268,8 @@ def _closure_class_of_pair(group, tables, p, q, depth, cap, weights):
     raise AssertionError("point lost by closure")
 
 
-def find_block_systems(group: GeneratedSubgroup, depth: int) -> BlockSearchResult:
-    """Bounded search for proper non-trivial block systems.
+def _search_block_systems(group: GeneratedSubgroup, depth: int) -> BlockSearchResult:
+    """The window-bounded search of ``find_block_systems``, without the proof.
 
     Seeds are pairs of a fixed representative per orbit class with the first
     4 * bound window points, where bound is the block size bound of the
@@ -276,10 +282,9 @@ def find_block_systems(group: GeneratedSubgroup, depth: int) -> BlockSearchResul
     contains the failed closure and fails too: each failed seed weighs like
     a point past the edge for the representative's later seeds, and seeds
     that weigh that much are skipped.  Every candidate that survives is
-    verified before being returned.  An empty result is evidence only,
-    never a proof of strong orbit primitivity.  Raises InconclusiveError
-    when half the depth is below the generator margin, since no candidate
-    could then be verified.
+    verified before being returned.  Raises InconclusiveError when half the
+    depth is below the generator margin, since no candidate could then be
+    verified.
     """
     bound = block_size_bound(translation_lattice(group))
     margin = _require_margin(group, depth)
@@ -319,33 +324,177 @@ def find_block_systems(group: GeneratedSubgroup, depth: int) -> BlockSearchResul
             if verdict.valid:
                 seen_keys.add(interior)
                 found.append(system)
-    caveat = (
-        "window-bounded search: an empty result is not a proof that no proper "
-        "non-trivial block system exists"
-    )
     found.sort(key=lambda s: s.blocks[0][0])
-    return BlockSearchResult(tuple(found), caveat)
+    return BlockSearchResult(tuple(found), WINDOW_CAVEAT)
 
 
-def finitary_class_transitivity(group: GeneratedSubgroup, depth: int):
-    """Window evidence for finitary transitivity on each orbit class.
+def find_block_systems(group: GeneratedSubgroup, depth: int) -> BlockSearchResult:
+    """Proper non-trivial block systems: none by proof, or a bounded search.
 
-    Connects window points by finitary words of length at most 3 and
-    reports, per orbit class, how many pieces the class interior falls into.
-    Evidence only: a count above one says nothing at larger word lengths.
+    When ``_finitary_alternating_proof`` holds, the result is empty with
+    ``PROOF_CAVEAT``: no proper non-trivial system of finite blocks exists,
+    so neither the window nor the translation lattice is read.  Otherwise the
+    window-bounded search runs (``_search_block_systems``) and its caveat is
+    ``WINDOW_CAVEAT``: an empty result is then evidence only, never a proof
+    of strong orbit primitivity.  The search raises DomainError when the
+    translation lattice is not of full rank, since the block size bound
+    needs it, and InconclusiveError when half the depth is below the
+    generator margin.
     """
-    report = orbit_windows(group, depth)
-    finitary = tuple(
-        w
-        for _, w, _ in bounded_words(group, 3)
-        if w.is_finitary() and w.threshold <= depth
-    )
-    pieces = orbit_windows(GeneratedSubgroup(group.n, finitary), depth).classes
-    piece_of = {p: k for k, piece in enumerate(pieces) for p in piece}
-    return [
-        (idx, len(cls), len({piece_of[p] for p in cls}))
-        for idx, cls in enumerate(report.classes)
-    ]
+    if _finitary_alternating_proof(group) is not None:
+        return BlockSearchResult((), PROOF_CAVEAT)
+    return _search_block_systems(group, depth)
+
+
+# -- the finitary alternating proof ----------------------------------------------
+
+PROOF_CAVEAT = (
+    "proof: every orbit is infinite and the group contains its finitary "
+    "alternating group, so no proper non-trivial block system exists"
+)
+WINDOW_CAVEAT = (
+    "window-bounded search: an empty result is not a proof that no proper "
+    "non-trivial block system exists"
+)
+
+
+def _small_cycle(moved: dict):
+    """The cycle, as a tuple of points, of a permutation moving 2 or 3 points.
+
+    ``moved`` maps each moved point to its image.  A permutation moving
+    exactly 3 points fixes none of them, so it is a 3-cycle.  None for any
+    other number of moved points.  The cycle starts at its least point.
+    """
+    if len(moved) not in (2, 3):
+        return None
+    p = min(moved)
+    cycle = [p]
+    q = moved[p]
+    while q != p:
+        cycle.append(q)
+        q = moved[q]
+    return tuple(cycle)
+
+
+def _commutator_cycle(a, b, a_inv, b_inv):
+    """``_small_cycle`` of the commutator "a, then b, then a^-1, then b^-1".
+
+    Reads the commutator's moved points without building it: a point that
+    none of the four steps meets in its head moves by t_a + t_b - t_a - t_b
+    = 0 along its ray, so only the head points of a and the preimages of the
+    later steps' head points can move.  Stops as soon as a fourth point moves.
+    """
+    candidates = {p for p, _ in a.head}
+    candidates.update(a_inv._image(p) for p, _ in b.head)
+    candidates.update(a_inv._image(b_inv._image(p)) for p, _ in a_inv.head)
+    candidates.update(a_inv._image(b_inv._image(a._image(p))) for p, _ in b_inv.head)
+    moved = {}
+    for x in candidates:
+        y = b_inv._image(a_inv._image(b._image(a._image(x))))
+        if y != x:
+            if len(moved) == 3:
+                return None
+            moved[x] = y
+    return _small_cycle(moved)
+
+
+def _components(cycles) -> list:
+    """(sorted points, cycles) per connected union of the cycles' supports."""
+    points = sorted({p for c in cycles for p in c})
+    index = {p: i for i, p in enumerate(points)}
+    roots = _close(len(points), [(index[c[0]], index[p]) for c in cycles for p in c[1:]])
+    parts: dict = {}
+    for c in cycles:
+        parts.setdefault(roots[index[c[0]]], []).append(c)
+    return [(tuple(sorted({p for c in part for p in c})), tuple(part)) for part in parts.values()]
+
+
+def _finitary_alternating_proof(group: GeneratedSubgroup):
+    """Per orbit, a set S with the witnesses that prove Alt(S) <= G; else None.
+
+    The result holds one (S, witnesses) pair per orbit of G, in order of
+    least point: S is a sorted tuple of points of the orbit, and each witness
+    is the cycle, as a tuple of points, of a transposition or 3-cycle in G.
+    It proves that G preserves no partition into finite blocks other than
+    the partition into points:
+
+    - Every orbit is infinite.  In the exact orbit certificate
+      (``subgroups._orbit_certificate``) no segment has period 0, which would
+      be points fixed by every generator, and every closure class holds a
+      node of some ray's infinite tail.
+    - Alt(S) <= G, with |S| >= 3, when the witnesses' supports connect S.
+      Add the witnesses one at a time, each meeting the union U of those
+      before it: the group they generate holds Sym(U) while |U| = 2 and
+      Alt(U) after.  Overlapping alternating groups on 3 or more points
+      generate the alternating group of their union, and a transposition
+      (a b) with a in U, b outside U, conjugates a 3-cycle (a c d) on U or
+      on the new support to (b c d).
+    - FAlt(O) <= G for the orbit O of S, since S meets a(S) for every
+      generator a.  Then w(S) meets w(a(S)) for every w in G, so along a
+      word every translate w(S) chains to S by overlapping translates, each
+      with Alt(w(S)) = w Alt(S) w^-1 <= G.  The translates cover O, so every
+      finite subset of O lies in a finite connected union of them.
+    - A finite block is a point.  Let p != q lie in a block B, with q in the
+      orbit O.  The elements of FAlt(O) that fix p fix B and move q to every
+      point of O other than p, so B is infinite.
+
+    Witnesses come in stages, and each stage stops as soon as every orbit is
+    certified: the finitary generators; the commutators of generator pairs,
+    which are finitary since translation vectors commute; then two rounds of
+    conjugates a^-1 w a by the symmetric generators, whose cycle is the
+    image of w's cycle under a, so they need no element product.
+    """
+    segments, roots = _orbit_certificate(group)
+    if any(seg[3] == 0 for segs in segments for seg in segs):
+        return None
+    orbits = set()  # the closure roots of the nodes of every ray's infinite tail
+    for segs in segments:
+        _, _, base, period = segs[-1]
+        orbits.update(roots[base:base + period])
+    if not orbits.issuperset(roots):  # a class without a tail node is a finite orbit
+        return None
+    gens = group.generators
+
+    def orbit(p):
+        """The closure root of the node of p."""
+        start, _, base, period = next(s for s in reversed(segments[p.ray - 1]) if s[0] <= p.pos)
+        return roots[base + (p.pos - start) % period]
+
+    def certify(cycles):
+        """The proof when the witness cycles certify every orbit, else None."""
+        found = {}
+        for points, witnesses in _components(cycles):
+            support = set(points)
+            if len(points) >= 3 and all(
+                any(a._image(p) in support for p in points) for a in gens
+            ):
+                found.setdefault(orbit(points[0]), (points, witnesses))
+        return tuple(sorted(found.values())) if len(found) == len(orbits) else None
+
+    cycles = [c for g in gens if not any(g.t) and (c := _small_cycle(dict(g.head)))]
+    if found := certify(cycles):
+        return found
+    inverses = group.symmetric_generators()[len(gens):]
+    for i, j in combinations(range(len(gens)), 2):
+        c = _commutator_cycle(gens[i], gens[j], inverses[i], inverses[j])
+        if c:
+            cycles.append(c)
+            if found := certify(cycles):
+                return found
+    seen = {frozenset(c) for c in cycles}
+    frontier = cycles
+    for _ in range(2):
+        conjugates = {}
+        for c in frontier:
+            for a in group.symmetric_generators():
+                image = tuple(map(a._image, c))
+                conjugates.setdefault(frozenset(image), image)
+        frontier = [c for key, c in conjugates.items() if key not in seen]
+        seen.update(conjugates)
+        cycles += frontier
+        if found := certify(cycles):
+            return found
+    return None
 
 
 # -- quotient structure ----------------------------------------------------------

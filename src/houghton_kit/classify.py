@@ -94,8 +94,13 @@ def classify(group: GeneratedSubgroup, window: int = 40) -> ClassificationReport
     """Classify finiteness properties from the generators.
 
     Pipeline: translation lattice, Hirsch length, level and congruence
-    checks, window orbits, block-system search (full Hirsch length only),
-    certificate, then the theorem-backed verdict.
+    checks, window orbits, block systems (full Hirsch length only),
+    certificate, then the theorem-backed verdict.  ``block_findings`` comes
+    from ``find_block_systems``: its empty ``systems`` is a proof that no
+    proper non-trivial system of finite blocks exists when its ``caveat`` is
+    ``blocks.PROOF_CAVEAT`` (every orbit is infinite and the group contains
+    its finitary alternating group; no window is read), and only evidence
+    when it is the window-bounded search's ``blocks.WINDOW_CAVEAT``.
     """
     n = group.n
     lattice = translation_lattice(group)

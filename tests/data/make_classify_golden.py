@@ -4,7 +4,9 @@ Each fixture group is classified at its own window (40 unless the fixture
 names another) and its report is stored as the exact text of
 ``json.dumps(report, sort_keys=True)``, so the test checks byte-identical
 output.  Regenerate only when a change to the report is intended; the
-script prints the labels whose report text moved, or "no report moved":
+script prints, for each label whose report text moved, the report keys that
+moved (dotted down to the leaf, as ``block_findings.caveat``), or "no report
+moved":
 
     PYTHONPATH=src python3 tests/data/make_classify_golden.py
 """
@@ -64,13 +66,34 @@ def report_text(fixture: tuple) -> str:
     return json.dumps(classify(group, window=window).to_json_dict(), sort_keys=True)
 
 
+def moved_keys(old, new, prefix: str = "") -> list:
+    """Dotted paths of the report keys whose values differ, down to the leaves.
+
+    Two dicts are compared key by key; any other pair of differing values,
+    lists included, is one leaf.
+    """
+    if not (isinstance(old, dict) and isinstance(new, dict)):
+        return [] if old == new else [prefix]
+    out = []
+    for key in sorted(old.keys() | new.keys()):
+        out += moved_keys(old.get(key), new.get(key), f"{prefix}.{key}" if prefix else key)
+    return out
+
+
 def main() -> None:
     old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     golden = {label: report_text(fixture) for label, fixture in golden_groups().items()}
     GOLDEN.write_text(json.dumps(golden, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(golden)} reports to {GOLDEN}")
     moved = [label for label in golden if old.get(label) != golden[label]]
-    print(f"moved: {', '.join(moved)}" if moved else "no report moved")
+    for label in moved:
+        if label in old:
+            keys = ", ".join(moved_keys(json.loads(old[label]), json.loads(golden[label])))
+        else:
+            keys = "new fixture"
+        print(f"moved: {label}: {keys}")
+    if not moved:
+        print("no report moved")
 
 
 if __name__ == "__main__":

@@ -290,30 +290,3 @@ def test_quotient_class_order_is_initial_segment():
     ordered = sorted(range(len(mins)), key=lambda k: mins[k])
     qpts = [q.quotient_points[k] for k in ordered]
     assert qpts == sorted(qpts)
-
-
-def test_finitary_words_connect_classes_partially():
-    from houghton_kit.blocks import finitary_class_transitivity
-
-    report = finitary_class_transitivity(pair_preserving_group(), depth=20)
-    # bounded finitary words already merge points within the single orbit
-    # class; full transitivity is out of reach of a window check
-    for _, size, components in report:
-        assert components < size
-
-
-def test_finitary_words_respect_delta_classes():
-    from houghton_kit.blocks import finitary_class_transitivity
-
-    report = finitary_class_transitivity(delta_k(3, 2), depth=16)
-    assert len(report) == 2
-    for _, size, components in report:
-        assert components < size
-
-
-def test_finitary_pieces_per_orbit_class():
-    from houghton_kit.blocks import finitary_class_transitivity
-
-    assert finitary_class_transitivity(delta_k(3, 2), depth=10) == [(0, 15, 11), (1, 15, 11)]
-    h3 = GeneratedSubgroup.from_elements(3, houghton_generators(3))
-    assert finitary_class_transitivity(h3, depth=10) == [(0, 30, 30)]

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from houghton_kit import cli
+from houghton_kit.blocks import PROOF_CAVEAT, WINDOW_CAVEAT
 from houghton_kit.classify import classify
 from houghton_kit.cli import cli_main
 from houghton_kit.elements import from_cycles, generator, houghton_generators, transposition
@@ -154,6 +155,27 @@ def test_cli_blocks_roundtrip(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["induced"][0]["t"] == [1, -1]
     assert data["kernel_generators"] == [1]
+
+
+def test_cli_blocks_find_prints_the_proof_caveat_or_the_window_caveat(tmp_path, capsys):
+    h4 = write_subgroup(tmp_path, GeneratedSubgroup.from_elements(4, houghton_generators(4)))
+    # the proof needs no window, so even a window below the generator margin holds
+    for window in ("40", "2"):
+        assert cli_main(["blocks", "find", "--subgroup", h4, "--window", window]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "found 0 block system(s)",
+            f"caveat: {PROOF_CAVEAT}",
+        ]
+    assert cli_main(["--json", "blocks", "find", "--subgroup", h4, "--window", "40"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"systems": [], "caveat": PROOF_CAVEAT}
+    g2sq = generator(2, 2) ** 2
+    swap = transposition(2, (1, 0), (1, 1))
+    pair_swap = from_cycles(2, [[(1, 0), (1, 2)], [(1, 1), (1, 3)]])
+    pair = write_subgroup(tmp_path, GeneratedSubgroup.from_elements(2, [g2sq, swap, pair_swap]))
+    assert cli_main(["blocks", "find", "--subgroup", pair, "--window", "40"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"caveat: {WINDOW_CAVEAT}"
+    assert cli_main(["--json", "blocks", "find", "--subgroup", pair, "--window", "40"]) == 0
+    assert json.loads(capsys.readouterr().out)["caveat"] == WINDOW_CAVEAT
 
 
 def test_cli_blocks_verify_below_the_generator_margin_exits_3(tmp_path, capsys):

@@ -10,6 +10,7 @@ import json
 import pytest
 
 from houghton_kit import cli
+from houghton_kit.blocks import PROOF_CAVEAT, WINDOW_CAVEAT
 from houghton_kit.cli import _json_text, cli_main
 from houghton_kit.elements import from_cycles, generator, houghton_generators, transposition
 from houghton_kit.subgroups import GeneratedSubgroup, delta_k
@@ -99,6 +100,9 @@ def test_every_cli_payload_is_written_as_json_dumps_writes_it(tmp_path, capsys, 
         assert capsys.readouterr().out == dumps(payload) + "\n"
     cycles, no_cycles = payloads[3], payloads[4]
     assert cycles["finite_cycles"] and no_cycles["finite_cycles"] == []
+    pair_find, delta_find = payloads[11], payloads[12]
+    assert pair_find["caveat"] == WINDOW_CAVEAT
+    assert delta_find == {"systems": [], "caveat": PROOF_CAVEAT}
 
 
 EDGE_PAYLOADS = [
@@ -113,6 +117,7 @@ EDGE_PAYLOADS = [
     {"nested": [[[1, 0], [2, 5]], [], [[3, 3]]], "deep": {"x": {"y": [{"z": []}]}}},
     {"int_keys": {2: "b", 1: "a"}, "scalars": [1.5, -0.0, None, True, "s", 10**30]},
     {"cycles": [[[p % 5 + 1, p] for p in range(200)]], "count": 0},
+    {"systems": [], "caveat": PROOF_CAVEAT},
     [None, False, [], {}, "", 0, [[]], [{}]],
     "top-level string",
     12345,
