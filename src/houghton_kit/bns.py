@@ -17,7 +17,7 @@ from math import lcm
 
 from . import intlattice as la
 from .errors import DomainError, UnsupportedCaseError
-from .subgroups import TranslationLattice, is_level
+from .subgroups import TranslationLattice, _two_support, is_level
 
 
 @dataclass(frozen=True)
@@ -240,15 +240,11 @@ class Certificate:
 
 def two_support_vector(lattice: TranslationLattice, i0: int, i1: int):
     """Least positive multiple of e_i1 - e_i0 inside the lattice."""
-    index = lattice.index_in_zero_sum()
-    if index is None:
+    if lattice.index_in_zero_sum() is None:
         raise DomainError("needs a full-rank lattice")
-    for a in la.divisors(index):
-        vec = [0] * lattice.n
-        vec[i1 - 1], vec[i0 - 1] = a, -a
-        if lattice.contains(vec):
-            return tuple(vec)
-    raise AssertionError("the index multiple is always contained")
+    vec = _two_support(lattice.n, i0, i1)
+    a = la.least_multiple_in_span(lattice.basis, vec)
+    return tuple(a * x for x in vec)
 
 
 def f_certificate(lattice: TranslationLattice) -> Certificate:

@@ -1,10 +1,14 @@
 """Small exact integer-matrix helpers: Hermite form, kernels, lattice index.
 
 Everything works on tuples of Python ints, so there is no overflow to worry
-about at any scale this package reaches.
+about at any scale this package reaches.  A lattice is held as its Hermite
+basis; membership, least multiples in the lattice and the covolume are read
+off that basis in one triangular pass, with no trial division.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 
 def xgcd(a: int, b: int):
@@ -83,15 +87,33 @@ def hnf_rows(rows, cols: int | None = None):
 
 def in_row_span(rows_hnf, vec) -> bool:
     """Membership of an integer vector in the lattice spanned by HNF rows."""
+    return least_multiple_in_span(rows_hnf, vec) == 1
+
+
+def least_multiple_in_span(rows_hnf, vec) -> int | None:
+    """Least a >= 1 with a * vec in the lattice spanned by HNF rows, or None.
+
+    Row k is the only row from k on that is nonzero at its pivot, so a vector
+    of the rational span has forced coefficients c_k, read one pivot at a
+    time, and a * vec is in the lattice iff every a * c_k is an integer: the
+    least a is the lcm of the denominators of the c_k.  The pass builds it as
+    it goes: where pivot p does not divide the residual's entry w, residual
+    and a are scaled by p // gcd(p, w), the denominator of w / p.  A residual
+    left nonzero means vec is outside the rational span.
+    """
     v = list(vec)
+    a = 1
     for row in rows_hnf:
-        p = next(j for j, x in enumerate(row) if x)
-        if v[p]:
-            if v[p] % row[p]:
-                return False
-            q = v[p] // row[p]
-            v = [a - q * b for a, b in zip(v, row)]
-    return not any(v)
+        c = next(j for j, x in enumerate(row) if x)
+        p = row[c]
+        if v[c] % p:
+            s = p // gcd(p, v[c])
+            a *= s
+            v = [s * x for x in v]
+        q = v[c] // p
+        if q:
+            v = [x - q * b for x, b in zip(v, row)]
+    return None if any(v) else a
 
 
 def _augmented_echelon(rows):
@@ -139,17 +161,3 @@ def lattice_determinant(rows_hnf) -> int:
     for row in rows_hnf:
         det *= next(x for x in row if x)
     return abs(det)
-
-
-def divisors(n: int):
-    """Positive divisors of n in increasing order."""
-    n = abs(n)
-    small, big = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                big.append(n // d)
-        d += 1
-    return small + big[::-1]

@@ -8,6 +8,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import gcd, lcm
 from typing import Iterable
 
 from . import intlattice as la
@@ -20,7 +21,7 @@ from .elements import (
     generator,
     identity,
 )
-from .errors import DomainError, InconclusiveError, UnsupportedCaseError
+from .errors import DomainError, UnsupportedCaseError
 from .rays import RayPoint, RaySystem
 
 
@@ -127,20 +128,18 @@ class TranslationLattice:
         """Index in the full zero-sum lattice; None when not of full rank.
 
         Zero-sum vectors are coordinatised by their first n-1 entries, so the
-        index is the Hermite determinant of the truncated basis.
+        index is the Hermite determinant of the truncated basis.  A nonzero
+        zero-sum row cannot pivot in column n, so at rank n-1 the truncated
+        basis is already in Hermite form, with the same pivots.
         """
         if self.rank != self.n - 1:
             return None
-        truncated = la.hnf_rows([row[:-1] for row in self.basis], self.n - 1)
-        return la.lattice_determinant(truncated)
+        return la.lattice_determinant(self.basis)
 
     def projection_gcd(self, j: int, rows=None) -> int:
         """Generator of the projection onto coordinate j (1-based)."""
         rows = self.basis if rows is None else rows
-        g = 0
-        for row in rows:
-            g, _, _ = la.xgcd(g, row[j - 1])
-        return g
+        return gcd(*(row[j - 1] for row in rows))
 
     def rows_with_zero_at(self, i: int):
         """Basis of the sublattice with vanishing i-th coordinate (1-based)."""
@@ -184,16 +183,20 @@ def is_level(lattice: TranslationLattice) -> LevelVerdict:
     sublattice vanishing on ray i must equal the projection of the whole
     lattice.  The witness names the first failing pair (scanned by target
     ray j, then zero ray i) and a vector whose j-component is unmatched.
+    Each zero-ray sublattice is built once, on first need.
     """
     n = lattice.n
     if n < 3:
         raise UnsupportedCaseError("the lattice criterion needs n >= 3")
+    zero_at = {}
     for j in range(1, n + 1):
         full = lattice.projection_gcd(j)
         for i in range(1, n + 1):
             if i == j:
                 continue
-            sub = lattice.projection_gcd(j, rows=lattice.rows_with_zero_at(i))
+            if i not in zero_at:
+                zero_at[i] = lattice.rows_with_zero_at(i)
+            sub = lattice.projection_gcd(j, rows=zero_at[i])
             if sub != full:
                 vec = _vector_with_projection(lattice, j, full)
                 return LevelVerdict(False, (i, j, vec))
@@ -232,15 +235,23 @@ class CongruenceVerdict:
 
 
 def congruence_exponent(lattice: TranslationLattice) -> int | None:
-    """Smallest m with every m-scaled zero-sum vector in the lattice."""
-    index = lattice.index_in_zero_sum()
-    if index is None:
+    """Smallest m with every m-scaled zero-sum vector in the lattice.
+
+    The vectors e_k - e_n span the zero-sum lattice, so m is the lcm of
+    their least multiples in the lattice.
+    """
+    if lattice.index_in_zero_sum() is None:
         return None
-    basis_vectors = TranslationLattice.zero_sum(lattice.n).basis
-    for m in la.divisors(index):
-        if all(lattice.contains([m * x for x in v]) for v in basis_vectors):
-            return m
-    return index
+    n = lattice.n
+    return lcm(*(la.least_multiple_in_span(lattice.basis, _two_support(n, n, k))
+                 for k in range(1, n)))
+
+
+def _two_support(n: int, i0: int, i1: int) -> tuple:
+    """The zero-sum vector e_i1 - e_i0 (1-based rays)."""
+    vec = [0] * n
+    vec[i1 - 1], vec[i0 - 1] = 1, -1
+    return tuple(vec)
 
 
 def is_congruence_lifting(lattice: TranslationLattice) -> CongruenceVerdict:
@@ -396,14 +407,6 @@ def element_with_translation(group: GeneratedSubgroup, target):
     return out
 
 
-def _lcm(values) -> int:
-    out = 1
-    for v in values:
-        g, _, _ = la.xgcd(out, v)
-        out = out // g * v if v else out
-    return abs(out)
-
-
 def finitary_commutator(group: GeneratedSubgroup) -> HoughtonElement:
     """A finitary element whose support meets every infinite orbit.
 
@@ -417,21 +420,12 @@ def finitary_commutator(group: GeneratedSubgroup) -> HoughtonElement:
     lattice = translation_lattice(group)
     if lattice.rank != n - 1:
         raise DomainError("needs a subgroup of full Hirsch length")
-    index = lattice.index_in_zero_sum()
     parts = []
     for j in (2, 3):
-        h = None
-        for d in la.divisors(index):
-            target = [0] * n
-            target[0], target[j - 1] = -d, d
-            h = element_with_translation(group, target)
-            if h is not None:
-                break
-        if h is None:
-            raise InconclusiveError(
-                f"no element with the ray-(1,{j}) sign pattern within the budget"
-            )
-        k = _lcm(len(c) for c in _finite_cycles(h)) or 1
+        e = _two_support(n, 1, j)
+        d = la.least_multiple_in_span(lattice.basis, e)
+        h = element_with_translation(group, [d * x for x in e])
+        k = lcm(*(len(c) for c in _finite_cycles(h)))
         parts.append(h ** k)
     result = commutator(parts[0], parts[1])
     if not result.is_finitary():
