@@ -186,12 +186,13 @@ def verify_block_system(
 ) -> BlockVerification:
     """Check the block-system axioms against window data.
 
-    Orbit axiom: every window orbit class meets exactly one
-    block.  Block axiom: for words up to length 3 whose action on a block
-    stays inside the window, a partial overlap with the original block is a
-    violation.  Raises InconclusiveError when the orbit report, taken at half
-    the depth, is shallower than the generator margin, and DomainError when
-    a block point lies outside the window.
+    Orbit axiom: every window orbit class meets exactly one block.  Block
+    axiom: no image of a block under a word of length <= 3 lies in the window
+    and meets the block without equalling it.  The search runs over each
+    block's image sets; a witness is the shortlex-least word to the block's
+    first violating image.  Raises InconclusiveError when the orbit report,
+    taken at half the depth, is shallower than the generator margin, and
+    DomainError when a block point lies outside the window.
     """
     _require_margin(group, depth)
     _check_in_window(system.blocks, group.n, depth)
@@ -204,19 +205,14 @@ def verify_block_system(
             orbit_ok = False
             witnesses.append(("orbit", cls[0], tuple(hits)))
     window = RaySystem(group.n).window(depth)
-    bsets = [set(b) for b in system.blocks]
+    image_set = lambda s, g: frozenset(map(g._image, s))
     violations = {}  # block index -> (path, image) of the first violating word
-    for path, w, _ in bounded_words(group, 3):
-        for i, bset in enumerate(bsets):
-            if i in violations:
-                continue
-            img = {w._image(p) for p in bset}
-            if any(q not in window for q in img):
-                continue
-            if img & bset and img != bset:
+    for i, block in enumerate(system.blocks):
+        bset = frozenset(block)
+        for path, img in bounded_words(bset, group.symmetric_generators(), image_set, 3):
+            if img & bset and img != bset and all(q in window for q in img):
                 violations[i] = (path, img)
-        if len(violations) == len(bsets):
-            break
+                break
     k = len(group.generators)
     labels = [f"gen{i}" for i in range(k)] + [f"gen{i}^-1" for i in range(k)]
     for i, (path, img) in sorted(violations.items()):

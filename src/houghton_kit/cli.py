@@ -93,8 +93,16 @@ def _load_subgroup(path) -> GeneratedSubgroup:
 def _load_blocks(path) -> BlockSystem:
     data = _read_json(path)
     if isinstance(data, dict):
+        if "blocks" not in data:
+            raise DomainError("block file object has no 'blocks' key")
         data = data["blocks"]
     return BlockSystem.from_lists(data)
+
+
+def _needed(args, flag: str):
+    if getattr(args, flag) is None:
+        raise DomainError(f"{args.command} {args.action} needs --{flag}")
+    return getattr(args, flag)
 
 
 def _parse_lattice(text: str, n: int) -> TranslationLattice:
@@ -271,7 +279,7 @@ def _cmd_blocks(args) -> int:
         lines.append(f"caveat: {result.caveat}")
         _emit(args, payload, lines)
         return 0
-    system = _load_blocks(args.blocks)
+    system = _load_blocks(_needed(args, "blocks"))
     if args.action == "verify":
         verdict = verify_block_system(group, system, depth=args.window)
         payload = {
@@ -334,7 +342,7 @@ def _cmd_wreath(args) -> int:
 
 def _cmd_bns(args) -> int:
     if args.action == "sigma":
-        chi = parse_character(args.chi, args.n)
+        chi = parse_character(_needed(args, "chi"), args.n)
         inside = in_sigma(chi, args.m)
         _emit(
             args,
@@ -343,7 +351,7 @@ def _cmd_bns(args) -> int:
         )
         return 0
     if args.action == "type":
-        lattice = kernel_lattice_of_character(args.kernel, args.n)
+        lattice = kernel_lattice_of_character(_needed(args, "kernel"), args.n)
         verdict = subgroup_type(args.n, lattice)
         payload = {
             "type_f_max": verdict.type_f_max,

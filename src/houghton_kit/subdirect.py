@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .blocks import infer_eventual_translation
-from .elements import HoughtonElement
+from .elements import HoughtonElement, identity
 from .errors import DomainError, InconclusiveError
 from .rays import RayPoint
 from .subgroups import (
@@ -154,7 +154,8 @@ def kernel_intersection_probe(
         return ProbeResult("inconclusive", None, None)
     orbit = set(decomposition.factors[factor_index].points)
     depth = decomposition.report.window_depth
-    for path, e, _ in bounded_words(group, 4, cap=20000):
+    gens = group.symmetric_generators()
+    for path, e in bounded_words(identity(group.n), gens, HoughtonElement.compose, 4, cap=20000):
         if not e.is_finitary() or e.is_identity() or e.threshold > depth:
             continue
         moved, _ = e.support_description()

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from math import gcd, lcm
 from typing import Iterable
 
@@ -63,6 +63,11 @@ class GeneratedSubgroup:
     def symmetric_generators(self) -> tuple:
         """The generators, then their inverses in the same order."""
         return self._symmetric
+
+    def spell(self, path) -> HoughtonElement:
+        """The element of a path of indices into ``symmetric_generators()``."""
+        gens = self._symmetric
+        return reduce(HoughtonElement.compose, (gens[k] for k in path), identity(self.n))
 
     def to_json_dict(self) -> dict:
         data = {"n": self.n, "generators": [g.to_json_dict() for g in self.generators]}
@@ -347,37 +352,30 @@ def orbit_windows(group: GeneratedSubgroup, depth: int) -> OrbitWindowReport:
 # -- word search helpers ----------------------------------------------------------
 
 
-def bounded_words(group: GeneratedSubgroup, max_len: int, key=None, cap=None, images=None):
-    """Breadth-first words of length <= max_len over the symmetric generators.
+def bounded_words(start, letters, step, max_len: int, cap=None):
+    """Breadth-first (path, value) pairs over words of length <= max_len.
 
-    Yields (path, word, image) triples: path holds indices into
-    ``group.symmetric_generators()`` and word is the element it spells.  The
-    empty word comes first; after it a word is yielded, and later extended,
-    only when its dedupe key (``key(word)``, else the word) is new, so words
-    arrive in shortlex order of their paths, each the shortlex-first spelling
-    of its key.  ``cap`` bounds the number of distinct keys.  ``images`` is
-    an (identity, per-letter images) pair carried along one letter at a time;
-    without it every image is None.
+    A path holds indices into ``letters``; its value is ``start`` acted on
+    by each letter in turn, ``step(value, letter)``.  The empty path comes
+    first; after it a path is yielded, and later extended, only when its
+    value is new.  So paths arrive in shortlex order, each the shortlex-least
+    path to its value, and every prefix of a yielded path was yielded too.
+    ``cap`` bounds the number of distinct values.
     """
-    key = key or (lambda e: e)
-    gens = group.symmetric_generators()
-    one, letters = images or (None, None)
-    start = ((), identity(group.n), one)
-    yield start
-    seen = {key(start[1])}
-    frontier = [start]
+    yield (), start
+    seen = {start}
+    frontier = [((), start)]
     for _ in range(max_len):
         nxt = []
-        for path, w, wq in frontier:
-            for k, g in enumerate(gens):
-                e = w.compose(g)
-                ek = key(e)
-                if ek in seen:
+        for path, v in frontier:
+            for k, g in enumerate(letters):
+                e = step(v, g)
+                if e in seen:
                     continue
                 if cap is not None and len(seen) >= cap:
                     return
-                seen.add(ek)
-                item = (path + (k,), e, None if letters is None else wq.compose(letters[k]))
+                seen.add(e)
+                item = (path + (k,), e)
                 nxt.append(item)
                 yield item
         frontier = nxt
@@ -386,25 +384,22 @@ def bounded_words(group: GeneratedSubgroup, max_len: int, key=None, cap=None, im
 def element_with_translation(group: GeneratedSubgroup, target):
     """An element of the subgroup with the given translation vector.
 
-    Breadth-first search over words of length at most 8 first; if the target
-    is in the lattice at all, an integer combination of generator
-    translations always produces it, so the fallback never misses.
+    Breadth-first search over translation vectors of words of length at most
+    8 first; if the target is in the lattice at all, an integer combination
+    of generator translations always produces it, so the fallback never misses.
     """
     target = tuple(int(x) for x in target)
-    if not any(target):
-        return identity(group.n)
-    for _, e, _ in bounded_words(group, 8, key=HoughtonElement.translation_vector):
-        if e.translation_vector() == target:
-            return e
+    vectors = [g.translation_vector() for g in group.symmetric_generators()]
+    add = lambda u, v: tuple(a + b for a, b in zip(u, v))
+    for path, t in bounded_words((0,) * group.n, vectors, add, 8):
+        if t == target:
+            return group.spell(path)
     rows = [g.translation_vector() for g in group.generators]
     coeffs = la.solve_row_combination(rows, target)
     if coeffs is None:
         return None
-    out = identity(group.n)
-    for c, g in zip(coeffs, group.generators):
-        if c:
-            out = out.compose(g ** c)
-    return out
+    powers = (g ** c for c, g in zip(coeffs, group.generators) if c)
+    return reduce(HoughtonElement.compose, powers, identity(group.n))
 
 
 def finitary_commutator(group: GeneratedSubgroup) -> HoughtonElement:

@@ -363,7 +363,8 @@ def w_groups(
     bset = set(block)
     ranks = {p: i for i, p in enumerate(block)}
     gens_g, gens_fin, gens_ker = [], [], []
-    for _, e, _ in bounded_words(group, 4):
+    gens = group.symmetric_generators()
+    for _, e in bounded_words(houghton_identity(group.n), gens, HoughtonElement.compose, 4):
         img = {e._image(p) for p in block}
         if img != bset:
             continue
@@ -403,11 +404,11 @@ class DescentResult:
         return self.status == "ok"
 
 
-def _conjugator_candidates(group: GeneratedSubgroup, images):
+def _conjugator_candidates(group: GeneratedSubgroup, letters, n: int):
     """Class movers, cheapest first: generator powers, pairs of powers, short words.
 
-    ``images`` is the quotient identity with the quotient images of
-    ``group.symmetric_generators()``, as ``bounded_words`` takes it.
+    ``letters`` are the quotient images of ``group.symmetric_generators()`` on
+    a quotient of n rays; each mover comes with its quotient image.
 
     Powers of translating generators sweep a block class along the rays, which
     is what clearing an off-support class needs; the shallow word search at
@@ -416,8 +417,8 @@ def _conjugator_candidates(group: GeneratedSubgroup, images):
     budget = 10
     seen = set()
     gens = group.symmetric_generators()
-    quotient_identity, letters = images
-    powers = [[(houghton_identity(group.n), quotient_identity)] for _ in gens]
+    one = (houghton_identity(group.n), houghton_identity(n))
+    powers = [[one] for _ in gens]
     for i, (g, gq) in enumerate(zip(gens, letters)):
         for _ in range(budget):
             w, wq = powers[i][-1]
@@ -439,7 +440,8 @@ def _conjugator_candidates(group: GeneratedSubgroup, images):
                         continue
                     seen.add(w)
                     yield w, powers[i][a][1].compose(powers[j][b][1])
-    for _, w, wq in bounded_words(group, 4, cap=20000, images=images):
+    step = lambda v, g: (v[0].compose(g[0]), v[1].compose(g[1]))
+    for _, (w, wq) in bounded_words(one, list(zip(gens, letters)), step, 4, cap=20000):
         if w not in seen:
             seen.add(w)
             yield w, wq
@@ -449,16 +451,15 @@ class _DescentTables:
     """The group-level work of ``phi_s_descent`` over one block context.
 
     Built on a context's first descent with a group and kept on the context:
-    the quotient images of the symmetric generators (as ``bounded_words``
-    takes them), one lazily extended list of ``_conjugator_candidates``, and
+    the quotient images of the symmetric generators (the head search's
+    letters), one lazily extended list of ``_conjugator_candidates``, and
     the memo of conjugated kernel elements with their embeddings.
     """
 
     def __init__(self, group: GeneratedSubgroup, ctx: BlockContext):
         letters = [ctx.quotient.induce(g) for g in group.generators]
-        letters += [e.inverse() for e in letters]
-        self.images = (houghton_identity(ctx.n), letters)
-        self._candidate_stream = _conjugator_candidates(group, self.images)
+        self.letters = letters + [e.inverse() for e in letters]
+        self._candidate_stream = _conjugator_candidates(group, self.letters, ctx.n)
         self._candidates = []
         self._conjugates = {}  # (candidate index, f) -> (c^-1 f c, its embedding) or None
 
@@ -509,8 +510,8 @@ def phi_s_descent(
     (``_DescentTables``).  The tables live as long as the context.  The
     20000-word cap of the candidate enumeration bounds the candidate table;
     the memos hold one entry per kernel element, and per candidate and kernel
-    element, that a descent has used.  The head's word search runs afresh on
-    every descent.
+    element, that a descent has used.  The head's search, over quotient images
+    and capped at 20000 of them, runs afresh on every descent.
     """
     kernel_elements = list(kernel_elements)
     kk_kernel = []
@@ -524,15 +525,14 @@ def phi_s_descent(
     tables = ctx._descent_tables.get(group)
     if tables is None:
         tables = ctx._descent_tables[group] = _DescentTables(group, ctx)
-    witness = None
-    for _, w, wq in bounded_words(group, 10, cap=20000, images=tables.images):
-        if wq == alpha.head:
-            witness = w
-            break
-    if witness is None:
+    one = houghton_identity(ctx.n)
+    heads = bounded_words(one, tables.letters, HoughtonElement.compose, 10, cap=20000)
+    path = next((p for p, wq in heads if wq == alpha.head), None)
+    if path is None:
         return DescentResult(
             "inconclusive", None, None, (), "no word matches the head within the budget"
         )
+    witness = group.spell(path)
     psi = alpha.multiply(kk_embed(witness, ctx).inverse())
     if not psi.head.is_identity():
         raise AssertionError("head did not cancel after the word match")

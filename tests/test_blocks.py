@@ -1,7 +1,12 @@
+import random
+
 import pytest
 
 from houghton_kit.blocks import (
     BlockSystem,
+    BlockVerification,
+    _check_in_window,
+    _require_margin,
     block_size_bound,
     congruence_classes,
     find_block_systems,
@@ -9,13 +14,23 @@ from houghton_kit.blocks import (
     verify_block_system,
 )
 from houghton_kit.classify import classify
-from houghton_kit.elements import from_cycles, generator, houghton_generators, transposition
+from houghton_kit.elements import (
+    HoughtonElement,
+    from_cycles,
+    generator,
+    houghton_generators,
+    identity,
+    random_element,
+    transposition,
+)
 from houghton_kit.errors import DomainError, InconclusiveError
-from houghton_kit.rays import RayPoint
+from houghton_kit.rays import RayPoint, RaySystem
 from houghton_kit.subgroups import (
     GeneratedSubgroup,
     TranslationLattice,
+    bounded_words,
     delta_k,
+    orbit_windows,
     translation_lattice,
 )
 
@@ -290,3 +305,105 @@ def test_quotient_class_order_is_initial_segment():
     ordered = sorted(range(len(mins)), key=lambda k: mins[k])
     qpts = [q.quotient_points[k] for k in ordered]
     assert qpts == sorted(qpts)
+
+
+# -- the block axiom against the element-word reference ------------------------------
+
+
+def reference_verification(group, system, depth):
+    """``verify_block_system`` as an element-word search: one breadth-first
+    enumeration of group elements of word length <= 3, each block's image
+    taken under every element in turn."""
+    _require_margin(group, depth)
+    _check_in_window(system.blocks, group.n, depth)
+    witnesses = []
+    orbit_ok = True
+    for cls in orbit_windows(group, depth // 2).classes:
+        hits = [i for i, b in enumerate(system.blocks) if set(b) & set(cls)]
+        if len(hits) != 1:
+            orbit_ok = False
+            witnesses.append(("orbit", cls[0], tuple(hits)))
+    window = RaySystem(group.n).window(depth)
+    bsets = [set(b) for b in system.blocks]
+    violations = {}
+    gens = group.symmetric_generators()
+    for path, w in bounded_words(identity(group.n), gens, HoughtonElement.compose, 3):
+        for i, bset in enumerate(bsets):
+            if i in violations:
+                continue
+            img = {w._image(p) for p in bset}
+            if any(q not in window for q in img):
+                continue
+            if img & bset and img != bset:
+                violations[i] = (path, img)
+        if len(violations) == len(bsets):
+            break
+    k = len(group.generators)
+    labels = [f"gen{i}" for i in range(k)] + [f"gen{i}^-1" for i in range(k)]
+    for i, (path, img) in sorted(violations.items()):
+        witnesses.append(("block", i, "*".join(labels[j] for j in path), tuple(sorted(img))))
+    multi_ray = 0
+    for cls in congruence_classes(group, system, depth):
+        if len(cls) > 1 and len({p.ray for p in cls}) > 1:
+            multi_ray += 1
+    return BlockVerification(
+        valid=orbit_ok and not violations,
+        orbit_axiom=orbit_ok,
+        block_axiom=not violations,
+        witnesses=tuple(witnesses),
+        multi_ray_translate_count=multi_ray,
+    )
+
+
+def conjugated(group, system, c):
+    """c^-1 G c, which has the block system moved by c."""
+    gens = [c.inverse().compose(g).compose(c) for g in group.generators]
+    blocks = [[c._image(RayPoint(*p)) for p in b] for b in system.blocks]
+    return GeneratedSubgroup.from_elements(group.n, gens), BlockSystem.from_lists(blocks)
+
+
+def random_system(n, rng):
+    """One to three disjoint blocks of one to three points near the origin."""
+    pool = [(ray, pos) for ray in range(1, n + 1) for pos in range(7)]
+    points = rng.sample(pool, rng.randint(1, 9))
+    cuts = sorted(rng.sample(range(1, len(points)), min(len(points) - 1, rng.randint(0, 2))))
+    blocks = [points[a:b] for a, b in zip([0] + cuts, cuts + [len(points)])]
+    return BlockSystem.from_lists([b for b in blocks if len(b) <= 3] or [points[:1]])
+
+
+def test_block_axiom_matches_the_element_word_reference():
+    rng = random.Random(31)
+    h3 = GeneratedSubgroup.from_elements(3, houghton_generators(3))
+    bases = [
+        (pair_preserving_group(), pair_blocks()),
+        (delta_k(3, 2), BlockSystem.from_lists([[(1, 0)], [(1, 1)]])),
+        (h3, BlockSystem.from_lists([[(1, 0)]])),
+    ]
+    # at depth 8, gen0*gen0 sends {(1,5), (1,7)} to {(1,7), (1,9)}, past the
+    # window's edge, so the witness is the in-window gen0^-1*gen0^-1
+    edge = BlockSystem.from_lists([[(1, 5), (1, 7)]])
+    cases = []
+    for group, valid in bases:
+        cases.append((group, valid))
+        cases += [(group, random_system(group.n, rng)) for _ in range(12)]
+        for _ in range(2):
+            c = random_element(group.n, 4, 1, rng)
+            conj, moved = conjugated(group, valid, c)
+            cases.append((conj, moved))
+            cases += [(conj, random_system(group.n, rng)) for _ in range(6)]
+    # the shallowest window the margin allows puts some images past its edge
+    cases = [(g, s, rng.choice([max(2 * _require_margin(g, 80), 8), 40])) for g, s in cases]
+    seen = set()
+    for group, system, depth in cases + [(h3, edge, 8)]:
+        want = reference_verification(group, system, depth)
+        assert verify_block_system(group, system, depth) == want, (system, depth)
+        blocks = [w for w in want.witnesses if w[0] == "block"]
+        seen.add("valid" if want.valid else "invalid")
+        seen.add(f"{min(len(blocks), 2)} violating blocks")
+        seen.update(f"{w[2].count('*') + 1} letters" for w in blocks)
+    assert seen == {
+        "valid", "invalid", "0 violating blocks", "1 violating blocks", "2 violating blocks",
+        "1 letters", "2 letters", "3 letters",
+    }
+    edge_witness = verify_block_system(h3, edge, 8).witnesses[-1]
+    assert edge_witness == ("block", 0, "gen0^-1*gen0^-1", ((1, 3), (1, 5)))

@@ -532,3 +532,33 @@ def test_cli_level_on_two_rays_needs_n_at_least_3(tmp_path, capsys):
     assert "needs n >= 3" in err and "probe" not in err
     note = classify(group).level["note"]
     assert note == "the lattice criterion needs n >= 3"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["bns", "type", "--n", "3"], "--kernel"),
+        (["bns", "sigma", "--n", "3"], "--chi"),
+        (["blocks", "verify"], "--blocks"),
+        (["blocks", "quotient"], "--blocks"),
+    ],
+    ids=["type-kernel", "sigma-chi", "verify-blocks", "quotient-blocks"],
+)
+def test_cli_action_without_its_flag_exits_2(tmp_path, capsys, argv, flag):
+    if argv[0] == "blocks":
+        argv = argv + ["--subgroup", write_subgroup(tmp_path, delta_k(3, 2))]
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {argv[0]} {argv[1]} needs {flag}\n"
+
+
+@pytest.mark.parametrize("action", ["verify", "quotient"])
+def test_cli_block_file_object_without_blocks_exits_2(tmp_path, capsys, action):
+    spath = write_subgroup(tmp_path, delta_k(3, 2))
+    bpath = tmp_path / "blocks.json"
+    bpath.write_text(json.dumps({"systems": [[[1, 0]], [[1, 1]]]}))
+    assert cli_main(["blocks", action, "--subgroup", spath, "--blocks", str(bpath)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: block file object has no 'blocks' key\n"

@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,9 +8,12 @@ from hypothesis import given, strategies as st
 from houghton_kit import intlattice as la
 from houghton_kit.elements import (
     HoughtonElement,
+    from_cycles,
     generator,
     houghton_generators,
     identity,
+    random_element,
+    random_zero_sum,
     transposition,
 )
 from houghton_kit.errors import DomainError, UnsupportedCaseError
@@ -249,26 +253,126 @@ def test_ray_shift_action():
 # -- word search and finitary commutator ------------------------------------------
 
 
+def brute_force_first_paths(start, letters, step, max_len):
+    """Every path of length <= max_len, valued letter by letter; for each
+    distinct value its shortlex-least path, in shortlex order."""
+    first = {}
+    for length in range(max_len + 1):
+        for path in product(range(len(letters)), repeat=length):
+            value = start
+            for k in path:
+                value = step(value, letters[k])
+            first.setdefault(value, path)  # product runs in lexicographic order
+    return sorted(((p, v) for v, p in first.items()), key=lambda pv: (len(pv[0]), pv[0]))
+
+
+def add_vectors(u, v):
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def image_set(s, g):
+    return frozenset(map(g._image, s))
+
+
+PAIR_GROUP = subgroup(
+    2,
+    [
+        generator(2, 2) ** 2,
+        transposition(2, (1, 0), (1, 1)),
+        from_cycles(2, [[(1, 0), (1, 2)], [(1, 1), (1, 3)]]),
+    ],
+)
+
+
+def enumerator_cases():
+    """Name -> (start, letters, step, max_len): element, translation-vector and
+    block-image values."""
+    h3 = houghton_subgroup(3).symmetric_generators()
+    pair = PAIR_GROUP.symmetric_generators()
+    d = delta_k(4, 2).symmetric_generators()
+    return {
+        "h3-elements": (identity(3), h3, HoughtonElement.compose, 3),
+        "pair-elements": (identity(2), pair, HoughtonElement.compose, 4),
+        "delta-vectors": ((0,) * 4, [g.translation_vector() for g in d], add_vectors, 4),
+        "h3-vectors": ((0,) * 3, [g.translation_vector() for g in h3], add_vectors, 5),
+        "pair-block": (frozenset([RayPoint(1, 0), RayPoint(1, 1)]), pair, image_set, 5),
+        "h3-block": (frozenset([RayPoint(1, 0), RayPoint(2, 1)]), h3, image_set, 4),
+    }
+
+
 def test_bounded_words_shortlex_first_spellings():
-    g = houghton_subgroup(3)
-    words = list(bounded_words(g, 3))
-    paths = [path for path, _, _ in words]
-    assert paths[0] == () and words[0][1] == identity(3)
-    assert paths == sorted(paths, key=lambda p: (len(p), p))
-    elements = [w for _, w, _ in words]
-    assert len(set(elements)) == len(elements)
-    gens = g.symmetric_generators()
-    for path, w, image in words:
-        spelled = identity(3)
-        for k in path:
-            spelled = spelled.compose(gens[k])
-        assert spelled == w and image is None
-        # a word is extended only if it was yielded
-        assert path[:-1] in paths
-    assert len(list(bounded_words(g, 3, cap=5))) == 5
-    by_t = bounded_words(g, 2, key=HoughtonElement.translation_vector)
-    vectors = [w.translation_vector() for _, w, _ in by_t]
-    assert len(set(vectors)) == len(vectors)
+    for case, (start, letters, step, max_len) in enumerator_cases().items():
+        want = brute_force_first_paths(start, letters, step, max_len)
+        got = list(bounded_words(start, letters, step, max_len))
+        # exactly the shortlex-least path to each distinct value, in shortlex order
+        assert got == want, case
+        assert got[0] == ((), start)
+        paths = {p for p, _ in got}
+        assert all(p[:-1] in paths for p in paths if p), case
+        # values repeat within max_len letters, so some paths are dropped
+        assert len(want) < sum(len(letters) ** k for k in range(max_len + 1)), case
+        for cap in (1, 2, 7, len(want) - 1, len(want), len(want) + 5):
+            assert list(bounded_words(start, letters, step, max_len, cap=cap)) == want[:cap]
+
+
+def reference_element_with_translation(group, target):
+    """``element_with_translation`` as an element-word search: breadth-first
+    words composed letter by letter and deduped by translation vector."""
+    target = tuple(int(x) for x in target)
+    if not any(target):
+        return identity(group.n)
+    seen = {(0,) * group.n}
+    frontier = [identity(group.n)]
+    for _ in range(8):
+        nxt = []
+        for w in frontier:
+            for g in group.symmetric_generators():
+                e = w.compose(g)
+                t = e.translation_vector()
+                if t in seen:
+                    continue
+                if t == target:
+                    return e
+                seen.add(t)
+                nxt.append(e)
+        frontier = nxt
+    rows = [g.translation_vector() for g in group.generators]
+    coeffs = la.solve_row_combination(rows, target)
+    if coeffs is None:
+        return None
+    out = identity(group.n)
+    for c, g in zip(coeffs, group.generators):
+        if c:
+            out = out.compose(g ** c)
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_element_with_translation_matches_the_element_word_search(n):
+    rng = random.Random(900 + n)
+    outcomes = set()
+    for _ in range(6):
+        gens = [random_element(n, 4, 1, rng) for _ in range(rng.randint(2, 3))]
+        group = subgroup(n, gens)
+        vectors = [g.translation_vector() for g in group.symmetric_generators()]
+        reach = {t for _, t in bounded_words((0,) * n, vectors, add_vectors, 8)}
+        targets = [(0,) * n, random_zero_sum(n, 2, rng)]
+        for length in (1, 3, 6, 12):
+            t = (0,) * n
+            for _ in range(length):
+                t = add_vectors(t, rng.choice(vectors))
+            targets.append(t)
+        # entries of 12 are out of reach of 8 letters that move each by at most 1
+        targets += [tuple(12 * x for x in v) for v in vectors[:1] if any(v)]
+        for target in targets:
+            want = reference_element_with_translation(group, target)
+            assert element_with_translation(group, target) == want, (gens, target)
+            if want is None:
+                outcomes.add("none")
+            else:
+                assert want.translation_vector() == target
+                outcomes.add("word" if target in reach else "fallback")
+    assert outcomes == {"none", "word", "fallback"}
 
 
 def test_element_with_translation():

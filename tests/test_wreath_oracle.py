@@ -29,6 +29,7 @@ order of the descents before it.
 """
 
 import random
+import time
 
 import pytest
 
@@ -431,6 +432,19 @@ def test_class_index_of_matches_the_scan(label):
 # -- coset descent against the uncached reference ------------------------------------
 
 
+def element_words(group, images, max_len):
+    """(element, quotient image) of each shortlex-first spelling of an element.
+
+    The search runs over the pairs, so it dedupes by element, as the head
+    match did before it searched quotient images alone; 20000 elements at most.
+    """
+    one, letters = images
+    step = lambda v, g: (v[0].compose(g[0]), v[1].compose(g[1]))
+    pairs = list(zip(group.symmetric_generators(), letters))
+    for _, v in bounded_words((identity(group.n), one), pairs, step, max_len, cap=20000):
+        yield v
+
+
 def reference_candidates(group, images):
     """Class movers, cheapest first: generator powers, pairs of powers, short words."""
     budget = 10
@@ -459,7 +473,7 @@ def reference_candidates(group, images):
                         continue
                     seen.add(w)
                     yield w, powers[i][a][1].compose(powers[j][b][1])
-    for _, w, wq in bounded_words(group, 4, cap=20000, images=images):
+    for w, wq in element_words(group, images, 4):
         if w not in seen:
             seen.add(w)
             yield w, wq
@@ -474,7 +488,7 @@ def reference_descent(alpha, group, ctx, kernel_elements):
     letters = [ctx.quotient.induce(g) for g in group.generators]
     letters += [e.inverse() for e in letters]
     images = (identity(ctx.n), letters)
-    for _, w, wq in bounded_words(group, 10, cap=20000, images=images):
+    for w, wq in element_words(group, images, 10):
         if wq == alpha.head:
             witness = w
             break
@@ -643,3 +657,26 @@ def test_descents_that_clear_nothing_match_the_reference():
     want = reference_descent(stuck, triple, ctx, [triple.generators[2]])
     assert want.reason == f"no conjugated kernel element clears {near} within the budget"
     assert {"ok", "inconclusive"} <= statuses
+
+
+def test_head_search_over_quotient_images_reaches_past_the_element_cap():
+    # on the pair context a search deduping by element spends its 20000 words
+    # before it spells the quotient translation g2^-10 (reference_descent
+    # ends inconclusive there); the search over quotient images spells it,
+    # and returns the reference's witness wherever the reference finds one
+    group = pair_group()
+    ctx = build_block_context(group, PAIR, 60)
+    kernel = [transposition(2, (1, 0), (1, 1))]
+    heads = {k: MultiWreathElement(ctx, (), generator(2, 2) ** k) for k in (-10, 10, -9, 12)}
+    results = {}
+    for k, alpha in heads.items():
+        start = time.perf_counter()
+        results[k] = phi_s_descent(alpha, group, ctx, kernel)
+        assert time.perf_counter() - start < 1.0, k
+    far = results[-10]
+    assert far.ok and far.residue.multiply(kk_embed(far.witness, ctx)) == heads[-10]
+    for k in (10, -9):
+        want = reference_descent(heads[k], group, ctx, kernel)
+        assert want.ok and results[k] == want
+    assert not results[12].ok
+    assert results[12].reason == "no word matches the head within the budget"
