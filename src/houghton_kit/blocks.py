@@ -414,10 +414,9 @@ def _finitary_alternating_proof(group: GeneratedSubgroup):
     It proves that G preserves no partition into finite blocks other than
     the partition into points:
 
-    - Every orbit is infinite.  In the exact orbit certificate
-      (``subgroups._orbit_certificate``) no segment has period 0, which would
-      be points fixed by every generator, and every closure class holds a
-      node of some ray's infinite tail.
+    - Every orbit is infinite.  The exact orbit certificate
+      (``subgroups._orbit_certificate``) has no run fixed by every generator,
+      and every closure class holds a node of some ray's infinite tail.
     - Alt(S) <= G, with |S| >= 3, when the witnesses' supports connect S.
       Add the witnesses one at a time, each meeting the union U of those
       before it: the group they generate holds Sym(U) while |U| = 2 and
@@ -440,21 +439,11 @@ def _finitary_alternating_proof(group: GeneratedSubgroup):
     conjugates a^-1 w a by the symmetric generators, whose cycle is the
     image of w's cycle under a, so they need no element product.
     """
-    segments, roots = _orbit_certificate(group)
-    if any(seg[3] == 0 for segs in segments for seg in segs):
-        return None
-    orbits = set()  # the closure roots of the nodes of every ray's infinite tail
-    for segs in segments:
-        _, _, base, period = segs[-1]
-        orbits.update(roots[base:base + period])
-    if not orbits.issuperset(roots):  # a class without a tail node is a finite orbit
-        return None
+    orbits = _orbit_certificate(group)
+    tails = orbits.tail_roots()
+    if orbits.has_fixed_run() or not tails.issuperset(orbits.roots):
+        return None  # a fixed point, or a class without a tail node, is a finite orbit
     gens = group.generators
-
-    def orbit(p):
-        """The closure root of the node of p."""
-        start, _, base, period = next(s for s in reversed(segments[p.ray - 1]) if s[0] <= p.pos)
-        return roots[base + (p.pos - start) % period]
 
     def certify(cycles):
         """The proof when the witness cycles certify every orbit, else None."""
@@ -464,8 +453,8 @@ def _finitary_alternating_proof(group: GeneratedSubgroup):
             if len(points) >= 3 and all(
                 any(a._image(p) in support for p in points) for a in gens
             ):
-                found.setdefault(orbit(points[0]), (points, witnesses))
-        return tuple(sorted(found.values())) if len(found) == len(orbits) else None
+                found.setdefault(orbits.key(points[0]), (points, witnesses))
+        return tuple(sorted(found.values())) if len(found) == len(tails) else None
 
     cycles = [c for g in gens if not any(g.t) and (c := _small_cycle(dict(g.head)))]
     if found := certify(cycles):

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 from .blocks import find_block_systems
 from .bns import f_certificate
-from .errors import InconclusiveError, UnsupportedCaseError
+from .errors import InconclusiveError
 from .subgroups import (
     GeneratedSubgroup,
+    LevelVerdict,
     congruence_exponent,
     is_congruence_lifting,
     is_level,
@@ -63,13 +64,13 @@ class ClassificationReport:
         }
 
 
-def _level_section(group, lattice):
+def _level_section(group, lattice, cert):
     if group.n < 3:
         return {
             "status": "not-applicable",
             "note": "the lattice criterion needs n >= 3",
         }
-    verdict = is_level(lattice)
+    verdict = is_level(lattice) if cert is None else LevelVerdict(cert.certified, cert.offending)
     if verdict.is_level:
         return {"status": "level"}
     i, j, vec = verdict.witness
@@ -108,7 +109,8 @@ def classify(group: GeneratedSubgroup, window: int = 40) -> ClassificationReport
     full = rank == n - 1
     notes = []
 
-    level = _level_section(group, lattice)
+    cert = f_certificate(lattice) if full and n >= 3 else None
+    level = _level_section(group, lattice, cert)
     cong = is_congruence_lifting(lattice)
     cong_section = {"status": bool(cong), "modulus": cong.modulus}
 
@@ -133,16 +135,12 @@ def classify(group: GeneratedSubgroup, window: int = 40) -> ClassificationReport
             notes.append(f"block search inconclusive: {exc}")
 
     certificate = {"status": "not-applicable"}
-    if full and n >= 3:
-        try:
-            cert = f_certificate(lattice)
-            certificate = {
-                "status": "certified" if cert.certified else "no-certificate",
-                "witness_count": len(cert.witnesses),
-                "offending": list(cert.offending[:2]) if cert.offending else None,
-            }
-        except UnsupportedCaseError as exc:
-            notes.append(f"certificate skipped: {exc}")
+    if cert is not None:
+        certificate = {
+            "status": "certified" if cert.certified else "no-certificate",
+            "witness_count": len(cert.witnesses),
+            "offending": list(cert.offending[:2]) if cert.offending else None,
+        }
 
     if full and n >= 3:
         verdict = f"type F_{n - 1}, not FP_{n}, max-n"

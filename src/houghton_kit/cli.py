@@ -29,6 +29,7 @@ from .errors import (
     InvalidElementError,
     UnsupportedCaseError,
 )
+from .rays import RayPoint
 from .subgroups import (
     GeneratedSubgroup,
     TranslationLattice,
@@ -124,9 +125,9 @@ def _json_text(value, indent: str = "") -> str:
 
     With an indent, ``json.dumps`` always runs the pure-Python encoder, which
     is slow on long cycle lists.  Here ints, strings, non-empty dicts with
-    string keys and non-empty lists are written directly, and a list of
-    [ray, pos] int pairs from one template; every other value goes to
-    ``json.dumps``, its lines moved to ``indent``.
+    string keys and non-empty lists and tuples are written directly, and a
+    list of ``RayPoint``s or [ray, pos] int pairs from one template; every
+    other value goes to ``json.dumps``, its lines moved to ``indent``.
     """
     kind = type(value)
     if kind is int:
@@ -134,9 +135,9 @@ def _json_text(value, indent: str = "") -> str:
     if kind is str:
         return encode_basestring_ascii(value)
     inner = indent + "  "
-    if kind is list and value:
-        if all(type(p) is list and len(p) == 2 and type(p[0]) is int and type(p[1]) is int
-               for p in value):
+    if (kind is list or kind is tuple) and value:
+        if all(type(p) is RayPoint or (type(p) is list and len(p) == 2 and type(p[0]) is int
+                                       and type(p[1]) is int) for p in value):
             pair = f"{inner}[\n{inner}  %d,\n{inner}  %d\n{inner}]"
             body = ",\n".join([pair % (ray, pos) for ray, pos in value])
         else:
@@ -191,7 +192,7 @@ def _cmd_element(args) -> int:
         elt = _load_element(args.file[0])
         cs = cycle_structure(elt)
         payload = {
-            "finite_cycles": [[[p.ray, p.pos] for p in c] for c in cs.finite_cycles],
+            "finite_cycles": list(cs.finite_cycles),
             "infinite_cycles": cs.infinite_cycle_count,
             "window_checked": cs.window_checked,
         }

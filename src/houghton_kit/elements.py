@@ -465,17 +465,75 @@ def _image_table(g: HoughtonElement, depth: int) -> tuple:
     return tuple(table)
 
 
-def _fold_orbits(n: int, generators: tuple) -> tuple:
-    """(per-ray segments, closure roots): the exact orbit partition of the
-    group the generators span, folded to nodes.
+class FoldedOrbits:
+    """The exact orbit partition of a group, folded to nodes; it owns the segment format.
 
-    Dense stretches (touched positions +- s_i) have a node per point; every
-    other run of ray i, the tail included, a node per residue mod m_i.  A
-    segment (start, stop, base, period) sends (ray, pos) to node
-    base + (pos - start) % period, or none if the period is 0.  The proof
-    that the closure gives the orbits is in ``subgroups._orbit_certificate``,
-    the cached wrapper for subgroups.
+    On ray i, s_i is the largest |t_i| and m_i the gcd of the translations
+    t_i.  A position is touched if it is a head point or head image of some
+    generator; others move by translation alone.  Dense stretches are the
+    touched positions +- s_i, joined across gaps shorter than 2 s_i, with a
+    node per point.  Every other maximal run, the infinite tail included, has
+    a node per residue mod m_i, or fixed points if m_i = 0.  A segment (start,
+    stop, base, period) sends (ray, pos) to node base + (pos - start) % period,
+    or none if the period is 0.  The roots close each dense point p with the
+    nodes of g(p) and g^-1(p), for every generator g.  They give the orbits:
+
+    - On a run R each translation t of ray i is a period of the orbit labels
+      (x ~ x + t while both lie in R), and R is at least 2 s_i long, so by
+      Fine and Wilf's theorem gcd(t, t') is one too: a node lies in one
+      orbit, so does each seeded pair, and so does every class.
+    - A move from a run point goes at most s_i along its ray, and a dense
+      stretch between runs is longer than s_i: it stays at its residue in
+      its run, or it enters an adjacent dense stretch and is seeded.  So a
+      path of moves stays in one class, and so does every orbit.
+
+    Position 0 is touched when m_i >= 1, so no run starts there.  The nodes
+    number O(n max m_i + sum |head| (2s + 1)), whatever the thresholds.
     """
+
+    __slots__ = ("segments", "roots", "_starts")
+
+    def __init__(self, segments: tuple):
+        self.segments = segments  # per ray, its segments in order of start
+        self.roots = None  # per node, its closure root; set by ``_fold_orbits``
+        self._starts = [[seg[0] for seg in segs] for segs in segments]
+
+    def node(self, ray: int, pos: int):
+        """The node of (ray, pos), or None where every generator fixes it."""
+        start, _, base, period = self.segments[ray - 1][bisect_right(self._starts[ray - 1], pos) - 1]
+        return base + (pos - start) % period if period else None
+
+    def key(self, p):
+        """The orbit key of p: its node's closure root, or p itself where it is fixed."""
+        node = self.node(*p)
+        return p if node is None else self.roots[node]
+
+    def tail_roots(self) -> set:
+        """The closure roots of the nodes of the rays' infinite tails: one per infinite orbit."""
+        return {
+            root for *_, base, period in (segs[-1] for segs in self.segments)
+            for root in self.roots[base:base + period]
+        }
+
+    def has_fixed_run(self) -> bool:
+        """Whether some run is fixed by every generator (a ray with m_i = 0)."""
+        return any(seg[3] == 0 for segs in self.segments for seg in segs)
+
+    def window_keys(self, depth: int) -> list:
+        """The orbit key of each point of the window of depth W, in window order."""
+        keys = []
+        for ray, segs in enumerate(self.segments, start=1):
+            for start, stop, base, period in segs:
+                count = max(min(stop, depth) - start, 0)
+                if period:
+                    keys += (self.roots[base:base + period] * (count // period + 1))[:count]
+                else:
+                    keys += [RayPoint(ray, pos) for pos in range(start, start + count)]
+        return keys
+
+
+def _fold_orbits(n: int, generators: tuple) -> FoldedOrbits:
+    """The ``FoldedOrbits`` of the group the generators span."""
     touched = [set() for _ in range(n)]
     for ray, pos in (p for g in generators for pair in g.head for p in pair):
         touched[ray - 1].add(pos)
@@ -495,13 +553,9 @@ def _fold_orbits(n: int, generators: tuple) -> tuple:
                 segs.append((lo, hi, size, hi - lo if k % 2 else m))
                 size += segs[-1][3]
         segments.append(tuple(segs))
-    starts = [[seg[0] for seg in segs] for segs in segments]
+    orbits = FoldedOrbits(tuple(segments))
+    node = orbits.node
     stretches = [[seg for seg in segs if seg[3] == seg[1] - seg[0]] for segs in segments]
-
-    def node(ray, pos):
-        start, _, base, period = segments[ray - 1][bisect_right(starts[ray - 1], pos) - 1]
-        return base + (pos - start) % period
-
     pairs = []
     for g in generators:
         moves = {}  # node -> node of its image, where a translation or the head moves it
@@ -519,7 +573,8 @@ def _fold_orbits(n: int, generators: tuple) -> tuple:
         for p, q in g.head:
             moves[node(*p)] = node(*q)
         pairs.extend(moves.items())
-    return tuple(segments), _close(size, pairs)
+    orbits.roots = _close(size, pairs)
+    return orbits
 
 
 def _folded_cycle_counts(g: HoughtonElement):
@@ -532,17 +587,14 @@ def _folded_cycle_counts(g: HoughtonElement):
     an infinite cycle.  The cost follows the head and the shifts, not the
     threshold.
     """
-    segments, roots = _fold_orbits(g.n, (g,))
+    orbits = _fold_orbits(g.n, (g,))
+    roots, tails = orbits.roots, orbits.tail_roots()
     weight = [1] * len(roots)
-    tails = set()
-    for segs in segments:
+    for segs in orbits.segments:
         for start, stop, base, period in segs:
-            if period and period != stop - start:  # a run: a node per residue
+            if period and stop != inf and period != stop - start:  # a finite run
                 for node in range(base, base + period):
-                    if stop == inf:
-                        tails.add(roots[node])
-                    else:
-                        weight[node] = len(range(start + node - base, stop, period))
+                    weight[node] = len(range(start + node - base, stop, period))
     sizes: dict[int, int] = {}
     for node, root in enumerate(roots):
         sizes[root] = sizes.get(root, 0) + weight[node]

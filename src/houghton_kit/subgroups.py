@@ -13,6 +13,7 @@ from typing import Iterable
 
 from . import intlattice as la
 from .elements import (
+    FoldedOrbits,
     HoughtonElement,
     _finite_cycles,
     _fold_orbits,
@@ -293,57 +294,27 @@ class OrbitWindowReport:
         return len(self.classes)
 
 
-def _window_partition(roots: list, n: int, depth: int) -> list:
-    """Sorted classes, by least point, of the window points with equal ``roots`` entries."""
+def _window_partition(keys: list, n: int, depth: int) -> list:
+    """Sorted classes, by least point, of the window points with equal ``keys`` entries."""
     buckets: dict = {}
-    for p, root in zip(RaySystem(n).window(depth), roots):
-        buckets.setdefault(root, []).append(p)
+    for p, key in zip(RaySystem(n).window(depth), keys):
+        buckets.setdefault(key, []).append(p)
     return [tuple(v) for v in buckets.values()]
 
 
 @lru_cache(maxsize=8)
-def _orbit_certificate(group: GeneratedSubgroup) -> tuple:
-    """(per-ray segments, closure roots): the exact orbit partition, folded.
+def _orbit_certificate(group: GeneratedSubgroup) -> FoldedOrbits:
+    """The group's exact orbit partition, ``elements.FoldedOrbits``, cached per group.
 
-    On ray i, s_i is the largest |t_i| and m_i the gcd of the translations
-    t_i.  A position is touched if it is a head point or head image of some
-    generator; others move by translation alone.  Dense stretches are the
-    touched positions +- s_i, joined across gaps shorter than 2 s_i, with a
-    node per point.  Every other maximal run, the infinite tail included, has
-    a node per residue mod m_i, or fixed points if m_i = 0.  A segment (start,
-    stop, base, period) sends (ray, pos) to node base + (pos - start) % period,
-    or none if the period is 0.  The roots close each dense point p with the
-    nodes of g(p) and g^-1(p), for every generator g.  They give the orbits:
-
-    - On a run R each translation t of ray i is a period of the orbit labels
-      (x ~ x + t while both lie in R), and R is at least 2 s_i long, so by
-      Fine and Wilf's theorem gcd(t, t') is one too: a node lies in one
-      orbit, so does each seeded pair, and so does every class.
-    - A move from a run point goes at most s_i along its ray, and a dense
-      stretch between runs is longer than s_i: it stays at its residue in
-      its run, or it enters an adjacent dense stretch and is seeded.  So a
-      path of moves stays in one class, and so does every orbit.
-
-    Position 0 is touched when m_i >= 1, so no run starts there.  The nodes
-    number O(n max m_i + sum |head| (2s + 1)), whatever the thresholds.
-
-    ``elements._fold_orbits`` builds the segments and the closure; this
-    wrapper caches them per group, and ``cycle_structure`` calls the builder
-    itself, so one-off elements do not evict the groups cached here.
+    ``cycle_structure`` calls the builder itself, so one-off elements do not
+    evict the groups cached here.
     """
     return _fold_orbits(group.n, group.generators)
 
 
 def orbit_windows(group: GeneratedSubgroup, depth: int) -> OrbitWindowReport:
     """The exact orbit partition cut to the window of depth W (``_orbit_certificate``)."""
-    segments, roots = _orbit_certificate(group)
-    keys = []  # per window point, its closure root, or a key of its own when it is fixed
-    for segs in segments:
-        for start, stop, base, period in segs:
-            count = max(min(stop, depth) - start, 0)
-            own = range(-1 - len(keys), -1 - len(keys) - count, -1)  # keys of fixed points
-            cycle = roots[base:base + period] * (count // period + 1) if period else own
-            keys.extend(cycle[:count])
+    keys = _orbit_certificate(group).window_keys(depth)
     classes = tuple(_window_partition(keys, group.n, depth))
     incidence = tuple(tuple(sorted({p.ray for p in cls})) for cls in classes)
     return OrbitWindowReport(depth, classes, True, incidence)

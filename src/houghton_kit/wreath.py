@@ -25,9 +25,9 @@ from .blocks import (
     infer_eventual_translation,
     quotient as build_quotient,
 )
-from .elements import HoughtonElement, identity as houghton_identity
+from .elements import HoughtonElement, _fold_orbits, identity as houghton_identity
 from .errors import DomainError, InconclusiveError
-from .finperm import FinitePermGroup, _classes, _close, _inv, _is_id, _mul
+from .finperm import FinitePermGroup, _inv, _is_id, _mul
 from .rays import RayPoint
 from .subgroups import GeneratedSubgroup, bounded_words
 
@@ -35,9 +35,9 @@ from .subgroups import GeneratedSubgroup, bounded_words
 class BlockContext:
     """Verified block system, its quotient, orbit typing and rank bijections.
 
-    Orbits of the induced generators on the quotient points are numbered in
-    order of their least quotient point, so ids first appear in increasing
-    order along ``structure.quotient_points``.
+    Orbits of the induced generators on the quotient ray system are exact
+    (``elements.FoldedOrbits``); those that meet a kept class are numbered by
+    first appearance along ``structure.quotient_points``, one block each.
     """
 
     def __init__(self, group: GeneratedSubgroup, structure: QuotientStructure, twists=None):
@@ -46,47 +46,36 @@ class BlockContext:
         self.n = structure.n
         self._twists = dict(twists or {})
         self._index = {qp: k for k, qp in enumerate(structure.quotient_points)}
-        self._orbit_of = self._compute_orbits(structure)
-        orbit_count = 1 + max(self._orbit_of.values())
-        self.block_of_orbit = [None] * orbit_count
+        self._orbits = _fold_orbits(self.n, structure.induced)
+        self._orbit_ids = {}  # orbit key -> orbit id
+        for qp in structure.quotient_points:
+            self._orbit_ids.setdefault(self._orbits.key(qp), len(self._orbit_ids))
+        self.block_of_orbit = [None] * len(self._orbit_ids)
         for block in structure.system.blocks:
             k = structure.class_index_of(block[0])
             if k is None:
                 raise DomainError("block class fell outside the verified window")
-            self.block_of_orbit[self._orbit_of[structure.quotient_points[k]]] = tuple(block)
+            orbit = self.orbit_of(structure.quotient_points[k])
+            if self.block_of_orbit[orbit] is not None:
+                raise DomainError(
+                    f"orbit {orbit} of classes carries two blocks: "
+                    f"{self.block_of_orbit[orbit]} and {tuple(block)}"
+                )
+            self.block_of_orbit[orbit] = tuple(block)
         if any(b is None for b in self.block_of_orbit):
             raise DomainError("an orbit of classes carries no block")
-        self.single_orbit = orbit_count == 1
         # the work phi_s_descent shares across descents over this context:
         # kernel element -> kk_embed, and group -> _DescentTables
         self._kernel_kk = {}
         self._descent_tables = {}
 
-    def _compute_orbits(self, structure) -> dict:
-        pairs = []
-        for e in structure.induced:
-            for k, qp in enumerate(structure.quotient_points):
-                image = self._index.get(e._image(qp))
-                if image is not None:
-                    pairs.append((k, image))
-        roots = _close(len(self._index), pairs)
-        return {
-            structure.quotient_points[k]: i
-            for i, orbit in enumerate(_classes(roots))
-            for k in orbit
-        }
-
     # -- typing and transversal ------------------------------------------------
 
     def orbit_of(self, qpoint) -> int:
-        got = self._orbit_of.get(qpoint)
-        if got is not None:
-            return got
-        if self.single_orbit:
-            return 0
-        raise InconclusiveError(
-            f"orbit typing of {qpoint} is outside the verified window"
-        )
+        got = self._orbit_ids.get(self._orbits.key(qpoint))
+        if got is None:
+            raise InconclusiveError(f"the orbit of {qpoint} meets no class kept in the window")
+        return got
 
     def block_size(self, qpoint) -> int:
         return len(self.block_of_orbit[self.orbit_of(qpoint)])

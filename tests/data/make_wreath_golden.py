@@ -3,9 +3,12 @@
 Each entry is stored as exact text, so the test checks byte-identical output:
 
 - ``wreath embed --json`` and ``wreath verify --json`` runs of the CLI on the
-  pair group and on ``delta_k(3,2)`` with singleton blocks, stored as
-  ``[exit code, stdout, stderr]``; the embed runs include a word that breaks
-  the congruence (exit 2) and one whose head leaves the window (exit 3);
+  pair group, on ``delta_k(3,2)`` with singleton blocks and on the
+  intransitive group ``<g2^4, (1:0 1:2), (1:1 1:3)>`` with a pair block on
+  one orbit and a singleton on the other, stored as ``[exit code, stdout,
+  stderr]``; the embed runs include a word that breaks the congruence
+  (exit 2) and one whose head leaves the window (exit 3), and the
+  intransitive verify at window 20 cannot read a translation (exit 3);
 - ``phi_s_descent`` on 20 seeded wreath elements of the pair context, stored
   as its status, steps, witness, residue and reason.
 
@@ -41,6 +44,7 @@ DESCENTS = 20
 
 PAIR_BLOCKS = [[[1, 0], [1, 1]]]
 DELTA_BLOCKS = [[[1, 0]], [[1, 1]]]
+SPLIT_BLOCKS = [[[1, 0], [1, 2]], [[1, 1]]]
 
 
 def pair_group() -> GeneratedSubgroup:
@@ -55,9 +59,21 @@ def pair_group() -> GeneratedSubgroup:
     )
 
 
+def intransitive_group() -> GeneratedSubgroup:
+    """<g2^4, (1:0 1:2), (1:1 1:3)>: the even line positions pair up, the odd ones stay single."""
+    return GeneratedSubgroup.from_elements(
+        2,
+        [
+            generator(2, 2) ** 4,
+            transposition(2, (1, 0), (1, 2)),
+            transposition(2, (1, 1), (1, 3)),
+        ],
+    )
+
+
 def cli_cases() -> dict:
     """Label -> (subgroup, block lists, extra CLI arguments after the paths)."""
-    pair, delta = pair_group(), delta_k(3, 2)
+    pair, delta, split = pair_group(), delta_k(3, 2), intransitive_group()
     return {
         "embed pair": ("embed", pair, PAIR_BLOCKS, []),
         "embed pair words": (
@@ -83,6 +99,13 @@ def cli_cases() -> dict:
         "verify pair": ("verify", pair, PAIR_BLOCKS, ["--samples", "40", "--seed", "1"]),
         "verify delta_k(3,2)": (
             "verify", delta, DELTA_BLOCKS, ["--samples", "40", "--seed", "2", "--window", "30"],
+        ),
+        "embed intransitive": ("embed", split, SPLIT_BLOCKS, ["--window", "60"]),
+        "verify intransitive": (
+            "verify", split, SPLIT_BLOCKS, ["--samples", "40", "--seed", "3", "--window", "60"],
+        ),
+        "verify intransitive at window 20": (
+            "verify", split, SPLIT_BLOCKS, ["--samples", "40", "--seed", "3", "--window", "20"],
         ),
     }
 

@@ -1,13 +1,14 @@
 import json
+import sys
 
 import pytest
 
-from houghton_kit import cli
+from houghton_kit import bns, cli, subgroups
 from houghton_kit.blocks import PROOF_CAVEAT, WINDOW_CAVEAT
 from houghton_kit.classify import classify
 from houghton_kit.cli import cli_main
 from houghton_kit.elements import from_cycles, generator, houghton_generators, transposition
-from houghton_kit.subgroups import GeneratedSubgroup, delta_k
+from houghton_kit.subgroups import GeneratedSubgroup, delta_k, element_with_translation
 
 
 def write_subgroup(tmp_path, group, name="group.json"):
@@ -62,20 +63,44 @@ def test_classify_h2_dichotomy():
     assert report.verdict == "finitely generated, max-n; not FP_2 unless finite-by-Z"
 
 
-def test_classify_non_level_reports_reduction():
-    from houghton_kit.subgroups import element_with_translation
-
+def non_level_group():
     h = GeneratedSubgroup.from_elements(3, houghton_generators(3))
-    a = element_with_translation(h, (1, 2, -3))
-    b = element_with_translation(h, (2, 1, -3))
-    g = GeneratedSubgroup.from_elements(3, [a, b])
-    report = classify(g)
+    return GeneratedSubgroup.from_elements(
+        3, [element_with_translation(h, (1, 2, -3)), element_with_translation(h, (2, 1, -3))]
+    )
+
+
+def test_classify_non_level_reports_reduction():
+    report = classify(non_level_group())
     assert report.full_hirsch
     assert report.level["status"] == "not-level"
     assert report.level["witness_pair"] == [2, 1]
     assert report.level["finite_index_level_reduction"]["modulus"] == 3
     assert report.certificate["status"] == "no-certificate"
     assert report.verdict == "type F_2, not FP_3, max-n"
+
+
+@pytest.mark.parametrize("group, runs", [
+    (lambda: delta_k(3, 2), 1),
+    (non_level_group, 1),
+    (h3, 1),
+    (lambda: GeneratedSubgroup(3, (from_cycles(3, [[(1, 0), (1, 1), (1, 2)]]),)), 1),
+    (lambda: delta_k(2, 2), 0),
+], ids=["level", "not-level", "H_3", "finitary", "n=2"])
+def test_classify_runs_the_level_test_at_most_once(monkeypatch, group, runs):
+    # at full rank with n >= 3 the level section is read off the certificate
+    group = group()
+    want = classify(group).to_json_dict()
+    calls = []
+
+    def counted(lattice):
+        calls.append(lattice)
+        return subgroups.is_level(lattice)
+
+    monkeypatch.setattr(sys.modules["houghton_kit.classify"], "is_level", counted)
+    monkeypatch.setattr(bns, "is_level", counted)
+    assert classify(group).to_json_dict() == want
+    assert len(calls) == runs
 
 
 def test_report_json_roundtrip():

@@ -13,6 +13,7 @@ from houghton_kit import cli
 from houghton_kit.blocks import PROOF_CAVEAT, WINDOW_CAVEAT
 from houghton_kit.cli import _json_text, cli_main
 from houghton_kit.elements import from_cycles, generator, houghton_generators, transposition
+from houghton_kit.rays import RayPoint
 from houghton_kit.subgroups import GeneratedSubgroup, delta_k
 
 
@@ -100,6 +101,7 @@ def test_every_cli_payload_is_written_as_json_dumps_writes_it(tmp_path, capsys, 
         assert capsys.readouterr().out == dumps(payload) + "\n"
     cycles, no_cycles = payloads[3], payloads[4]
     assert cycles["finite_cycles"] and no_cycles["finite_cycles"] == []
+    assert all(type(p) is RayPoint for c in cycles["finite_cycles"] for p in c)
     pair_find, delta_find = payloads[11], payloads[12]
     assert pair_find["caveat"] == WINDOW_CAVEAT
     assert delta_find == {"systems": [], "caveat": PROOF_CAVEAT}
@@ -117,6 +119,8 @@ EDGE_PAYLOADS = [
     {"nested": [[[1, 0], [2, 5]], [], [[3, 3]]], "deep": {"x": {"y": [{"z": []}]}}},
     {"int_keys": {2: "b", 1: "a"}, "scalars": [1.5, -0.0, None, True, "s", 10**30]},
     {"cycles": [[[p % 5 + 1, p] for p in range(200)]], "count": 0},
+    {"finite_cycles": [(RayPoint(1, 0), RayPoint(2, 7)), (RayPoint(3, 10**6),)], "none": ()},
+    {"point": RayPoint(2, 3), "mixed": (RayPoint(1, 0), [1, 2], (3, 4)), "ints": (5, 6)},
     {"systems": [], "caveat": PROOF_CAVEAT},
     [None, False, [], {}, "", 0, [[]], [{}]],
     "top-level string",
@@ -128,3 +132,17 @@ EDGE_PAYLOADS = [
 @pytest.mark.parametrize("payload", EDGE_PAYLOADS, ids=range(len(EDGE_PAYLOADS)))
 def test_edge_payloads_are_written_as_json_dumps_writes_them(payload):
     assert _json_text(payload) == dumps(payload)
+
+
+def test_cycles_of_ray_points_are_written_without_json_dumps(monkeypatch):
+    # `element cycles` hands over the walk's RayPoint tuples; the writer's pair
+    # template takes them as they are, with no fallback to the encoder
+    cycles = [(RayPoint(1, 0), RayPoint(2, 7)), (RayPoint(3, 5),)]
+    payload = {"finite_cycles": cycles, "infinite_cycles": 1}
+    want = dumps(payload)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("json.dumps called")
+
+    monkeypatch.setattr(json, "dumps", refused)
+    assert _json_text(payload) == want

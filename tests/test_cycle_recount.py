@@ -48,7 +48,7 @@ def test_recount_matches_the_window_trace_and_the_walk(n):
 def test_the_cli_bound_case_folds_to_few_nodes():
     # a 10^5-point cycle: the walk lists it, the recount folds its runs
     g = transposition(5, (1, 0), (2, 99999)).compose(generator(5, 2))
-    segments, roots = _fold_orbits(g.n, (g,))
+    roots = _fold_orbits(g.n, (g,)).roots
     s, head = g.max_shift(), len(g.head)
     # each head point and image is a dense stretch of at most 2s + 1 nodes,
     # and each ray has at most one run more than it has stretches

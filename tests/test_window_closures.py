@@ -38,7 +38,7 @@ from houghton_kit.elements import (
     window_cycle_counts,
 )
 from houghton_kit.errors import InconclusiveError
-from houghton_kit.rays import RaySystem
+from houghton_kit.rays import RayPoint, RaySystem
 from houghton_kit.subgroups import (
     GeneratedSubgroup,
     _orbit_certificate,
@@ -384,10 +384,73 @@ def test_far_and_clustered_heads_match_a_deep_closure(group, window):
 
 def test_a_gap_shorter_than_2s_is_dense():
     # with s = 3, a gap of 6 between the stretches is a run, one of 5 is dense
-    run = _orbit_certificate(cluster_group(6))[0][0]
-    dense = _orbit_certificate(cluster_group(5))[0][0]
+    run = _orbit_certificate(cluster_group(6)).segments[0]
+    dense = _orbit_certificate(cluster_group(5)).segments[0]
     assert [seg[:2] for seg in run[1:5]] == [(6, 17), (17, 24), (24, 30), (30, 37)]
     assert [seg[:2] for seg in dense[1:4]] == [(6, 17), (17, 36), (36, float("inf"))]
+
+
+def folded_test_groups():
+    """Seeded subgroups with n = 2..5, some with a transposition reaching 10 to 39."""
+    rng = random.Random(2000)
+    groups = []
+    for n in (2, 3, 4, 5):
+        for _ in range(5):
+            gens = [
+                random_element(n, head_budget=4, t_bound=rng.choice([1, 2]), seed=rng)
+                for _ in range(rng.randint(1, 3))
+            ]
+            if rng.random() < 0.5:
+                a, b = rng.randrange(6), rng.randrange(10, 40)
+                gens.append(transposition(n, (rng.randint(1, n), a), (rng.randint(1, n), b)))
+            groups.append(GeneratedSubgroup.from_elements(n, gens))
+    return groups
+
+
+def test_folded_orbits_key_the_deep_closure_classes():
+    # at depth 1, 7 and one past every segment start, equal keys are the classes
+    # of a deep naive closure and of orbit_windows; tail roots key the classes
+    # that hold a moved point past every threshold
+    for group in folded_test_groups():
+        orbits = _orbit_certificate(group)
+        threshold = max(g.threshold for g in group.generators)
+        depths = {1, 7} | {seg[0] + 1 for segs in orbits.segments for seg in segs}
+        top = max(*depths, threshold + window_depth(group))
+        deep = naive_orbit_classes(group, top, top + window_depth(group))
+        for depth in sorted(depths):
+            window = list(RaySystem(group.n).window(depth))
+            keys = orbits.window_keys(depth)
+            assert keys == [orbits.key(p) for p in window]
+            by_key = {}
+            for p, key in zip(window, keys):
+                by_key.setdefault(key, []).append(p)
+            cut = (tuple(p for p in c if p.pos < depth) for c in deep)
+            classes = tuple(sorted((c for c in cut if c), key=lambda c: c[0]))
+            assert tuple(map(tuple, by_key.values())) == classes
+            assert orbit_windows(group, depth).classes == classes
+        tails = orbits.tail_roots()
+        infinite = {
+            orbits.key(c[0])
+            for c in deep
+            if any(p.pos >= threshold and any(g.apply(p) != p for g in group.generators) for p in c)
+        }
+        assert tails == infinite
+
+
+def test_a_fixed_run_keys_its_points_by_themselves():
+    # ray 3 only moves under a finitary cycle, so m_3 = 0 and its runs are fixed
+    group = GeneratedSubgroup(3, (generator(3, 2), from_cycles(3, [[(3, 2), (3, 9), (1, 4)]])))
+    orbits = _orbit_certificate(group)
+    assert orbits.has_fixed_run()
+    assert not _orbit_certificate(delta_k(3, 2)).has_fixed_run()
+    for pos in (0, 1, 3, 8, 10, 500):
+        assert orbits.node(3, pos) is None
+        assert orbits.key(RayPoint(3, pos)) == RayPoint(3, pos)
+    assert orbits.key(RayPoint(3, 9)) == orbits.key(RayPoint(1, 4)) == orbits.key(RayPoint(2, 50))
+    window = list(RaySystem(3).window(12))
+    own = [p for p, key in zip(window, orbits.window_keys(12)) if key == p]
+    assert own == [p for p in window if p.ray == 3 and p.pos not in (2, 9)]
+    assert all(key in orbits.tail_roots() for key in orbits.window_keys(12) if key not in own)
 
 
 def test_a_head_at_10_to_the_5_closes_over_few_nodes(monkeypatch):

@@ -141,7 +141,7 @@ def test_kk_rejects_an_element_on_another_ray_count(context, element, counts):
 
 def test_wreath_element_rejects_data_off_the_quotient_ray_system():
     _, ctx = pair_context()
-    assert ctx.single_orbit
+    assert len(ctx.block_of_orbit) == 1
     with pytest.raises(DomainError, match="not a point of the quotient ray system"):
         MultiWreathElement(ctx, (((3, 0), (1, 0)),), identity(2))
     with pytest.raises(DomainError, match="3 rays"):
@@ -231,6 +231,65 @@ def test_context_orbit_ids_follow_the_least_quotient_point():
     for k, block in enumerate(ctx.block_of_orbit):
         i = ctx.quotient.class_index_of(block[0])
         assert ctx.orbit_of(ctx.quotient.quotient_points[i]) == k
+
+
+def test_context_rejects_a_second_block_in_one_orbit():
+    # both pairs lie in the one orbit of the pair group
+    system = BlockSystem.from_lists([[(1, 0), (1, 1)], [(1, 2), (1, 3)]])
+    with pytest.raises(DomainError, match=r"orbit 0 of classes carries two blocks: "
+                       r"\(\(1:0\), \(1:1\)\) and \(\(1:2\), \(1:3\)\)"):
+        build_block_context(pair_group(), system, 20)
+
+
+def intransitive_group():
+    """<g2^4, (1:0 1:2), (1:1 1:3)>: two orbits, the even and the odd line positions."""
+    return GeneratedSubgroup.from_elements(2, [
+        generator(2, 2) ** 4,
+        transposition(2, (1, 0), (1, 2)),
+        transposition(2, (1, 1), (1, 3)),
+    ])
+
+
+def intransitive_context(depth=60):
+    """Even line positions form blocks of two (W = S_2), odd ones singletons (W = 1)."""
+    system = BlockSystem.from_lists([[(1, 0), (1, 2)], [(1, 1)]])
+    group = intransitive_group()
+    return group, build_block_context(group, system, depth)
+
+
+def test_intransitive_context_types_every_quotient_point():
+    # per three quotient points of a ray, one pair of even points and two odd points
+    _, ctx = intransitive_context()
+    assert ctx.block_of_orbit == [((1, 0), (1, 2)), ((1, 1),)]
+    assert max(qp.pos for qp in ctx.quotient.quotient_points) < 60
+    for r in range(300):
+        assert ctx.orbit_of(RayPoint(1, r)) == (0 if r % 3 == 0 else 1), r
+        assert ctx.orbit_of(RayPoint(2, r)) == (0 if r % 3 == 1 else 1), r
+        assert ctx.block_size(RayPoint(1, r)) == (2 if r % 3 == 0 else 1), r
+
+
+def test_intransitive_product_past_the_kept_classes_keeps_the_group_law():
+    group, ctx = intransitive_context()
+    h = kk_embed(generator(2, 2) ** -16, ctx)
+    x = MultiWreathElement(ctx, (((1, 39), (1, 0)),), identity(2))
+    hx = h.multiply(x)
+    assert (RayPoint(1, 51), (1, 0)) in hx.base
+    assert hx.multiply(x.inverse()) == h
+    assert h.inverse().multiply(hx) == x
+    y = kk_embed(group.generators[1], ctx)
+    assert hx.multiply(y) == h.multiply(x.multiply(y))
+
+
+def test_intransitive_w_groups_and_embedding_check_type_by_orbit():
+    group, ctx = intransitive_context()
+    reports = [w_groups(group, ctx, orbit=k) for k in (0, 1)]
+    orders = [
+        (r.from_group.order(), r.from_finitary.order(), r.from_kernel.order()) for r in reports
+    ]
+    assert orders == [(2, 2, 2), (1, 1, 1)]
+    by_orbit = [r.from_group for r in reports]
+    report = verify_kk(group, ctx, samples=60, seed=4, w_groups_by_orbit=by_orbit)
+    assert report.ok and report.typing_exceptions == ()
 
 
 # -- coset descent -----------------------------------------------------------------
