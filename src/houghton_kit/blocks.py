@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress
+from operator import ne
 
 from .elements import HoughtonElement, _image_table
-from .errors import DomainError, InconclusiveError
+from .errors import DomainError, InconclusiveError, InvalidElementError
 from .finperm import _close
 from .rays import RayPoint, RaySystem
 from .subgroups import (
@@ -491,7 +492,9 @@ class QuotientStructure:
 
     The action on classes runs over int indices of the closure window: point
     (ray, pos) has index (ray - 1) * closure_depth + pos, the layout of
-    ``elements._image_table``.
+    ``elements._image_table``.  Kept class k is the quotient point
+    (_ray[k], _rank[k]), and an element acts on the kept classes as a list of
+    target class ids (``_class_action``), which ``_read_element`` reads.
     """
 
     system: BlockSystem
@@ -504,10 +507,15 @@ class QuotientStructure:
     _closure_depth: int  # depth of the closure window the tables cover
     _class_of: list  # per window index its class id (kept classes first), then -1
     _rank_of: list  # per window index its rank inside its sorted class, then 0
+    _target_of: tuple  # per class id its kept class id or None, then None for id -1
     _members: tuple  # window indices of the kept classes' points, class by class
-    _bounds: tuple  # per kept class, the (start, stop) of its points in _members
+    _member_class: tuple  # per entry of _members, its kept class id
+    _member_rank: list  # per entry of _members, its rank inside its class
     _lead: tuple  # per entry of _members, the start of its class in _members
-    _identity: tuple  # per kept class, the identity rank tuple of its size
+    _starts: tuple  # per kept class, the start of its points in _members
+    _ray: tuple  # per kept class, its quotient ray
+    _rank: tuple  # per kept class, its rank along that ray
+    _top: tuple  # per ray, the kept class ids in the top half of _known_ranks
     _known_ranks: tuple  # per ray, contiguous rank prefix with complete data
 
     def class_index_of(self, p) -> int | None:
@@ -517,40 +525,44 @@ class QuotientStructure:
         k = self._class_of[(ray - 1) * self._closure_depth + pos]
         return k if k < len(self.classes) else None
 
-    def _act(self, element: HoughtonElement) -> list:
-        """Per kept class, (target class, ranks of the images in it) or None.
+    def _class_action(self, element: HoughtonElement):
+        """(targets, moved): how the element acts on the kept classes.
 
+        ``targets[k]`` is the id of the kept class that class k lands in, or
         None where an image leaves the closure window, even if the other
         images fall in two classes, and where the images land in a class that
-        crosses the depth.  Images in two classes raise DomainError.  One
-        comparison over the whole window shows that every kept class lands in
-        one class; only when it fails does the per-class diagnosis run.
+        crosses the depth.  Images in two classes raise DomainError.
+        ``moved`` maps each class with a target whose image ranks are not the
+        identity to those ranks.  One comparison over the whole window shows
+        that every kept class lands in one class, and one that no rank moves;
+        only the classes that fail a comparison are read one by one.
         """
         table = _image_table(element, self._closure_depth)
-        # an image -1 (past the window) reads the trailing entries: class -1
+        # an image -1 (past the window) reads the trailing entries: class -1, rank 0
         images = list(map(table.__getitem__, self._members))
         classes = list(map(self._class_of.__getitem__, images))
         ranks = list(map(self._rank_of.__getitem__, images))
-        kept = len(self.classes)
-        if list(map(classes.__getitem__, self._lead)) == classes:
-            return [
-                (target, tuple(ranks[start:stop])) if 0 <= (target := classes[start]) < kept
-                else None
-                for start, stop in self._bounds
-            ]
-        out = []
-        for k, (start, stop) in enumerate(self._bounds):
-            found = classes[start:stop]
-            target = found[0]
-            if found.count(target) != stop - start:
-                if -1 in found:
-                    out.append(None)
-                    continue
-                raise DomainError(
-                    f"element does not preserve the congruence near {self.classes[k][0]}"
-                )
-            out.append((target, tuple(ranks[start:stop])) if 0 <= target < kept else None)
-        return out
+        targets = list(map(self._target_of.__getitem__, map(classes.__getitem__, self._starts)))
+        leads = list(map(classes.__getitem__, self._lead))
+        if leads != classes:
+            for k in sorted(set(compress(self._member_class, map(ne, leads, classes)))):
+                start = self._starts[k]
+                if -1 not in classes[start:start + len(self.classes[k])]:
+                    raise DomainError(
+                        f"element does not preserve the congruence near {self.classes[k][0]}"
+                    )
+                targets[k] = None
+        moved = {}
+        if ranks != self._member_rank:
+            for k in sorted(set(compress(self._member_class, map(ne, ranks, self._member_rank)))):
+                if targets[k] is not None:
+                    start = self._starts[k]
+                    moved[k] = tuple(ranks[start:start + len(self.classes[k])])
+        return targets, moved
+
+    def _induced(self, targets: list) -> HoughtonElement:
+        """The quotient element that ``_class_action``'s targets pin down."""
+        return _read_element(self.n, self._ray, self._rank, targets, self._top)
 
     def partial_action(self, element: HoughtonElement) -> dict:
         """Partial map on quotient points induced by an element of the group.
@@ -563,50 +575,88 @@ class QuotientStructure:
         """
         _same_rays(element, self.n)
         qps = self.quotient_points
-        return {qps[k]: qps[acted[0]] for k, acted in enumerate(self._act(element)) if acted}
+        targets, _ = self._class_action(element)
+        return {qps[k]: qps[j] for k, j in enumerate(targets) if j is not None}
 
     def induce(self, element: HoughtonElement) -> HoughtonElement:
         """The permutation the element induces on the quotient ray system."""
-        return infer_eventual_translation(
-            self.partial_action(element), self.n, self._known_ranks
-        )
+        _same_rays(element, self.n)
+        return self._induced(self._class_action(element)[0])
+
+
+def _top_half(points, known_ranks) -> tuple:
+    """Per ray, the ids of the points in the top half of its known ranks.
+
+    ``points`` are (ray, rank) pairs and ``known_ranks`` caps, per ray, the
+    ranks a partial map is complete up to; a translation is read off the
+    pairs whose source rank r has known_ranks[i] // 2 <= r < known_ranks[i].
+    """
+    top = tuple([] for _ in known_ranks)
+    for k, (ray, rank) in enumerate(points):
+        limit = known_ranks[ray - 1]
+        if limit // 2 <= rank < limit:
+            top[ray - 1].append(k)
+    return top
+
+
+def _read_element(n: int, rays, ranks, targets: list, top) -> HoughtonElement:
+    """The element of n rays that a partial map on points pins down.
+
+    Point k is (rays[k], ranks[k]).  Source k is point k, and maps to point
+    targets[k], or to nothing where that is None.  ``top[i]`` lists the
+    sources in the top half of ray i + 1's known ranks (``_top_half``).  The
+    translation on each ray is read off them: their pairs must be at least
+    two, stay on the ray and share one shift.  Every source whose image
+    differs from the translation goes into the head table, and the
+    validating constructor checks that the result is a bijection.  Raises
+    InconclusiveError when the data does not pin the element down.
+    """
+    t = []
+    for ray, ids in enumerate(top, start=1):
+        pairs = [(k, j) for k in ids if (j := targets[k]) is not None]
+        # a pair whose image leaves the ray has no shift: None
+        shifts = {ranks[j] - ranks[k] if rays[j] == ray else None for k, j in pairs}
+        if len(pairs) < 2 or len(shifts) != 1 or None in shifts:
+            raise InconclusiveError(
+                f"cannot read an eventual translation on quotient ray {ray}",
+                hint="increase the window depth",
+            )
+        t.append(shifts.pop())
+    shift = (None, *t)  # by ray
+    head = {
+        RayPoint(rays[k], ranks[k]): RayPoint(rays[j], ranks[j])
+        for k, j in enumerate(targets)
+        if j is not None and (rays[j] != rays[k] or ranks[j] != ranks[k] + shift[rays[k]])
+    }
+    try:
+        return HoughtonElement(n, t, head)
+    except (DomainError, InvalidElementError) as exc:
+        raise InconclusiveError(
+            f"partial quotient data does not close to a bijection: {exc}",
+            hint="increase the window depth",
+        ) from None
 
 
 def infer_eventual_translation(partial: dict, n: int, known_ranks) -> HoughtonElement:
     """Build an element from a partial map on the points of n rays.
 
+    The dict form of ``_read_element``: the map's keys, in order, are its
+    sources, and the images that are no key follow them as further points.
     ``known_ranks`` caps, per ray, the ranks the partial map is complete up
-    to.  The translation on each ray is read off the top half of the known
-    range: its pairs must be at least two, stay on the ray and share one
-    shift.  Every entry that differs from the translation goes into the head
-    table.  Raises InconclusiveError when the data does not pin the element
-    down.  Two passes over the map, O(|partial| + n).
+    to.  Raises InconclusiveError when the data does not pin the element
+    down.  O(|partial| + n).
     """
-    halves = [limit // 2 for limit in known_ranks]
-    count = [0] * n  # per ray, its top pairs
-    t = [None] * n  # per ray, the shift of its last top pair
-    clean = [True] * n  # per ray, whether its top pairs stay on it with one shift
-    for (ray, pos), (qray, qpos) in partial.items():
-        i = ray - 1
-        if halves[i] <= pos < known_ranks[i]:
-            count[i] += 1
-            if qray != ray or t[i] not in (None, qpos - pos):
-                clean[i] = False
-            t[i] = qpos - pos
-    for i in range(n):
-        if count[i] < 2 or not clean[i]:
-            raise InconclusiveError(
-                f"cannot read an eventual translation on quotient ray {i + 1}",
-                hint="increase the window depth",
-            )
-    head = {p: q for p, q in partial.items() if q[0] != p[0] or q[1] != p[1] + t[p[0] - 1]}
-    try:
-        return HoughtonElement(n, t, head)
-    except Exception as exc:
-        raise InconclusiveError(
-            f"partial quotient data does not close to a bijection: {exc}",
-            hint="increase the window depth",
-        ) from None
+    points = list(partial)
+    ids = {p: k for k, p in enumerate(points)}
+    targets = []
+    for q in partial.values():
+        if q not in ids:
+            ids[q] = len(points)
+            points.append(q)
+        targets.append(ids[q])
+    rays = [p[0] for p in points]
+    ranks = [p[1] for p in points]
+    return _read_element(n, rays, ranks, targets, _top_half(partial, known_ranks))
 
 
 def quotient(group: GeneratedSubgroup, system: BlockSystem, depth: int) -> QuotientStructure:
@@ -655,29 +705,35 @@ def quotient(group: GeneratedSubgroup, system: BlockSystem, depth: int) -> Quoti
             i = _index(p, closure_depth)
             class_of[i] = cid
             rank_of[i] = rank
-    members = []
-    bounds = []
-    lead = []
-    for k in kept_indices:
-        start = len(members)
+    members, member_class, member_rank, lead, starts = [], [], [], [], []
+    for cid, k in enumerate(kept_indices):
+        start, size = len(members), len(classes_all[k])
         members.extend(_index(p, closure_depth) for p in classes_all[k])
-        bounds.append((start, len(members)))
-        lead.extend([start] * len(classes_all[k]))
+        member_class.extend([cid] * size)
+        member_rank.extend(range(size))
+        lead.extend([start] * size)
+        starts.append(start)
+    quotient_points = tuple(qpoints[k] for k in kept_indices)
     structure = QuotientStructure(
         system=system,
         n=group.n,
         window_depth=depth,
         classes=tuple(classes_all[k] for k in kept_indices),
-        quotient_points=tuple(qpoints[k] for k in kept_indices),
+        quotient_points=quotient_points,
         induced=(),
         kernel_generators=(),
         _closure_depth=closure_depth,
         _class_of=class_of,
         _rank_of=rank_of,
+        _target_of=tuple(range(len(kept_indices))) + (None,) * (len(order) - len(kept_indices) + 1),
         _members=tuple(members),
-        _bounds=tuple(bounds),
+        _member_class=tuple(member_class),
+        _member_rank=member_rank,
         _lead=tuple(lead),
-        _identity=tuple(tuple(range(stop - start)) for start, stop in bounds),
+        _starts=tuple(starts),
+        _ray=tuple(qp.ray for qp in quotient_points),
+        _rank=tuple(qp.pos for qp in quotient_points),
+        _top=_top_half(quotient_points, known_ranks),
         _known_ranks=tuple(known_ranks),
     )
     induced = []

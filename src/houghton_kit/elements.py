@@ -24,6 +24,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import gcd, inf
+from operator import add, itemgetter
 from typing import Iterable, Mapping
 
 from .errors import DomainError, InvalidElementError
@@ -66,9 +67,10 @@ class HoughtonElement:
     def _trusted(cls, n: int, t: tuple, head: dict) -> "HoughtonElement":
         """Canonicalise data already known to describe a bijection.
 
-        For products and inverses of valid elements: no point or bijection
-        check, only the canonical form (translation-agreeing entries dropped,
-        minimal threshold, sorted items).
+        For inverses of valid elements: no point or bijection check, only
+        the canonical form (translation-agreeing entries dropped, minimal
+        threshold, sorted items).  ``compose`` builds its table in canonical
+        form itself.
         """
         elt = object.__new__(cls)
         elt._set(n, t, _off_translation(t, head))
@@ -95,7 +97,7 @@ class HoughtonElement:
         """
         for j, tj in enumerate(t, start=1):
             for pos in range(-tj):
-                if RayPoint(j, pos) not in table:
+                if (j, pos) not in table:
                     raise InvalidElementError(
                         "translation-validity",
                         f"{RayPoint(j, pos)} translates to negative position {pos + tj}",
@@ -105,10 +107,11 @@ class HoughtonElement:
             if q in seen:
                 raise InvalidElementError("bijection", f"{q} hit twice")
             seen.add(q)
-            source = RayPoint(q.ray, q.pos - t[q.ray - 1])
-            if source.pos >= 0 and source not in table:
+            ray, pos = q
+            pos -= t[ray - 1]
+            if pos >= 0 and (ray, pos) not in table:
                 raise InvalidElementError(
-                    "bijection", f"{q} hit twice: also the translate of {source}"
+                    "bijection", f"{q} hit twice: also the translate of {RayPoint(ray, pos)}"
                 )
 
     # -- basic protocol ----------------------------------------------------
@@ -150,24 +153,40 @@ class HoughtonElement:
         return RayPoint(ray, pos + self.t[ray - 1])
 
     def compose(self, other: "HoughtonElement") -> "HoughtonElement":
-        """Product "self then other" (right action)."""
+        """Product "self then other" (right action).
+
+        The product's head lies in self's head and in the preimages under
+        self of other's head points.  Both images are read inline and
+        compared field by field with the translation by the summed vector;
+        a RayPoint is built only for an entry the product keeps.
+        """
         if not isinstance(other, HoughtonElement) or other.n != self.n:
             raise DomainError("can only compose elements with the same ray count")
-        candidates = set(self._head)
-        g_values = {q: p for p, q in self._items}
-        for q in other._head:
-            p = g_values.get(q)
-            if p is None:
-                pos = q.pos - self.t[q.ray - 1]
-                if pos < 0:
-                    continue
-                p = RayPoint(q.ray, pos)
-                if p in self._head:
-                    continue
-            candidates.add(p)
-        t = tuple(a + b for a, b in zip(self.t, other.t))
-        head = {p: other._image(self._image(p)) for p in candidates}
-        return HoughtonElement._trusted(self.n, t, head)
+        g_head, g_t, h_head, h_t = self._head, self.t, other._head, other.t
+        t = tuple(map(add, g_t, h_t))
+        head = {}
+        for p, mid in self._items:
+            img = h_head.get(mid)
+            if img is None:
+                ray, pos = mid
+                pos += h_t[ray - 1]
+                if ray != p[0] or pos != p[1] + t[ray - 1]:
+                    head[p] = RayPoint(ray, pos)
+            elif img[0] != p[0] or img[1] != p[1] + t[p[0] - 1]:
+                head[p] = img
+        # any other point off the product's translation is the preimage
+        # q - t_self of a head point q of other; where that lies below 0 or in
+        # self's head, q's preimage is in self's head and was read above
+        for q, img in other._items:
+            ray, pos = q
+            pos -= g_t[ray - 1]
+            if pos >= 0 and (ray, pos) not in g_head and (
+                img[0] != ray or img[1] != pos + t[ray - 1]
+            ):
+                head[RayPoint(ray, pos)] = img
+        out = object.__new__(HoughtonElement)
+        out._set(self.n, t, head)
+        return out
 
     def inverse(self) -> "HoughtonElement":
         head = {q: p for p, q in self._items}
@@ -281,14 +300,14 @@ def _is_int_list(value) -> bool:
 
 def _off_translation(t: tuple, head: dict) -> dict:
     """The head entries that differ from the translation rule."""
-    return {p: q for p, q in head.items() if q != RayPoint(p.ray, p.pos + t[p.ray - 1])}
+    return {p: q for p, q in head.items() if q[0] != p[0] or q[1] != p[1] + t[p[0] - 1]}
 
 
 def _threshold(t: tuple, table: dict) -> int:
     """Least position from which every ray acts by its translation."""
-    threshold = max((-tj for tj in t if tj < 0), default=0)
+    threshold = max(0, -min(t))
     if table:
-        threshold = max(threshold, 1 + max(p.pos for p in table))
+        threshold = max(threshold, 1 + max(map(itemgetter(1), table)))
     return threshold
 
 

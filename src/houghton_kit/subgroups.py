@@ -22,7 +22,7 @@ from .elements import (
     generator,
     identity,
 )
-from .errors import DomainError, UnsupportedCaseError
+from .errors import DomainError, InconclusiveError, UnsupportedCaseError
 from .rays import RayPoint, RaySystem
 
 
@@ -373,12 +373,21 @@ def element_with_translation(group: GeneratedSubgroup, target):
     return reduce(HoughtonElement.compose, powers, identity(group.n))
 
 
+# The most head entries a powered part of ``finitary_commutator`` may have.
+# The parts in the tests have at most 2; a power at the cap takes about 0.1 s.
+POWER_HEAD_CAP = 10_000
+
+
 def finitary_commutator(group: GeneratedSubgroup) -> HoughtonElement:
     """A finitary element whose support meets every infinite orbit.
 
     Finds elements pulling ray 1 down while pushing ray 2 (resp. ray 3) up,
     raises them to powers killing their finite cycles, and returns the
-    commutator of the two.
+    commutator of the two.  The power h^k translates every point of ray i
+    from position threshold(h) + (k - 1) * max(-t_i, 0) on, since such a
+    point stays at or above h's threshold for k steps; so its head has at
+    most the sum of those positions.  Raises InconclusiveError, before any
+    power is built, when that bound passes ``POWER_HEAD_CAP``.
     """
     n = group.n
     if n < 3:
@@ -392,6 +401,13 @@ def finitary_commutator(group: GeneratedSubgroup) -> HoughtonElement:
         d = la.least_multiple_in_span(lattice.basis, e)
         h = element_with_translation(group, [d * x for x in e])
         k = lcm(*(len(c) for c in _finite_cycles(h)))
+        bound = sum(h.threshold + (k - 1) * max(-x, 0) for x in h.t)
+        if bound > POWER_HEAD_CAP:
+            raise InconclusiveError(
+                f"the power h^{k} of the element pulling ray 1 against ray {j} "
+                f"may have {bound} head entries, past the cap of {POWER_HEAD_CAP}",
+                hint="a generating set whose translating words have short finite cycles",
+            )
         parts.append(h ** k)
     result = commutator(parts[0], parts[1])
     if not result.is_finitary():
@@ -436,14 +452,14 @@ def delta_k(n: int, k: int) -> GeneratedSubgroup:
     return GeneratedSubgroup(n, tuple(gens), tuple(labels))
 
 
-def preserves_residue_classes(g: HoughtonElement, k: int, depth: int) -> bool:
-    """Window check that positions keep their residue mod k under g."""
-    window = RaySystem(g.n).window(depth)
-    for p in window:
-        q = g.apply(p)
-        if q.pos % k != p.pos % k:
-            return False
-    return True
+def preserves_residue_classes(g: HoughtonElement, k: int) -> bool:
+    """Whether every point keeps its position's residue mod k under g.
+
+    A point off the head moves by t_i along its ray, and every ray has such
+    points, so this holds exactly when k divides every t_i and every head
+    entry keeps its position mod k: O(|head| + n).
+    """
+    return all(x % k == 0 for x in g.t) and all(p.pos % k == q.pos % k for p, q in g.head)
 
 
 # -- generator words ------------------------------------------------------------

@@ -22,7 +22,6 @@ from .blocks import (
     BlockSystem,
     QuotientStructure,
     _same_rays,
-    infer_eventual_translation,
     quotient as build_quotient,
 )
 from .elements import HoughtonElement, _fold_orbits, identity as houghton_identity
@@ -198,6 +197,12 @@ def kk_embed(g: HoughtonElement, ctx: BlockContext) -> MultiWreathElement:
     with an image past the closure window is skipped even if its other
     images fall in two classes, and raises DomainError otherwise; a skipped
     class below the element's threshold makes the result inconclusive.
+
+    One class-action pass gives every class's target id and the classes
+    whose ranks move, and one kernel (``QuotientStructure._induced``) reads
+    the head off the targets.  Only the moved classes are read for the base,
+    and in a twisted context also each class with a twist at its source or
+    its target.
     """
     q = ctx.quotient
     if g.threshold > q.window_depth:
@@ -205,31 +210,34 @@ def kk_embed(g: HoughtonElement, ctx: BlockContext) -> MultiWreathElement:
             "element head region exceeds the verified window", hint=g.threshold
         )
     _same_rays(g, q.n)
-    qps, twists, identity = q.quotient_points, ctx._twists, q._identity
-    partial = {}
+    targets, moved = q._class_action(g)
+    head = q._induced(targets)
+    if None in targets:
+        for k, j in enumerate(targets):
+            if j is None and q.classes[k][0].pos < g.threshold:
+                raise InconclusiveError(
+                    f"image of class {q.classes[k][0]} is outside the verified window"
+                )
+    qps, twists = q.quotient_points, ctx._twists
+    examine = set(moved)
+    if twists:
+        examine.update(
+            k for k, j in enumerate(targets)
+            if j is not None and (qps[k] in twists or qps[j] in twists)
+        )
     base = []
-    skipped = None  # the first class below the threshold whose image is unknown
-    for k, acted in enumerate(q._act(g)):
-        if acted is None:
-            if skipped is None and q.classes[k][0].pos < g.threshold:
-                skipped = q.classes[k][0]
-            continue
-        target, value = acted
-        partial[qps[k]] = qps[target]
+    for k in examine:
+        value = moved.get(k) or tuple(range(len(q.classes[k])))
         if twists:
             # transversal position i holds sorted rank src[i]; sorted rank r
             # sits at transversal position dst^-1[r]
-            src, dst = twists.get(qps[k]), twists.get(qps[target])
+            src, dst = twists.get(qps[k]), twists.get(qps[targets[k]])
             if src is not None:
                 value = tuple(value[i] for i in src)
             if dst is not None:
                 dst_inv = _inv(dst)
                 value = tuple(dst_inv[r] for r in value)
-        if value != identity[k]:
-            base.append((qps[k], value))
-    head = infer_eventual_translation(partial, q.n, q._known_ranks)
-    if skipped is not None:
-        raise InconclusiveError(f"image of class {skipped} is outside the verified window")
+        base.append((qps[k], value))
     return MultiWreathElement(ctx, tuple(base), head)
 
 
@@ -331,9 +339,9 @@ class WGroupsReport:
 
 
 def _acts_trivially_on_classes(elt: HoughtonElement, ctx: BlockContext) -> bool:
-    q = ctx.quotient
-    partial = q.partial_action(elt)
-    return all(partial.get(qp, qp) == qp for qp in q.quotient_points)
+    """Whether every kept class whose image is known lands on itself."""
+    targets, _ = ctx.quotient._class_action(elt)
+    return all(j is None or j == k for k, j in enumerate(targets))
 
 
 def w_groups(

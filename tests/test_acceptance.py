@@ -182,7 +182,7 @@ def test_criterion_06_delta_suite():
     start = time.perf_counter()
     d = delta_k(3, 2)
     for g in d.generators:
-        assert preserves_residue_classes(g, 2, depth=60)
+        assert preserves_residue_classes(g, 2)
     assert translation_lattice(d).index_in_zero_sum() == 4
     report = orbit_windows(d, 40)
     assert report.class_count == 2

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from itertools import product
 
 import pytest
@@ -16,7 +17,7 @@ from houghton_kit.elements import (
     random_zero_sum,
     transposition,
 )
-from houghton_kit.errors import DomainError, UnsupportedCaseError
+from houghton_kit.errors import DomainError, InconclusiveError, UnsupportedCaseError
 from houghton_kit.rays import RayPoint
 from houghton_kit.subgroups import (
     GeneratedSubgroup,
@@ -223,7 +224,38 @@ def test_orbit_windows_full_hirsch_meets_every_ray():
 def test_delta_generators_preserve_residues():
     for n, k in [(3, 2), (2, 3), (4, 2)]:
         for g in delta_k(n, k).generators:
-            assert preserves_residue_classes(g, k, depth=60)
+            assert preserves_residue_classes(g, k)
+
+
+def window_preserves_residue_classes(g, k, depth):
+    """Every point of the window of this depth keeps its position mod k."""
+    return all(
+        g.apply((ray, pos)).pos % k == pos % k for ray in range(1, g.n + 1) for pos in range(depth)
+    )
+
+
+def test_preserves_residue_classes_matches_the_window_check():
+    rng = random.Random(31)
+    cases = []
+    for k in (2, 3):
+        letters = delta_k(3, k).symmetric_generators()
+        words = bounded_words(identity(3), letters, HoughtonElement.compose, 3)
+        cases += [(w, k) for _, w in words]
+        cases += [(random_element(3, head_budget=4, t_bound=2 * k, seed=rng), k) for _ in range(40)]
+    # k divides every t_i, but a head entry changes residue
+    swapped = ray_shift(3, 2, 2).compose(transposition(3, (1, 0), (1, 1)))
+    assert all(x % 2 == 0 for x in swapped.t)
+    # every head entry keeps its residue, but 2 does not divide t_1
+    shift = generator(3, 2)
+    assert all(p.pos % 2 == q.pos % 2 for p, q in shift.head)
+    cases += [(swapped, 2), (shift, 2)]
+    verdicts = []
+    for g, k in cases:
+        want = window_preserves_residue_classes(g, k, g.threshold + k)
+        assert preserves_residue_classes(g, k) == want, (g, k)
+        verdicts.append(want)
+    assert verdicts[-2:] == [False, False]
+    assert verdicts.count(True) > 20 and verdicts.count(False) > 20
 
 
 def test_delta_1_is_plain_generators_plus_transposition():
@@ -413,6 +445,19 @@ def test_finitary_commutator_needs_full_rank():
         finitary_commutator(g)
     with pytest.raises(UnsupportedCaseError):
         finitary_commutator(houghton_subgroup(2))
+
+
+def test_finitary_commutator_stops_at_the_power_head_cap():
+    # the parts are h^14280 and h^146160, with heads of 58917 and 146517
+    # entries; built, the commutator has 204768 and takes tens of seconds
+    words = ["g2^2 g3^-1 g2^2", "g4^3 g4^1", "g3^3", "g2^1 g3^3 g4^1"]
+    g = subgroup(4, [parse_word(w, 4) for w in words])
+    assert translation_lattice(g).index_in_zero_sum() == 4
+    start = time.perf_counter()
+    with pytest.raises(InconclusiveError, match="past the cap of 10000") as caught:
+        finitary_commutator(g)
+    assert time.perf_counter() - start < 5
+    assert caught.value.hint
 
 
 # -- words and serialization -------------------------------------------------------

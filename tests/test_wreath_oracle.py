@@ -13,6 +13,14 @@ class point just inside, exactly onto and just past the closure window's edge;
 a class whose images partly leave the window is skipped even when the images
 that stay fall in two classes.
 
+The class-action pass (``QuotientStructure._class_action``) and the
+inference kernel it feeds (``_induced``) are checked against the same
+reference one level down: the target ids give the reference's partial map,
+the moved classes its non-identity rank tuples, the kernel the element
+``reference_inference`` reads off that map, and ``_acts_trivially_on_classes``
+the dict rule it replaced.  The contexts and elements take every branch,
+including the intransitive context ⟨g2^4, (1:0 1:2), (1:1 1:3)⟩.
+
 ``reference_inference`` is ``infer_eventual_translation`` as a per-ray scan
 that rereads the whole partial map for every ray; the kernel comparisons read
 heads through it, and the one-pass inference must give the same element, or
@@ -55,6 +63,7 @@ from houghton_kit.wreath import (
     BlockContext,
     DescentResult,
     MultiWreathElement,
+    _acts_trivially_on_classes,
     build_block_context,
     kk_embed,
     phi_s_descent,
@@ -209,6 +218,17 @@ def triple_group():
     )
 
 
+def intransitive_group():
+    return GeneratedSubgroup.from_elements(
+        2,
+        [
+            generator(2, 2) ** 4,
+            from_cycles(2, [[(1, 0), (1, 2)]]),
+            from_cycles(2, [[(1, 1), (1, 3)]]),
+        ],
+    )
+
+
 def singleton_context(n, k, depth=20):
     blocks = [[(1, i)] for i in range(k)]
     return build_block_context(delta_k(n, k), BlockSystem.from_lists(blocks), depth)
@@ -242,6 +262,10 @@ def contexts():
     }
     out.update({f"delta_k({n},{k})": singleton_context(n, k) for n, k in ((3, 2), (4, 2), (3, 3))})
     out.update({f"conjugated-{seed}": conjugated_context(seed) for seed in range(1, 7)})
+    # the intransitive case: even line positions in blocks of two, odd ones single
+    out["intransitive"] = build_block_context(
+        intransitive_group(), BlockSystem.from_lists([[(1, 0), (1, 2)], [(1, 1)]]), 60
+    )
     out["twisted-pair"] = twisted(out["pair-60"], (1, 0))
     # a three-cycle twist differs from its inverse, a transposition does not
     out["twisted-triple"] = twisted(build_block_context(triple_group(), triple, 30), (1, 2, 0))
@@ -257,11 +281,14 @@ def edge_elements(ctx):
     """Elements that send points of the last kept class on ray 1 near the edge.
 
     Each moves one class point just inside, exactly onto or just past the
-    closure window's edge: a head swap on ray 1 or on the last ray, or a power
-    of the generator g2 that translates the class's last point there.  A
-    second kind of swap also sends the class's last point past the depth, so
+    closure window's edge: a head swap of the class's first or last point
+    with a point on ray 1 or on the last ray, or a power of the generator g2
+    that translates the class's last point there.  A second kind of swap also sends the class's last point past the depth, so
     with three or more points per class the images that stay fall in two
-    classes, while no other kept class moves.
+    classes, while no other kept class moves.  Last, a swap of the last two
+    kept classes on ray 1 followed by a translation up ray 1 by a third of
+    the depth: the top of every ray still reads, while the classes on ray 1
+    below the swap's threshold leave the kept classes.
     """
     q = ctx.quotient
     n, edge = q.n, 2 * q.window_depth
@@ -272,8 +299,13 @@ def edge_elements(ctx):
         for ray in (1, n):
             out.append(transposition(n, cls[0], (ray, pos)))
             if len(cls) >= 2:
+                out.append(transposition(n, cls[-1], (ray, pos)))
                 out.append(from_cycles(n, [[cls[0], (ray, pos)], [cls[-1], deep]]))
         out.append(generator(n, 2) ** (pos - cls[-1].pos))
+    a, b = [c for c in q.classes if c[0].ray == 1][-2:]
+    if len(a) == len(b):
+        swap = from_cycles(n, [[p, r] for p, r in zip(a, b)])
+        out.append(swap.compose(generator(n, 2) ** (2 * (q.window_depth // 6))))
     return out
 
 
@@ -328,6 +360,95 @@ def test_the_elements_reach_every_branch():
             elif got[0] == "ok" and got[1].base:
                 seen.add("base")
     assert seen == {"split", "edge", "edge and split", "inconclusive", "base"}
+
+
+# -- the class-action pass and the inference kernel -------------------------------------
+
+
+def reference_moved(ctx, g, partial):
+    """Per class with a known target, the sorted ranks of its images in the
+    target class, where they are not the identity."""
+    q = ctx.quotient
+    moved = {}
+    for k, qp in enumerate(q.quotient_points):
+        if qp in partial:
+            target = ctx.class_points(partial[qp])
+            ranks = tuple(target.index(g._image(p)) for p in q.classes[k])
+            if ranks != tuple(range(len(ranks))):
+                moved[k] = ranks
+    return moved
+
+
+@pytest.mark.parametrize("label", list(CONTEXTS))
+def test_class_action_and_kernel_match_the_reference(label):
+    ctx = CONTEXTS[label]
+    q = ctx.quotient
+    ref = Reference(ctx)
+    for g in elements(label, ctx):
+        want = outcome(ref.partial_action, g)
+        got = outcome(q._class_action, g)
+        if want[0] != "ok":
+            assert got == want, g
+            continue
+        targets, moved = got[1]
+        qps = q.quotient_points
+        assert {qps[k]: qps[j] for k, j in enumerate(targets) if j is not None} == want[1], g
+        assert moved == reference_moved(ctx, g, want[1]), g
+        read = outcome(reference_inference, want[1], q.n, q._known_ranks)
+        assert outcome(q._induced, targets) == read, g
+        trivial = all(want[1].get(qp, qp) == qp for qp in qps)
+        assert _acts_trivially_on_classes(g, ctx) == trivial, g
+
+
+def action_branches(label, ctx, ref, g):
+    """The branches of the class-action pass and the kernel that g takes."""
+    q = ctx.quotient
+    edge = 2 * q.window_depth
+    got = outcome(ref.partial_action, g)
+    if got[0] is DomainError:
+        return {"the congruence breaks"}
+    seen = set()
+    lands = True
+    for k, cls in enumerate(q.classes):
+        images = [g._image(p) for p in cls]
+        if any(p.pos >= edge for p in images):
+            seen.add("an image leaves the window")
+            lands = False
+        elif q.quotient_points[k] not in got[1]:
+            seen.add("an image lands in a class crossing the depth")
+    if lands:
+        seen.add("every class lands in one class")
+    embedded = outcome(ref.kk_embed, g)
+    if embedded[0] is InconclusiveError:
+        if embedded[1].startswith("cannot read an eventual translation"):
+            seen.add("the translation cannot be read")
+        elif embedded[1].startswith("image of class"):
+            seen.add("a class is skipped below the threshold")
+    elif embedded[0] == "ok":
+        twisted_classes = set(ctx._twists)
+        if any(p in twisted_classes or q in twisted_classes for p, q in got[1].items()):
+            seen.add("a twisted context")
+        if label == "intransitive":
+            seen.add("the intransitive context")
+    return seen
+
+
+def test_class_action_and_kernel_comparisons_reach_every_branch():
+    seen = set()
+    for label, ctx in CONTEXTS.items():
+        ref = Reference(ctx)
+        for g in elements(label, ctx):
+            seen |= action_branches(label, ctx, ref, g)
+    assert seen == {
+        "every class lands in one class",
+        "an image leaves the window",
+        "an image lands in a class crossing the depth",
+        "a class is skipped below the threshold",
+        "the congruence breaks",
+        "the translation cannot be read",
+        "a twisted context",
+        "the intransitive context",
+    }
 
 
 # -- the inference and the words against their references ----------------------------
