@@ -21,7 +21,7 @@ from operator import ne
 from .elements import HoughtonElement, _image_table
 from .errors import DomainError, InconclusiveError, InvalidElementError
 from .finperm import _close
-from .rays import RayPoint, RaySystem
+from .rays import RayPoint, RaySystem, code_of, point_of
 from .subgroups import (
     GeneratedSubgroup,
     TranslationLattice,
@@ -41,9 +41,11 @@ class BlockSystem:
 
     def __post_init__(self):
         seen = set()
-        for b in self.blocks:
+        for k, b in enumerate(self.blocks):
             if not b:
                 raise DomainError("empty block")
+            if len(set(b)) != len(b):
+                raise DomainError(f"block {k} repeats a point: {list(b)}")
             if seen & set(b):
                 raise DomainError("blocks overlap")
             seen.update(b)
@@ -119,40 +121,24 @@ def _check_in_window(blocks, n: int, depth: int) -> None:
                 raise DomainError(f"block point outside the window of depth {depth}")
 
 
-def _index(p, depth: int) -> int:
-    """Window index of a point: (ray - 1) * depth + pos."""
-    ray, pos = p
-    return (ray - 1) * depth + pos
-
-
 @lru_cache(maxsize=8)
+def _deepest_tables(group: GeneratedSubgroup) -> list:
+    """The group's [depth, tables] pair of ``_window_action``, replaced as windows deepen."""
+    return [0, ()]
+
+
 def _window_action(group: GeneratedSubgroup, depth: int) -> tuple:
-    """Image tables of the symmetric generators on the window of this depth.
+    """Image tables (``_image_table``) of the symmetric generators, cached per group.
 
-    Point (ray, pos) has index (ray - 1) * depth + pos, so index order is the
-    lexicographic order of points.  Tables follow ``symmetric_generators()``:
-    a forward table is read from the generator's head table and translation
-    vector, and the inverse's table is the forward table read backwards.
+    Tables follow ``symmetric_generators()`` and cover at least the window of
+    this depth.  A window is a prefix of every deeper one, so a closure on it
+    reads the tables of the deepest window built so far; a deeper window
+    replaces them.
     """
-    forward = [_image_table(g, depth) for g in group.generators]
-    inverse = []
-    for table in forward:
-        back = [-1] * len(table)
-        for i, j in enumerate(table):
-            if j >= 0:
-                back[j] = i
-        inverse.append(tuple(back))
-    return tuple(forward + inverse)
-
-
-def _congruence(group: GeneratedSubgroup, blocks, depth: int):
-    """Closure root list of the equivalence generated by the blocks."""
-    n = group.n
-    _check_in_window(blocks, n, depth)
-    pairs = [
-        (_index(a, depth), _index(b, depth)) for block in blocks for a, b in zip(block, block[1:])
-    ]
-    return _close(n * depth, pairs, _window_action(group, depth))
+    cached = _deepest_tables(group)
+    if cached[0] < depth:
+        cached[:] = depth, tuple(_image_table(g, depth) for g in group.symmetric_generators())
+    return cached[1]
 
 
 def congruence_classes(group: GeneratedSubgroup, system: BlockSystem, depth: int):
@@ -161,8 +147,11 @@ def congruence_classes(group: GeneratedSubgroup, system: BlockSystem, depth: int
     Merging two points forces the merge of their images under every
     generator and inverse, propagated to a fixpoint inside the window.
     """
-    roots = _congruence(group, system.blocks, depth)
-    return _window_partition(roots, group.n, depth)
+    n, blocks = group.n, system.blocks
+    _check_in_window(blocks, n, depth)
+    pairs = [(code_of(n, a), code_of(n, b)) for block in blocks for a, b in zip(block, block[1:])]
+    roots = _close(n * depth, pairs, _window_action(group, depth))
+    return _window_partition(roots, n, depth)
 
 
 # -- verification ------------------------------------------------------------
@@ -196,7 +185,8 @@ def verify_block_system(
     DomainError when a block point lies outside the window.
     """
     _require_margin(group, depth)
-    _check_in_window(system.blocks, group.n, depth)
+    n = group.n
+    _check_in_window(system.blocks, n, depth)
     witnesses = []
     report = orbit_windows(group, depth // 2)
     orbit_ok = True
@@ -205,19 +195,19 @@ def verify_block_system(
         if len(hits) != 1:
             orbit_ok = False
             witnesses.append(("orbit", cls[0], tuple(hits)))
-    window = RaySystem(group.n).window(depth)
     image_set = lambda s, g: frozenset(map(g._image, s))
-    violations = {}  # block index -> (path, image) of the first violating word
+    violations = {}  # block index -> (path, image codes) of the first violating word
     for i, block in enumerate(system.blocks):
-        bset = frozenset(block)
+        bset = frozenset(code_of(n, p) for p in block)
         for path, img in bounded_words(bset, group.symmetric_generators(), image_set, 3):
-            if img & bset and img != bset and all(q in window for q in img):
+            if img & bset and img != bset and max(img) < n * depth:
                 violations[i] = (path, img)
                 break
     k = len(group.generators)
     labels = [f"gen{i}" for i in range(k)] + [f"gen{i}^-1" for i in range(k)]
     for i, (path, img) in sorted(violations.items()):
-        witnesses.append(("block", i, "*".join(labels[j] for j in path), tuple(sorted(img))))
+        image = tuple(sorted(point_of(n, c) for c in img))
+        witnesses.append(("block", i, "*".join(labels[j] for j in path), image))
     block_ok = not violations
     multi_ray = 0
     for cls in congruence_classes(group, system, depth):
@@ -242,23 +232,24 @@ class BlockSearchResult:
 
 
 def _edge_weights(n: int, depth: int, cap: int, edge: int) -> list:
-    """Pair-closure weights: 1 per window point, ``cap + 1`` from ``edge`` on."""
-    return ([1] * edge + [cap + 1] * (depth - edge)) * n
+    """Pair-closure weights per code: 1, and ``cap + 1`` from position ``edge`` on."""
+    return [1] * (n * edge) + [cap + 1] * (n * (depth - edge))
 
 
 def _closure_class_of_pair(group, tables, p, q, depth, cap, weights):
     """(class of p, all classes) in the congruence generated by p ~ q.
 
     ``tables`` is ``_window_action(group, depth)`` and ``weights`` holds an
-    int per window index, as from ``_edge_weights``.  None as soon as the
+    int per code of the window, as from ``_edge_weights``.  None as soon as the
     weights in the class of p add up to more than ``cap``: classes only grow
     during the closure, so its final class would break the same limit.
     """
-    ip = _index(p, depth)
-    roots = _close(group.n * depth, [(ip, _index(q, depth))], tables, (ip, cap, weights))
+    n = group.n
+    ip = code_of(n, p)
+    roots = _close(n * depth, [(ip, code_of(n, q))], tables, (ip, cap, weights))
     if roots is None:
         return None
-    classes = _window_partition(roots, group.n, depth)
+    classes = _window_partition(roots, n, depth)
     for cls in classes:
         if p in cls:
             return cls, classes
@@ -294,7 +285,7 @@ def _search_block_systems(group: GeneratedSubgroup, depth: int) -> BlockSearchRe
         p = cls[0]
         weights = _edge_weights(group.n, depth, bound, depth - margin)
         for q in seeds_q:
-            iq = _index(q, depth)
+            iq = code_of(group.n, q)
             if q == p or weights[iq] > bound:
                 continue
             closed = _closure_class_of_pair(group, tables, p, q, depth, bound, weights)
@@ -356,11 +347,11 @@ WINDOW_CAVEAT = (
 
 
 def _small_cycle(moved: dict):
-    """The cycle, as a tuple of points, of a permutation moving 2 or 3 points.
+    """The cycle, as a tuple of codes, of a permutation moving 2 or 3 points.
 
-    ``moved`` maps each moved point to its image.  A permutation moving
+    ``moved`` maps each moved code to its image.  A permutation moving
     exactly 3 points fixes none of them, so it is a 3-cycle.  None for any
-    other number of moved points.  The cycle starts at its least point.
+    other number of moved points.  The cycle starts at its least code.
     """
     if len(moved) not in (2, 3):
         return None
@@ -381,10 +372,10 @@ def _commutator_cycle(a, b, a_inv, b_inv):
     = 0 along its ray, so only the head points of a and the preimages of the
     later steps' head points can move.  Stops as soon as a fourth point moves.
     """
-    candidates = {p for p, _ in a.head}
-    candidates.update(a_inv._image(p) for p, _ in b.head)
-    candidates.update(a_inv._image(b_inv._image(p)) for p, _ in a_inv.head)
-    candidates.update(a_inv._image(b_inv._image(a._image(p))) for p, _ in b_inv.head)
+    candidates = set(a._head)
+    candidates.update(map(a_inv._image, b._head))
+    candidates.update(a_inv._image(b_inv._image(p)) for p in a_inv._head)
+    candidates.update(a_inv._image(b_inv._image(a._image(p))) for p in b_inv._head)
     moved = {}
     for x in candidates:
         y = b_inv._image(a_inv._image(b._image(a._image(x))))
@@ -396,7 +387,7 @@ def _commutator_cycle(a, b, a_inv, b_inv):
 
 
 def _components(cycles) -> list:
-    """(sorted points, cycles) per connected union of the cycles' supports."""
+    """(sorted codes, cycles) per connected union of the cycles' supports."""
     points = sorted({p for c in cycles for p in c})
     index = {p: i for i, p in enumerate(points)}
     roots = _close(len(points), [(index[c[0]], index[p]) for c in cycles for p in c[1:]])
@@ -444,20 +435,20 @@ def _finitary_alternating_proof(group: GeneratedSubgroup):
     tails = orbits.tail_roots()
     if orbits.has_fixed_run() or not tails.issuperset(orbits.roots):
         return None  # a fixed point, or a class without a tail node, is a finite orbit
-    gens = group.generators
+    n, gens = group.n, group.generators
 
     def certify(cycles):
-        """The proof when the witness cycles certify every orbit, else None."""
+        """The proof when the witness cycles, on codes, certify every orbit, else None."""
         found = {}
-        for points, witnesses in _components(cycles):
-            support = set(points)
-            if len(points) >= 3 and all(
-                any(a._image(p) in support for p in points) for a in gens
-            ):
+        for codes, witnesses in _components(cycles):
+            support = set(codes)
+            if len(codes) >= 3 and all(any(a._image(c) in support for c in codes) for a in gens):
+                points = tuple(sorted(point_of(n, c) for c in codes))
+                witnesses = tuple(tuple(point_of(n, c) for c in w) for w in witnesses)
                 found.setdefault(orbits.key(points[0]), (points, witnesses))
         return tuple(sorted(found.values())) if len(found) == len(tails) else None
 
-    cycles = [c for g in gens if not any(g.t) and (c := _small_cycle(dict(g.head)))]
+    cycles = [c for g in gens if not any(g.t) and (c := _small_cycle(g._head))]
     if found := certify(cycles):
         return found
     inverses = group.symmetric_generators()[len(gens):]
@@ -490,11 +481,9 @@ def _finitary_alternating_proof(group: GeneratedSubgroup):
 class QuotientStructure:
     """Window classes ordered by least element, with induced generator images.
 
-    The action on classes runs over int indices of the closure window: point
-    (ray, pos) has index (ray - 1) * closure_depth + pos, the layout of
-    ``elements._image_table``.  Kept class k is the quotient point
-    (_ray[k], _rank[k]), and an element acts on the kept classes as a list of
-    target class ids (``_class_action``), which ``_read_element`` reads.
+    Kept class k is the quotient point of code _codes[k], and an element acts
+    on the kept classes as a list of target class ids (``_class_action``),
+    which ``_read_element`` reads.
     """
 
     system: BlockSystem
@@ -504,26 +493,24 @@ class QuotientStructure:
     quotient_points: tuple  # per class, its point of the quotient ray system
     induced: tuple  # per subgroup generator, a HoughtonElement on the quotient
     kernel_generators: tuple  # indices of generators acting trivially on classes
-    _closure_depth: int  # depth of the closure window the tables cover
-    _class_of: list  # per window index its class id (kept classes first), then -1
-    _rank_of: list  # per window index its rank inside its sorted class, then 0
-    _target_of: tuple  # per class id its kept class id or None, then None for id -1
-    _members: tuple  # window indices of the kept classes' points, class by class
+    _closure_depth: int  # depth of the closure window
+    _class_of: dict  # per code of the closure window, its class id (kept classes first)
+    _rank_of: dict  # per code of the closure window, its rank inside its sorted class
+    _target_of: dict  # per kept class id, itself
+    _members: tuple  # codes of the kept classes' points, class by class
     _member_class: tuple  # per entry of _members, its kept class id
     _member_rank: list  # per entry of _members, its rank inside its class
     _lead: tuple  # per entry of _members, the start of its class in _members
     _starts: tuple  # per kept class, the start of its points in _members
-    _ray: tuple  # per kept class, its quotient ray
-    _rank: tuple  # per kept class, its rank along that ray
+    _codes: tuple  # per kept class, the code of its quotient point
     _top: tuple  # per ray, the kept class ids in the top half of _known_ranks
     _known_ranks: tuple  # per ray, contiguous rank prefix with complete data
 
     def class_index_of(self, p) -> int | None:
         ray, pos = p
-        if not (1 <= ray <= self.n and 0 <= pos < self._closure_depth):
+        if not (1 <= ray <= self.n and 0 <= pos):
             return None
-        k = self._class_of[(ray - 1) * self._closure_depth + pos]
-        return k if k < len(self.classes) else None
+        return self._target_of.get(self._class_of.get(code_of(self.n, p)))
 
     def _class_action(self, element: HoughtonElement):
         """(targets, moved): how the element acts on the kept classes.
@@ -538,16 +525,16 @@ class QuotientStructure:
         only the classes that fail a comparison are read one by one.
         """
         table = _image_table(element, self._closure_depth)
-        # an image -1 (past the window) reads the trailing entries: class -1, rank 0
         images = list(map(table.__getitem__, self._members))
-        classes = list(map(self._class_of.__getitem__, images))
-        ranks = list(map(self._rank_of.__getitem__, images))
-        targets = list(map(self._target_of.__getitem__, map(classes.__getitem__, self._starts)))
+        # an image past the closure window has no class and no rank: None
+        classes = list(map(self._class_of.get, images))
+        ranks = list(map(self._rank_of.get, images))
+        targets = list(map(self._target_of.get, map(classes.__getitem__, self._starts)))
         leads = list(map(classes.__getitem__, self._lead))
         if leads != classes:
             for k in sorted(set(compress(self._member_class, map(ne, leads, classes)))):
                 start = self._starts[k]
-                if -1 not in classes[start:start + len(self.classes[k])]:
+                if None not in classes[start:start + len(self.classes[k])]:
                     raise DomainError(
                         f"element does not preserve the congruence near {self.classes[k][0]}"
                     )
@@ -562,7 +549,7 @@ class QuotientStructure:
 
     def _induced(self, targets: list) -> HoughtonElement:
         """The quotient element that ``_class_action``'s targets pin down."""
-        return _read_element(self.n, self._ray, self._rank, targets, self._top)
+        return _read_element(self.n, self._codes, targets, self._top)
 
     def partial_action(self, element: HoughtonElement) -> dict:
         """Partial map on quotient points induced by an element of the group.
@@ -599,38 +586,33 @@ def _top_half(points, known_ranks) -> tuple:
     return top
 
 
-def _read_element(n: int, rays, ranks, targets: list, top) -> HoughtonElement:
+def _read_element(n: int, codes, targets: list, top) -> HoughtonElement:
     """The element of n rays that a partial map on points pins down.
 
-    Point k is (rays[k], ranks[k]).  Source k is point k, and maps to point
+    Point k has code codes[k].  Source k is point k, and maps to point
     targets[k], or to nothing where that is None.  ``top[i]`` lists the
     sources in the top half of ray i + 1's known ranks (``_top_half``).  The
     translation on each ray is read off them: their pairs must be at least
-    two, stay on the ray and share one shift.  Every source whose image
-    differs from the translation goes into the head table, and the
-    validating constructor checks that the result is a bijection.  Raises
-    InconclusiveError when the data does not pin the element down.
+    two, stay on the ray and share one shift.  The validating constructor
+    keeps every source whose image differs from the translation and checks
+    that the result is a bijection.  Raises InconclusiveError when the data
+    does not pin the element down.
     """
     t = []
     for ray, ids in enumerate(top, start=1):
-        pairs = [(k, j) for k in ids if (j := targets[k]) is not None]
+        pairs = [(codes[k], codes[j]) for k in ids if (j := targets[k]) is not None]
         # a pair whose image leaves the ray has no shift: None
-        shifts = {ranks[j] - ranks[k] if rays[j] == ray else None for k, j in pairs}
+        shifts = {(b - a) // n if b % n == ray - 1 else None for a, b in pairs}
         if len(pairs) < 2 or len(shifts) != 1 or None in shifts:
             raise InconclusiveError(
                 f"cannot read an eventual translation on quotient ray {ray}",
                 hint="increase the window depth",
             )
         t.append(shifts.pop())
-    shift = (None, *t)  # by ray
-    head = {
-        RayPoint(rays[k], ranks[k]): RayPoint(rays[j], ranks[j])
-        for k, j in enumerate(targets)
-        if j is not None and (rays[j] != rays[k] or ranks[j] != ranks[k] + shift[rays[k]])
-    }
+    pairs = [(codes[k], codes[j]) for k, j in enumerate(targets) if j is not None]
     try:
-        return HoughtonElement(n, t, head)
-    except (DomainError, InvalidElementError) as exc:
+        return HoughtonElement._from_codes(n, tuple(t), pairs)
+    except InvalidElementError as exc:
         raise InconclusiveError(
             f"partial quotient data does not close to a bijection: {exc}",
             hint="increase the window depth",
@@ -654,9 +636,8 @@ def infer_eventual_translation(partial: dict, n: int, known_ranks) -> HoughtonEl
             ids[q] = len(points)
             points.append(q)
         targets.append(ids[q])
-    rays = [p[0] for p in points]
-    ranks = [p[1] for p in points]
-    return _read_element(n, rays, ranks, targets, _top_half(partial, known_ranks))
+    codes = [code_of(n, p) for p in points]
+    return _read_element(n, codes, targets, _top_half(partial, known_ranks))
 
 
 def quotient(group: GeneratedSubgroup, system: BlockSystem, depth: int) -> QuotientStructure:
@@ -668,10 +649,12 @@ def quotient(group: GeneratedSubgroup, system: BlockSystem, depth: int) -> Quoti
     every class) must be finitary.  Raises DomainError when a block point
     lies outside the window of this depth.
     """
-    _check_in_window(system.blocks, group.n, depth)
+    n = group.n
+    _check_in_window(system.blocks, n, depth)
     closure_depth = 2 * depth
-    classes_all = congruence_classes(group, system, closure_depth)
+    # the deeper closure first: the shallower one reads a prefix of its tables
     deeper = congruence_classes(group, system, 2 * closure_depth)
+    classes_all = congruence_classes(group, system, closure_depth)
 
     def kept(classes):
         return tuple(c for c in classes if all(p.pos < depth for p in c))
@@ -681,11 +664,11 @@ def quotient(group: GeneratedSubgroup, system: BlockSystem, depth: int) -> Quoti
             "congruence classes did not stabilize under window doubling",
             hint=closure_depth * 2,
         )
-    ranks_per_ray = [0] * group.n
+    ranks_per_ray = [0] * n
     qpoints: dict[int, RayPoint] = {}
     # ranks the partial quotient data is contiguously complete up to, per ray
-    known_ranks = [0] * group.n
-    prefix_broken = [False] * group.n
+    known_ranks = [0] * n
+    prefix_broken = [False] * n
     for k, cls in enumerate(classes_all):
         ray = cls[0].ray
         if all(p.pos < depth for p in cls):
@@ -698,17 +681,16 @@ def quotient(group: GeneratedSubgroup, system: BlockSystem, depth: int) -> Quoti
     kept_indices = list(qpoints)
     # kept classes take ids 0..K-1 in their order, the classes crossing the depth follow
     order = kept_indices + [k for k in range(len(classes_all)) if k not in qpoints]
-    class_of = [0] * (group.n * closure_depth) + [-1]
-    rank_of = [0] * (group.n * closure_depth + 1)
+    class_of, rank_of = {}, {}
     for cid, k in enumerate(order):
         for rank, p in enumerate(classes_all[k]):
-            i = _index(p, closure_depth)
-            class_of[i] = cid
-            rank_of[i] = rank
+            c = code_of(n, p)
+            class_of[c] = cid
+            rank_of[c] = rank
     members, member_class, member_rank, lead, starts = [], [], [], [], []
     for cid, k in enumerate(kept_indices):
         start, size = len(members), len(classes_all[k])
-        members.extend(_index(p, closure_depth) for p in classes_all[k])
+        members.extend(code_of(n, p) for p in classes_all[k])
         member_class.extend([cid] * size)
         member_rank.extend(range(size))
         lead.extend([start] * size)
@@ -716,7 +698,7 @@ def quotient(group: GeneratedSubgroup, system: BlockSystem, depth: int) -> Quoti
     quotient_points = tuple(qpoints[k] for k in kept_indices)
     structure = QuotientStructure(
         system=system,
-        n=group.n,
+        n=n,
         window_depth=depth,
         classes=tuple(classes_all[k] for k in kept_indices),
         quotient_points=quotient_points,
@@ -725,14 +707,13 @@ def quotient(group: GeneratedSubgroup, system: BlockSystem, depth: int) -> Quoti
         _closure_depth=closure_depth,
         _class_of=class_of,
         _rank_of=rank_of,
-        _target_of=tuple(range(len(kept_indices))) + (None,) * (len(order) - len(kept_indices) + 1),
+        _target_of={cid: cid for cid in range(len(kept_indices))},
         _members=tuple(members),
         _member_class=tuple(member_class),
         _member_rank=member_rank,
         _lead=tuple(lead),
         _starts=tuple(starts),
-        _ray=tuple(qp.ray for qp in quotient_points),
-        _rank=tuple(qp.pos for qp in quotient_points),
+        _codes=tuple(code_of(n, qp) for qp in quotient_points),
         _top=_top_half(quotient_points, known_ranks),
         _known_ranks=tuple(known_ranks),
     )

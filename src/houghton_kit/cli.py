@@ -62,8 +62,10 @@ def _within_bound(value: int, what: str) -> None:
 
 def _bounded(elt: HoughtonElement) -> HoughtonElement:
     _within_bound(elt.threshold, "element threshold")
-    for _, q in elt.head:
-        _within_bound(q.pos, "head position")
+    # a head image of ray j lies below threshold + t_j, so only then is the head read
+    if elt.threshold + max(elt.t) > POSITION_BOUND + 1:
+        for _, q in elt.head:
+            _within_bound(q.pos, "head position")
     return elt
 
 
@@ -171,7 +173,8 @@ def _cmd_element(args) -> int:
             if not args.word or args.n is None:
                 raise DomainError("element parse needs --file or both --word and --n")
             elt = _parse_word(args.word[0], args.n)
-        _emit(args, elt.to_json_dict(), [elt.to_json()])
+        data = elt.to_json_dict()
+        _emit(args, data, [json.dumps(data)])
         return 0
     if args.action == "compose":
         elts = [_load_element(p) for p in args.file]
@@ -184,7 +187,8 @@ def _cmd_element(args) -> int:
         out = elts[0]
         for e in elts[1:]:
             out = out.compose(e)
-        _emit(args, out.to_json_dict(), [out.to_json()])
+        data = out.to_json_dict()
+        _emit(args, data, [json.dumps(data)])
         return 0
     if args.action == "cycles":
         if len(args.file) != 1:

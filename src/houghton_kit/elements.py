@@ -1,17 +1,17 @@
 """Exact arithmetic for eventual-translation permutations of the ray set.
 
 An element is stored as a finite head table (the points where it does not act
-by pure translation) together with a zero-sum translation vector and the
-minimal threshold beyond which every ray translates.  All constructors
-canonicalise, so structural equality of the stored data is equality of
-permutations.
+by pure translation, keyed by point code, ``rays.code_of``) together with a
+zero-sum translation vector and the minimal threshold beyond which every ray
+translates.  All constructors canonicalise, so structural equality of the
+stored data is equality of permutations.
 
 Validity is checked once, at the boundary: the public constructor validates
 untrusted data in O(|head| + n) time, naming ``translation-validity`` when a
 point below -t_j is missing from the head and ``bijection`` for every other
 failure.  ``compose``, ``inverse`` and ``**`` build their results, which are
 bijections by construction, without re-validating them, and internal callers
-holding in-range points use ``_image`` in place of the checked ``apply``.
+read images of codes with ``_image`` in place of the checked ``apply``.
 
 Composition uses the right-action convention: compose(g, h) means "g then h",
 and apply(compose(g, h), p) == apply(h, apply(g, p)).
@@ -24,12 +24,12 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import gcd, inf
-from operator import add, itemgetter
+from operator import add
 from typing import Iterable, Mapping
 
 from .errors import DomainError, InvalidElementError
 from .finperm import _classes, _close
-from .rays import RayPoint, RaySystem, as_point
+from .rays import RayPoint, RaySystem, as_point, code_of, point_of
 
 
 class HoughtonElement:
@@ -50,41 +50,48 @@ class HoughtonElement:
         t = tuple(int(x) for x in t)
         if len(t) != n or n < 1:
             raise InvalidElementError("format", f"t must have length n={n}")
-        if sum(t) != 0:
-            raise InvalidElementError("zero-sum", f"translation vector {t} has nonzero sum")
+        _require_zero_sum(t)
         system = RaySystem(n)
         items = head.items() if isinstance(head, Mapping) else head
-        given: dict[RayPoint, RayPoint] = {}
+        given: dict[int, int] = {}
         for p, q in items:
-            p, q = system.check(p), system.check(q)
-            if given.setdefault(p, q) != q:
+            p, q = system.check(p), code_of(n, system.check(q))
+            if given.setdefault(code_of(n, p), q) != q:
                 raise InvalidElementError("format", f"head maps {p} twice")
-        table = _off_translation(t, given)
-        self._validate_bijection(t, table)
+        table = _off_translation(n, t, given.items())
+        self._validate_bijection(n, t, table)
         self._set(n, t, table)
 
     @classmethod
-    def _trusted(cls, n: int, t: tuple, head: dict) -> "HoughtonElement":
-        """Canonicalise data already known to describe a bijection.
+    def _from_codes(cls, n: int, t: tuple, pairs) -> "HoughtonElement":
+        """The validating constructor for (code, image code) head pairs on the n rays."""
+        _require_zero_sum(t)
+        elt = cls._trusted(n, t, pairs)
+        cls._validate_bijection(n, t, elt._head)
+        return elt
 
-        For inverses of valid elements: no point or bijection check, only
-        the canonical form (translation-agreeing entries dropped, minimal
-        threshold, sorted items).  ``compose`` builds its table in canonical
-        form itself.
+    @classmethod
+    def _trusted(cls, n: int, t: tuple, pairs) -> "HoughtonElement":
+        """Canonicalise (code, image code) head pairs with no bijection check.
+
+        For inverses of valid elements, and for ``_from_codes`` before it
+        checks: only the canonical form (translation-agreeing entries
+        dropped, minimal threshold, sorted items).  ``compose`` builds its
+        table in canonical form itself.
         """
         elt = object.__new__(cls)
-        elt._set(n, t, _off_translation(t, head))
+        elt._set(n, t, _off_translation(n, t, pairs))
         return elt
 
     def _set(self, n, t, table):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "t", t)
-        object.__setattr__(self, "threshold", _threshold(t, table))
+        object.__setattr__(self, "threshold", _threshold(n, t, table))
         object.__setattr__(self, "_head", table)
         object.__setattr__(self, "_items", tuple(sorted(table.items())))
 
     @staticmethod
-    def _validate_bijection(t, table):
+    def _validate_bijection(n, t, table):
         """Check in O(|head| + n) that head and translation form a bijection.
 
         Below the threshold the domain and the per-ray target segments of
@@ -95,23 +102,22 @@ class HoughtonElement:
         (else ``bijection``).  The last check also keeps every head image
         inside its target segment.
         """
-        for j, tj in enumerate(t, start=1):
+        for j, tj in enumerate(t):
             for pos in range(-tj):
-                if (j, pos) not in table:
+                if pos * n + j not in table:
                     raise InvalidElementError(
                         "translation-validity",
-                        f"{RayPoint(j, pos)} translates to negative position {pos + tj}",
+                        f"{RayPoint(j + 1, pos)} translates to negative position {pos + tj}",
                     )
         seen = set()
         for q in table.values():
             if q in seen:
-                raise InvalidElementError("bijection", f"{q} hit twice")
+                raise InvalidElementError("bijection", f"{point_of(n, q)} hit twice")
             seen.add(q)
-            ray, pos = q
-            pos -= t[ray - 1]
-            if pos >= 0 and (ray, pos) not in table:
+            p = q - n * t[q % n]
+            if p >= 0 and p not in table:
                 raise InvalidElementError(
-                    "bijection", f"{q} hit twice: also the translate of {RayPoint(ray, pos)}"
+                    "bijection", f"{point_of(n, q)} hit twice: also the translate of {point_of(n, p)}"
                 )
 
     # -- basic protocol ----------------------------------------------------
@@ -128,12 +134,12 @@ class HoughtonElement:
         return hash((self.n, self.t, self._items))
 
     def __repr__(self):
-        return f"HoughtonElement(n={self.n}, t={self.t}, head={list(self._items)})"
+        return f"HoughtonElement(n={self.n}, t={self.t}, head={list(self.head)})"
 
     @property
     def head(self) -> tuple:
         """Head table as (point, image) pairs sorted by domain point."""
-        return self._items
+        return tuple(sorted((point_of(self.n, p), point_of(self.n, q)) for p, q in self._items))
 
     # -- group operations ---------------------------------------------------
 
@@ -142,54 +148,48 @@ class HoughtonElement:
         q = as_point(p)
         if q.ray > self.n:
             raise DomainError(f"ray {q.ray} outside 1..{self.n}")
-        return self._image(q)
+        return point_of(self.n, self._image(code_of(self.n, q)))
 
-    def _image(self, p: RayPoint) -> RayPoint:
-        """Unchecked ``apply`` for a RayPoint known to lie on one of the n rays."""
-        img = self._head.get(p)
+    def _image(self, c: int) -> int:
+        """Unchecked ``apply`` on codes: the image code of the code of a point."""
+        img = self._head.get(c)
         if img is not None:
             return img
-        ray, pos = p
-        return RayPoint(ray, pos + self.t[ray - 1])
+        n = self.n
+        return c + n * self.t[c % n]
 
     def compose(self, other: "HoughtonElement") -> "HoughtonElement":
         """Product "self then other" (right action).
 
         The product's head lies in self's head and in the preimages under
-        self of other's head points.  Both images are read inline and
-        compared field by field with the translation by the summed vector;
-        a RayPoint is built only for an entry the product keeps.
+        self of other's head points; an entry is kept where its image differs
+        from the code's translate under the summed vector.
         """
         if not isinstance(other, HoughtonElement) or other.n != self.n:
             raise DomainError("can only compose elements with the same ray count")
-        g_head, g_t, h_head, h_t = self._head, self.t, other._head, other.t
+        n, g_head, g_t, h_head, h_t = self.n, self._head, self.t, other._head, other.t
         t = tuple(map(add, g_t, h_t))
         head = {}
-        for p, mid in self._items:
+        for p, mid in g_head.items():
             img = h_head.get(mid)
             if img is None:
-                ray, pos = mid
-                pos += h_t[ray - 1]
-                if ray != p[0] or pos != p[1] + t[ray - 1]:
-                    head[p] = RayPoint(ray, pos)
-            elif img[0] != p[0] or img[1] != p[1] + t[p[0] - 1]:
+                img = mid + n * h_t[mid % n]
+            if img != p + n * t[p % n]:
                 head[p] = img
         # any other point off the product's translation is the preimage
         # q - t_self of a head point q of other; where that lies below 0 or in
         # self's head, q's preimage is in self's head and was read above
-        for q, img in other._items:
-            ray, pos = q
-            pos -= g_t[ray - 1]
-            if pos >= 0 and (ray, pos) not in g_head and (
-                img[0] != ray or img[1] != pos + t[ray - 1]
-            ):
-                head[RayPoint(ray, pos)] = img
+        for q, img in h_head.items():
+            ray = q % n
+            p = q - n * g_t[ray]
+            if p >= 0 and p not in g_head and img != p + n * t[ray]:
+                head[p] = img
         out = object.__new__(HoughtonElement)
-        out._set(self.n, t, head)
+        out._set(n, t, head)
         return out
 
     def inverse(self) -> "HoughtonElement":
-        head = {q: p for p, q in self._items}
+        head = [(q, p) for p, q in self._items]
         return HoughtonElement._trusted(self.n, tuple(-x for x in self.t), head)
 
     def __mul__(self, other):
@@ -222,7 +222,7 @@ class HoughtonElement:
 
     def support_description(self):
         """(moved points of the head region, rays with nonzero translation)."""
-        moved = tuple(p for p, q in self._items)
+        moved = tuple(p for p, q in self.head)
         rays = frozenset(j for j, tj in enumerate(self.t, start=1) if tj)
         return moved, rays
 
@@ -236,7 +236,7 @@ class HoughtonElement:
             "n": self.n,
             "t": list(self.t),
             "threshold": self.threshold,
-            "head": [[[p.ray, p.pos], [q.ray, q.pos]] for p, q in self._items],
+            "head": [[[p.ray, p.pos], [q.ray, q.pos]] for p, q in self.head],
         }
 
     def to_json(self) -> str:
@@ -298,16 +298,21 @@ def _is_int_list(value) -> bool:
     return isinstance(value, (list, tuple)) and all(type(x) is int for x in value)
 
 
-def _off_translation(t: tuple, head: dict) -> dict:
-    """The head entries that differ from the translation rule."""
-    return {p: q for p, q in head.items() if q[0] != p[0] or q[1] != p[1] + t[p[0] - 1]}
+def _require_zero_sum(t: tuple) -> None:
+    if sum(t) != 0:
+        raise InvalidElementError("zero-sum", f"translation vector {t} has nonzero sum")
 
 
-def _threshold(t: tuple, table: dict) -> int:
+def _off_translation(n: int, t: tuple, pairs) -> dict:
+    """The head of the (code, image code) pairs that differ from the translation rule."""
+    return {p: q for p, q in pairs if q != p + n * t[p % n]}
+
+
+def _threshold(n: int, t: tuple, table: dict) -> int:
     """Least position from which every ray acts by its translation."""
     threshold = max(0, -min(t))
     if table:
-        threshold = max(threshold, 1 + max(map(itemgetter(1), table)))
+        threshold = max(threshold, 1 + max(table) // n)
     return threshold
 
 
@@ -407,20 +412,20 @@ def _finite_cycles(g: HoughtonElement):
     head point, listing a point twice, or stepping where a bijection cannot
     go raises AssertionError.
     """
-    head, t = g._head, g.t
-    stops: dict[tuple[int, int], list[int]] = {}
+    n, head, t = g.n, g._head, g.t
+    stops: dict[int, list[int]] = {}  # code mod n|t_i| names (ray, pos mod |t_i|)
     for p, _ in g._items:
-        step = t[p.ray - 1]
+        step = n * t[p % n]
         if step:
-            stops.setdefault((p.ray, p.pos % abs(step)), []).append(p.pos)
-    in_cycle: set[RayPoint] = set()
-    escaping: set[RayPoint] = set()
+            stops.setdefault(p % abs(step), []).append(p)
+    in_cycle: set[int] = set()
+    escaping: set[int] = set()
     cycles = []
     for start, img in g._items:
         if start in in_cycle or start in escaping or img == start:
             continue
         visited = {start}
-        runs = [(start.ray, range(start.pos, start.pos + 1))]
+        runs = [(start % n + 1, range(start // n, start // n + 1))]  # (ray, positions)
         p = img
         escaped = False
         while p != start:
@@ -431,25 +436,28 @@ def _finite_cycles(g: HoughtonElement):
                 if p in visited or p in in_cycle:
                     raise AssertionError("orbit re-entered off its start; not a bijection")
                 visited.add(p)
-                runs.append((p.ray, range(p.pos, p.pos + 1)))
+                runs.append((p % n + 1, range(p // n, p // n + 1)))
                 p = head[p]
                 continue
-            ray, pos = p
-            step = t[ray - 1]
+            step = n * t[p % n]
             if not step:
-                raise AssertionError(f"orbit reaches {p}, fixed off the head; not a bijection")
-            line = stops.get((ray, pos % abs(step)), ())
+                raise AssertionError(
+                    f"orbit reaches {point_of(n, p)}, fixed off the head; not a bijection"
+                )
+            line = stops.get(p % abs(step), ())
             if step > 0:
-                k = bisect_right(line, pos)
+                k = bisect_right(line, p)
                 if k == len(line):
                     escaped = True
                     break
             else:
-                k = bisect_left(line, pos) - 1
+                k = bisect_left(line, p) - 1
                 if k < 0:
-                    raise AssertionError(f"orbit runs down from {p} past position 0; not a bijection")
-            runs.append((ray, range(pos, line[k], step)))
-            p = RayPoint(ray, line[k])
+                    raise AssertionError(
+                        f"orbit runs down from {point_of(n, p)} past position 0; not a bijection"
+                    )
+            runs.append((p % n + 1, range(p // n, line[k] // n, step // n)))
+            p = line[k]
         if escaped:
             escaping.update(visited)
             continue
@@ -463,25 +471,21 @@ def _finite_cycles(g: HoughtonElement):
     return tuple(cycles)
 
 
-def _image_table(g: HoughtonElement, depth: int) -> tuple:
-    """Window index of each window point's image under g, -1 where it leaves.
+def _image_table(g: HoughtonElement, depth: int) -> list:
+    """The image code under g of each code of the window of depth D.
 
-    Point (ray, pos) of the depth window has index (ray - 1) * depth + pos.
+    An image of code n * D or more lies outside the window.
     """
-    table = []
+    n = g.n
+    size = n * depth
+    table = [0] * size
     for ray, shift in enumerate(g.t):
-        base = ray * depth
-        if shift >= 0:
-            table.extend(range(base + shift, base + depth))
-            table.extend([-1] * min(shift, depth))
-        else:
-            # the first -shift positions are head points, set below
-            table.extend(range(base + shift, base + depth + shift))
+        # a translate below position 0 is a head point, set below
+        table[ray::n] = range(ray + n * shift, size + n * shift, n)
     for p, q in g._items:
-        if p.pos < depth:
-            image = (q.ray - 1) * depth + q.pos if q.pos < depth else -1
-            table[(p.ray - 1) * depth + p.pos] = image
-    return tuple(table)
+        if p < size:
+            table[p] = q
+    return table
 
 
 class FoldedOrbits:
@@ -539,23 +543,25 @@ class FoldedOrbits:
         return any(seg[3] == 0 for segs in self.segments for seg in segs)
 
     def window_keys(self, depth: int) -> list:
-        """The orbit key of each point of the window of depth W, in window order."""
-        keys = []
+        """The orbit key of each point of the window of depth W, in code order."""
+        by_ray = []
         for ray, segs in enumerate(self.segments, start=1):
+            keys = []
             for start, stop, base, period in segs:
                 count = max(min(stop, depth) - start, 0)
                 if period:
                     keys += (self.roots[base:base + period] * (count // period + 1))[:count]
                 else:
                     keys += [RayPoint(ray, pos) for pos in range(start, start + count)]
-        return keys
+            by_ray.append(keys)
+        return [key for row in zip(*by_ray) for key in row]
 
 
 def _fold_orbits(n: int, generators: tuple) -> FoldedOrbits:
     """The ``FoldedOrbits`` of the group the generators span."""
     touched = [set() for _ in range(n)]
-    for ray, pos in (p for g in generators for pair in g.head for p in pair):
-        touched[ray - 1].add(pos)
+    for c in (c for g in generators for pair in g._items for c in pair):
+        touched[c % n].add(c // n)
     shifts = list(zip(*(g.t for g in generators))) or [()] * n  # per ray
     segments, size = [], 0
     for ray_shifts, positions in zip(shifts, touched):
@@ -589,8 +595,8 @@ def _fold_orbits(n: int, generators: tuple) -> FoldedOrbits:
                 # run points x with g(x) = x + t in the stretch: g^-1 of its dense points
                 entering = range(max(start - t, 0), start) if t > 0 else range(stop, stop - t)
                 pairs.extend((node(ray, x), node(ray, x + t)) for x in entering)
-        for p, q in g.head:
-            moves[node(*p)] = node(*q)
+        for p, q in g._items:
+            moves[node(p % n + 1, p // n)] = node(q % n + 1, q // n)
         pairs.extend(moves.items())
     orbits.roots = _close(size, pairs)
     return orbits
@@ -631,13 +637,14 @@ def window_cycle_counts(g: HoughtonElement, depth: int | None = None):
     if depth is None:
         depth = g.threshold + 3 * max(1, g.max_shift())
     table = _image_table(g, depth)
-    roots = _close(len(table), ((i, j) for i, j in enumerate(table) if j >= 0))
+    size = len(table)
+    roots = _close(size, ((i, j) for i, j in enumerate(table) if j < size))
     finite_sizes = []
     infinite = 0
     for members in _classes(roots):
         # g is injective, so each class is a cycle or a path, and the last
         # point of a path leaves the window: exits alone mark the strands
-        if any(table[i] < 0 for i in members):
+        if any(table[i] >= size for i in members):
             infinite += 1
         elif len(members) > 1:
             finite_sizes.append(len(members))
@@ -671,7 +678,7 @@ def order_violations(g: HoughtonElement, depth: int | None = None):
     if depth is None:
         depth = _violation_window_depth(g)
     pts = sorted(RaySystem(g.n).window(depth))
-    images = {p: g._image(p) for p in pts}
+    images = {p: g.apply(p) for p in pts}
     out = []
     for i, p in enumerate(pts):
         gp = images[p]
@@ -712,7 +719,7 @@ def aop_exceptional_set(g: HoughtonElement) -> frozenset:
     graph and a minimum vertex cover of it completes the answer.  The result
     is inclusion-minimal: dropping any member re-exposes a violation.
     """
-    forced = {p for p, q in g._items if p.ray != q.ray}
+    forced = {p for p, q in g.head if p.ray != q.ray}
     depth = _violation_window_depth(g)
     edges = [
         (p, q)

@@ -42,8 +42,9 @@ def _close(size: int, pairs, tables=(), watch=None):
 
     Returns the root of each index in the least equivalence that holds the
     seed pairs and is closed under each table: whenever two indices are
-    equivalent and both have an image (an entry of -1 has none), their
-    images are equivalent.  Every class is rooted at its least index.
+    equivalent and both have an image, their images are equivalent.  An
+    entry of ``size`` or more is no image, and a table may run past ``size``.
+    Every class is rooted at its least index.
 
     Each class keeps, per table, one image of some member (a dict keyed by
     root, the root's own table entry by default).  A merge of two classes
@@ -90,9 +91,9 @@ def _close(size: int, pairs, tables=(), watch=None):
         count[a] += count[b]
         for table, image in stored:
             y = image.get(b, table[b])
-            if y >= 0:
+            if y < size:
                 x = image.get(a, table[a])
-                if x >= 0:
+                if x < size:
                     work.append((x, y))
                 else:
                     image[a] = y

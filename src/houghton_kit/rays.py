@@ -4,6 +4,12 @@ Points are pairs (ray, pos) with rays numbered 1..n and positions 0-based.
 The lexicographic order (ray first, then position) well-orders the set with
 order type omega * n.  Tuple comparison realises the order directly, so
 RayPoint values sort correctly with no extra machinery.
+
+Inside the package a point is its code pos * n + ray - 1 (``code_of`` and
+``point_of`` convert).  The window of depth D is then the prefix 0..nD - 1 at
+every D, and a translation by t_i moves the code c of a point of ray i to
+c + n * t_i.  Code order is position first, so it is not the lexicographic
+order; ``RayPoint`` stays at the boundary, where points are read or printed.
 """
 
 from __future__ import annotations
@@ -24,13 +30,27 @@ class RayPoint(NamedTuple):
 
 
 def as_point(p) -> RayPoint:
-    """Coerce a (ray, pos) pair to a RayPoint, checking basic validity."""
-    q = RayPoint(int(p[0]), int(p[1]))
+    """Coerce a (ray, pos) pair of ints to a RayPoint, checking basic validity."""
+    if type(p[0]) is not int or type(p[1]) is not int:
+        raise DomainError(f"point coordinates must be integers, got {p!r}")
+    q = RayPoint(p[0], p[1])
     if q.ray < 1:
         raise DomainError(f"ray index must be >= 1, got {q.ray}")
     if q.pos < 0:
         raise DomainError(f"position must be >= 0, got {q.pos}")
     return q
+
+
+def code_of(n: int, p) -> int:
+    """The code of the point (ray, pos) on n rays: pos * n + ray - 1."""
+    ray, pos = p
+    return pos * n + ray - 1
+
+
+def point_of(n: int, c: int) -> RayPoint:
+    """The point of a code on n rays."""
+    # RayPoint's own __new__ is a Python function; tuple.__new__ is what it calls
+    return tuple.__new__(RayPoint, (c % n + 1, c // n))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable
 
@@ -295,9 +296,10 @@ class OrbitWindowReport:
 
 
 def _window_partition(keys: list, n: int, depth: int) -> list:
-    """Sorted classes, by least point, of the window points with equal ``keys`` entries."""
+    """Sorted classes, by least point, of the window points whose codes have equal ``keys``."""
     buckets: dict = {}
-    for p, key in zip(RaySystem(n).window(depth), keys):
+    by_ray = (keys[ray:n * depth:n] for ray in range(n))
+    for p, key in zip(RaySystem(n).window(depth), chain.from_iterable(by_ray)):
         buckets.setdefault(key, []).append(p)
     return [tuple(v) for v in buckets.values()]
 

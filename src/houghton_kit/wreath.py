@@ -27,7 +27,7 @@ from .blocks import (
 from .elements import HoughtonElement, _fold_orbits, identity as houghton_identity
 from .errors import DomainError, InconclusiveError
 from .finperm import FinitePermGroup, _inv, _is_id, _mul
-from .rays import RayPoint
+from .rays import RayPoint, code_of, point_of
 from .subgroups import GeneratedSubgroup, bounded_words
 
 
@@ -143,17 +143,17 @@ class MultiWreathElement:
         a1 = self.head
         a1_inv = a1.inverse()
         points = {qp for qp, _ in self.base}
-        points.update(a1_inv._image(qp) for qp, _ in other.base)
+        points.update(a1_inv.apply(qp) for qp, _ in other.base)
         base = []
         for qp in points:
-            value = _mul(self.base_value(qp), other.base_value(a1._image(qp)))
+            value = _mul(self.base_value(qp), other.base_value(a1.apply(qp)))
             base.append((qp, value))
         return MultiWreathElement(self.ctx, tuple(base), head)
 
     def inverse(self) -> "MultiWreathElement":
         head_inv = self.head.inverse()
         base = [
-            (self.head._image(qp), _inv(v))
+            (self.head.apply(qp), _inv(v))
             for qp, v in self.base
         ]
         return MultiWreathElement(self.ctx, tuple(base), head_inv)
@@ -243,8 +243,8 @@ def kk_embed(g: HoughtonElement, ctx: BlockContext) -> MultiWreathElement:
 
 def order_preserving_on_class(g: HoughtonElement, ctx: BlockContext, qpoint) -> bool:
     _same_rays(g, ctx.n)
-    pts = ctx.class_points(qpoint)
-    images = [g._image(p) for p in pts]
+    n = ctx.n
+    images = [point_of(n, g._image(code_of(n, p))) for p in ctx.class_points(qpoint)]
     return images == sorted(images)
 
 
@@ -357,15 +357,16 @@ def w_groups(
     if group.n != ctx.n:
         raise DomainError(f"group acts on {group.n} rays, the block context on {ctx.n}")
     block = ctx.block_of_orbit[orbit]
-    bset = set(block)
-    ranks = {p: i for i, p in enumerate(block)}
+    codes = [code_of(group.n, p) for p in block]
+    bset = set(codes)
+    ranks = {c: i for i, c in enumerate(codes)}
     gens_g, gens_fin, gens_ker = [], [], []
     gens = group.symmetric_generators()
     for _, e in bounded_words(houghton_identity(group.n), gens, HoughtonElement.compose, 4):
-        img = {e._image(p) for p in block}
-        if img != bset:
+        images = list(map(e._image, codes))
+        if set(images) != bset:
             continue
-        perm = tuple(ranks[e._image(p)] for p in block)
+        perm = tuple(map(ranks.__getitem__, images))
         gens_g.append(perm)
         if e.is_finitary():
             gens_fin.append(perm)
@@ -519,6 +520,9 @@ def phi_s_descent(
         kk_kernel.append(kf)
     supports = [set(k.support()) for k in kk_kernel]
     big_s = set().union(*supports) if supports else set()
+    n = ctx.n
+    big_codes = [code_of(n, qp) for qp in big_s]
+    kernel_codes = [[code_of(n, qp) for qp in k.support()] for k in kk_kernel]
     tables = ctx._descent_tables.get(group)
     if tables is None:
         tables = ctx._descent_tables[group] = _DescentTables(group, ctx)
@@ -538,12 +542,13 @@ def phi_s_descent(
     while measure:
         target = min(set(psi.support()) - big_s)
         allowed = big_s | {target}
+        allowed_codes = {*big_codes, code_of(n, target)}
         cleared = False
         for k, c, cq in tables.candidates():
-            if not all(cq._image(qp) in allowed for qp in big_s):
+            if not all(cq._image(x) in allowed_codes for x in big_codes):
                 continue
-            for f, kf in zip(kernel_elements, kk_kernel):
-                if not all(cq._image(qp) in allowed for qp in kf.support()):
+            for f, kf, support in zip(kernel_elements, kk_kernel, kernel_codes):
+                if not all(cq._image(x) in allowed_codes for x in support):
                     continue
                 got = tables.conjugate(ctx, k, c, f)
                 if got is None:

@@ -141,6 +141,17 @@ def test_block_system_structural_checks():
         BlockSystem.from_lists([[]])
 
 
+def test_a_block_repeating_a_point_is_a_domain_error():
+    # before the check, verification passed it and the wreath context gave
+    # the point's orbit a block of 2 for a class of 1
+    group = GeneratedSubgroup.from_elements(2, [generator(2, 2) ** 2, transposition(2, (1, 0), (1, 1))])
+    with pytest.raises(DomainError, match=r"block 0 repeats a point"):
+        BlockSystem.from_lists([[(1, 0), (1, 0)]])
+    with pytest.raises(DomainError, match=r"block 1 repeats a point"):
+        BlockSystem(((RayPoint(1, 0),), (RayPoint(2, 3), RayPoint(2, 3))))
+    assert verify_block_system(group, BlockSystem.from_lists([[(1, 0), (1, 1)]]), 20).valid
+
+
 # -- congruence closure ------------------------------------------------------------
 
 
@@ -331,7 +342,7 @@ def reference_verification(group, system, depth):
         for i, bset in enumerate(bsets):
             if i in violations:
                 continue
-            img = {w._image(p) for p in bset}
+            img = {w.apply(p) for p in bset}
             if any(q not in window for q in img):
                 continue
             if img & bset and img != bset:
@@ -358,7 +369,7 @@ def reference_verification(group, system, depth):
 def conjugated(group, system, c):
     """c^-1 G c, which has the block system moved by c."""
     gens = [c.inverse().compose(g).compose(c) for g in group.generators]
-    blocks = [[c._image(RayPoint(*p)) for p in b] for b in system.blocks]
+    blocks = [[c.apply(RayPoint(*p)) for p in b] for b in system.blocks]
     return GeneratedSubgroup.from_elements(group.n, gens), BlockSystem.from_lists(blocks)
 
 

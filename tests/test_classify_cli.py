@@ -291,6 +291,16 @@ def test_cli_input_past_the_position_bound_exits_2(tmp_path, capsys, argv):
     assert "above the command-line bound 100000" in captured.err
 
 
+def test_cli_head_image_past_the_position_bound_exits_2(tmp_path, capsys):
+    # threshold exactly 10^5, but the head maps (1:99998) to (1:100001)
+    g = (generator(2, 2) ** 2).compose(transposition(2, (1, 100000), (1, 100001)))
+    assert g.threshold == 10**5
+    path = tmp_path / "image.json"
+    path.write_text(json.dumps(g.to_json_dict()))
+    assert cli_main(["element", "parse", "--file", str(path)]) == 2
+    assert "head position 100001 is above the command-line bound" in capsys.readouterr().err
+
+
 def test_cli_input_at_the_position_bound_is_accepted(tmp_path, capsys):
     # threshold exactly 10^5, a cycle position and an exponent of exactly 10^5
     at = transposition_file(tmp_path, 10**5 - 1)
@@ -508,6 +518,18 @@ def test_cli_blocks_point_past_the_window_exits_2(tmp_path, capsys, action):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "block point outside the window of depth 40" in captured.err
+
+
+def test_cli_blocks_verify_a_block_repeating_a_point_exits_2(tmp_path, capsys):
+    group = GeneratedSubgroup.from_elements(2, [generator(2, 2) ** 2, transposition(2, (1, 0), (1, 1))])
+    spath = write_subgroup(tmp_path, group)
+    bpath = tmp_path / "blocks.json"
+    bpath.write_text(json.dumps([[[1, 0], [1, 0]]]))
+    argv = ["blocks", "verify", "--subgroup", spath, "--blocks", str(bpath), "--window", "20"]
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "block 0 repeats a point" in captured.err
 
 
 @pytest.mark.parametrize(

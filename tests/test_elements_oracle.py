@@ -27,7 +27,7 @@ from houghton_kit.elements import (
     transposition,
 )
 from houghton_kit.errors import DomainError, InvalidElementError
-from houghton_kit.rays import RayPoint
+from houghton_kit.rays import RayPoint, RaySystem, code_of, point_of
 
 
 def quadratic_bijection_check(n, t, table, threshold):
@@ -116,8 +116,9 @@ def cases():
 def test_linear_check_accepts_and_rejects_like_the_quadratic_reference(monkeypatch):
     data = list(cases())
     fast = [outcome(*case) for case in data]
-    def reference(t, table):
-        quadratic_bijection_check(len(t), t, table, _threshold(t, table))
+    def reference(n, t, table):
+        points = {point_of(n, p): point_of(n, q) for p, q in table.items()}
+        quadratic_bijection_check(n, t, points, _threshold(n, t, table))
 
     monkeypatch.setattr(HoughtonElement, "_validate_bijection", staticmethod(reference))
     slow = [outcome(*case) for case in data]
@@ -164,10 +165,34 @@ def test_trusted_constructor_canonicalises_like_the_validated_one():
         for _ in range(rng.randint(0, 4)):
             ray, pos = rng.randint(1, n), rng.randrange(g.threshold + 4)
             raw[RayPoint(ray, pos)] = g.apply((ray, pos))
-        trusted = HoughtonElement._trusted(n, g.t, raw)
+        trusted = HoughtonElement._trusted(n, g.t, [(code_of(n, p), code_of(n, q)) for p, q in raw.items()])
         validated = HoughtonElement(n, g.t, raw)
         assert trusted == validated
         assert (trusted.threshold, trusted.head) == (validated.threshold, validated.head)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_codes_round_trip_and_the_head_keeps_the_point_order(seed):
+    rng = random.Random(900 + seed)
+    for n in range(1, 6):
+        for _ in range(50):
+            p = RayPoint(rng.randint(1, n), rng.randrange(10**6))
+            c = rng.randrange(10**6)
+            assert point_of(n, code_of(n, p)) == p and code_of(n, point_of(n, c)) == c
+        depth = rng.randint(1, 12)
+        # the window of depth D is the code prefix 0 .. nD - 1, position first
+        by_code = sorted(RaySystem(n).window(depth), key=lambda p: (p.pos, p.ray))
+        assert [code_of(n, p) for p in by_code] == list(range(n * depth))
+        for _ in range(20):
+            g = random_element(n, head_budget=6, t_bound=2, seed=rng)
+            g = g.compose(random_element(n, head_budget=4, t_bound=1, seed=rng))
+            head = g.head
+            assert list(head) == sorted(head)
+            assert all(type(x) is RayPoint for pair in head for x in pair)
+            assert all(g.apply(p) == q and q != (p.ray, p.pos + g.t[p.ray - 1]) for p, q in head)
+            assert g.threshold == max([-x for x in g.t] + [p.pos + 1 for p, _ in head] + [0])
+            assert HoughtonElement.from_json_dict(g.to_json_dict()) == g
+            assert repr(g) == f"HoughtonElement(n={n}, t={g.t}, head={list(head)})"
 
 
 def test_parsing_a_far_transposition_is_linear_in_the_head():
@@ -188,7 +213,7 @@ def stepwise_finite_cycles(g):
             continue
         orbit = [start]
         orbit_set = {start}
-        p = g._image(start)
+        p = g.apply(start)
         escaped = False
         while p != start:
             if p.pos >= g.threshold and g.t[p.ray - 1] > 0:
@@ -198,7 +223,7 @@ def stepwise_finite_cycles(g):
                 raise AssertionError("orbit re-entered off its start; not a bijection")
             orbit.append(p)
             orbit_set.add(p)
-            p = g._image(p)
+            p = g.apply(p)
         seen.update(orbit_set)
         if not escaped:
             k = orbit.index(min(orbit))
@@ -254,7 +279,7 @@ def test_jumping_walk_lists_the_stepwise_cycles_exactly():
         assert got == stepwise_finite_cycles(g)
         finite += len(got)
         long_runs += any(len(c) > 50 for c in got)
-        escapes += any(g._image(p).pos >= g.threshold for p, _ in g.head)
+        escapes += any(g.apply(p).pos >= g.threshold for p, _ in g.head)
     assert finite > 300 and long_runs > 20 and escapes > 200
 
 
@@ -273,7 +298,8 @@ def test_jumping_walk_lists_the_stepwise_cycles_exactly():
     ids=["fixed-off-head", "shared-head-image", "run-hit-twice", "run-re-entered"],
 )
 def test_walk_rejects_non_bijections_like_the_stepwise_walk(t, head):
-    g = HoughtonElement._trusted(len(t), t, {RayPoint(*p): RayPoint(*q) for p, q in head.items()})
+    n = len(t)
+    g = HoughtonElement._trusted(n, t, [(code_of(n, p), code_of(n, q)) for p, q in head.items()])
     with pytest.raises(AssertionError):
         stepwise_finite_cycles(g)
     with pytest.raises(AssertionError):
@@ -283,6 +309,6 @@ def test_walk_rejects_non_bijections_like_the_stepwise_walk(t, head):
 def test_walk_rejects_a_run_below_position_0():
     # (2, 5) runs down ray 2 with no head point below it; the stepwise walk
     # would never stop here
-    g = HoughtonElement._trusted(2, (1, -1), {RayPoint(1, 0): RayPoint(2, 5)})
+    g = HoughtonElement._trusted(2, (1, -1), [(code_of(2, (1, 0)), code_of(2, (2, 5)))])
     with pytest.raises(AssertionError):
         _finite_cycles(g)

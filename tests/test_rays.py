@@ -3,8 +3,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from houghton_kit.elements import from_cycles, generator, transposition
 from houghton_kit.errors import DomainError
-from houghton_kit.rays import RayPoint, RaySystem, deletion_order_iso, lex_compare
+from houghton_kit.rays import RayPoint, RaySystem, as_point, deletion_order_iso, lex_compare
 
 points = st.tuples(st.integers(1, 5), st.integers(0, 50))
 
@@ -87,3 +88,20 @@ def test_window_contents():
     assert (2, 3) in w
     assert (2, 4) not in w
     assert len(list(w)) == 12
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: as_point((1, 0.5)),
+        lambda: as_point((1.0, 0)),
+        lambda: transposition(2, (1, 0.5), (1, 1.9)),
+        lambda: from_cycles(2, [[(1, True), (1, 2.7)]]),
+        lambda: generator(2, 2).apply(("1", 0)),
+    ],
+    ids=["float-pos", "float-ray", "transposition", "cycle", "apply-string"],
+)
+def test_non_integer_coordinates_are_domain_errors(make):
+    # int() used to truncate them: (1, 0.5) and (1, 1.9) swapped (1:0) and (1:1)
+    with pytest.raises(DomainError, match="point coordinates must be integers"):
+        make()

@@ -303,7 +303,7 @@ def add_vectors(u, v):
 
 
 def image_set(s, g):
-    return frozenset(map(g._image, s))
+    return frozenset(map(g.apply, s))
 
 
 PAIR_GROUP = subgroup(

@@ -20,6 +20,7 @@ from houghton_kit import elements
 from houghton_kit.blocks import (
     BlockSystem,
     _closure_class_of_pair,
+    _deepest_tables,
     _edge_weights,
     _require_margin,
     _window_action,
@@ -38,7 +39,7 @@ from houghton_kit.elements import (
     window_cycle_counts,
 )
 from houghton_kit.errors import InconclusiveError
-from houghton_kit.rays import RayPoint, RaySystem
+from houghton_kit.rays import RayPoint, RaySystem, code_of, point_of
 from houghton_kit.subgroups import (
     GeneratedSubgroup,
     _orbit_certificate,
@@ -161,16 +162,17 @@ def seed_pairs(rng, n, depth, count):
 def test_image_tables_follow_apply_up_to_the_window_edge(seed):
     rng = random.Random(300 + seed)
     group = conjugated_delta(rng)
-    for depth in range(1, 9):
-        window = RaySystem(group.n).window(depth)
+    # in shuffled order, so that some windows read a prefix of deeper tables
+    n = group.n
+    for depth in rng.sample(range(1, 9), 8):
+        window = RaySystem(n).window(depth)
         tables = _window_action(group, depth)
         assert len(tables) == 2 * len(group.generators)
         for g, table in zip(group.symmetric_generators(), tables):
-            want = []
             for p in window:
                 q = g.apply(p)
-                want.append((q.ray - 1) * depth + q.pos if q in window else -1)
-            assert list(table) == want
+                assert table[code_of(n, p)] == code_of(n, q)
+                assert (table[code_of(n, p)] >= n * depth) == (q not in window)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -184,6 +186,23 @@ def test_congruence_classes_match_the_naive_closure(seed):
         assert congruence_classes(group, system, depth) == naive_closure(
             group, system.blocks, depth, gens
         )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_window_reads_the_prefix_of_deeper_tables_in_either_call_order(seed):
+    # the window of depth D is the code prefix 0 .. nD - 1 of the window of 2D
+    rng = random.Random(950 + seed)
+    group = conjugated_delta(rng)
+    depth = rng.choice([6, 8, 10])
+    gens = group.symmetric_generators()
+    for pair in seed_pairs(rng, group.n, depth, 2):
+        system = BlockSystem((pair,))
+        for order in ((2 * depth, depth), (depth, 2 * depth)):
+            _deepest_tables.cache_clear()
+            for d in order:
+                want = naive_closure(group, system.blocks, d, gens)
+                assert congruence_classes(group, system, d) == want
+            assert _window_action(group, depth) is _window_action(group, 2 * depth)
 
 
 def check_orbit_report(group, window, deep):
@@ -420,10 +439,10 @@ def test_folded_orbits_key_the_deep_closure_classes():
         for depth in sorted(depths):
             window = list(RaySystem(group.n).window(depth))
             keys = orbits.window_keys(depth)
-            assert keys == [orbits.key(p) for p in window]
+            assert keys == [orbits.key(point_of(group.n, c)) for c in range(len(window))]
             by_key = {}
-            for p, key in zip(window, keys):
-                by_key.setdefault(key, []).append(p)
+            for p in window:
+                by_key.setdefault(keys[code_of(group.n, p)], []).append(p)
             cut = (tuple(p for p in c if p.pos < depth) for c in deep)
             classes = tuple(sorted((c for c in cut if c), key=lambda c: c[0]))
             assert tuple(map(tuple, by_key.values())) == classes
@@ -448,7 +467,8 @@ def test_a_fixed_run_keys_its_points_by_themselves():
         assert orbits.key(RayPoint(3, pos)) == RayPoint(3, pos)
     assert orbits.key(RayPoint(3, 9)) == orbits.key(RayPoint(1, 4)) == orbits.key(RayPoint(2, 50))
     window = list(RaySystem(3).window(12))
-    own = [p for p, key in zip(window, orbits.window_keys(12)) if key == p]
+    keys = orbits.window_keys(12)
+    own = [p for p in window if keys[code_of(3, p)] == p]
     assert own == [p for p in window if p.ray == 3 and p.pos not in (2, 9)]
     assert all(key in orbits.tail_roots() for key in orbits.window_keys(12) if key not in own)
 

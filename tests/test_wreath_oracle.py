@@ -140,7 +140,7 @@ class Reference:
         _same_rays(element, q.n)
         partial = {}
         for k, cls in enumerate(q.classes):
-            images = {element._image(p) for p in cls}
+            images = {element.apply(p) for p in cls}
             targets = {self.point_class.get(p) for p in images}
             if None in targets:
                 continue
@@ -171,7 +171,7 @@ class Reference:
         for qp, target in partial.items():
             src = self.transversal_points(qp)
             pos = {p: i for i, p in enumerate(self.transversal_points(target))}
-            value = tuple(pos[g._image(p)] for p in src)
+            value = tuple(pos[g.apply(p)] for p in src)
             if not _is_id(value):
                 base.append((qp, value))
         return MultiWreathElement(ctx, tuple(base), head)
@@ -350,7 +350,7 @@ def test_the_elements_reach_every_branch():
                 seen.add("split")
                 continue
             for cls in q.classes:
-                images = [g._image(p) for p in cls]
+                images = [g.apply(p) for p in cls]
                 if any(p.pos >= edge for p in images):
                     inside = {ref.point_class[p] for p in images if p.pos < edge}
                     seen.add("edge" if len(inside) < 2 else "edge and split")
@@ -373,7 +373,7 @@ def reference_moved(ctx, g, partial):
     for k, qp in enumerate(q.quotient_points):
         if qp in partial:
             target = ctx.class_points(partial[qp])
-            ranks = tuple(target.index(g._image(p)) for p in q.classes[k])
+            ranks = tuple(target.index(g.apply(p)) for p in q.classes[k])
             if ranks != tuple(range(len(ranks))):
                 moved[k] = ranks
     return moved
@@ -410,7 +410,7 @@ def action_branches(label, ctx, ref, g):
     seen = set()
     lands = True
     for k, cls in enumerate(q.classes):
-        images = [g._image(p) for p in cls]
+        images = [g.apply(p) for p in cls]
         if any(p.pos >= edge for p in images):
             seen.add("an image leaves the window")
             lands = False
@@ -626,11 +626,11 @@ def reference_descent(alpha, group, ctx, kernel_elements):
         target = min(set(psi.support()) - big_s)
         cleared = False
         for c, cq in reference_candidates(group, images):
-            moved_s = {cq._image(qp) for qp in big_s}
+            moved_s = {cq.apply(qp) for qp in big_s}
             if not moved_s <= big_s | {target}:
                 continue
             for f, kf in zip(kernel_elements, kk_kernel):
-                if not {cq._image(qp) for qp in kf.support()} <= big_s | {target}:
+                if not {cq.apply(qp) for qp in kf.support()} <= big_s | {target}:
                     continue
                 h = c.inverse().compose(f).compose(c)
                 try:
