@@ -619,27 +619,6 @@ def _read_element(n: int, codes, targets: list, top) -> HoughtonElement:
         ) from None
 
 
-def infer_eventual_translation(partial: dict, n: int, known_ranks) -> HoughtonElement:
-    """Build an element from a partial map on the points of n rays.
-
-    The dict form of ``_read_element``: the map's keys, in order, are its
-    sources, and the images that are no key follow them as further points.
-    ``known_ranks`` caps, per ray, the ranks the partial map is complete up
-    to.  Raises InconclusiveError when the data does not pin the element
-    down.  O(|partial| + n).
-    """
-    points = list(partial)
-    ids = {p: k for k, p in enumerate(points)}
-    targets = []
-    for q in partial.values():
-        if q not in ids:
-            ids[q] = len(points)
-            points.append(q)
-        targets.append(ids[q])
-    codes = [code_of(n, p) for p in points]
-    return _read_element(n, codes, targets, _top_half(partial, known_ranks))
-
-
 def quotient(group: GeneratedSubgroup, system: BlockSystem, depth: int) -> QuotientStructure:
     """Congruence quotient with its least-element order and induced images.
 

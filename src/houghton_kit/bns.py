@@ -135,12 +135,34 @@ def vanishing_sphere_min_support(lattice: TranslationLattice):
     """Minimal canonical support over characters vanishing on the lattice.
 
     Returns (size, representatives); (None, ()) when only the zero character
-    vanishes, i.e. the great sphere is empty.
+    vanishes, i.e. the great sphere is empty.  The lattice's vectors sum to
+    zero, so the all-ones vector always vanishes on it.  When the vanishing
+    vectors span a plane, it is spanned by one character chi and the all-ones
+    vector, and the only nonnegative vectors in it with a zero coordinate are
+    the positive multiples of canon(chi) and canon(-chi): the answer is read
+    off those two.  Larger spans are searched support by support
+    (``_min_support_search``).
     """
     n = lattice.n
     solution = rational_kernel(lattice.basis, n)
     if len(solution) <= 1:
         return None, ()
+    if len(solution) > 2:
+        return _min_support_search(lattice)
+    chi = next(v for v in solution if len(set(v)) > 1)
+    chars = [canonicalize(v) for v in (chi, [-x for x in chi])]
+    size = min(c.support_size for c in chars)
+    reps = {_normalize_ray(c.coeffs) for c in chars if c.support_size == size}
+    return size, tuple(canonicalize(r) for r in sorted(reps))
+
+
+def _min_support_search(lattice: TranslationLattice):
+    """``vanishing_sphere_min_support`` by trying every support, smallest first.
+
+    Exponential in n; for lattices whose vanishing vectors span more than a
+    plane.
+    """
+    n = lattice.n
     for size in range(1, n):
         reps = []
         for support in combinations(range(n), size):

@@ -51,6 +51,14 @@ from .wreath import build_block_context, kk_embed, verify_kk
 # it is rejected up front.  The library itself is unbounded.
 POSITION_BOUND = 10**5
 
+# Largest ray count the command line accepts.  Parsing a word costs time and
+# memory linear in n (`element parse --word g2` took 1.4 s and 55 MiB at
+# n = 10^6), and the level certificate grows faster: `bns certificate` on the
+# zero-sum lattice took 0.7 s at n = 64 and 7.9 s at n = 128, and `classify`
+# of H_64 0.7 s (in process, one Xeon core).  No benchmark input has more than
+# 5 rays.  The library itself is unbounded.
+RAY_BOUND = 64
+
 _WORD_EXPONENT = re.compile(r"\^(-?\d+)")
 _WORD_POSITION = re.compile(r"\d+:(\d+)")
 
@@ -60,7 +68,13 @@ def _within_bound(value: int, what: str) -> None:
         raise DomainError(f"{what} {value} is above the command-line bound {POSITION_BOUND}")
 
 
+def _within_ray_bound(n: int) -> None:
+    if n > RAY_BOUND:
+        raise DomainError(f"ray count {n} is above the command-line bound {RAY_BOUND}")
+
+
 def _bounded(elt: HoughtonElement) -> HoughtonElement:
+    _within_ray_bound(elt.n)
     _within_bound(elt.threshold, "element threshold")
     # a head image of ray j lies below threshold + t_j, so only then is the head read
     if elt.threshold + max(elt.t) > POSITION_BOUND + 1:
@@ -70,6 +84,7 @@ def _bounded(elt: HoughtonElement) -> HoughtonElement:
 
 
 def _parse_word(text: str, n: int) -> HoughtonElement:
+    _within_ray_bound(n)
     for m in _WORD_EXPONENT.finditer(text):
         _within_bound(int(m.group(1)), "word exponent")
     for m in _WORD_POSITION.finditer(text):
@@ -88,6 +103,7 @@ def _load_element(path) -> HoughtonElement:
 
 def _load_subgroup(path) -> GeneratedSubgroup:
     group = GeneratedSubgroup.from_json_dict(_read_json(path))
+    _within_ray_bound(group.n)
     for g in group.generators:
         _bounded(g)
     return group
@@ -346,6 +362,7 @@ def _cmd_wreath(args) -> int:
 
 
 def _cmd_bns(args) -> int:
+    _within_ray_bound(args.n)
     if args.action == "sigma":
         chi = parse_character(_needed(args, "chi"), args.n)
         inside = in_sigma(chi, args.m)

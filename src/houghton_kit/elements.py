@@ -531,12 +531,16 @@ class FoldedOrbits:
         node = self.node(*p)
         return p if node is None else self.roots[node]
 
+    def tails(self) -> tuple:
+        """Per ray, (S, m, keys): the tail from S has period m; keys[r] is S + r + k m's orbit key."""
+        return tuple(
+            (start, period, self.roots[base:base + period])
+            for start, _, base, period in (segs[-1] for segs in self.segments)
+        )
+
     def tail_roots(self) -> set:
         """The closure roots of the nodes of the rays' infinite tails: one per infinite orbit."""
-        return {
-            root for *_, base, period in (segs[-1] for segs in self.segments)
-            for root in self.roots[base:base + period]
-        }
+        return {root for *_, keys in self.tails() for root in keys}
 
     def has_fixed_run(self) -> bool:
         """Whether some run is fixed by every generator (a ray with m_i = 0)."""

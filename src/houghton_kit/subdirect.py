@@ -1,26 +1,24 @@
 """Subdirect-product bookkeeping for intransitive actions.
 
-Each orbit class of the window (the exact orbit partition cut to it, from
-``orbit_windows``) carries an order isomorphism onto a fresh ray system (rank
-along each ray), so the restriction of the subgroup to an orbit becomes a
-subgroup of the same kind and every element-level tool applies per factor.
+Each infinite orbit, read exactly from ``elements.FoldedOrbits``, carries an
+order isomorphism onto a fresh ray system (rank along each ray), so the
+restriction of the subgroup to an orbit becomes a subgroup of the same kind
+and every element-level tool applies per factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blocks import infer_eventual_translation
 from .elements import HoughtonElement, identity
-from .errors import DomainError, InconclusiveError
-from .rays import RayPoint
+from .errors import DomainError
+from .rays import RayPoint, RaySystem, point_of
 from .subgroups import (
     GeneratedSubgroup,
-    OrbitWindowReport,
     TranslationLattice,
+    _orbit_certificate,
     bounded_words,
     is_level,
-    orbit_windows,
     translation_lattice,
 )
 
@@ -42,7 +40,6 @@ class SubdirectDecomposition:
     n: int
     window_depth: int
     factors: tuple
-    report: OrbitWindowReport
 
     def to_json_dict(self) -> dict:
         return {
@@ -61,51 +58,67 @@ class SubdirectDecomposition:
         }
 
 
-def _contiguous_prefix(partial: dict, n: int) -> tuple:
-    limits = []
-    for ray in range(1, n + 1):
-        r = 0
-        while RayPoint(ray, r) in partial:
-            r += 1
-        limits.append(r)
-    return tuple(limits)
+def induce_on_orbit(group: GeneratedSubgroup, point, g: HoughtonElement) -> HoughtonElement:
+    """The restriction of a group element to the orbit O of a point, in rank coordinates.
 
-
-def induce_on_orbit(orbit_points, g: HoughtonElement, n: int) -> HoughtonElement:
-    """Image of an element under restriction to an orbit, via rank coordinates."""
-    pts = sorted(orbit_points)
-    pset = set(pts)
-    by_ray = {ray: [p for p in pts if p.ray == ray] for ray in range(1, n + 1)}
-    rank = {}
-    for ray, lst in by_ray.items():
-        for r, p in enumerate(lst):
-            rank[p] = RayPoint(ray, r)
-    partial = {}
-    for p in pts:
-        q = g.apply(p)
-        if q in pset:
-            partial[rank[p]] = rank[q]
-    return infer_eventual_translation(partial, n, _contiguous_prefix(partial, n))
+    Ray i's tail from S_i has period m_i, the gcd of the generators' t_i, and
+    O meets r_i of its residues (``FoldedOrbits.tails``).  g translates ray i
+    by a multiple of m_i, so for p in O with p >= threshold(g) and p, p + t_i
+    >= S_i, the positions from p to g(p) hold |t_i| / m_i of each residue:
+    g(p) ranks t_i r_i / m_i above p.  So the head lies among O's points
+    below max S_i + threshold(g) + max shift, whose ranks and images' ranks
+    the orbit keys give; ``_from_codes`` checks the bijection.  Raises
+    DomainError when O meets some ray finitely, or g sends a point of O off it.
+    """
+    n, orbits = group.n, _orbit_certificate(group)
+    if g.n != n:
+        raise DomainError(f"element acts on {g.n} rays, the group on {n}")
+    point = RaySystem(n).check(point)
+    key, tails = orbits.key(point), orbits.tails()
+    t, edge = [], max(start for start, *_ in tails) + g.threshold + g.max_shift()
+    for ray, (shift, (_, period, tail)) in enumerate(zip(g.t, tails), start=1):
+        ours = {r for r, k in enumerate(tail) if k == key}
+        if not ours:
+            raise DomainError(f"the orbit of {point} meets ray {ray} in finitely many points")
+        if {(r + shift) % period for r in ours} != ours:
+            raise DomainError(f"the element moves the tail of ray {ray} off the orbit of {point}")
+        t.append(shift * len(ours) // period)
+    keys, ranks = orbits.window_keys(edge + g.max_shift()), {}
+    for ray in range(n):
+        codes = [c for c in range(ray, len(keys), n) if keys[c] == key]  # O's points on the ray
+        ranks.update((c, rank * n + ray) for rank, c in enumerate(codes))
+    pairs = []
+    for c in (c for c in ranks if c < n * edge):
+        if (image := g._image(c)) not in ranks:
+            raise DomainError(f"the element sends {point_of(n, c)} off its orbit")
+        pairs.append((ranks[c], ranks[image]))
+    return HoughtonElement._from_codes(n, tuple(t), pairs)
 
 
 def decompose(group: GeneratedSubgroup, depth: int = 40) -> SubdirectDecomposition:
-    """Split the action along its window orbit classes.
+    """Split the action along its exact orbits, ordered by least point (``induce_on_orbit``).
 
     Every factor of a full-Hirsch subgroup lands on an intrinsic copy of the
-    ray system because each infinite orbit meets each ray infinitely often;
-    the induced generators, lattices and flags are computed per factor.
+    ray system: an orbit meeting only the rays R would add the relation
+    sum_R t_i r_i / m_i = 0 to the lattice.  A finite orbit raises
+    DomainError naming its least point.  ``depth`` sets only the window of
+    each factor's ``points``.
     """
-    report = orbit_windows(group, depth)
     if not translation_lattice(group).rank == group.n - 1:
         raise DomainError("decompose needs a subgroup of full Hirsch length")
+    n, orbits = group.n, _orbit_certificate(group)
+    # every orbit has a point below the edge
+    edge = max(start + max(period, 1) for start, period, _ in orbits.tails())
+    keys, least, infinite = orbits.window_keys(max(depth, edge)), {}, orbits.tail_roots()
+    for ray in range(n):
+        for pos, key in enumerate(keys[ray:n * edge:n]):
+            least.setdefault(key, RayPoint(ray + 1, pos))
     factors = []
-    for idx, cls in enumerate(report.classes):
-        if report.ray_incidence[idx] != tuple(range(1, group.n + 1)):
-            raise InconclusiveError(
-                f"orbit class {idx} misses a ray inside the window",
-                hint=2 * report.window_depth,
-            )
-        induced = tuple(induce_on_orbit(cls, g, group.n) for g in group.generators)
+    for idx, (key, where) in enumerate(least.items()):
+        if key not in infinite:
+            raise DomainError(f"the orbit of {where} is finite")
+        cls = tuple(sorted(point_of(n, c) for c in range(n * depth) if keys[c] == key))
+        induced = tuple(induce_on_orbit(group, where, g) for g in group.generators)
         lattice = TranslationLattice.from_vectors(
             group.n, [e.translation_vector() for e in induced]
         )
@@ -116,7 +129,7 @@ def decompose(group: GeneratedSubgroup, depth: int = 40) -> SubdirectDecompositi
         factors.append(
             FactorRestriction(idx, cls, induced, lattice, full, level)
         )
-    return SubdirectDecomposition(group.n, report.window_depth, tuple(factors), report)
+    return SubdirectDecomposition(group.n, depth, tuple(factors))
 
 
 # -- kernel intersection probes ----------------------------------------------------
@@ -153,7 +166,7 @@ def kernel_intersection_probe(
                 return ProbeResult("trivial-full-factor", g, None)
         return ProbeResult("inconclusive", None, None)
     orbit = set(decomposition.factors[factor_index].points)
-    depth = decomposition.report.window_depth
+    depth = decomposition.window_depth
     gens = group.symmetric_generators()
     for path, e in bounded_words(identity(group.n), gens, HoughtonElement.compose, 4, cap=20000):
         if not e.is_finitary() or e.is_identity() or e.threshold > depth:

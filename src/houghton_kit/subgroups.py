@@ -285,7 +285,6 @@ class OrbitWindowReport:
     ``stabilized`` is always True; the key stays in the report schema.
     """
 
-    window_depth: int
     classes: tuple  # tuples of RayPoint, ordered by least point
     stabilized: bool
     ray_incidence: tuple  # per class: sorted tuple of rays met
@@ -319,7 +318,7 @@ def orbit_windows(group: GeneratedSubgroup, depth: int) -> OrbitWindowReport:
     keys = _orbit_certificate(group).window_keys(depth)
     classes = tuple(_window_partition(keys, group.n, depth))
     incidence = tuple(tuple(sorted({p.ray for p in cls})) for cls in classes)
-    return OrbitWindowReport(depth, classes, True, incidence)
+    return OrbitWindowReport(classes, True, incidence)
 
 
 # -- word search helpers ----------------------------------------------------------

@@ -140,20 +140,22 @@ class MultiWreathElement:
         if self.ctx is not other.ctx:
             raise DomainError("wreath elements from different contexts")
         head = self.head.compose(other.head)
-        a1 = self.head
+        a1, n = self.head, self.ctx.n
         a1_inv = a1.inverse()
+        # base keys are quotient points, so their images need no check
         points = {qp for qp, _ in self.base}
-        points.update(a1_inv.apply(qp) for qp, _ in other.base)
+        points.update(point_of(n, a1_inv._image(code_of(n, qp))) for qp, _ in other.base)
         base = []
         for qp in points:
-            value = _mul(self.base_value(qp), other.base_value(a1.apply(qp)))
-            base.append((qp, value))
+            moved = point_of(n, a1._image(code_of(n, qp)))
+            base.append((qp, _mul(self.base_value(qp), other.base_value(moved))))
         return MultiWreathElement(self.ctx, tuple(base), head)
 
     def inverse(self) -> "MultiWreathElement":
         head_inv = self.head.inverse()
+        n = self.ctx.n
         base = [
-            (self.head.apply(qp), _inv(v))
+            (point_of(n, self.head._image(code_of(n, qp))), _inv(v))
             for qp, v in self.base
         ]
         return MultiWreathElement(self.ctx, tuple(base), head_inv)

@@ -14,9 +14,11 @@ from houghton_kit.bns import (
     meinert_complement_bound,
     parse_character,
     subgroup_type,
+    _min_support_search,
     two_support_vector,
     vanishing_sphere_min_support,
 )
+from houghton_kit.cli import cli_main
 from houghton_kit.errors import DomainError
 from houghton_kit.subgroups import TranslationLattice, delta_k, is_level, translation_lattice
 
@@ -188,6 +190,22 @@ def test_rank_one_lattice_blocks_with_both_vanishing_characters():
 def test_vanishing_sphere_empty_for_full_rank():
     size, reps = vanishing_sphere_min_support(TranslationLattice.zero_sum(5))
     assert size is None and reps == ()
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_the_kernel_of_one_character_reads_the_search_answer_off_two_characters(n):
+    # every character with coefficients 0..2: its kernel has corank one
+    for coeffs in itertools.product(range(3), repeat=n):
+        if len(set(coeffs)) > 1:
+            lattice = kernel_lattice_of_character(list(coeffs), n)
+            assert vanishing_sphere_min_support(lattice) == _min_support_search(lattice), coeffs
+
+
+def test_bns_type_on_24_rays_returns(capsys):
+    # the support search tried every subset of the 24 rays
+    kernel = " + ".join(f"t{i}" for i in range(1, 13))
+    assert cli_main(["bns", "type", "--n", "24", "--kernel", kernel]) == 0
+    assert capsys.readouterr().out == "type F_11, not F_12\n"
 
 
 # -- Meinert bound ------------------------------------------------------------------

@@ -7,7 +7,7 @@ from houghton_kit import bns, cli, subgroups
 from houghton_kit.blocks import PROOF_CAVEAT, WINDOW_CAVEAT
 from houghton_kit.classify import classify
 from houghton_kit.cli import cli_main
-from houghton_kit.elements import from_cycles, generator, houghton_generators, transposition
+from houghton_kit.elements import from_cycles, generator, houghton_generators, identity, transposition
 from houghton_kit.subgroups import GeneratedSubgroup, delta_k, element_with_translation
 
 
@@ -309,6 +309,51 @@ def test_cli_input_at_the_position_bound_is_accepted(tmp_path, capsys):
     word = "(1:0 1:1)^100000 * (1:0 1:100000)"
     assert cli_main(["--json", "element", "parse", "--n", "2", "--word", word]) == 0
     assert json.loads(capsys.readouterr().out)["threshold"] == 10**5 + 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["element", "parse", "--n", "10000000", "--word", "g2"],
+        ["element", "compose", "--n", "65", "--word", "g2"],
+        ["element", "parse", "--file", "ELEMENT"],
+        ["element", "cycles", "--file", "ELEMENT"],
+        ["subgroup", "orbits", "--subgroup", "GROUP"],
+        ["blocks", "find", "--subgroup", "GROUP"],
+        ["wreath", "embed", "--subgroup", "GROUP", "--blocks", "BLOCKS"],
+        ["classify", "--subgroup", "GROUP"],
+        ["bns", "sigma", "--n", "65", "--chi", "t1"],
+        ["bns", "type", "--n", "65", "--kernel", "t1"],
+        ["bns", "certificate", "--n", "65", "--lattice", "1,-1"],
+        ["bns", "certificate", "--n", "3", "--subgroup", "GROUP"],
+    ],
+    ids=["parse-word", "compose-word", "element-file", "cycles-file", "orbits", "blocks",
+         "wreath", "classify", "sigma", "type", "certificate-lattice", "certificate-subgroup"],
+)
+def test_cli_ray_count_past_the_ray_bound_exits_2(tmp_path, capsys, argv):
+    # an element file on 65 rays, and a subgroup file on 10^7 rays with no generators
+    element = tmp_path / "element.json"
+    element.write_text(json.dumps(identity(65).to_json_dict()))
+    group = tmp_path / "group.json"
+    group.write_text(json.dumps({"n": 10**7, "generators": []}))
+    blocks = tmp_path / "blocks.json"
+    blocks.write_text(json.dumps([[[1, 0]]]))
+    paths = {"ELEMENT": str(element), "GROUP": str(group), "BLOCKS": str(blocks)}
+    assert cli_main([paths.get(a, a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "is above the command-line bound 64" in captured.err
+
+
+def test_cli_ray_count_at_the_ray_bound_is_accepted(tmp_path, capsys):
+    assert cli.RAY_BOUND == 64
+    path = write_subgroup(tmp_path, GeneratedSubgroup.from_elements(64, houghton_generators(64)))
+    assert cli_main(["--json", "subgroup", "orbits", "--subgroup", path]) == 0
+    assert json.loads(capsys.readouterr().out)["class_count"] == 1
+    assert cli_main(["--json", "element", "parse", "--n", "64", "--word", "g64"]) == 0
+    assert json.loads(capsys.readouterr().out)["t"][63] == -1
+    assert cli_main(["bns", "type", "--n", "64", "--kernel", "t1 - t64"]) == 0
+    assert capsys.readouterr().out == "type F_62, not F_63\n"
 
 
 def test_cli_invalid_input_exit_2(tmp_path, capsys):

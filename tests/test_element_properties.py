@@ -11,10 +11,10 @@ import json
 
 from hypothesis import given, settings, strategies as st
 
-from houghton_kit.blocks import infer_eventual_translation
 from houghton_kit.elements import HoughtonElement, identity, random_element
 from houghton_kit.errors import InvalidElementError
 from houghton_kit.rays import RayPoint, RaySystem
+from test_wreath_oracle import read_partial
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -155,9 +155,10 @@ def test_from_json_dict_rejects_each_single_field_mutation(n, a, k):
 @PROPERTY
 @given(rays, seeds, st.integers(0, 6))
 def test_infer_eventual_translation_gives_back_the_element(n, a, extra):
-    # past the threshold every point translates, so the top half of a window
-    # of depth >= 2 * threshold + 4 reads t and the rest is the head
+    # the quotient's inference kernel on a partial map: past the threshold
+    # every point translates, so the top half of a window of depth
+    # >= 2 * threshold + 4 reads t and the rest is the head
     g = element(n, a)
     depth = 2 * g.threshold + 4 + extra
     partial = {p: g.apply(p) for p in RaySystem(n).window(depth)}
-    assert infer_eventual_translation(partial, n, (depth,) * n) == g
+    assert read_partial(partial, n, (depth,) * n) == g

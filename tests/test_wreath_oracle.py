@@ -21,10 +21,12 @@ the moved classes its non-identity rank tuples, the kernel the element
 the dict rule it replaced.  The contexts and elements take every branch,
 including the intransitive context ⟨g2^4, (1:0 1:2), (1:1 1:3)⟩.
 
-``reference_inference`` is ``infer_eventual_translation`` as a per-ray scan
-that rereads the whole partial map for every ray; the kernel comparisons read
-heads through it, and the one-pass inference must give the same element, or
-the same message and hint, on seeded partial maps that reach every branch.
+``reference_inference`` is the quotient's inference kernel
+(``blocks._read_element``) on a partial map, as a per-ray scan that rereads
+the whole map for every ray; the kernel comparisons read heads through it.
+``read_partial`` hands a partial map to the one-pass kernel, which must give
+the same element, or the same message and hint, on seeded partial maps that
+reach every branch.
 ``reference_words`` is ``random_words`` composing each word onto the identity
 letter by letter.
 
@@ -43,9 +45,10 @@ import pytest
 
 from houghton_kit.blocks import (
     BlockSystem,
+    _read_element,
     _same_rays,
+    _top_half,
     congruence_classes,
-    infer_eventual_translation,
 )
 from houghton_kit.elements import (
     HoughtonElement,
@@ -57,7 +60,7 @@ from houghton_kit.elements import (
 )
 from houghton_kit.errors import DomainError, InconclusiveError
 from houghton_kit.finperm import _is_id
-from houghton_kit.rays import RayPoint
+from houghton_kit.rays import RayPoint, code_of
 from houghton_kit.subgroups import GeneratedSubgroup, bounded_words, delta_k
 from houghton_kit.wreath import (
     BlockContext,
@@ -108,6 +111,25 @@ def reference_inference(partial, n, known_ranks):
             f"partial quotient data does not close to a bijection: {exc}",
             hint="increase the window depth",
         ) from None
+
+
+def read_partial(partial, n, known_ranks):
+    """``blocks._read_element`` on a partial map on the points of n rays.
+
+    The map's keys, in order, are the sources, and the images that are no key
+    follow them as further points.  ``known_ranks`` caps, per ray, the ranks
+    the map is complete up to.
+    """
+    points = list(partial)
+    ids = {p: k for k, p in enumerate(points)}
+    targets = []
+    for q in partial.values():
+        if q not in ids:
+            ids[q] = len(points)
+            points.append(q)
+        targets.append(ids[q])
+    codes = [code_of(n, p) for p in points]
+    return _read_element(n, codes, targets, _top_half(partial, known_ranks))
 
 
 def reference_words(group, count, max_len, rng):
@@ -518,7 +540,7 @@ def test_inference_matches_the_per_ray_scan_on_every_branch():
     for seed in range(300):
         partial, n, known = seeded_partial(seed)
         want = outcome(reference_inference, partial, n, known)
-        assert outcome(infer_eventual_translation, partial, n, known) == want, seed
+        assert outcome(read_partial, partial, n, known) == want, seed
         seen.add(inference_branch(partial, n, known))
     assert seen == {
         "element",
