@@ -15,12 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, compress
+from itertools import combinations, compress, islice
 from operator import ne
 
 from .elements import HoughtonElement, _image_table
 from .errors import DomainError, InconclusiveError, InvalidElementError
-from .finperm import _close
+from .finperm import _classes, _close
 from .rays import RayPoint, RaySystem, code_of, point_of
 from .subgroups import (
     GeneratedSubgroup,
@@ -236,26 +236,6 @@ def _edge_weights(n: int, depth: int, cap: int, edge: int) -> list:
     return [1] * (n * edge) + [cap + 1] * (n * (depth - edge))
 
 
-def _closure_class_of_pair(group, tables, p, q, depth, cap, weights):
-    """(class of p, all classes) in the congruence generated by p ~ q.
-
-    ``tables`` is ``_window_action(group, depth)`` and ``weights`` holds an
-    int per code of the window, as from ``_edge_weights``.  None as soon as the
-    weights in the class of p add up to more than ``cap``: classes only grow
-    during the closure, so its final class would break the same limit.
-    """
-    n = group.n
-    ip = code_of(n, p)
-    roots = _close(n * depth, [(ip, code_of(n, q))], tables, (ip, cap, weights))
-    if roots is None:
-        return None
-    classes = _window_partition(roots, n, depth)
-    for cls in classes:
-        if p in cls:
-            return cls, classes
-    raise AssertionError("point lost by closure")
-
-
 def _search_block_systems(group: GeneratedSubgroup, depth: int) -> BlockSearchResult:
     """The window-bounded search of ``find_block_systems``, without the proof.
 
@@ -276,30 +256,27 @@ def _search_block_systems(group: GeneratedSubgroup, depth: int) -> BlockSearchRe
     """
     bound = block_size_bound(translation_lattice(group))
     margin = _require_margin(group, depth)
+    n = group.n
     report = orbit_windows(group, depth // 2)
     tables = _window_action(group, depth)
-    seeds_q = list(RaySystem(group.n).window(depth))[: 4 * bound]
+    seeds = [code_of(n, q) for q in islice(RaySystem(n).window(depth), 4 * bound)]
     found = []
     seen_keys = set()
     for cls in report.classes:
-        p = cls[0]
-        weights = _edge_weights(group.n, depth, bound, depth - margin)
-        for q in seeds_q:
-            iq = code_of(group.n, q)
-            if q == p or weights[iq] > bound:
+        ip = code_of(n, cls[0])
+        weights = _edge_weights(n, depth, bound, depth - margin)
+        for iq in seeds:
+            if iq == ip or weights[iq] > bound:
                 continue
-            closed = _closure_class_of_pair(group, tables, p, q, depth, bound, weights)
-            if closed is None:
+            roots = _close(n * depth, [(ip, iq)], tables, (ip, bound, weights))
+            if roots is None:
                 weights[iq] = bound + 1
                 continue
-            block, classes = closed
+            block = tuple(sorted(point_of(n, c) for c, r in enumerate(roots) if r == roots[ip]))
             if any(set(c) <= set(block) for c in report.classes):
                 continue
-            interior = frozenset(
-                frozenset(c)
-                for c in classes
-                if all(pt.pos < depth // 2 for pt in c)
-            )
+            # the classes inside the window's lower half, by their largest code
+            interior = frozenset(tuple(c) for c in _classes(roots) if c[-1] < n * (depth // 2))
             if interior in seen_keys:
                 continue
             covered = [c for c in report.classes if set(c) & set(block)]
@@ -503,8 +480,7 @@ class QuotientStructure:
     _lead: tuple  # per entry of _members, the start of its class in _members
     _starts: tuple  # per kept class, the start of its points in _members
     _codes: tuple  # per kept class, the code of its quotient point
-    _top: tuple  # per ray, the kept class ids in the top half of _known_ranks
-    _known_ranks: tuple  # per ray, contiguous rank prefix with complete data
+    _top: tuple  # per ray, the kept class ids in the top half of its complete rank prefix
 
     def class_index_of(self, p) -> int | None:
         ray, pos = p
@@ -694,7 +670,6 @@ def quotient(group: GeneratedSubgroup, system: BlockSystem, depth: int) -> Quoti
         _starts=tuple(starts),
         _codes=tuple(code_of(n, qp) for qp in quotient_points),
         _top=_top_half(quotient_points, known_ranks),
-        _known_ranks=tuple(known_ranks),
     )
     induced = []
     kernel = []

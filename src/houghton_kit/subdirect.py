@@ -28,6 +28,7 @@ class FactorRestriction:
     """Restriction of the subgroup to one orbit, in intrinsic coordinates."""
 
     orbit_index: int
+    least: RayPoint  # the orbit's least point
     points: tuple  # orbit points inside the window, sorted
     generators: tuple  # induced elements on the intrinsic ray system
     lattice: TranslationLattice
@@ -127,7 +128,7 @@ def decompose(group: GeneratedSubgroup, depth: int = 40) -> SubdirectDecompositi
         if group.n >= 3:
             level = bool(is_level(lattice))
         factors.append(
-            FactorRestriction(idx, cls, induced, lattice, full, level)
+            FactorRestriction(idx, where, cls, induced, lattice, full, level)
         )
     return SubdirectDecomposition(group.n, depth, tuple(factors))
 
@@ -155,8 +156,9 @@ def kernel_intersection_probe(
 
     Words of length at most 4 are tried.  Only finitary words are eligible
     (an element trivial on the other orbits must have zero translation since
-    every orbit meets every ray), and their supports are exact, so a hit is a
-    certificate.  A miss is inconclusive.
+    every orbit meets every ray).  Their supports are exact, and each moved
+    point is tested by its exact orbit key, so a hit is a certificate at any
+    ``decompose`` depth.  A miss is inconclusive.
     """
     if not 0 <= factor_index < len(decomposition.factors):
         raise DomainError("no such factor")
@@ -165,13 +167,12 @@ def kernel_intersection_probe(
             if not g.is_identity():
                 return ProbeResult("trivial-full-factor", g, None)
         return ProbeResult("inconclusive", None, None)
-    orbit = set(decomposition.factors[factor_index].points)
-    depth = decomposition.window_depth
+    orbits = _orbit_certificate(group)
+    key = orbits.key(decomposition.factors[factor_index].least)
     gens = group.symmetric_generators()
     for path, e in bounded_words(identity(group.n), gens, HoughtonElement.compose, 4, cap=20000):
-        if not e.is_finitary() or e.is_identity() or e.threshold > depth:
+        if not e.is_finitary() or e.is_identity():
             continue
-        moved, _ = e.support_description()
-        if set(moved) <= orbit:
+        if all(orbits.key(p) == key for p, _ in e.head):
             return ProbeResult("found", e, len(path))
     return ProbeResult("inconclusive", None, None)

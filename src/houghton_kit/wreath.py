@@ -39,11 +39,10 @@ class BlockContext:
     first appearance along ``structure.quotient_points``, one block each.
     """
 
-    def __init__(self, group: GeneratedSubgroup, structure: QuotientStructure, twists=None):
+    def __init__(self, group: GeneratedSubgroup, structure: QuotientStructure):
         self.group = group
         self.quotient = structure
         self.n = structure.n
-        self._twists = dict(twists or {})
         self._index = {qp: k for k, qp in enumerate(structure.quotient_points)}
         self._orbits = _fold_orbits(self.n, structure.induced)
         self._orbit_ids = {}  # orbit key -> orbit id
@@ -193,18 +192,15 @@ def kk_embed(g: HoughtonElement, ctx: BlockContext) -> MultiWreathElement:
 
     Head: the induced quotient permutation.  Base at a class: the rank
     permutation obtained by following the element from the class to its
-    image and reading positions through the transversal order (the sorted
-    class, then any twist of the context); classes on which the element is
-    order preserving contribute nothing.  As in ``partial_action``, a class
-    with an image past the closure window is skipped even if its other
-    images fall in two classes, and raises DomainError otherwise; a skipped
-    class below the element's threshold makes the result inconclusive.
+    image, both in sorted order; classes on which the element is order
+    preserving contribute nothing.  As in ``partial_action``, a class with an
+    image past the closure window is skipped even if its other images fall
+    in two classes, and raises DomainError otherwise; a skipped class below
+    the element's threshold makes the result inconclusive.
 
     One class-action pass gives every class's target id and the classes
-    whose ranks move, and one kernel (``QuotientStructure._induced``) reads
-    the head off the targets.  Only the moved classes are read for the base,
-    and in a twisted context also each class with a twist at its source or
-    its target.
+    whose ranks move, which are the base, and one kernel
+    (``QuotientStructure._induced``) reads the head off the targets.
     """
     q = ctx.quotient
     if g.threshold > q.window_depth:
@@ -220,27 +216,8 @@ def kk_embed(g: HoughtonElement, ctx: BlockContext) -> MultiWreathElement:
                 raise InconclusiveError(
                     f"image of class {q.classes[k][0]} is outside the verified window"
                 )
-    qps, twists = q.quotient_points, ctx._twists
-    examine = set(moved)
-    if twists:
-        examine.update(
-            k for k, j in enumerate(targets)
-            if j is not None and (qps[k] in twists or qps[j] in twists)
-        )
-    base = []
-    for k in examine:
-        value = moved.get(k) or tuple(range(len(q.classes[k])))
-        if twists:
-            # transversal position i holds sorted rank src[i]; sorted rank r
-            # sits at transversal position dst^-1[r]
-            src, dst = twists.get(qps[k]), twists.get(qps[targets[k]])
-            if src is not None:
-                value = tuple(value[i] for i in src)
-            if dst is not None:
-                dst_inv = _inv(dst)
-                value = tuple(dst_inv[r] for r in value)
-        base.append((qps[k], value))
-    return MultiWreathElement(ctx, tuple(base), head)
+    base = tuple((q.quotient_points[k], v) for k, v in moved.items())
+    return MultiWreathElement(ctx, base, head)
 
 
 def order_preserving_on_class(g: HoughtonElement, ctx: BlockContext, qpoint) -> bool:
@@ -311,14 +288,13 @@ def verify_kk(
         if prev is not None and prev != g:
             inj_fail += 1
         by_image[kg] = g
-        if not ctx._twists:
-            # kk_embed(g) raised for any class below g's threshold with no known image
-            supp = set(kg.support())
-            for k, qp in enumerate(ctx.quotient.quotient_points):
-                if ctx.quotient.classes[k][0].pos >= g.threshold:
-                    continue
-                if (qp in supp) == order_preserving_on_class(g, ctx, qp):
-                    supp_fail += 1
+        # kk_embed(g) raised for any class below g's threshold with no known image
+        supp = set(kg.support())
+        for k, qp in enumerate(ctx.quotient.quotient_points):
+            if ctx.quotient.classes[k][0].pos >= g.threshold:
+                continue
+            if (qp in supp) == order_preserving_on_class(g, ctx, qp):
+                supp_fail += 1
         if w_groups_by_orbit is not None:
             for qp, v in kg.base:
                 grp = w_groups_by_orbit[ctx.orbit_of(qp)]

@@ -178,6 +178,32 @@ def test_kernel_probe_delta2_finds_single_orbit_element():
         assert set(moved) <= set(dec.factors[i].points)
 
 
+def test_kernel_probe_gives_one_answer_at_every_depth():
+    # the probe keys moved points by their exact orbits, so a factor whose
+    # orbit misses a shallow window is probed as at depth 40
+    d = delta_k(3, 2)
+    c = random_element(3, head_budget=3, t_bound=1, seed=random.Random(24))
+    c_inv = c.inverse()
+    conjugate = GeneratedSubgroup(3, tuple(c_inv.compose(g).compose(c) for g in d.generators))
+    # its first word of length 1 swaps points of both orbits, so it is no hit
+    both = GeneratedSubgroup(
+        2, (from_cycles(2, [[(1, 0), (1, 2)], [(1, 1), (1, 3)]]),) + intransitive_group().generators
+    )
+    for group in (d, conjugate, intransitive_group(), both):
+        deep = decompose(group, depth=40)
+        want = [kernel_intersection_probe(group, deep, i) for i in range(len(deep.factors))]
+        for depth in (1, 2, 3, 10):
+            dec = decompose(group, depth)
+            assert [kernel_intersection_probe(group, dec, i) for i in range(len(dec.factors))] == want
+        for i, result in enumerate(want):
+            assert result.found and result.element.is_finitary()
+            moved, _ = result.element.support_description()
+            window = decompose(group, result.element.threshold).factors[i].points
+            assert set(moved) <= set(window)
+    assert [(r.status, r.word_length) for r in
+            (kernel_intersection_probe(d, decompose(d, 1), i) for i in (0, 1))] == [("found", 1)] * 2
+
+
 def test_kernel_probe_transitive_returns_generator():
     g = GeneratedSubgroup.from_elements(3, houghton_generators(3))
     dec = decompose(g, depth=30)

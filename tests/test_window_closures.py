@@ -19,7 +19,6 @@ import pytest
 from houghton_kit import elements
 from houghton_kit.blocks import (
     BlockSystem,
-    _closure_class_of_pair,
     _deepest_tables,
     _edge_weights,
     _require_margin,
@@ -39,10 +38,12 @@ from houghton_kit.elements import (
     window_cycle_counts,
 )
 from houghton_kit.errors import InconclusiveError
+from houghton_kit.finperm import _close
 from houghton_kit.rays import RayPoint, RaySystem, code_of, point_of
 from houghton_kit.subgroups import (
     GeneratedSubgroup,
     _orbit_certificate,
+    _window_partition,
     delta_k,
     orbit_windows,
     translation_lattice,
@@ -497,6 +498,17 @@ def test_equal_groups_built_apart_share_one_certificate():
     )
 
 
+def pair_closure(group, tables, p, q, depth, cap, weights):
+    """(class of p, all classes) of ``_close`` on the pair p ~ q, with p watched
+    against ``cap`` and ``weights``; None where the closure stops."""
+    n, ip = group.n, code_of(group.n, p)
+    roots = _close(n * depth, [(ip, code_of(n, q))], tables, (ip, cap, weights))
+    if roots is None:
+        return None
+    block = tuple(sorted(point_of(n, c) for c, r in enumerate(roots) if r == roots[ip]))
+    return block, _window_partition(roots, n, depth)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_pair_closure_stops_exactly_past_the_cap(seed):
     rng = random.Random(200 + seed)
@@ -511,7 +523,7 @@ def test_pair_closure_stops_exactly_past_the_cap(seed):
         size = len(next(c for c in full if p in c))
         for cap in {1, size - 1, size, size + 1, rng.randint(1, 3 * size)}:
             weights = _edge_weights(group.n, depth, cap, depth)
-            got = _closure_class_of_pair(group, tables, p, q, depth, cap, weights)
+            got = pair_closure(group, tables, p, q, depth, cap, weights)
             if size > cap:
                 assert got is None
             else:
@@ -534,7 +546,7 @@ def test_pair_closure_stops_when_the_class_reaches_the_edge(seed):
         for cap in {len(cls) - 1, len(cls), 3 * len(cls)}:
             for edge in {0, p.pos, reach, reach + 1, depth, rng.randint(0, depth)}:
                 weights = _edge_weights(group.n, depth, cap, edge)
-                got = _closure_class_of_pair(group, tables, p, q, depth, cap, weights)
+                got = pair_closure(group, tables, p, q, depth, cap, weights)
                 if len(cls) > cap or reach >= edge:
                     assert got is None
                 else:

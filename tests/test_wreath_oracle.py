@@ -3,9 +3,10 @@
 ``Reference.partial_action`` and ``Reference.kk_embed`` follow every class
 point by point as RayPoints: the class of each image comes from a dict over
 the closure window, and the base value from the position of each image in the
-target class's transversal order.  ``QuotientStructure.partial_action`` and
+sorted target class.  ``QuotientStructure.partial_action`` and
 ``wreath.kk_embed`` must give the same result, or raise the same exception
 class with the same message and hint, on every context and element here.
+The reference reads each ray's known-rank prefix off its own closure classes.
 
 The elements are seeded group words (which preserve the congruence), seeded
 ``random_element``s (which mostly break it), and edge elements that send one
@@ -146,7 +147,9 @@ def reference_words(group, count, max_len, rng):
 
 class Reference:
     """Point-level tables of a context: every closure window point's class id,
-    and the quotient point of each class that lies inside the depth."""
+    the quotient point of each class that lies inside the depth, and per ray
+    the number of classes, in order of least point, before the first one
+    that crosses the depth."""
 
     def __init__(self, ctx: BlockContext):
         q = ctx.quotient
@@ -156,6 +159,10 @@ class Reference:
         by_class = dict(zip(q.classes, q.quotient_points))
         self.qpoint_by_id = {k: by_class[c] for k, c in enumerate(classes) if c in by_class}
         assert list(by_class) == [c for c in classes if c in by_class]
+        on_rays = ([c for c in classes if c[0].ray == ray] for ray in range(1, q.n + 1))
+        self.known_ranks = tuple(
+            next((r for r, c in enumerate(cs) if c not in by_class), len(cs)) for cs in on_rays
+        )
 
     def partial_action(self, element):
         q = self.ctx.quotient
@@ -173,11 +180,6 @@ class Reference:
                 partial[q.quotient_points[k]] = qtarget
         return partial
 
-    def transversal_points(self, qpoint):
-        pts = self.ctx.class_points(qpoint)
-        twist = self.ctx._twists.get(qpoint)
-        return pts if twist is None else tuple(pts[i] for i in twist)
-
     def kk_embed(self, g):
         ctx, q = self.ctx, self.ctx.quotient
         if g.threshold > q.window_depth:
@@ -185,15 +187,14 @@ class Reference:
                 "element head region exceeds the verified window", hint=g.threshold
             )
         partial = self.partial_action(g)
-        head = reference_inference(partial, q.n, q._known_ranks)
+        head = reference_inference(partial, q.n, self.known_ranks)
         for k, cls in enumerate(q.classes):
             if cls[0].pos < g.threshold and q.quotient_points[k] not in partial:
                 raise InconclusiveError(f"image of class {cls[0]} is outside the verified window")
         base = []
         for qp, target in partial.items():
-            src = self.transversal_points(qp)
-            pos = {p: i for i, p in enumerate(self.transversal_points(target))}
-            value = tuple(pos[g.apply(p)] for p in src)
+            pos = {p: i for i, p in enumerate(ctx.class_points(target))}
+            value = tuple(pos[g.apply(p)] for p in ctx.class_points(qp))
             if not _is_id(value):
                 base.append((qp, value))
         return MultiWreathElement(ctx, tuple(base), head)
@@ -266,16 +267,6 @@ def conjugated_context(seed):
     return build_block_context(group, system, 30)
 
 
-def twisted(ctx, twist):
-    """The context with its first class on ray 1 from position 10 in twisted order."""
-    q = ctx.quotient
-    far = next(
-        qp for k, qp in enumerate(q.quotient_points)
-        if qp.ray == 1 and 10 <= q.classes[k][0].pos <= 20
-    )
-    return BlockContext(ctx.group, q, {far: twist})
-
-
 def contexts():
     pair = BlockSystem.from_lists([[(1, 0), (1, 1)]])
     triple = BlockSystem.from_lists([[(1, 0), (1, 1), (1, 2)]])
@@ -288,9 +279,8 @@ def contexts():
     out["intransitive"] = build_block_context(
         intransitive_group(), BlockSystem.from_lists([[(1, 0), (1, 2)], [(1, 1)]]), 60
     )
-    out["twisted-pair"] = twisted(out["pair-60"], (1, 0))
-    # a three-cycle twist differs from its inverse, a transposition does not
-    out["twisted-triple"] = twisted(build_block_context(triple_group(), triple, 30), (1, 2, 0))
+    # S_3 on blocks of three: 3-cycles and transpositions as base values
+    out["triple-30"] = build_block_context(triple_group(), triple, 30)
     return out
 
 
@@ -416,7 +406,7 @@ def test_class_action_and_kernel_match_the_reference(label):
         qps = q.quotient_points
         assert {qps[k]: qps[j] for k, j in enumerate(targets) if j is not None} == want[1], g
         assert moved == reference_moved(ctx, g, want[1]), g
-        read = outcome(reference_inference, want[1], q.n, q._known_ranks)
+        read = outcome(reference_inference, want[1], q.n, ref.known_ranks)
         assert outcome(q._induced, targets) == read, g
         trivial = all(want[1].get(qp, qp) == qp for qp in qps)
         assert _acts_trivially_on_classes(g, ctx) == trivial, g
@@ -446,12 +436,8 @@ def action_branches(label, ctx, ref, g):
             seen.add("the translation cannot be read")
         elif embedded[1].startswith("image of class"):
             seen.add("a class is skipped below the threshold")
-    elif embedded[0] == "ok":
-        twisted_classes = set(ctx._twists)
-        if any(p in twisted_classes or q in twisted_classes for p, q in got[1].items()):
-            seen.add("a twisted context")
-        if label == "intransitive":
-            seen.add("the intransitive context")
+    elif embedded[0] == "ok" and label == "intransitive":
+        seen.add("the intransitive context")
     return seen
 
 
@@ -468,7 +454,6 @@ def test_class_action_and_kernel_comparisons_reach_every_branch():
         "a class is skipped below the threshold",
         "the congruence breaks",
         "the translation cannot be read",
-        "a twisted context",
         "the intransitive context",
     }
 
@@ -552,7 +537,7 @@ def test_inference_matches_the_per_ray_scan_on_every_branch():
     }
 
 
-@pytest.mark.parametrize("label", ["pair-20", "delta_k(3,3)", "twisted-triple"])
+@pytest.mark.parametrize("label", ["pair-20", "delta_k(3,3)", "triple-30"])
 def test_random_words_match_the_letter_by_letter_words(label):
     group = CONTEXTS[label].group
     for max_len in (1, 3, 5):
@@ -561,7 +546,7 @@ def test_random_words_match_the_letter_by_letter_words(label):
         assert rng.getstate() == ref_rng.getstate()
 
 
-@pytest.mark.parametrize("label", ["pair-20", "delta_k(3,3)", "conjugated-3", "twisted-triple"])
+@pytest.mark.parametrize("label", ["pair-20", "delta_k(3,3)", "conjugated-3", "triple-30"])
 def test_class_index_of_matches_the_scan(label):
     ctx = CONTEXTS[label]
     ref = Reference(ctx)
@@ -751,20 +736,13 @@ def test_kernels_and_equal_groups_mixed_on_one_context_match_the_reference():
     assert set(ctx._descent_tables) == {group, labelled}
 
 
-def test_twisted_contexts_match_the_reference():
-    pair = pair_group()
-    plain = build_block_context(pair, PAIR, 60)
-    twisted_pair = twisted(plain, (1, 0))
-    runs = [(a, pair, twisted_pair, [pair.generators[1]]) for a in alphas(plain, pair, 6, 42, [(1, 0)])]
+def test_descents_with_three_cycles_and_transpositions_match_the_reference():
     triple = triple_group()
-    ctx = twisted(build_block_context(triple, TRIPLE, 30), (1, 2, 0))
+    ctx = build_block_context(triple, TRIPLE, 30)
     kernels = [[triple.generators[2]], [triple.generators[1], triple.generators[2]]]
     values = [(1, 0, 2), (0, 2, 1), (1, 2, 0), (2, 0, 1)]
-    for k, alpha in enumerate(alphas(ctx, triple, 8, 43, values)):
-        runs.append((alpha, triple, ctx, kernels[k % 2]))
-    statuses = assert_descents_match(runs)
-    assert "ok" in statuses
-    assert not plain._descent_tables
+    runs = [(a, triple, ctx, kernels[k % 2]) for k, a in enumerate(alphas(ctx, triple, 8, 43, values))]
+    assert "ok" in assert_descents_match(runs)
 
 
 def test_an_unmatched_head_matches_the_reference():
