@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import lcm
 
 from . import intlattice as la
@@ -275,19 +275,21 @@ def f_certificate(lattice: TranslationLattice) -> Certificate:
     When the lattice is level, each support pattern vanishing on one ray and
     positive on another is defeated by a two-support lattice vector pointing
     from the zero ray to the positive one; the witnesses list one such vector
-    per ordered ray pair.
+    per ordered ray pair.  Each unordered pair is solved once: a (e_i1 - e_i0)
+    lies in the lattice iff its negation does.
     """
     if lattice.index_in_zero_sum() is None:
         raise DomainError("the certificate needs a full-rank lattice")
     verdict = is_level(lattice)
     if not verdict.is_level:
         return Certificate(False, (), verdict.witness)
-    witnesses = []
-    for i0 in range(1, lattice.n + 1):
-        for i1 in range(1, lattice.n + 1):
-            if i0 != i1:
-                witnesses.append(two_support_vector(lattice, i0, i1))
-    return Certificate(True, tuple(witnesses), None)
+    rays = range(1, lattice.n + 1)
+    half = {pair: two_support_vector(lattice, *pair) for pair in combinations(rays, 2)}
+    witnesses = tuple(
+        half[i0, i1] if i0 < i1 else tuple(-x for x in half[i1, i0])
+        for i0, i1 in permutations(rays, 2)
+    )
+    return Certificate(True, witnesses, None)
 
 
 # -- parsing ------------------------------------------------------------------------
@@ -329,10 +331,7 @@ def kernel_lattice_of_character(text_or_coeffs, n: int) -> TranslationLattice:
         coeffs = list(parse_character(text_or_coeffs, n).coeffs)
     else:
         coeffs = [Fraction(c) for c in text_or_coeffs]
-    denom = 1
-    for c in coeffs:
-        denom = denom * c.denominator // la.xgcd(denom, c.denominator)[0]
+    denom = lcm(*(c.denominator for c in coeffs))
     int_coeffs = [int(c * denom) for c in coeffs]
-    ones = [1] * n
-    kernel = la.kernel_basis([[int_coeffs[j], ones[j]] for j in range(n)])
+    kernel = la.kernel_basis([[c, 1] for c in int_coeffs])
     return TranslationLattice.from_vectors(n, kernel)

@@ -77,7 +77,7 @@ def _level_section(group, lattice, cert):
     section = {
         "status": "not-level",
         "witness_pair": [i, j],
-        "witness_vector": list(vec) if vec else None,
+        "witness_vector": list(vec),
     }
     if lattice.index_in_zero_sum() is not None:
         m = congruence_exponent(lattice)

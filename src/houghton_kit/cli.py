@@ -54,9 +54,9 @@ POSITION_BOUND = 10**5
 # Largest ray count the command line accepts.  Parsing a word costs time and
 # memory linear in n (`element parse --word g2` took 1.4 s and 55 MiB at
 # n = 10^6), and the level certificate grows faster: `bns certificate` on the
-# zero-sum lattice took 0.7 s at n = 64 and 7.9 s at n = 128, and `classify`
-# of H_64 0.7 s (in process, one Xeon core).  No benchmark input has more than
-# 5 rays.  The library itself is unbounded.
+# zero-sum lattice took 0.4 to 0.6 s at n = 64 and 5.5 s at n = 128, and
+# `classify` of H_64 0.4 to 0.5 s (in process, one Xeon core).  No benchmark
+# input has more than 5 rays.  The library itself is unbounded.
 RAY_BOUND = 64
 
 _WORD_EXPONENT = re.compile(r"\^(-?\d+)")

@@ -8,7 +8,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import chain
+from itertools import chain, combinations
 from math import gcd, lcm
 from typing import Iterable
 
@@ -143,21 +143,6 @@ class TranslationLattice:
             return None
         return la.lattice_determinant(self.basis)
 
-    def projection_gcd(self, j: int, rows=None) -> int:
-        """Generator of the projection onto coordinate j (1-based)."""
-        rows = self.basis if rows is None else rows
-        return gcd(*(row[j - 1] for row in rows))
-
-    def rows_with_zero_at(self, i: int):
-        """Basis of the sublattice with vanishing i-th coordinate (1-based)."""
-        order = [i - 1] + [k for k in range(self.n) if k != i - 1]
-        shuffled = la.hnf_rows([[row[k] for k in order] for row in self.basis], self.n)
-        kept = [row for row in shuffled if row[0] == 0]
-        inverse = [0] * self.n
-        for pos, k in enumerate(order):
-            inverse[k] = pos
-        return [tuple(row[inverse[k]] for k in range(self.n)) for row in kept]
-
 
 def translation_lattice(group: GeneratedSubgroup) -> TranslationLattice:
     return TranslationLattice.from_vectors(
@@ -190,23 +175,33 @@ def is_level(lattice: TranslationLattice) -> LevelVerdict:
     sublattice vanishing on ray i must equal the projection of the whole
     lattice.  The witness names the first failing pair (scanned by target
     ray j, then zero ray i) and a vector whose j-component is unmatched.
-    Each zero-ray sublattice is built once, on first need.
+
+    Let g_k be the gcd of basis column k, M = {(v_i, v_j) : v in L} and d
+    its index in Z^2 (0 below rank 2).  Then d is the gcd of the 2 x 2
+    minors of basis columns i and j, and M's first coordinates span g_i Z.
+    So if g_i != 0, the j-th coordinates of the vectors with v_i = 0 span
+    (d / g_i) Z; if g_i = 0 they span g_j Z.  Either way (i, j) passes iff
+    d = g_i g_j, which is symmetric: the scan tests each unordered pair once,
+    when it first meets it.  Every minor is a multiple of g_i g_j, so the
+    running gcd stops once it reaches g_i g_j.
     """
     n = lattice.n
     if n < 3:
         raise UnsupportedCaseError("the lattice criterion needs n >= 3")
-    zero_at = {}
-    for j in range(1, n + 1):
-        full = lattice.projection_gcd(j)
-        for i in range(1, n + 1):
-            if i == j:
-                continue
-            if i not in zero_at:
-                zero_at[i] = lattice.rows_with_zero_at(i)
-            sub = lattice.projection_gcd(j, rows=zero_at[i])
-            if sub != full:
-                vec = _vector_with_projection(lattice, j, full)
-                return LevelVerdict(False, (i, j, vec))
+    basis = lattice.basis
+    g = [gcd(*(row[k] for row in basis)) for k in range(n)]
+    for j in range(n):
+        for i in range(j + 1, n):
+            target = g[i] * g[j]
+            rows = [(row[i], row[j]) for row in basis if row[i] or row[j]]
+            d = 0
+            for (a, b), (c, e) in combinations(rows, 2):
+                if d == target:
+                    break
+                d = gcd(d, a * e - b * c)
+            if d != target:
+                vec = _vector_with_projection(lattice, j + 1, g[j])
+                return LevelVerdict(False, (i + 1, j + 1, vec))
     return LevelVerdict(True)
 
 
@@ -225,8 +220,6 @@ def _vector_with_projection(lattice: TranslationLattice, j: int, target: int):
             g = g2
         if abs(g) == abs(target):
             break
-    if acc is None:
-        return None
     if g == -target:
         acc = [-a for a in acc]
     return tuple(acc)

@@ -3,24 +3,32 @@
 The references are the scans the package used before it read these facts off
 the basis: trial multiples over the divisors of the index, the truncated
 basis put in Hermite form a second time, and a level test that builds one
-zero-ray sublattice per ordered ray pair.  Membership in the references goes
-through ``solve_row_combination``, so it shares no code with
-``least_multiple_in_span``.
+zero-ray sublattice per ray, by a Hermite form with that ray's column first.
+Membership in the references goes through ``solve_row_combination``, so it
+shares no code with ``least_multiple_in_span``.  The level reference takes
+its witness vector from ``_vector_with_projection``, as the package does;
+the vector is checked apart, for membership and its target coordinate.
 """
 
 import json
 import random
+from itertools import permutations
+from math import gcd
 from time import perf_counter
 
+from houghton_kit import cli
 from houghton_kit import intlattice as la
-from houghton_kit.bns import f_certificate, two_support_vector
+from houghton_kit.bns import Certificate, f_certificate, two_support_vector
 from houghton_kit.cli import cli_main
+from houghton_kit.elements import generator
 from houghton_kit.subgroups import (
+    GeneratedSubgroup,
     LevelVerdict,
     TranslationLattice,
     _vector_with_projection,
     congruence_exponent,
     is_level,
+    translation_lattice,
 )
 
 LARGE_PRIME = 10_000_019
@@ -66,17 +74,37 @@ def ref_congruence_exponent(lattice):
     return index
 
 
+def ref_rows_with_zero_at(lattice, i):
+    """Basis of the sublattice vanishing on ray i.
+
+    The Hermite form with column i first, then the rows that are 0 there,
+    put back in ray order.
+    """
+    n = lattice.n
+    order = [i - 1] + [k for k in range(n) if k != i - 1]
+    shuffled = la.hnf_rows([[row[k] for k in order] for row in lattice.basis], n)
+    back = sorted(range(n), key=order.__getitem__)
+    return [[row[p] for p in back] for row in shuffled if row[0] == 0]
+
+
+def column_gcd(rows, j):
+    return gcd(*(row[j - 1] for row in rows))
+
+
 def ref_is_level(lattice):
     n = lattice.n
+    zero_at = [None] + [ref_rows_with_zero_at(lattice, i) for i in range(1, n + 1)]
     for j in range(1, n + 1):
-        full = lattice.projection_gcd(j)
+        full = column_gcd(lattice.basis, j)
         for i in range(1, n + 1):
-            if i == j:
-                continue
-            sub = lattice.projection_gcd(j, rows=lattice.rows_with_zero_at(i))
-            if sub != full:
+            if i != j and column_gcd(zero_at[i], j) != full:
                 return LevelVerdict(False, (i, j, _vector_with_projection(lattice, j, full)))
     return LevelVerdict(True)
+
+
+def ref_witnesses(lattice):
+    rays = range(1, lattice.n + 1)
+    return tuple(ref_two_support_vector(lattice, i0, i1) for i0, i1 in permutations(rays, 2))
 
 
 def random_full_rank_lattices(seed, count, max_index=60):
@@ -94,7 +122,31 @@ def random_full_rank_lattices(seed, count, max_index=60):
     return out
 
 
+def random_low_rank_lattices(seed, per_rank=8):
+    """Lattices of every rank from 0 to n - 2, n = 3..6, on random supports."""
+    rng = random.Random(seed)
+    out = []
+    for n in range(3, 7):
+        for rank in range(n - 1):
+            kept = 0
+            while kept < per_rank:
+                support = rng.sample(range(n), rng.randint(rank + 1, n))
+                vecs = []
+                for _ in range(rank):
+                    v = [0] * n
+                    for k in support[1:]:
+                        v[k] = rng.randint(-5, 5)
+                    v[support[0]] = -sum(v)
+                    vecs.append(v)
+                lat = TranslationLattice.from_vectors(n, vecs)
+                if lat.rank == rank:
+                    out.append(lat)
+                    kept += 1
+    return out
+
+
 LATTICES = random_full_rank_lattices(29, 150)
+LOW_RANK = random_low_rank_lattices(41)
 
 
 def test_the_sample_holds_level_and_non_level_lattices():
@@ -102,6 +154,8 @@ def test_the_sample_holds_level_and_non_level_lattices():
     assert sum(verdicts) >= 20 and verdicts.count(False) >= 20
     assert len({lat.n for lat in LATTICES}) == 3
     assert max(ref_index(lat) for lat in LATTICES) > 10
+    low = [ref_is_level(lat) for lat in LOW_RANK]
+    assert sum(map(bool, low)) >= 10 and len({v.witness[:2] for v in low if not v}) >= 10
 
 
 def test_lattice_facts_match_the_divisor_scans():
@@ -109,12 +163,22 @@ def test_lattice_facts_match_the_divisor_scans():
         n = lat.n
         assert lat.index_in_zero_sum() == ref_index(lat), lat
         assert congruence_exponent(lat) == ref_congruence_exponent(lat), lat
-        assert is_level(lat) == ref_is_level(lat), lat
-        for i0 in range(1, n + 1):
-            for i1 in range(1, n + 1):
-                if i0 != i1:
-                    want = ref_two_support_vector(lat, i0, i1)
-                    assert two_support_vector(lat, i0, i1) == want, (lat, i0, i1)
+        verdict = ref_is_level(lat)
+        assert is_level(lat) == verdict, lat
+        witnesses = ref_witnesses(lat)
+        for (i0, i1), want in zip(permutations(range(1, n + 1), 2), witnesses):
+            assert two_support_vector(lat, i0, i1) == want, (lat, i0, i1)
+        want = Certificate(True, witnesses, None) if verdict else Certificate(False, (), verdict.witness)
+        assert f_certificate(lat) == want, lat
+
+
+def test_level_verdicts_match_the_zero_ray_sublattices_at_every_rank():
+    for lat in LATTICES + LOW_RANK:
+        verdict = ref_is_level(lat)
+        assert is_level(lat) == verdict, lat
+        if not verdict:
+            i, j, vec = verdict.witness
+            assert member(lat, vec) and vec[j - 1] == column_gcd(lat.basis, j) != 0, lat
 
 
 def test_least_multiple_matches_trial_multiples():
@@ -154,3 +218,36 @@ def test_large_congruence_lattice_is_read_without_a_divisor_scan(capsys):
     assert data["certified"] is True and data["witness_count"] == 6
     assert f_certificate(TranslationLattice.congruence(3, m)).witnesses[0] == (-m, m, 0)
     assert elapsed < 1.0
+
+
+def test_certificate_at_the_ray_bound_lists_each_ordered_ray_pair(capsys):
+    n = cli.RAY_BOUND
+    lat = TranslationLattice.zero_sum(n)
+    text = ";".join(",".join(map(str, row)) for row in lat.basis)
+    assert cli_main(["--json", "bns", "certificate", "--n", str(n), "--lattice", text]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data == {"certified": True, "witness_count": n * (n - 1), "offending": None}
+    units = []
+    for i0, i1 in permutations(range(1, n + 1), 2):
+        vec = [0] * n
+        vec[i1 - 1], vec[i0 - 1] = 1, -1
+        units.append(tuple(vec))
+    assert f_certificate(lat).witnesses == tuple(units)
+
+
+def test_subgroup_level_at_the_ray_bound_gives_the_reference_verdict(tmp_path, capsys):
+    # rays 1..40 carry the whole zero-sum lattice and rays 41, 42 only
+    # 2 (e_42 - e_41): rank 40, and the first failing pair is (42, 41)
+    n = cli.RAY_BOUND
+    gens = [generator(n, k) for k in range(2, 41)]
+    gens.append(generator(n, 41).compose(generator(n, 42).inverse()) ** 2)
+    group = GeneratedSubgroup.from_elements(n, gens)
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(group.to_json_dict()))
+    assert cli_main(["--json", "subgroup", "level", "--subgroup", str(path)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    lattice = translation_lattice(group)
+    verdict = ref_is_level(lattice)
+    assert lattice.rank == 40 and verdict.witness[:2] == (42, 41)
+    assert is_level(lattice) == verdict
+    assert data == {"level": False, "witness": [42, 41], "congruence_lifting": False, "modulus": None}
