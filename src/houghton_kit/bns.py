@@ -101,13 +101,6 @@ def _nonneg_ray_in_span(basis, n):
     d = len(basis)
     if d == 0:
         return None
-    if d == 1:
-        vec = basis[0]
-        if all(v >= 0 for v in vec):
-            return vec
-        if all(v <= 0 for v in vec):
-            return tuple(-v for v in vec)
-        return None
     for active in combinations(range(n), d - 1):
         constraint_rows = [[basis[k][c] for k in range(d)] for c in active]
         sols = rational_kernel(constraint_rows, d)
@@ -261,11 +254,11 @@ class Certificate:
 
 
 def two_support_vector(lattice: TranslationLattice, i0: int, i1: int):
-    """Least positive multiple of e_i1 - e_i0 inside the lattice."""
-    if lattice.index_in_zero_sum() is None:
-        raise DomainError("needs a full-rank lattice")
+    """Least positive multiple of e_i1 - e_i0 inside the lattice (``order``)."""
     vec = _two_support(lattice.n, i0, i1)
-    a = la.least_multiple_in_span(lattice.basis, vec)
+    a = lattice.order(vec)
+    if a is None:
+        raise DomainError(f"no multiple of e_{i1} - e_{i0} lies in the lattice")
     return tuple(a * x for x in vec)
 
 

@@ -53,10 +53,10 @@ POSITION_BOUND = 10**5
 
 # Largest ray count the command line accepts.  Parsing a word costs time and
 # memory linear in n (`element parse --word g2` took 1.4 s and 55 MiB at
-# n = 10^6), and the level certificate grows faster: `bns certificate` on the
-# zero-sum lattice took 0.4 to 0.6 s at n = 64 and 5.5 s at n = 128, and
-# `classify` of H_64 0.4 to 0.5 s (in process, one Xeon core).  No benchmark
-# input has more than 5 rays.  The library itself is unbounded.
+# n = 10^6), and the lattice work grows faster: at n = 64 `bns certificate`
+# took 0.04-0.07 s on the zero-sum lattice and 0.2-0.33 s on a dense one
+# (entries in [-6, 6]), whose Hermite form took 13 s at n = 128 (in process,
+# one Xeon core).  No benchmark input has more than 5 rays; the library is unbounded.
 RAY_BOUND = 64
 
 _WORD_EXPONENT = re.compile(r"\^(-?\d+)")

@@ -1,14 +1,13 @@
-"""Small exact integer-matrix helpers: Hermite form, kernels, lattice index.
+"""Small exact integer-matrix helpers: Hermite form, kernels, diagonal form.
 
 Everything works on tuples of Python ints, so there is no overflow to worry
 about at any scale this package reaches.  A lattice is held as its Hermite
-basis; membership, least multiples in the lattice and the covolume are read
-off that basis in one triangular pass, with no trial division.
+basis, and membership is read off that basis in one triangular pass.  The
+quotient by a lattice is read off a diagonal form of the basis, which one
+row echelon routine, ``_echelon``, builds by alternating on rows and columns.
 """
 
 from __future__ import annotations
-
-from math import gcd
 
 
 def xgcd(a: int, b: int):
@@ -32,41 +31,34 @@ def _echelon(rows, cols):
     Returns (pivot_rows, tail_rows): pivot rows have strictly increasing
     pivot columns with positive pivots and reduced entries above; tail rows
     are zero on the first ``cols`` columns (their remaining columns carry
-    any augmentation).
+    any augmentation; some may be zero rows).  Each column is cleared by
+    Euclid's algorithm on its rows: the row with the smallest nonzero entry
+    there reduces the others until one is left, which keeps the entries
+    near the size of the result.
     """
     rows = [list(r) for r in rows if any(r)]
     out: list[list[int]] = []
-    col = 0
-    while rows and col < cols:
+    for col in range(cols):
         live = [r for r in rows if r[col]]
-        rest = [r for r in rows if not r[col]]
-        if not live:
-            col += 1
-            continue
-        piv = live[0]
-        for r in live[1:]:
-            g, x, y = xgcd(piv[col], r[col])
-            a, b = piv[col] // g, r[col] // g
-            piv, r[:] = (
-                [x * u + y * v for u, v in zip(piv, r)],
-                [-b * u + a * v for u, v in zip(piv, r)],
-            )
-            if any(r):
-                rest.append(r)
-        if piv[col] < 0:
-            piv = [-u for u in piv]
-        out.append(piv)
-        rows = rest
-        col += 1
-    tail = rows
-    # left-to-right so later reductions cannot disturb finished columns
-    for i in range(len(out)):
-        p = next(j for j, v in enumerate(out[i]) if v)
-        for k in range(i):
-            q = out[k][p] // out[i][p]
-            if q:
-                out[k] = [u - q * v for u, v in zip(out[k], out[i])]
-    return out, tail
+        rows = [r for r in rows if not r[col]]
+        while len(live) > 1:
+            piv = min(live, key=lambda r: abs(r[col]))
+            rest = [piv]
+            for r in live:
+                if r is not piv:
+                    q = r[col] // piv[col]
+                    r = [u - q * v for u, v in zip(r, piv)]
+                    (rest if r[col] else rows).append(r)
+            live = rest
+        if live:
+            piv = live[0] if live[0][col] > 0 else [-u for u in live[0]]
+            # piv is 0 at the earlier pivots, so the rows above stay reduced there
+            for k, row in enumerate(out):
+                q = row[col] // piv[col]
+                if q:
+                    out[k] = [u - q * v for u, v in zip(row, piv)]
+            out.append(piv)
+    return out, rows
 
 
 def hnf_rows(rows, cols: int | None = None):
@@ -86,34 +78,39 @@ def hnf_rows(rows, cols: int | None = None):
 
 
 def in_row_span(rows_hnf, vec) -> bool:
-    """Membership of an integer vector in the lattice spanned by HNF rows."""
-    return least_multiple_in_span(rows_hnf, vec) == 1
+    """Membership of an integer vector in the lattice spanned by HNF rows.
 
-
-def least_multiple_in_span(rows_hnf, vec) -> int | None:
-    """Least a >= 1 with a * vec in the lattice spanned by HNF rows, or None.
-
-    Row k is the only row from k on that is nonzero at its pivot, so a vector
-    of the rational span has forced coefficients c_k, read one pivot at a
-    time, and a * vec is in the lattice iff every a * c_k is an integer: the
-    least a is the lcm of the denominators of the c_k.  The pass builds it as
-    it goes: where pivot p does not divide the residual's entry w, residual
-    and a are scaled by p // gcd(p, w), the denominator of w / p.  A residual
-    left nonzero means vec is outside the rational span.
+    The coefficients are forced, one pivot at a time; each must be an integer.
     """
     v = list(vec)
-    a = 1
     for row in rows_hnf:
         c = next(j for j, x in enumerate(row) if x)
-        p = row[c]
-        if v[c] % p:
-            s = p // gcd(p, v[c])
-            a *= s
-            v = [s * x for x in v]
-        q = v[c] // p
+        q, rem = divmod(v[c], row[c])
+        if rem:
+            return False
         if q:
             v = [x - q * b for x, b in zip(v, row)]
-    return None if any(v) else a
+    return not any(v)
+
+
+def diagonal_form(rows_hnf, cols: int):
+    """(d, v): U @ H @ V is diagonal with entries d, v the rows of V.
+
+    H is a Hermite basis of rank r over ``cols`` columns, U and V are
+    unimodular, and d is 0 from r on.  Column steps echelon H's transpose
+    augmented with V's, which records V; row steps echelon H and change only
+    U.  They alternate until a column step leaves a diagonal, which need not
+    be the Smith form.
+    """
+    h = [list(r) for r in rows_hnf]
+    r = len(h)
+    vt = [[int(i == k) for k in range(cols)] for i in range(cols)]
+    while True:
+        piv, tail = _echelon([[row[j] for row in h] + t for j, t in enumerate(vt)], r)
+        vt = [row[r:] for row in piv + tail]
+        if not any(any(row[i + 1:r]) for i, row in enumerate(piv)):
+            return [row[i] for i, row in enumerate(piv)] + [0] * (cols - r), list(zip(*vt))
+        h, _ = _echelon([[row[i] for row in piv] + [0] * (cols - r) for i in range(r)], cols)
 
 
 def _augmented_echelon(rows):
@@ -136,10 +133,10 @@ def solve_row_combination(rows, target):
     v = list(target) + [0] * m
     for row in pivots:
         p = next(j for j, x in enumerate(row[:cols]) if x)
-        if v[p]:
-            if v[p] % row[p]:
-                return None
-            q = v[p] // row[p]
+        q, rem = divmod(v[p], row[p])
+        if rem:
+            return None
+        if q:
             v = [a - q * b for a, b in zip(v, row)]
     if any(v[:cols]):
         return None
@@ -153,11 +150,3 @@ def kernel_basis(rows):
         return []
     (_pivots, tail), cols, m = _augmented_echelon(rows)
     return hnf_rows([r[cols:] for r in tail], m)
-
-
-def lattice_determinant(rows_hnf) -> int:
-    """Product of pivots of an HNF basis (covolume when full rank)."""
-    det = 1
-    for row in rows_hnf:
-        det *= next(x for x in row if x)
-    return abs(det)

@@ -9,7 +9,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import chain, combinations
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable
 
 from . import intlattice as la
@@ -131,17 +131,39 @@ class TranslationLattice:
     def contains(self, vec) -> bool:
         return la.in_row_span(self.basis, vec)
 
-    def index_in_zero_sum(self) -> int | None:
-        """Index in the full zero-sum lattice; None when not of full rank.
+    @cached_property
+    def _quotient(self) -> tuple:
+        """(moduli, images): Z^n_0 / L as the sum of the Z / d, d in moduli.
 
-        Zero-sum vectors are coordinatised by their first n-1 entries, so the
-        index is the Hermite determinant of the truncated basis.  A nonzero
-        zero-sum row cannot pivot in column n, so at rank n-1 the truncated
-        basis is already in Hermite form, with the same pivots.
+        Truncation to the first n-1 entries sends Z^n_0 to Z^(n-1), e_k - e_n
+        to e_k and L to the row span of the truncated basis H.  If U H V is
+        diagonal (``intlattice.diagonal_form``), x -> x V carries the quotient
+        onto the sum of the Z / d_j, so row k of V is e_k - e_n's image.  Only
+        the coordinates with d_j != 1 are kept; d_j = 0 is a free coordinate,
+        past the rank.  ``images[k]`` is reduced mod d_j; ``images[n-1]`` is 0.
         """
-        if self.rank != self.n - 1:
+        d, v = la.diagonal_form([row[:-1] for row in self.basis], self.n - 1)
+        keep = [j for j, a in enumerate(d) if a != 1]
+        images = tuple(tuple(row[j] % d[j] if d[j] else row[j] for j in keep) for row in v)
+        return tuple(d[j] for j in keep), images + ((0,) * len(keep),)
+
+    def order(self, vec) -> int | None:
+        """Least a >= 1 with a * vec in the lattice, or None if there is none.
+
+        The order of vec's image in the quotient: the lcm of d / gcd(d, u)
+        over its coordinates u mod d; None off the zero-sum vectors or if u
+        is nonzero on a free coordinate (d = 0).
+        """
+        moduli, images = self._quotient
+        terms = [(c, row) for c, row in zip(vec, images) if c]
+        x = [sum(c * row[j] for c, row in terms) for j in range(len(moduli))]
+        if sum(vec) or any(u for d, u in zip(moduli, x) if not d):
             return None
-        return la.lattice_determinant(self.basis)
+        return lcm(*(d // gcd(d, u) for d, u in zip(moduli, x) if d))
+
+    def index_in_zero_sum(self) -> int | None:
+        """Index in the zero-sum lattice: the product of the moduli, or None if one is 0."""
+        return prod(self._quotient[0]) or None
 
 
 def translation_lattice(group: GeneratedSubgroup) -> TranslationLattice:
@@ -237,14 +259,10 @@ class CongruenceVerdict:
 def congruence_exponent(lattice: TranslationLattice) -> int | None:
     """Smallest m with every m-scaled zero-sum vector in the lattice.
 
-    The vectors e_k - e_n span the zero-sum lattice, so m is the lcm of
-    their least multiples in the lattice.
+    The exponent of the quotient Z^n_0 / L: the lcm of its moduli, 0 below
+    rank n-1.
     """
-    if lattice.index_in_zero_sum() is None:
-        return None
-    n = lattice.n
-    return lcm(*(la.least_multiple_in_span(lattice.basis, _two_support(n, n, k))
-                 for k in range(1, n)))
+    return lcm(*lattice._quotient[0]) or None
 
 
 def _two_support(n: int, i0: int, i1: int) -> tuple:
@@ -257,15 +275,13 @@ def _two_support(n: int, i0: int, i1: int) -> tuple:
 def is_congruence_lifting(lattice: TranslationLattice) -> CongruenceVerdict:
     """Whether the lattice is exactly the m-congruence zero-sum lattice.
 
-    The only candidate modulus is the exponent of the quotient by the full
-    zero-sum lattice; equality then reduces to divisibility of the basis.
+    The only candidate modulus is the quotient's exponent m.  The lattice
+    contains the m-congruence lattice, of index m^(n-1): equal iff the indices are.
     """
     m = congruence_exponent(lattice)
-    if m is None:
+    if m is None or m ** (lattice.n - 1) != lattice.index_in_zero_sum():
         return CongruenceVerdict(False)
-    if all(x % m == 0 for row in lattice.basis for x in row):
-        return CongruenceVerdict(True, m)
-    return CongruenceVerdict(False)
+    return CongruenceVerdict(True, m)
 
 
 # -- window orbits -------------------------------------------------------------
@@ -392,7 +408,7 @@ def finitary_commutator(group: GeneratedSubgroup) -> HoughtonElement:
     parts = []
     for j in (2, 3):
         e = _two_support(n, 1, j)
-        d = la.least_multiple_in_span(lattice.basis, e)
+        d = lattice.order(e)
         h = element_with_translation(group, [d * x for x in e])
         k = lcm(*(len(c) for c in _finite_cycles(h)))
         bound = sum(h.threshold + (k - 1) * max(-x, 0) for x in h.t)

@@ -1,20 +1,26 @@
-"""Lattice facts read off the Hermite basis, against the divisor scans.
+"""Lattice facts read off the quotient's diagonal form, against the divisor scans.
 
-The references are the scans the package used before it read these facts off
-the basis: trial multiples over the divisors of the index, the truncated
-basis put in Hermite form a second time, and a level test that builds one
-zero-ray sublattice per ray, by a Hermite form with that ray's column first.
-Membership in the references goes through ``solve_row_combination``, so it
-shares no code with ``least_multiple_in_span``.  The level reference takes
-its witness vector from ``_vector_with_projection``, as the package does;
-the vector is checked apart, for membership and its target coordinate.
+The package reads index, exponent and every order from one diagonal form of
+the truncated Hermite basis (``TranslationLattice.order``), and the level
+test from pairs of basis columns.  The references are scans: trial
+multiples over the divisors of the index, the truncated basis put in
+Hermite form a second time with its pivot product taken here, and a level
+test that builds one zero-ray sublattice per ray, by a Hermite form with
+that ray's column first.  Membership in the references goes through
+``solve_row_combination``, so it shares no code with ``order`` or the
+diagonal form.  The level reference takes its witness vector from
+``_vector_with_projection``, as the package does; the vector is checked
+apart, for membership and its target coordinate.  Dense lattices on up to
+``cli.RAY_BOUND`` rays check the index against a Bareiss determinant.
 """
 
 import json
 import random
 from itertools import permutations
-from math import gcd
+from math import gcd, prod
 from time import perf_counter
+
+import pytest
 
 from houghton_kit import cli
 from houghton_kit import intlattice as la
@@ -52,8 +58,21 @@ def member(lattice, vec):
 
 
 def ref_index(lattice):
+    """Pivot product of the truncated Hermite basis: the index at full rank."""
     truncated = la.hnf_rows([row[:-1] for row in lattice.basis], lattice.n - 1)
-    return la.lattice_determinant(truncated)
+    return prod(next(x for x in row if x) for row in truncated)
+
+
+def ref_order(lattice, vec):
+    """Least a >= 1 with a * vec in the lattice, by trial multiples, or None.
+
+    A vector that raises the rank is outside the rational span and has none.
+    Inside it the order divides the index of the lattice in its saturation,
+    the gcd of the maximal minors, so the pivot product bounds the trials.
+    """
+    if len(la.hnf_rows(list(lattice.basis) + [vec], lattice.n)) > lattice.rank:
+        return None
+    return next(a for a in range(1, ref_index(lattice) + 1) if member(lattice, [a * x for x in vec]))
 
 
 def ref_two_support_vector(lattice, i0, i1):
@@ -105,6 +124,34 @@ def ref_is_level(lattice):
 def ref_witnesses(lattice):
     rays = range(1, lattice.n + 1)
     return tuple(ref_two_support_vector(lattice, i0, i1) for i0, i1 in permutations(rays, 2))
+
+
+def dense_vectors(n, seed):
+    """n - 1 seeded zero-sum vectors with entries in [-6, 6] on the first n - 1 rays."""
+    rng = random.Random(seed)
+    vecs = []
+    for _ in range(n - 1):
+        v = [rng.randint(-6, 6) for _ in range(n - 1)]
+        vecs.append(v + [-sum(v)])
+    return vecs
+
+
+def bareiss_determinant(rows):
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    m = [list(r) for r in rows]
+    size, sign, prev = len(m), 1, 1
+    for k in range(size - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, size) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if size else 1
 
 
 def random_full_rank_lattices(seed, count, max_index=60):
@@ -183,26 +230,39 @@ def test_level_verdicts_match_the_zero_ray_sublattices_at_every_rank():
 
 def test_least_multiple_matches_trial_multiples():
     rng = random.Random(31)
-    for lat in LATTICES[:60]:
-        index = ref_index(lat)
+    low_rank_orders = []
+    for lat in LATTICES[:60] + LOW_RANK:
+        vectors = []
         for _ in range(5):
             v = [rng.randint(-4, 4) for _ in range(lat.n - 1)]
             v.append(-sum(v))
-            want = next(a for a in range(1, index + 1) if member(lat, [a * x for x in v]))
-            assert la.least_multiple_in_span(lat.basis, v) == want
+            vectors.append(v)
+        if lat.rank < lat.n - 1:
+            # a primitive vector of the rational span, whose order may pass 1
+            coeffs = [rng.randint(-3, 3) for _ in lat.basis]
+            w = [sum(c * row[k] for c, row in zip(coeffs, lat.basis)) for k in range(lat.n)]
+            g = gcd(*w) or 1
+            vectors.append([x // g for x in w])
+        for v in vectors:
+            want = ref_order(lat, v)
+            assert lat.order(v) == want, (lat, v)
             assert la.in_row_span(lat.basis, v) == (want == 1)
+            if lat.rank < lat.n - 1:
+                low_rank_orders.append(want)
+    assert None in low_rank_orders and 1 in low_rank_orders
+    assert any(a is not None and a > 1 for a in low_rank_orders)
 
 
 def test_least_multiple_is_none_outside_the_rational_span():
     rng = random.Random(37)
-    for lat in LATTICES[:60]:
+    for lat in LATTICES[:60] + LOW_RANK:
         v = [rng.randint(-4, 4) for _ in range(lat.n)]
         v[0] += 1 - sum(v)  # sum 1: not zero-sum, so in no multiple of the lattice
-        assert la.least_multiple_in_span(lat.basis, v) is None
+        assert lat.order(v) is None
         assert not la.in_row_span(lat.basis, v)
     line = TranslationLattice.from_vectors(3, [(2, -2, 0)])
-    assert la.least_multiple_in_span(line.basis, (1, -1, 0)) == 2
-    assert la.least_multiple_in_span(line.basis, (1, 0, -1)) is None
+    assert line.order((1, -1, 0)) == 2
+    assert line.order((1, 0, -1)) is None
 
 
 def test_large_congruence_lattice_is_read_without_a_divisor_scan(capsys):
@@ -251,3 +311,17 @@ def test_subgroup_level_at_the_ray_bound_gives_the_reference_verdict(tmp_path, c
     assert lattice.rank == 40 and verdict.witness[:2] == (42, 41)
     assert is_level(lattice) == verdict
     assert data == {"level": False, "witness": [42, 41], "congruence_lifting": False, "modulus": None}
+
+
+@pytest.mark.parametrize("n", [44, cli.RAY_BOUND])
+def test_certificate_on_a_dense_lattice_at_many_rays(n, capsys):
+    # a dense basis once blew the Hermite form's entries up to millions of
+    # bits, so the command did not finish; zero_sum(n) never showed it
+    vecs = dense_vectors(n, n)
+    lat = TranslationLattice.from_vectors(n, vecs)
+    index = abs(bareiss_determinant([v[:-1] for v in vecs]))
+    assert index > 1 and lat.index_in_zero_sum() == index
+    text = ";".join(",".join(map(str, v)) for v in vecs)
+    assert cli_main(["--json", "bns", "certificate", "--n", str(n), "--lattice", text]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data == {"certified": True, "witness_count": n * (n - 1), "offending": None}

@@ -448,8 +448,8 @@ def test_finitary_commutator_needs_full_rank():
 
 
 def test_finitary_commutator_stops_at_the_power_head_cap():
-    # the parts are h^14280 and h^146160, with heads of 58917 and 146517
-    # entries; built, the commutator has 204768 and takes tens of seconds
+    # the parts are h^6 and h^16170, with heads of 568 and 16275 entries:
+    # the second passes the cap (its bound is 16573 head entries)
     words = ["g2^2 g3^-1 g2^2", "g4^3 g4^1", "g3^3", "g2^1 g3^3 g4^1"]
     g = subgroup(4, [parse_word(w, 4) for w in words])
     assert translation_lattice(g).index_in_zero_sum() == 4
