@@ -480,6 +480,7 @@ class QuotientStructure:
     _lead: tuple  # per entry of _members, the start of its class in _members
     _starts: tuple  # per kept class, the start of its points in _members
     _codes: tuple  # per kept class, the code of its quotient point
+    _least_pos: tuple  # per kept class, the least position of its points (on any ray)
     _top: tuple  # per ray, the kept class ids in the top half of its complete rank prefix
 
     def class_index_of(self, p) -> int | None:
@@ -669,6 +670,7 @@ def quotient(group: GeneratedSubgroup, system: BlockSystem, depth: int) -> Quoti
         _lead=tuple(lead),
         _starts=tuple(starts),
         _codes=tuple(code_of(n, qp) for qp in quotient_points),
+        _least_pos=tuple(min(p.pos for p in classes_all[k]) for k in kept_indices),
         _top=_top_half(quotient_points, known_ranks),
     )
     induced = []

@@ -302,13 +302,16 @@ def parse_character(text: str, n: int) -> Character:
         if not m:
             raise DomainError(f"cannot parse character at: {text[pos:]!r}")
         pos = m.end()
-        ray = int(m.group("ray"))
-        if not 1 <= ray <= n:
-            raise DomainError(f"t{ray} outside t1..t{n}")
         try:
+            ray = int(m.group("ray"))
             coef = Fraction(m.group("coef") or 1)
         except ZeroDivisionError:
             raise DomainError(f"zero denominator in {m.group('coef')!r}") from None
+        except ValueError:
+            # a digit string past Python's limit on integer string conversion
+            raise DomainError("a number in the character has too many digits") from None
+        if not 1 <= ray <= n:
+            raise DomainError(f"t{ray} outside t1..t{n}")
         if m.group("sign") == "-":
             coef = -coef
         coeffs[ray - 1] += coef

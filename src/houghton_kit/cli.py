@@ -61,6 +61,7 @@ RAY_BOUND = 64
 
 _WORD_EXPONENT = re.compile(r"\^(-?\d+)")
 _WORD_POSITION = re.compile(r"\d+:(\d+)")
+_WORD_NUMBER = re.compile(r"\d+")
 
 
 def _within_bound(value: int, what: str) -> None:
@@ -85,6 +86,15 @@ def _bounded(elt: HoughtonElement) -> HoughtonElement:
 
 def _parse_word(text: str, n: int) -> HoughtonElement:
     _within_ray_bound(n)
+    # every number in a word (generator, ray, position, exponent) is at most
+    # the bound, and int() fails on a digit string past 4,300 digits, so a
+    # string with more digits than the bound is rejected before int() reads it
+    for m in _WORD_NUMBER.finditer(text):
+        if len(m.group().lstrip("0")) > len(str(POSITION_BOUND)):
+            raise DomainError(
+                f"a number of {len(m.group())} digits in the word is above the "
+                f"command-line bound {POSITION_BOUND}"
+            )
     for m in _WORD_EXPONENT.finditer(text):
         _within_bound(int(m.group(1)), "word exponent")
     for m in _WORD_POSITION.finditer(text):
@@ -93,8 +103,16 @@ def _parse_word(text: str, n: int) -> HoughtonElement:
 
 
 def _read_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """The JSON value in the file, or DomainError naming the file.
+
+    ValueError covers UnicodeDecodeError, malformed JSON and integers past
+    Python's digit limit; RecursionError, JSON nested too deep to load.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise DomainError(f"cannot read {path}: {exc}") from None
 
 
 def _load_element(path) -> HoughtonElement:
@@ -519,8 +537,6 @@ def cli_main(argv=None) -> int:
         DomainError,
         InvalidElementError,
         UnsupportedCaseError,
-        FileNotFoundError,
-        json.JSONDecodeError,
         KeyError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

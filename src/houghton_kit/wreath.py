@@ -30,6 +30,11 @@ from .finperm import FinitePermGroup, _inv, _is_id, _mul
 from .rays import RayPoint, code_of, point_of
 from .subgroups import GeneratedSubgroup, bounded_words
 
+# Most embeddings one block context keeps (``kk_embed``); past it the oldest
+# goes first.  A pass of the wreath-descent benchmark embeds 100-130 distinct
+# elements per context, so every repeat there is a hit.
+EMBED_MEMO_CAP = 4096
+
 
 class BlockContext:
     """Verified block system, its quotient, orbit typing and rank bijections.
@@ -62,9 +67,12 @@ class BlockContext:
             self.block_of_orbit[orbit] = tuple(block)
         if any(b is None for b in self.block_of_orbit):
             raise DomainError("an orbit of classes carries no block")
-        # the work phi_s_descent shares across descents over this context:
-        # kernel element -> kk_embed, and group -> _DescentTables
-        self._kernel_kk = {}
+        # element -> the validated (base, head) of its embedding, for every
+        # kk_embed caller; only successes, at most EMBED_MEMO_CAP of them.
+        # And group -> phi_s_descent's _DescentTables.  Neither holds a
+        # MultiWreathElement, which holds the context, so no reference cycle
+        # keeps a context alive once its callers drop it.
+        self._embeddings = {}
         self._descent_tables = {}
 
     # -- typing and transversal ------------------------------------------------
@@ -183,6 +191,19 @@ class MultiWreathElement:
             base.append((ctx.quotient.quotient_points[k], tuple(images)))
         return cls(ctx, tuple(base), head)
 
+    @classmethod
+    def _trusted(cls, ctx: BlockContext, base: tuple, head: HoughtonElement) -> "MultiWreathElement":
+        """Wrap a base and head that a constructor has already validated.
+
+        For ``kk_embed``'s memo: the base is in canonical form (sorted, no
+        identity value) and fits its blocks, so no second check runs.
+        """
+        elt = object.__new__(cls)
+        object.__setattr__(elt, "ctx", ctx)
+        object.__setattr__(elt, "base", base)
+        object.__setattr__(elt, "head", head)
+        return elt
+
 
 # -- the embedding ----------------------------------------------------------------
 
@@ -201,7 +222,16 @@ def kk_embed(g: HoughtonElement, ctx: BlockContext) -> MultiWreathElement:
     One class-action pass gives every class's target id and the classes
     whose ranks move, which are the base, and one kernel
     (``QuotientStructure._induced``) reads the head off the targets.
+
+    The context keeps each embedding made on it (``EMBED_MEMO_CAP`` at most,
+    oldest out first), and an element seen before is rewrapped, not embedded
+    again.  Failures are not kept: an element that is inconclusive or does
+    not preserve the congruence raises afresh on every call.
     """
+    memo = ctx._embeddings
+    got = memo.get(g)
+    if got is not None:
+        return MultiWreathElement._trusted(ctx, *got)
     q = ctx.quotient
     if g.threshold > q.window_depth:
         raise InconclusiveError(
@@ -212,12 +242,16 @@ def kk_embed(g: HoughtonElement, ctx: BlockContext) -> MultiWreathElement:
     head = q._induced(targets)
     if None in targets:
         for k, j in enumerate(targets):
-            if j is None and q.classes[k][0].pos < g.threshold:
+            if j is None and q._least_pos[k] < g.threshold:
                 raise InconclusiveError(
                     f"image of class {q.classes[k][0]} is outside the verified window"
                 )
     base = tuple((q.quotient_points[k], v) for k, v in moved.items())
-    return MultiWreathElement(ctx, base, head)
+    elt = MultiWreathElement(ctx, base, head)
+    if len(memo) >= EMBED_MEMO_CAP:
+        del memo[next(iter(memo))]
+    memo[g] = elt.base, elt.head
+    return elt
 
 
 def order_preserving_on_class(g: HoughtonElement, ctx: BlockContext, qpoint) -> bool:
@@ -288,10 +322,11 @@ def verify_kk(
         if prev is not None and prev != g:
             inj_fail += 1
         by_image[kg] = g
-        # kk_embed(g) raised for any class below g's threshold with no known image
+        # kk_embed(g) raised for any class reaching below g's threshold with
+        # no known image; a class wholly past it moves by translation
         supp = set(kg.support())
         for k, qp in enumerate(ctx.quotient.quotient_points):
-            if ctx.quotient.classes[k][0].pos >= g.threshold:
+            if ctx.quotient._least_pos[k] >= g.threshold:
                 continue
             if (qp in supp) == order_preserving_on_class(g, ctx, qp):
                 supp_fail += 1
@@ -331,25 +366,30 @@ def w_groups(
 
     Three nested collections: all words stabilizing the block setwise, the
     finitary ones among them, and those acting trivially on every class.
+    A block of one point needs no search: Sym(1) is trivial, and the empty
+    word lies in all three, so each is generated by the identity.
     """
     if group.n != ctx.n:
         raise DomainError(f"group acts on {group.n} rays, the block context on {ctx.n}")
     block = ctx.block_of_orbit[orbit]
-    codes = [code_of(group.n, p) for p in block]
-    bset = set(codes)
-    ranks = {c: i for i, c in enumerate(codes)}
-    gens_g, gens_fin, gens_ker = [], [], []
-    gens = group.symmetric_generators()
-    for _, e in bounded_words(houghton_identity(group.n), gens, HoughtonElement.compose, 4):
-        images = list(map(e._image, codes))
-        if set(images) != bset:
-            continue
-        perm = tuple(map(ranks.__getitem__, images))
-        gens_g.append(perm)
-        if e.is_finitary():
-            gens_fin.append(perm)
-            if _acts_trivially_on_classes(e, ctx):
-                gens_ker.append(perm)
+    if len(block) == 1:
+        gens_g = gens_fin = gens_ker = [(0,)]
+    else:
+        codes = [code_of(group.n, p) for p in block]
+        bset = set(codes)
+        ranks = {c: i for i, c in enumerate(codes)}
+        gens_g, gens_fin, gens_ker = [], [], []
+        gens = group.symmetric_generators()
+        for _, e in bounded_words(houghton_identity(group.n), gens, HoughtonElement.compose, 4):
+            images = list(map(e._image, codes))
+            if set(images) != bset:
+                continue
+            perm = tuple(map(ranks.__getitem__, images))
+            gens_g.append(perm)
+            if e.is_finitary():
+                gens_fin.append(perm)
+                if _acts_trivially_on_classes(e, ctx):
+                    gens_ker.append(perm)
     domain = tuple(range(len(block)))
     w_g = FinitePermGroup(domain, sorted(set(gens_g)))
     w_fin = FinitePermGroup(domain, sorted(set(gens_fin)))
@@ -429,7 +469,8 @@ class _DescentTables:
     Built on a context's first descent with a group and kept on the context:
     the quotient images of the symmetric generators (the head search's
     letters), one lazily extended list of ``_conjugator_candidates``, and
-    the memo of conjugated kernel elements with their embeddings.
+    the memo of conjugated kernel elements, each with whether it embeds.
+    Their embeddings are in the context's memo (``kk_embed``).
     """
 
     def __init__(self, group: GeneratedSubgroup, ctx: BlockContext):
@@ -437,7 +478,7 @@ class _DescentTables:
         self.letters = letters + [e.inverse() for e in letters]
         self._candidate_stream = _conjugator_candidates(group, self.letters, ctx.n)
         self._candidates = []
-        self._conjugates = {}  # (candidate index, f) -> (c^-1 f c, its embedding) or None
+        self._conjugates = {}  # (candidate index, f) -> c^-1 f c, or None if it does not embed
 
     def candidates(self):
         """(index, c, cq) in ``_conjugator_candidates`` order."""
@@ -452,18 +493,17 @@ class _DescentTables:
             k += 1
 
     def conjugate(self, ctx: BlockContext, k: int, c: HoughtonElement, f: HoughtonElement):
-        """(c^-1 f c, its embedding) for candidate k, or None if the embedding
-        is inconclusive."""
+        """c^-1 f c for candidate k, or None if its embedding is inconclusive."""
         key = (k, f)
         if key in self._conjugates:
             return self._conjugates[key]
         h = c.inverse().compose(f).compose(c)
         try:
-            got = h, kk_embed(h, ctx)
+            kk_embed(h, ctx)
         except InconclusiveError:
-            got = None
-        self._conjugates[key] = got
-        return got
+            h = None
+        self._conjugates[key] = h
+        return h
 
 
 def phi_s_descent(
@@ -481,21 +521,17 @@ def phi_s_descent(
     step.
 
     Every descent over one context shares its group-level work: the kernel
-    elements' embeddings, and per group (by equality) the quotient letters,
-    the conjugator candidates and the conjugated kernel elements
+    elements' embeddings, and every other one, through the context's memo
+    (``kk_embed``), and per group (by equality) the quotient letters, the
+    conjugator candidates and the conjugated kernel elements
     (``_DescentTables``).  The tables live as long as the context.  The
     20000-word cap of the candidate enumeration bounds the candidate table;
-    the memos hold one entry per kernel element, and per candidate and kernel
-    element, that a descent has used.  The head's search, over quotient images
-    and capped at 20000 of them, runs afresh on every descent.
+    the conjugate memo holds one entry per candidate and kernel element that
+    a descent has used.  The head's search, over quotient images and capped
+    at 20000 of them, runs afresh on every descent.
     """
     kernel_elements = list(kernel_elements)
-    kk_kernel = []
-    for f in kernel_elements:
-        kf = ctx._kernel_kk.get(f)
-        if kf is None:
-            kf = ctx._kernel_kk[f] = kk_embed(f, ctx)
-        kk_kernel.append(kf)
+    kk_kernel = [kk_embed(f, ctx) for f in kernel_elements]
     supports = [set(k.support()) for k in kk_kernel]
     big_s = set().union(*supports) if supports else set()
     n = ctx.n
@@ -528,10 +564,10 @@ def phi_s_descent(
             for f, kf, support in zip(kernel_elements, kk_kernel, kernel_codes):
                 if not all(cq._image(x) in allowed_codes for x in support):
                     continue
-                got = tables.conjugate(ctx, k, c, f)
-                if got is None:
+                h = tables.conjugate(ctx, k, c, f)
+                if h is None:
                     continue
-                h, kh = got
+                kh = kk_embed(h, ctx)
                 if not set(kh.support()) <= allowed:
                     continue
                 if kh.base_value(target) != psi.base_value(target):

@@ -3,6 +3,10 @@
 Every payload the CLI emits is caught on its way into ``cli._emit`` and
 written both ways; the comparison is on the payload object itself, so a
 difference that a ``json.loads`` round trip would hide still fails.
+
+Inputs the CLI cannot read (a file it cannot open or load as JSON, and
+numbers past Python's digit limit) end in exit 2 with a message, never in a
+traceback.
 """
 
 import json
@@ -146,3 +150,65 @@ def test_cycles_of_ray_points_are_written_without_json_dumps(monkeypatch):
 
     monkeypatch.setattr(json, "dumps", refused)
     assert _json_text(payload) == want
+
+
+# -- unreadable input -----------------------------------------------------------
+
+
+def unreadable_inputs(tmp_path):
+    """Per case, argv lists that each hand the CLI one input it cannot read."""
+    pair = write(tmp_path, "pair.json", pair_group().to_json_dict())
+    blocks = write(tmp_path, "blocks.json", [[[1, 0], [1, 1]]])
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"n": 2, "name": "caf\u00e9"}'.encode("latin-1"))
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    long_t = tmp_path / "long_t.json"
+    long_t.write_text('{"n": 2, "t": [' + "9" * 5000 + ', -1], "threshold": 0, "head": []}')
+    long_threshold = tmp_path / "long_threshold.json"
+    long_threshold.write_text('{"n": 2, "t": [0, 0], "threshold": ' + "9" * 5000 + ', "head": []}')
+
+    def every_file_flag(path):
+        return [
+            ["element", "parse", "--file", str(path)],
+            ["subgroup", "lattice", "--subgroup", str(path)],
+            ["blocks", "verify", "--subgroup", pair, "--blocks", str(path)],
+        ]
+
+    return {
+        "not-utf-8": every_file_flag(latin1),
+        "directory": every_file_flag(tmp_path),
+        "missing": every_file_flag(tmp_path / "missing.json"),
+        "nested-100000-deep": every_file_flag(deep),
+        "long-digits": [
+            ["element", "parse", "--file", str(long_t)],
+            ["element", "parse", "--file", str(long_threshold)],
+            ["wreath", "embed", "--subgroup", pair, "--blocks", blocks, "--word", "g2^" + "9" * 5000],
+            ["element", "parse", "--n", "2", "--word", "g2^" + "9" * 5000],
+            ["element", "parse", "--n", "2", "--word", "(1:" + "9" * 5000 + " 1:0)"],
+            ["element", "parse", "--n", "2", "--word", "g" + "9" * 5000],
+            ["bns", "sigma", "--n", "3", "--chi", "t1 - " + "9" * 5000 + " t2"],
+            ["bns", "type", "--n", "3", "--kernel", "t" + "9" * 5000],
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "case", ["not-utf-8", "directory", "missing", "nested-100000-deep", "long-digits"]
+)
+def test_unreadable_input_exits_2_with_a_message(case, tmp_path, capsys):
+    for argv in unreadable_inputs(tmp_path)[case]:
+        capsys.readouterr()
+        assert cli_main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: "), (argv, err)
+        if case != "long-digits":
+            assert f"cannot read {argv[-1]}" in err, err
+
+
+def test_a_word_number_is_bounded_by_its_value_not_its_digits(capsys):
+    outputs = []
+    for word in ("g2^2", "g2^" + "0" * 20 + "2"):
+        assert cli_main(["element", "parse", "--n", "2", "--word", word]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]

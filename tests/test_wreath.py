@@ -1,16 +1,20 @@
+import gc
 import random
+import weakref
 
 import pytest
 
+from houghton_kit import wreath
 from houghton_kit.blocks import BlockSystem
 from houghton_kit.elements import (
+    HoughtonElement,
     from_cycles,
     generator,
     identity,
     random_element,
     transposition,
 )
-from houghton_kit.errors import DomainError
+from houghton_kit.errors import DomainError, InconclusiveError
 from houghton_kit.rays import RayPoint
 from houghton_kit.subgroups import GeneratedSubgroup, delta_k
 from houghton_kit.wreath import (
@@ -165,6 +169,118 @@ def test_kk_homomorphism_delta_trivial_blocks():
         assert kk_embed(w, ctx).base == ()
 
 
+def spanning_context(depth):
+    """<h>, whose congruence has one class on two rays, at the given depth.
+
+    h translates by (4, -2, -2) from position 12 on.  Its classes are pairs
+    of neighbours, (1:0 1:1) to (1:10 1:11), (1:13 1:14) on, (2:1 2:2) on and
+    (3:0 3:1) on, and the one class (1:12 2:0).  That class's point on its
+    lowest ray lies at h's threshold, and its other point below it; h sends
+    the two to (1:16) and (1:15), so its base value there is a swap.
+    """
+    h = HoughtonElement(3, (4, -2, -2), {
+        (1, 8): (1, 12), (1, 9): (2, 0), (1, 10): (1, 13), (1, 11): (1, 14),
+        (2, 0): (1, 15), (2, 1): (1, 0), (2, 2): (1, 1), (3, 0): (1, 2), (3, 1): (1, 3),
+    })
+    system = BlockSystem.from_lists([[(1, 0), (1, 1)], [(1, 2), (1, 3)]])
+    ctx = build_block_context(GeneratedSubgroup(3, (h,)), system, depth)
+    k = ctx.quotient.classes.index((RayPoint(1, 12), RayPoint(2, 0)))
+    return h, ctx, ctx.quotient.quotient_points[k]
+
+
+def test_kk_is_inconclusive_when_a_class_reaching_below_the_threshold_leaves_the_window():
+    h, ctx, _ = spanning_context(16)
+    assert h.threshold == 12
+    # the class's image (1:15 1:16) crosses depth 16, so its swap is unknown
+    for _ in range(2):
+        with pytest.raises(InconclusiveError, match=r"image of class \(1:12\)"):
+            kk_embed(h, ctx)
+    h, ctx, qp = spanning_context(30)
+    assert kk_embed(h, ctx).base_value(qp) == (1, 0)
+
+
+def test_embedding_check_reads_a_class_reaching_below_the_threshold(monkeypatch):
+    # an embedding of h that drops the swap on the two-ray class must show as
+    # a support mismatch: the class is not wholly past h's threshold
+    h, ctx, qp = spanning_context(30)
+    embed = wreath.kk_embed
+
+    def dropping(g, c):
+        got = embed(g, c)
+        if g != h:
+            return got
+        return MultiWreathElement(c, tuple(e for e in got.base if e[0] != qp), got.head)
+
+    monkeypatch.setattr(wreath, "kk_embed", dropping)
+    report = verify_kk(ctx.group, ctx, samples=20, max_len=1, seed=0)
+    assert report.support_mismatches > 0
+
+
+# -- the embedding memo -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("context, max_len", [(pair_context, 5), (delta_context, 3)],
+                         ids=["pair", "delta_k(3,2)"])
+def test_memo_gives_the_embedding_a_fresh_context_gives(context, max_len):
+    group, warm = context()
+    _, fresh = context()
+    words = random_words(group, 40, max_len, random.Random(11))
+    first = [kk_embed(w, warm) for w in words]
+    assert len(warm._embeddings) == len(set(words))
+    for w, a in zip(words, first):
+        b = kk_embed(w, warm)
+        fresh._embeddings.clear()
+        c = kk_embed(w, fresh)
+        assert (b.base, b.head) == (a.base, a.head) == (c.base, c.head)
+        assert b == a
+
+
+@pytest.mark.parametrize("element", [generator(2, 2) ** 60, transposition(2, (1, 0), (1, 119))],
+                         ids=["translation-unread", "threshold-past-the-window"])
+def test_an_inconclusive_element_raises_on_every_call_and_stays_out_of_the_memo(element):
+    group, ctx = pair_context()
+    kk_embed(group.generators[0], ctx)
+    for _ in range(3):
+        with pytest.raises(InconclusiveError):
+            kk_embed(element, ctx)
+    assert list(ctx._embeddings) == [group.generators[0]]
+
+
+def test_memo_keeps_at_most_its_cap_and_drops_the_oldest_first(monkeypatch):
+    monkeypatch.setattr(wreath, "EMBED_MEMO_CAP", 8)
+    group, ctx = pair_context()
+    words = list(dict.fromkeys(random_words(group, 60, 5, random.Random(12))))
+    assert len(words) > 16
+    first = {}
+    for k, w in enumerate(words):
+        first[w] = kk_embed(w, ctx)
+        assert len(ctx._embeddings) == min(k + 1, 8)
+    assert list(ctx._embeddings) == words[-8:]
+    # an element dropped from the memo embeds again to the same element
+    assert kk_embed(words[0], ctx) == first[words[0]]
+    assert list(ctx._embeddings) == words[-7:] + words[:1]
+
+
+def test_a_context_is_freed_by_reference_counting():
+    gc.disable()
+    try:
+        group, ctx = pair_context()
+        wg = w_groups(group, ctx)
+        report = verify_kk(group, ctx, samples=20, seed=3, w_groups_by_orbit=[wg.from_group])
+        alpha = kk_embed(group.generators[0], ctx).multiply(
+            MultiWreathElement(ctx, ((RayPoint(1, 3), swap_perm()),), identity(2))
+        )
+        result = phi_s_descent(alpha, group, ctx, [group.generators[1]])
+        ran = report.ok and result.ok and bool(ctx._embeddings) and bool(ctx._descent_tables)
+        ref = weakref.ref(ctx)
+        del ctx, alpha, result
+        alive = ref() is not None
+    finally:
+        gc.enable()
+    assert ran
+    assert not alive
+
+
 # -- induced block groups ------------------------------------------------------------
 
 
@@ -183,6 +299,41 @@ def test_w_groups_trivial_for_singleton_blocks():
         report = w_groups(group, ctx, orbit=orbit)
         assert report.from_group.order() == 1
         assert report.from_kernel.order() == 1
+
+
+def searched_block_generators(group, ctx, orbit):
+    """The word search over words of length at most 4, as sorted generator lists.
+
+    All words stabilizing the block, the finitary ones among them, and those
+    fixing every kept class whose image is known.
+    """
+    block = ctx.block_of_orbit[orbit]
+    gens = group.symmetric_generators()
+    seen = frontier = {identity(group.n)}
+    for _ in range(4):
+        frontier = {w.compose(s) for w in frontier for s in gens} - seen
+        seen = seen | frontier
+    found = (set(), set(), set())
+    for w in seen:
+        images = [w.apply(p) for p in block]
+        if set(images) != set(block):
+            continue
+        perm = tuple(block.index(p) for p in images)
+        found[0].add(perm)
+        if w.is_finitary():
+            found[1].add(perm)
+            if all(a == b for a, b in ctx.quotient.partial_action(w).items()):
+                found[2].add(perm)
+    return [sorted(f) for f in found]
+
+
+def test_w_groups_of_a_one_point_block_is_what_the_word_search_finds():
+    group, ctx = delta_context()
+    for orbit in (0, 1):
+        report = w_groups(group, ctx, orbit=orbit)
+        got = [sorted(g.gens) for g in (report.from_group, report.from_finitary, report.from_kernel)]
+        assert got == searched_block_generators(group, ctx, orbit) == [[(0,)]] * 3
+        assert report.kernel_equals_finitary and report.finitary_equals_group
 
 
 def test_w_groups_lists_the_identity_word():

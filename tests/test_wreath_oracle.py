@@ -12,7 +12,10 @@ The elements are seeded group words (which preserve the congruence), seeded
 ``random_element``s (which mostly break it), and edge elements that send one
 class point just inside, exactly onto and just past the closure window's edge;
 a class whose images partly leave the window is skipped even when the images
-that stay fall in two classes.
+that stay fall in two classes.  One context has a class on two rays whose
+point on its lowest ray lies at a generator's threshold and whose other point
+lies below it: a class with no known image is inconclusive when its least
+position, on any ray, is below the element's threshold.
 
 The class-action pass (``QuotientStructure._class_action``) and the
 inference kernel it feeds (``_induced``) are checked against the same
@@ -189,7 +192,7 @@ class Reference:
         partial = self.partial_action(g)
         head = reference_inference(partial, q.n, self.known_ranks)
         for k, cls in enumerate(q.classes):
-            if cls[0].pos < g.threshold and q.quotient_points[k] not in partial:
+            if min(p.pos for p in cls) < g.threshold and q.quotient_points[k] not in partial:
                 raise InconclusiveError(f"image of class {cls[0]} is outside the verified window")
         base = []
         for qp, target in partial.items():
@@ -267,6 +270,15 @@ def conjugated_context(seed):
     return build_block_context(group, system, 30)
 
 
+def spanning_group():
+    """<h>, h translating by (4, -2, -2) from 12 on; one class is (1:12 2:0)."""
+    h = HoughtonElement(3, (4, -2, -2), {
+        (1, 8): (1, 12), (1, 9): (2, 0), (1, 10): (1, 13), (1, 11): (1, 14),
+        (2, 0): (1, 15), (2, 1): (1, 0), (2, 2): (1, 1), (3, 0): (1, 2), (3, 1): (1, 3),
+    })
+    return GeneratedSubgroup(3, (h,))
+
+
 def contexts():
     pair = BlockSystem.from_lists([[(1, 0), (1, 1)]])
     triple = BlockSystem.from_lists([[(1, 0), (1, 1), (1, 2)]])
@@ -281,6 +293,12 @@ def contexts():
     )
     # S_3 on blocks of three: 3-cycles and transpositions as base values
     out["triple-30"] = build_block_context(triple_group(), triple, 30)
+    # a class on two rays whose least point lies below a threshold its first point reaches
+    spanning = BlockSystem.from_lists([[(1, 0), (1, 1)], [(1, 2), (1, 3)]])
+    out.update({
+        f"spanning-{depth}": build_block_context(spanning_group(), spanning, depth)
+        for depth in (16, 30)
+    })
     return out
 
 
