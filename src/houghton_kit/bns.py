@@ -287,6 +287,14 @@ def f_certificate(lattice: TranslationLattice) -> Certificate:
 
 # -- parsing ------------------------------------------------------------------------
 
+# Most decimal digits a numerator or denominator of a coefficient may have
+# while a character is read from text (per ray, summed over its terms).  It
+# bounds the work of each term, and the canonical shift of such coefficients
+# prints in at most 2 * 1000 + 1 digits, inside Python's limit on integer
+# string conversion.
+CHARACTER_DIGIT_BOUND = 1000
+_COEFF_LIMIT = 10**CHARACTER_DIGIT_BOUND
+
 _TERM = re.compile(
     r"\s*(?P<sign>[+-])?\s*(?:(?P<coef>\d+(?:/\d+)?)\s*\*?\s*)?t(?P<ray>\d+)\s*"
 )
@@ -315,6 +323,11 @@ def parse_character(text: str, n: int) -> Character:
         if m.group("sign") == "-":
             coef = -coef
         coeffs[ray - 1] += coef
+        c = coeffs[ray - 1]
+        if abs(c.numerator) >= _COEFF_LIMIT or c.denominator >= _COEFF_LIMIT:
+            raise DomainError(
+                f"the coefficient of t{ray} has more than {CHARACTER_DIGIT_BOUND} digits"
+            )
         found = True
     if not found:
         raise DomainError(f"cannot parse character: {text!r}")

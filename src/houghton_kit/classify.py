@@ -20,7 +20,7 @@ from .subgroups import (
     congruence_exponent,
     is_congruence_lifting,
     is_level,
-    orbit_windows,
+    orbit_summary,
     translation_lattice,
 )
 
@@ -96,7 +96,10 @@ def classify(group: GeneratedSubgroup, window: int = 40) -> ClassificationReport
 
     Pipeline: translation lattice, Hirsch length, level and congruence
     checks, window orbits, block systems (full Hirsch length only),
-    certificate, then the theorem-backed verdict.  ``block_findings`` comes
+    certificate, then the theorem-backed verdict.  ``orbit_summary``'s class
+    count and ray incidence are read off the folded segments of the exact
+    orbit partition (``subgroups.orbit_summary``), with no window point
+    built.  ``block_findings`` comes
     from ``find_block_systems``: its empty ``systems`` is a proof that no
     proper non-trivial system of finite blocks exists when its ``caveat`` is
     ``blocks.PROOF_CAVEAT`` (every orbit is infinite and the group contains
@@ -114,13 +117,7 @@ def classify(group: GeneratedSubgroup, window: int = 40) -> ClassificationReport
     cong = is_congruence_lifting(lattice)
     cong_section = {"status": bool(cong), "modulus": cong.modulus}
 
-    report = orbit_windows(group, window)
-    orbit_summary = {
-        "window": window,
-        "class_count": report.class_count,
-        "stabilized": report.stabilized,
-        "ray_incidence": [list(r) for r in report.ray_incidence],
-    }
+    orbits = orbit_summary(group, window)
 
     block_findings = {"searched": False, "systems": [], "caveat": ""}
     if full and group.generators:
@@ -167,7 +164,7 @@ def classify(group: GeneratedSubgroup, window: int = 40) -> ClassificationReport
         lattice_index=lattice.index_in_zero_sum(),
         level=level,
         congruence_lifting=cong_section,
-        orbit_summary=orbit_summary,
+        orbit_summary=orbits,
         block_findings=block_findings,
         certificate=certificate,
         verdict=verdict,

@@ -36,7 +36,7 @@ from .subgroups import (
     hirsch_length,
     is_congruence_lifting,
     is_level,
-    orbit_windows,
+    orbit_summary,
     parse_word,
     translation_lattice,
 )
@@ -286,19 +286,13 @@ def _cmd_subgroup(args) -> int:
         )
         return 0
     if args.action == "orbits":
-        report = orbit_windows(group, args.window)
-        payload = {
-            "window": args.window,
-            "class_count": report.class_count,
-            "stabilized": report.stabilized,
-            "ray_incidence": [list(r) for r in report.ray_incidence],
-        }
+        payload = orbit_summary(group, args.window)
         _emit(
             args,
             payload,
             [
-                f"orbit classes in window {args.window}: {report.class_count}",
-                f"stabilized: {report.stabilized}",
+                f"orbit classes in window {args.window}: {payload['class_count']}",
+                f"stabilized: {payload['stabilized']}",
             ],
         )
         return 0

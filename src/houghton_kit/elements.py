@@ -560,6 +560,29 @@ class FoldedOrbits:
             by_ray.append(keys)
         return [key for row in zip(*by_ray) for key in row]
 
+    def window_incidence(self, depth: int) -> tuple:
+        """Per orbit class meeting the window of depth W, by least point: the sorted rays it meets.
+
+        Read off the segments, each cut at W.  A run of period m shows its
+        first min(m, count) residues, which hold every class it meets, in the
+        order its points meet them; a dense stretch is a run whose period is
+        its length.  A fixed run gives one singleton class per point.
+        """
+        rays: dict = {}  # class key -> rays met, in order of least point
+        for ray, segs in enumerate(self.segments, start=1):
+            keys = []
+            for start, stop, base, period in segs:
+                count = min(stop, depth) - start
+                if count <= 0:
+                    break
+                if period:
+                    keys += self.roots[base:base + min(period, count)]
+                else:
+                    keys += [(ray, pos) for pos in range(start, start + count)]
+            for key in dict.fromkeys(keys):
+                rays.setdefault(key, []).append(ray)
+        return tuple(map(tuple, rays.values()))
+
 
 def _fold_orbits(n: int, generators: tuple) -> FoldedOrbits:
     """The ``FoldedOrbits`` of the group the generators span."""

@@ -323,11 +323,26 @@ def _orbit_certificate(group: GeneratedSubgroup) -> FoldedOrbits:
 
 
 def orbit_windows(group: GeneratedSubgroup, depth: int) -> OrbitWindowReport:
-    """The exact orbit partition cut to the window of depth W (``_orbit_certificate``)."""
-    keys = _orbit_certificate(group).window_keys(depth)
-    classes = tuple(_window_partition(keys, group.n, depth))
-    incidence = tuple(tuple(sorted({p.ray for p in cls})) for cls in classes)
-    return OrbitWindowReport(classes, True, incidence)
+    """The exact orbit partition cut to the window of depth W (``_orbit_certificate``).
+
+    Only the window-bounded block search and its verification read the
+    classes; ``orbit_summary`` reads the count and incidence without them.
+    """
+    orbits = _orbit_certificate(group)
+    classes = tuple(_window_partition(orbits.window_keys(depth), group.n, depth))
+    return OrbitWindowReport(classes, True, orbits.window_incidence(depth))
+
+
+def orbit_summary(group: GeneratedSubgroup, depth: int) -> dict:
+    """The orbit section of a report: the class count and ray incidence in the
+    window of depth W, read off the folded segments with no window point built."""
+    incidence = _orbit_certificate(group).window_incidence(depth)
+    return {
+        "window": depth,
+        "class_count": len(incidence),
+        "stabilized": True,
+        "ray_incidence": [list(r) for r in incidence],
+    }
 
 
 # -- word search helpers ----------------------------------------------------------

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .blocks import (
     BlockSystem,
@@ -131,11 +132,14 @@ class MultiWreathElement:
     def __hash__(self):
         return hash((self.base, self.head))
 
+    @cached_property
+    def _values(self) -> dict:
+        """The base as a dict, quotient point -> value; built on first use."""
+        return dict(self.base)
+
     def base_value(self, qpoint):
-        for qp, v in self.base:
-            if qp == qpoint:
-                return v
-        return tuple(range(self.ctx.block_size(qpoint)))
+        v = self._values.get(qpoint)
+        return tuple(range(self.ctx.block_size(qpoint))) if v is None else v
 
     def support(self) -> tuple:
         return tuple(qp for qp, _ in self.base)
@@ -143,29 +147,31 @@ class MultiWreathElement:
     def multiply(self, other: "MultiWreathElement") -> "MultiWreathElement":
         # (phi1, a1)(phi2, a2) = (phi1 * phi2^(a1^-1), a1 a2), and
         # phi2^(a1^-1) evaluated at w is phi2(w a1): the shift by the first
-        # head is what makes the embedding cocycle telescope
+        # head is what makes the embedding cocycle telescope.  So the base
+        # lives on supp(phi1) and a1^-1 supp(phi2), and where one factor is
+        # the identity the value is the other's
         if self.ctx is not other.ctx:
             raise DomainError("wreath elements from different contexts")
         head = self.head.compose(other.head)
         a1, n = self.head, self.ctx.n
-        a1_inv = a1.inverse()
+        a1_inv, mine = a1.inverse(), self._values
         # base keys are quotient points, so their images need no check
-        points = {qp for qp, _ in self.base}
-        points.update(point_of(n, a1_inv._image(code_of(n, qp))) for qp, _ in other.base)
+        pulled = {point_of(n, a1_inv._image(code_of(n, qp))): v for qp, v in other.base}
         base = []
-        for qp in points:
-            moved = point_of(n, a1._image(code_of(n, qp)))
-            base.append((qp, _mul(self.base_value(qp), other.base_value(moved))))
-        return MultiWreathElement(self.ctx, tuple(base), head)
+        for qp in mine.keys() | pulled.keys():
+            v, w = mine.get(qp), pulled.get(qp)
+            value = w if v is None else v if w is None else _mul(v, w)
+            if not _is_id(value):
+                base.append((qp, value))
+        base.sort()
+        return MultiWreathElement._trusted(self.ctx, tuple(base), head)
 
     def inverse(self) -> "MultiWreathElement":
-        head_inv = self.head.inverse()
         n = self.ctx.n
-        base = [
-            (point_of(n, self.head._image(code_of(n, qp))), _inv(v))
-            for qp, v in self.base
-        ]
-        return MultiWreathElement(self.ctx, tuple(base), head_inv)
+        base = sorted(
+            (point_of(n, self.head._image(code_of(n, qp))), _inv(v)) for qp, v in self.base
+        )
+        return MultiWreathElement._trusted(self.ctx, tuple(base), self.head.inverse())
 
     def __mul__(self, other):
         return self.multiply(other)
@@ -193,10 +199,13 @@ class MultiWreathElement:
 
     @classmethod
     def _trusted(cls, ctx: BlockContext, base: tuple, head: HoughtonElement) -> "MultiWreathElement":
-        """Wrap a base and head that a constructor has already validated.
+        """Wrap a base and head that are already known to be valid.
 
-        For ``kk_embed``'s memo: the base is in canonical form (sorted, no
-        identity value) and fits its blocks, so no second check runs.
+        The base is in canonical form (sorted, no identity value) and fits
+        its blocks, so no second check runs: ``kk_embed``'s memo holds what
+        the constructor checked, and ``multiply`` and ``inverse`` build their
+        results from elements of the product, whose heads carry each class to
+        a class of its orbit, hence of the same block size.
         """
         elt = object.__new__(cls)
         object.__setattr__(elt, "ctx", ctx)

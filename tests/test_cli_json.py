@@ -4,8 +4,9 @@ Every payload the CLI emits is caught on its way into ``cli._emit`` and
 written both ways; the comparison is on the payload object itself, so a
 difference that a ``json.loads`` round trip would hide still fails.
 
-Inputs the CLI cannot read (a file it cannot open or load as JSON, and
-numbers past Python's digit limit) end in exit 2 with a message, never in a
+Inputs the CLI cannot read (a file it cannot open or load as JSON, numbers
+past Python's digit limit, and characters whose coefficients pass
+``bns.CHARACTER_DIGIT_BOUND``) end in exit 2 with a message, never in a
 traceback.
 """
 
@@ -15,6 +16,7 @@ import pytest
 
 from houghton_kit import cli
 from houghton_kit.blocks import PROOF_CAVEAT, WINDOW_CAVEAT
+from houghton_kit.bns import CHARACTER_DIGIT_BOUND
 from houghton_kit.cli import _json_text, cli_main
 from houghton_kit.elements import from_cycles, generator, houghton_generators, transposition
 from houghton_kit.rays import RayPoint
@@ -212,3 +214,24 @@ def test_a_word_number_is_bounded_by_its_value_not_its_digits(capsys):
         assert cli_main(["element", "parse", "--n", "2", "--word", word]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+def test_a_character_whose_coefficients_pass_the_digit_bound_exits_2(capsys):
+    # each number parses under Python's digit limit, but the canonical
+    # coefficient of t3, (a^2 + 1) / a, would print in 8000 digits
+    a = "9" * 4000
+    many = " + ".join(f"1/{d} t1" for d in range(2, 3000))  # the lcm of 2..2999 passes the bound
+    for chi in (f"t1 - {a} t2 + 1/{a} t3", f"t1 - {'9' * 1001} t2", many):
+        for argv in (["bns", "sigma", "--n", "5", "--chi", chi],
+                     ["bns", "type", "--n", "5", "--kernel", chi]):
+            capsys.readouterr()
+            assert cli_main(argv) == 2, argv[:5]
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and f"more than {CHARACTER_DIGIT_BOUND} digits" in err
+
+
+def test_a_character_at_the_digit_bound_is_written_in_full(capsys):
+    a = "9" * CHARACTER_DIGIT_BOUND
+    assert cli_main(["--json", "bns", "sigma", "--n", "3", "--chi", f"t1 - {a} t2 + 1/{a} t3"]) == 0
+    coeffs = json.loads(capsys.readouterr().out)["chi"]["coeffs"]
+    assert coeffs[1:] == ["0", f"{int(a) ** 2 + 1}/{a}"]

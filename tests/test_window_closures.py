@@ -213,6 +213,7 @@ def check_orbit_report(group, window, deep):
     classes = tuple(c for c in cut if c)
     assert report.stabilized
     assert report.classes == classes
+    assert report.class_count == len(classes)
     assert report.ray_incidence == tuple(tuple(sorted({p.ray for p in c})) for c in classes)
     return report
 
@@ -400,6 +401,41 @@ def test_far_and_clustered_heads_match_a_deep_closure(group, window):
     deep = naive_orbit_classes(group, top, top + window_depth(group))
     for w in (5, 40, window):
         check_orbit_report(group, w, deep)
+
+
+def incidence_of(deep, depth):
+    """Per class of ``deep`` cut to the window of depth W, by least point: the rays it meets."""
+    cut = (tuple(p for p in c if p.pos < depth) for c in deep)
+    return tuple(tuple(sorted({p.ray for p in c})) for c in sorted((c for c in cut if c), key=min))
+
+
+def incidence_test_groups():
+    """Seeded conjugated groups, the trivial group (fixed runs only), H_3, a
+    touched ray with fixed runs, and cluster_group(6), whose run [6, 17) of
+    period 3 (see ``test_a_gap_shorter_than_2s_is_dense``) is cut mid-period
+    at depths 7 and 8."""
+    rng = random.Random(1300)
+    groups = [conjugated_delta(rng) for _ in range(8)]
+    groups += [
+        GeneratedSubgroup(3, ()),
+        GeneratedSubgroup.from_elements(3, houghton_generators(3)),
+        GeneratedSubgroup(3, (generator(3, 2), from_cycles(3, [[(3, 2), (3, 9), (1, 4)]]))),
+        cluster_group(6),
+    ]
+    return groups
+
+
+@pytest.mark.parametrize(
+    "group",
+    incidence_test_groups(),
+    ids=[f"conjugated-{k}" for k in range(8)] + ["trivial", "H_3", "touched-fixed-ray", "period-3"],
+)
+def test_window_incidence_matches_a_deep_closure_at_every_depth(group):
+    orbits = _orbit_certificate(group)
+    top = window_depth(group) + 2
+    deep = naive_orbit_classes(group, top, top + window_depth(group))
+    for depth in range(1, top + 1):
+        assert orbits.window_incidence(depth) == incidence_of(deep, depth)
 
 
 def test_a_gap_shorter_than_2s_is_dense():
