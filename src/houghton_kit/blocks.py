@@ -14,18 +14,16 @@ the induced generator images as elements of the quotient ray system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations, compress, islice
 from operator import ne
 
 from .elements import HoughtonElement, _image_table
 from .errors import DomainError, InconclusiveError, InvalidElementError
-from .finperm import _classes, _close
+from .finperm import _classes, _close, _witness_system
 from .rays import RayPoint, RaySystem, code_of, point_of
 from .subgroups import (
     GeneratedSubgroup,
     TranslationLattice,
-    _orbit_certificate,
     _window_partition,
     bounded_words,
     orbit_windows,
@@ -121,24 +119,9 @@ def _check_in_window(blocks, n: int, depth: int) -> None:
                 raise DomainError(f"block point outside the window of depth {depth}")
 
 
-@lru_cache(maxsize=8)
-def _deepest_tables(group: GeneratedSubgroup) -> list:
-    """The group's [depth, tables] pair of ``_window_action``, replaced as windows deepen."""
-    return [0, ()]
-
-
 def _window_action(group: GeneratedSubgroup, depth: int) -> tuple:
-    """Image tables (``_image_table``) of the symmetric generators, cached per group.
-
-    Tables follow ``symmetric_generators()`` and cover at least the window of
-    this depth.  A window is a prefix of every deeper one, so a closure on it
-    reads the tables of the deepest window built so far; a deeper window
-    replaces them.
-    """
-    cached = _deepest_tables(group)
-    if cached[0] < depth:
-        cached[:] = depth, tuple(_image_table(g, depth) for g in group.symmetric_generators())
-    return cached[1]
+    """Image tables (``_image_table``) of ``symmetric_generators()`` on the window of this depth."""
+    return tuple(_image_table(g, depth) for g in group.symmetric_generators())
 
 
 def congruence_classes(group: GeneratedSubgroup, system: BlockSystem, depth: int):
@@ -280,11 +263,7 @@ def _search_block_systems(group: GeneratedSubgroup, depth: int) -> BlockSearchRe
             if interior in seen_keys:
                 continue
             covered = [c for c in report.classes if set(c) & set(block)]
-            blocks = [block]
-            for other in report.classes:
-                if other not in covered:
-                    blocks.append((other[0],))
-            system = BlockSystem(tuple(blocks))
+            system = BlockSystem(_witness_system(block, report.classes, covered))
             verdict = verify_block_system(group, system, depth)
             if verdict.valid:
                 seen_keys.add(interior)
@@ -384,7 +363,7 @@ def _finitary_alternating_proof(group: GeneratedSubgroup):
     the partition into points:
 
     - Every orbit is infinite.  The exact orbit certificate
-      (``subgroups._orbit_certificate``) has no run fixed by every generator,
+      (``GeneratedSubgroup.orbits``) has no run fixed by every generator,
       and every closure class holds a node of some ray's infinite tail.
     - Alt(S) <= G, with |S| >= 3, when the witnesses' supports connect S.
       Add the witnesses one at a time, each meeting the union U of those
@@ -408,7 +387,7 @@ def _finitary_alternating_proof(group: GeneratedSubgroup):
     conjugates a^-1 w a by the symmetric generators, whose cycle is the
     image of w's cycle under a, so they need no element product.
     """
-    orbits = _orbit_certificate(group)
+    orbits = group.orbits
     tails = orbits.tail_roots()
     if orbits.has_fixed_run() or not tails.issuperset(orbits.roots):
         return None  # a fixed point, or a class without a tail node, is a finite orbit

@@ -51,6 +51,14 @@ from .wreath import build_block_context, kk_embed, verify_kk
 # it is rejected up front.  The library itself is unbounded.
 POSITION_BOUND = 10**5
 
+# Largest window, in points (ray count times --window), the command line
+# accepts.  The window closures grow as n * W and the wreath closes at 4W: on
+# the pair group (n = 2) at W = 10^4, `classify` took 0.14 s and 29 MiB and
+# `wreath verify --samples 20` 1.0 s and 63 MiB; at W = 10^5 classify took
+# 1.34 s and 146 MiB (in process, one Xeon core).  The default windows at the
+# ray bound are 2,560 and 3,840 points.  The library itself is unbounded.
+WINDOW_POINT_BOUND = 20_000
+
 # Largest ray count the command line accepts.  Parsing a word costs time and
 # memory linear in n (`element parse --word g2` took 1.4 s and 55 MiB at
 # n = 10^6), and the lattice work grows faster: at n = 64 `bns certificate`
@@ -124,6 +132,17 @@ def _load_subgroup(path) -> GeneratedSubgroup:
     _within_ray_bound(group.n)
     for g in group.generators:
         _bounded(g)
+    return group
+
+
+def _load_windowed(args) -> GeneratedSubgroup:
+    """The --subgroup of a command that reads --window, within the window bound."""
+    group = _load_subgroup(args.subgroup)
+    if group.n * args.window > WINDOW_POINT_BOUND:
+        raise DomainError(
+            f"window {args.window} on {group.n} rays is {group.n * args.window} points, "
+            f"above the command-line bound {WINDOW_POINT_BOUND}"
+        )
     return group
 
 
@@ -247,7 +266,7 @@ def _cmd_element(args) -> int:
 
 
 def _cmd_subgroup(args) -> int:
-    group = _load_subgroup(args.subgroup)
+    group = _load_windowed(args)
     lattice = translation_lattice(group)
     if args.action == "lattice":
         payload = {
@@ -300,7 +319,7 @@ def _cmd_subgroup(args) -> int:
 
 
 def _cmd_blocks(args) -> int:
-    group = _load_subgroup(args.subgroup)
+    group = _load_windowed(args)
     if args.action == "find":
         result = find_block_systems(group, depth=args.window)
         payload = {
@@ -342,7 +361,7 @@ def _cmd_blocks(args) -> int:
 
 
 def _cmd_wreath(args) -> int:
-    group = _load_subgroup(args.subgroup)
+    group = _load_windowed(args)
     system = _load_blocks(args.blocks)
     ctx = build_block_context(group, system, args.window)
     if args.action == "embed":
@@ -427,7 +446,7 @@ def _cmd_bns(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    group = _load_subgroup(args.subgroup)
+    group = _load_windowed(args)
     report = classify(group, window=args.window)
     payload = report.to_json_dict()
     lines = [

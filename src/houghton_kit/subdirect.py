@@ -16,7 +16,6 @@ from .rays import RayPoint, RaySystem, point_of
 from .subgroups import (
     GeneratedSubgroup,
     TranslationLattice,
-    _orbit_certificate,
     bounded_words,
     is_level,
     translation_lattice,
@@ -71,7 +70,7 @@ def induce_on_orbit(group: GeneratedSubgroup, point, g: HoughtonElement) -> Houg
     the orbit keys give; ``_from_codes`` checks the bijection.  Raises
     DomainError when O meets some ray finitely, or g sends a point of O off it.
     """
-    n, orbits = group.n, _orbit_certificate(group)
+    n, orbits = group.n, group.orbits
     if g.n != n:
         raise DomainError(f"element acts on {g.n} rays, the group on {n}")
     point = RaySystem(n).check(point)
@@ -107,7 +106,7 @@ def decompose(group: GeneratedSubgroup, depth: int = 40) -> SubdirectDecompositi
     """
     if not translation_lattice(group).rank == group.n - 1:
         raise DomainError("decompose needs a subgroup of full Hirsch length")
-    n, orbits = group.n, _orbit_certificate(group)
+    n, orbits = group.n, group.orbits
     # every orbit has a point below the edge
     edge = max(start + max(period, 1) for start, period, _ in orbits.tails())
     keys, least, infinite = orbits.window_keys(max(depth, edge)), {}, orbits.tail_roots()
@@ -167,7 +166,7 @@ def kernel_intersection_probe(
             if not g.is_identity():
                 return ProbeResult("trivial-full-factor", g, None)
         return ProbeResult("inconclusive", None, None)
-    orbits = _orbit_certificate(group)
+    orbits = group.orbits
     key = orbits.key(decomposition.factors[factor_index].least)
     gens = group.symmetric_generators()
     for path, e in bounded_words(identity(group.n), gens, HoughtonElement.compose, 4, cap=20000):

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 from itertools import chain, combinations
 from math import gcd, lcm, prod
 from typing import Iterable
@@ -34,9 +34,10 @@ from .rays import RayPoint, RaySystem
 class GeneratedSubgroup:
     """A subgroup given by a finite list of generating elements.
 
-    Equality compares every field; the hash is computed once, from the ray
-    count and the generators, because the window caches look groups up on
-    every call.  The symmetric generators are built once, on first use.
+    Equality and the hash compare every field.  Two things are built from
+    the generators on first use and kept on the group: the symmetric
+    generators and the exact orbit partition (``orbits``).  Nothing else
+    holds them, so they go with the group.
     """
 
     n: int
@@ -49,10 +50,6 @@ class GeneratedSubgroup:
                 raise DomainError("generators must share the ray count")
         if self.labels and len(self.labels) != len(self.generators):
             raise DomainError("labels must match generators one to one")
-        object.__setattr__(self, "_hash", hash((self.n, self.generators)))
-
-    def __hash__(self):
-        return self._hash
 
     @classmethod
     def from_elements(cls, n: int, gens: Iterable[HoughtonElement]):
@@ -65,6 +62,11 @@ class GeneratedSubgroup:
     def symmetric_generators(self) -> tuple:
         """The generators, then their inverses in the same order."""
         return self._symmetric
+
+    @cached_property
+    def orbits(self) -> FoldedOrbits:
+        """The exact orbit partition, ``elements.FoldedOrbits``, built on first use."""
+        return _fold_orbits(self.n, self.generators)
 
     def spell(self, path) -> HoughtonElement:
         """The element of a path of indices into ``symmetric_generators()``."""
@@ -312,23 +314,13 @@ def _window_partition(keys: list, n: int, depth: int) -> list:
     return [tuple(v) for v in buckets.values()]
 
 
-@lru_cache(maxsize=8)
-def _orbit_certificate(group: GeneratedSubgroup) -> FoldedOrbits:
-    """The group's exact orbit partition, ``elements.FoldedOrbits``, cached per group.
-
-    ``cycle_structure`` calls the builder itself, so one-off elements do not
-    evict the groups cached here.
-    """
-    return _fold_orbits(group.n, group.generators)
-
-
 def orbit_windows(group: GeneratedSubgroup, depth: int) -> OrbitWindowReport:
-    """The exact orbit partition cut to the window of depth W (``_orbit_certificate``).
+    """The exact orbit partition cut to the window of depth W (``GeneratedSubgroup.orbits``).
 
     Only the window-bounded block search and its verification read the
     classes; ``orbit_summary`` reads the count and incidence without them.
     """
-    orbits = _orbit_certificate(group)
+    orbits = group.orbits
     classes = tuple(_window_partition(orbits.window_keys(depth), group.n, depth))
     return OrbitWindowReport(classes, True, orbits.window_incidence(depth))
 
@@ -336,7 +328,7 @@ def orbit_windows(group: GeneratedSubgroup, depth: int) -> OrbitWindowReport:
 def orbit_summary(group: GeneratedSubgroup, depth: int) -> dict:
     """The orbit section of a report: the class count and ray incidence in the
     window of depth W, read off the folded segments with no window point built."""
-    incidence = _orbit_certificate(group).window_incidence(depth)
+    incidence = group.orbits.window_incidence(depth)
     return {
         "window": depth,
         "class_count": len(incidence),

@@ -96,7 +96,7 @@ def input_files(tmp_path):
 
 # (valid, malformed) pools; a valid value can still fail with the rest of its argv
 NUMBERS = ["1", "2", "3", "5"], ["0", "-1", "-7", "x", "", "1e3", "3.5", "9" * 5000]
-WINDOWS = ["3", "12", "20", "40", "60", "100"], ["0", "-5", "abc", "1"]
+WINDOWS = ["3", "12", "20", "40", "60", "100"], ["0", "-5", "abc", "1", "100000"]
 RAYS = ["2", "3", "4"], ["0", "-1", "65", "x"]
 WORDS = [
     "g2", "g3^-1", "g2^2 * (1:0 1:1)", "(1:0 2:3)^-1", "g2 g3 g2^-1", "g2^" + "0" * 30 + "3",

@@ -5,19 +5,20 @@ written both ways; the comparison is on the payload object itself, so a
 difference that a ``json.loads`` round trip would hide still fails.
 
 Inputs the CLI cannot read (a file it cannot open or load as JSON, numbers
-past Python's digit limit, and characters whose coefficients pass
-``bns.CHARACTER_DIGIT_BOUND``) end in exit 2 with a message, never in a
-traceback.
+past Python's digit limit, characters whose coefficients pass
+``bns.CHARACTER_DIGIT_BOUND`` and windows past ``cli.WINDOW_POINT_BOUND``
+points) end in exit 2 with a message, never in a traceback.
 """
 
 import json
+import time
 
 import pytest
 
 from houghton_kit import cli
 from houghton_kit.blocks import PROOF_CAVEAT, WINDOW_CAVEAT
 from houghton_kit.bns import CHARACTER_DIGIT_BOUND
-from houghton_kit.cli import _json_text, cli_main
+from houghton_kit.cli import WINDOW_POINT_BOUND, _json_text, cli_main
 from houghton_kit.elements import from_cycles, generator, houghton_generators, transposition
 from houghton_kit.rays import RayPoint
 from houghton_kit.subgroups import GeneratedSubgroup, delta_k
@@ -235,3 +236,15 @@ def test_a_character_at_the_digit_bound_is_written_in_full(capsys):
     assert cli_main(["--json", "bns", "sigma", "--n", "3", "--chi", f"t1 - {a} t2 + 1/{a} t3"]) == 0
     coeffs = json.loads(capsys.readouterr().out)["chi"]["coeffs"]
     assert coeffs[1:] == ["0", f"{int(a) ** 2 + 1}/{a}"]
+
+
+def test_a_window_past_the_point_bound_exits_2_before_any_closure(tmp_path, capsys):
+    # on the pair group (n = 2), --window 10000 is exactly WINDOW_POINT_BOUND points
+    path = write(tmp_path, "pair.json", pair_group().to_json_dict())
+    start = time.perf_counter()
+    assert cli_main(["classify", "--subgroup", path, "--window", "10000000"]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"bound {WINDOW_POINT_BOUND}" in err
+    assert 2 * 10000 == WINDOW_POINT_BOUND
+    assert cli_main(["classify", "--subgroup", path, "--window", "10000"]) == 0

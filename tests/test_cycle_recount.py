@@ -20,7 +20,6 @@ from houghton_kit.elements import (
     transposition,
     window_cycle_counts,
 )
-from houghton_kit.subgroups import _orbit_certificate, delta_k
 
 
 def seeded_element(n, rng):
@@ -57,11 +56,3 @@ def test_the_cli_bound_case_folds_to_few_nodes():
     cs = cycle_structure(g)
     assert cs.window_checked and cs.infinite_cycle_count == 1
 
-
-def test_cycle_structure_leaves_the_orbit_certificate_cache_alone():
-    _orbit_certificate(delta_k(3, 2))
-    before = _orbit_certificate.cache_info()
-    rng = random.Random(16)
-    for _ in range(20):
-        assert cycle_structure(seeded_element(3, rng)).window_checked
-    assert _orbit_certificate.cache_info() == before

@@ -10,7 +10,9 @@ closure reaches the same classes through per-class image representatives,
 whatever order it merges in.
 """
 
+import gc
 import random
+import weakref
 from functools import lru_cache
 from math import gcd
 
@@ -19,7 +21,6 @@ import pytest
 from houghton_kit import elements
 from houghton_kit.blocks import (
     BlockSystem,
-    _deepest_tables,
     _edge_weights,
     _require_margin,
     _window_action,
@@ -28,7 +29,9 @@ from houghton_kit.blocks import (
     find_block_systems,
     verify_block_system,
 )
+from houghton_kit.classify import classify
 from houghton_kit.elements import (
+    _fold_orbits,
     from_cycles,
     generator,
     houghton_generators,
@@ -40,14 +43,15 @@ from houghton_kit.elements import (
 from houghton_kit.errors import InconclusiveError
 from houghton_kit.finperm import _close
 from houghton_kit.rays import RayPoint, RaySystem, code_of, point_of
+from houghton_kit.subdirect import decompose
 from houghton_kit.subgroups import (
     GeneratedSubgroup,
-    _orbit_certificate,
     _window_partition,
     delta_k,
     orbit_windows,
     translation_lattice,
 )
+from houghton_kit.wreath import build_block_context
 
 FAMILIES = [(2, 2), (3, 1), (3, 2), (3, 3), (4, 2)]
 
@@ -182,28 +186,15 @@ def test_congruence_classes_match_the_naive_closure(seed):
     group = conjugated_delta(rng)
     depth = rng.choice([8, 12, 16])
     gens = group.symmetric_generators()
-    for pair in seed_pairs(rng, group.n, depth, 6):
+    for k, pair in enumerate(seed_pairs(rng, group.n, depth, 6)):
         system = BlockSystem((pair,))
-        assert congruence_classes(group, system, depth) == naive_closure(
-            group, system.blocks, depth, gens
-        )
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_a_window_reads_the_prefix_of_deeper_tables_in_either_call_order(seed):
-    # the window of depth D is the code prefix 0 .. nD - 1 of the window of 2D
-    rng = random.Random(950 + seed)
-    group = conjugated_delta(rng)
-    depth = rng.choice([6, 8, 10])
-    gens = group.symmetric_generators()
-    for pair in seed_pairs(rng, group.n, depth, 2):
-        system = BlockSystem((pair,))
-        for order in ((2 * depth, depth), (depth, 2 * depth)):
-            _deepest_tables.cache_clear()
-            for d in order:
-                want = naive_closure(group, system.blocks, d, gens)
-                assert congruence_classes(group, system, d) == want
-            assert _window_action(group, depth) is _window_action(group, 2 * depth)
+        # the window of depth D is the code prefix 0 .. nD - 1 of the window of
+        # 2D; either call order gives each window its own classes
+        order = (depth, 2 * depth) if k % 2 == 0 else (2 * depth, depth)
+        for d in order:
+            assert congruence_classes(group, system, d) == naive_closure(
+                group, system.blocks, d, gens
+            )
 
 
 def check_orbit_report(group, window, deep):
@@ -251,7 +242,7 @@ def closure_sizes(monkeypatch):
 def certificate_nodes(group, monkeypatch):
     """The node count the orbit certificate closes over, built afresh."""
     sizes = closure_sizes(monkeypatch)
-    _orbit_certificate.__wrapped__(group)
+    _fold_orbits(group.n, group.generators)
     monkeypatch.undo()
     (size,) = sizes
     return size
@@ -325,11 +316,46 @@ def test_certificate_nodes_never_exceed_the_window_closure(monkeypatch):
 
 def test_orbit_windows_reads_the_cached_certificate(monkeypatch):
     group = deep_join_group()
-    _orbit_certificate(group)
+    group.orbits
     sizes = closure_sizes(monkeypatch)
     for window in (5, 12, 13, 100):
         assert orbit_windows(group, window).class_count == 1
     assert sizes == []
+
+
+def pair_group():
+    """<g^2, (1:0 1:1), (1:0 1:2)(1:1 1:3)> in H_2; its block search finds {(1, 0), (1, 1)}."""
+    return GeneratedSubgroup.from_elements(
+        2,
+        [
+            generator(2, 2) ** 2,
+            transposition(2, (1, 0), (1, 1)),
+            from_cycles(2, [[(1, 0), (1, 2)], [(1, 1), (1, 3)]]),
+        ],
+    )
+
+
+@pytest.mark.parametrize(
+    "make, blocks",
+    [
+        (lambda: delta_k(3, 2), [[(1, 0)], [(1, 1)]]),
+        (pair_group, [[(1, 0), (1, 1)]]),
+    ],
+    ids=["delta_k(3,2)", "pair"],
+)
+def test_a_dropped_group_and_its_context_are_freed(make, blocks):
+    # what is built from a group lives on the group or on its block context,
+    # so once the caller drops both, nothing keeps the group alive
+    group = make()
+    classify(group, 40)
+    find_block_systems(group, 40)
+    orbit_windows(group, 20)
+    decompose(group, 40)
+    ctx = build_block_context(group, BlockSystem.from_lists(blocks), 60)
+    ref = weakref.ref(group)
+    del group, ctx
+    gc.collect()
+    assert ref() is None
 
 
 def deep_join_group(join=41):
@@ -431,7 +457,7 @@ def incidence_test_groups():
     ids=[f"conjugated-{k}" for k in range(8)] + ["trivial", "H_3", "touched-fixed-ray", "period-3"],
 )
 def test_window_incidence_matches_a_deep_closure_at_every_depth(group):
-    orbits = _orbit_certificate(group)
+    orbits = group.orbits
     top = window_depth(group) + 2
     deep = naive_orbit_classes(group, top, top + window_depth(group))
     for depth in range(1, top + 1):
@@ -440,8 +466,8 @@ def test_window_incidence_matches_a_deep_closure_at_every_depth(group):
 
 def test_a_gap_shorter_than_2s_is_dense():
     # with s = 3, a gap of 6 between the stretches is a run, one of 5 is dense
-    run = _orbit_certificate(cluster_group(6)).segments[0]
-    dense = _orbit_certificate(cluster_group(5)).segments[0]
+    run = cluster_group(6).orbits.segments[0]
+    dense = cluster_group(5).orbits.segments[0]
     assert [seg[:2] for seg in run[1:5]] == [(6, 17), (17, 24), (24, 30), (30, 37)]
     assert [seg[:2] for seg in dense[1:4]] == [(6, 17), (17, 36), (36, float("inf"))]
 
@@ -468,7 +494,7 @@ def test_folded_orbits_key_the_deep_closure_classes():
     # of a deep naive closure and of orbit_windows; tail roots key the classes
     # that hold a moved point past every threshold
     for group in folded_test_groups():
-        orbits = _orbit_certificate(group)
+        orbits = group.orbits
         threshold = max(g.threshold for g in group.generators)
         depths = {1, 7} | {seg[0] + 1 for segs in orbits.segments for seg in segs}
         top = max(*depths, threshold + window_depth(group))
@@ -496,9 +522,9 @@ def test_folded_orbits_key_the_deep_closure_classes():
 def test_a_fixed_run_keys_its_points_by_themselves():
     # ray 3 only moves under a finitary cycle, so m_3 = 0 and its runs are fixed
     group = GeneratedSubgroup(3, (generator(3, 2), from_cycles(3, [[(3, 2), (3, 9), (1, 4)]])))
-    orbits = _orbit_certificate(group)
+    orbits = group.orbits
     assert orbits.has_fixed_run()
-    assert not _orbit_certificate(delta_k(3, 2)).has_fixed_run()
+    assert not delta_k(3, 2).orbits.has_fixed_run()
     for pos in (0, 1, 3, 8, 10, 500):
         assert orbits.node(3, pos) is None
         assert orbits.key(RayPoint(3, pos)) == RayPoint(3, pos)
@@ -519,19 +545,6 @@ def test_a_head_at_10_to_the_5_closes_over_few_nodes(monkeypatch):
     report = orbit_windows(group, 10)
     assert report.class_count == 1
     assert report.ray_incidence == ((1, 2, 3, 4, 5),)
-
-
-def test_equal_groups_built_apart_share_one_certificate():
-    # the cached hash keeps equality: a second, equal group object is a hit
-    group, twin = delta_k(4, 3), delta_k(4, 3)
-    assert group is not twin and group == twin and hash(group) == hash(twin)
-    _orbit_certificate(group)
-    before = _orbit_certificate.cache_info()
-    assert _orbit_certificate(twin) is _orbit_certificate(group)
-    after = _orbit_certificate.cache_info()
-    assert (after.hits, after.misses, after.currsize) == (
-        before.hits + 2, before.misses, before.currsize
-    )
 
 
 def pair_closure(group, tables, p, q, depth, cap, weights):
