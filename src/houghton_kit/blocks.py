@@ -233,9 +233,10 @@ def _search_block_systems(group: GeneratedSubgroup, depth: int) -> BlockSearchRe
     contains the failed closure and fails too: each failed seed weighs like
     a point past the edge for the representative's later seeds, and seeds
     that weigh that much are skipped.  Every candidate that survives is
-    verified before being returned.  Raises InconclusiveError when half the
-    depth is below the generator margin, since no candidate could then be
-    verified.
+    verified before being returned, unless an earlier verified closure has
+    the same classes in the whole window.  Raises InconclusiveError when
+    half the depth is below the generator margin, since no candidate could
+    then be verified.
     """
     bound = block_size_bound(translation_lattice(group))
     margin = _require_margin(group, depth)
@@ -258,15 +259,14 @@ def _search_block_systems(group: GeneratedSubgroup, depth: int) -> BlockSearchRe
             block = tuple(sorted(point_of(n, c) for c, r in enumerate(roots) if r == roots[ip]))
             if any(set(c) <= set(block) for c in report.classes):
                 continue
-            # the classes inside the window's lower half, by their largest code
-            interior = frozenset(tuple(c) for c in _classes(roots) if c[-1] < n * (depth // 2))
-            if interior in seen_keys:
+            key = frozenset(tuple(c) for c in _classes(roots))
+            if key in seen_keys:
                 continue
             covered = [c for c in report.classes if set(c) & set(block)]
             system = BlockSystem(_witness_system(block, report.classes, covered))
             verdict = verify_block_system(group, system, depth)
             if verdict.valid:
-                seen_keys.add(interior)
+                seen_keys.add(key)
                 found.append(system)
     found.sort(key=lambda s: s.blocks[0][0])
     return BlockSearchResult(tuple(found), WINDOW_CAVEAT)

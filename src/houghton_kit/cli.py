@@ -29,7 +29,6 @@ from .errors import (
     InvalidElementError,
     UnsupportedCaseError,
 )
-from .rays import RayPoint
 from .subgroups import (
     GeneratedSubgroup,
     TranslationLattice,
@@ -181,7 +180,10 @@ def _json_text(value, indent: str = "") -> str:
     With an indent, ``json.dumps`` always runs the pure-Python encoder, which
     is slow on long cycle lists.  Here ints, strings, non-empty dicts with
     string keys and non-empty lists and tuples are written directly, and a
-    list of ``RayPoint``s or [ray, pos] int pairs from one template; every
+    list of [ray, pos] int pairs from one template.  A cycle given as its
+    runs (ray, positions), as ``cycle_structure`` keeps it, is written as its
+    [ray, pos] points one run at a time: the points of a run share the ray's
+    prefix and suffix, so a run is one ``str.join`` of its positions.  Every
     other value goes to ``json.dumps``, its lines moved to ``indent``.
     """
     kind = type(value)
@@ -191,8 +193,15 @@ def _json_text(value, indent: str = "") -> str:
         return encode_basestring_ascii(value)
     inner = indent + "  "
     if (kind is list or kind is tuple) and value:
-        if all(type(p) is RayPoint or (type(p) is list and len(p) == 2 and type(p[0]) is int
-                                       and type(p[1]) is int) for p in value):
+        if all(type(x) is tuple and len(x) == 2 and type(x[0]) is int and type(x[1]) is range
+               and x[1] for x in value):
+            runs = []
+            for ray, positions in value:
+                prefix, suffix = f"{inner}[\n{inner}  {ray},\n{inner}  ", f"\n{inner}]"
+                runs.append(prefix + f"{suffix},\n{prefix}".join(map(str, positions)) + suffix)
+            body = ",\n".join(runs)
+        elif all(type(p) is list and len(p) == 2 and type(p[0]) is int and type(p[1]) is int
+                 for p in value):
             pair = f"{inner}[\n{inner}  %d,\n{inner}  %d\n{inner}]"
             body = ",\n".join([pair % (ray, pos) for ray, pos in value])
         else:
@@ -248,8 +257,9 @@ def _cmd_element(args) -> int:
             raise DomainError("element cycles needs exactly one --file")
         elt = _load_element(args.file[0])
         cs = cycle_structure(elt)
+        # the cycles go to the writer as runs: no point is built per listed point
         payload = {
-            "finite_cycles": list(cs.finite_cycles),
+            "finite_cycles": list(cs.runs),
             "infinite_cycles": cs.infinite_cycle_count,
             "window_checked": cs.window_checked,
         }
@@ -257,7 +267,7 @@ def _cmd_element(args) -> int:
             args,
             payload,
             [
-                f"finite cycles: {len(cs.finite_cycles)}",
+                f"finite cycles: {len(cs.runs)}",
                 f"infinite cycles: {cs.infinite_cycle_count}",
             ],
         )

@@ -23,6 +23,8 @@ import json
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property, partial
+from itertools import chain, repeat
 from math import gcd, inf
 from operator import add
 from typing import Iterable, Mapping
@@ -378,20 +380,29 @@ def commutator(a: HoughtonElement, b: HoughtonElement) -> HoughtonElement:
 class CycleStructure:
     """Finite cycles listed exactly; infinite cycles counted.
 
-    ``window_checked`` records that an independent recount reproduced both
-    counts (``_folded_cycle_counts``): the orbits of <g> closed on folded
-    nodes, one per point near the head and one per residue of each longer
-    run, so its cost does not grow with the threshold.  The field keeps its
-    name, which is a key of the ``houghton-kit/1`` CLI schema.
+    ``runs`` holds each finite cycle as ``_cycle_runs`` gives it: its runs
+    (ray, positions) from its least point, cycles in order of least point.
+    ``finite_cycles`` lists the same cycles as tuples of ``RayPoint``s; it is
+    built from the runs on first read, so a caller that only counts or
+    prints cycles never builds a point.  ``window_checked`` records that an
+    independent recount reproduced both counts (``_folded_cycle_counts``):
+    the orbits of <g> closed on folded nodes, one per point near the head and
+    one per residue of each longer run, so its cost does not grow with the
+    threshold.  The field keeps its name, which is a key of the
+    ``houghton-kit/1`` CLI schema.
     """
 
-    finite_cycles: tuple
+    runs: tuple
     infinite_cycle_count: int
     window_checked: bool
 
+    @cached_property
+    def finite_cycles(self) -> tuple:
+        return _run_points(self.runs)
 
-def _finite_cycles(g: HoughtonElement):
-    """Enumerate the finite cycles; every finite cycle meets the head table.
+
+def _cycle_runs(g: HoughtonElement) -> tuple:
+    """The finite cycles of g as runs; every finite cycle meets the head table.
 
     Pure translation steps never change ray and move monotonically, so a
     cycle that avoids the head table entirely cannot close up.
@@ -407,9 +418,14 @@ def _finite_cycles(g: HoughtonElement):
 
     So the walk indexes the head once by (ray, pos mod |t_i|) and finds each
     stop by bisection.  An orbit that reaches a head point of an escaping
-    orbit escapes with it.  An escaping orbit costs O(log |head|) per run; a
-    finite cycle costs the points it lists, built from ranges.  Revisiting a
-    head point, listing a point twice, or stepping where a bijection cannot
+    orbit escapes with it.  A cycle is a tuple of runs (ray, positions), a
+    head point being a run of one position, listed from the cycle's least
+    point, and cycles are sorted by least point.  The least point starts its
+    run: a run going down stops just above the cycle's next point, a head
+    point below it on its ray, and a run going up starts at its least point.
+    The walk costs O(log |head|) per run; a cycle's points are touched only
+    by the duplicate check, one ``set.update`` of codes per run.  Revisiting
+    a head point, listing a point twice, or stepping where a bijection cannot
     go raises AssertionError.
     """
     n, head, t = g.n, g._head, g.t
@@ -461,14 +477,36 @@ def _finite_cycles(g: HoughtonElement):
         if escaped:
             escaping.update(visited)
             continue
-        orbit = [RayPoint(ray, pos) for ray, run in runs for pos in run]
-        if len(set(orbit)) != len(orbit):
+        codes: set[int] = set()
+        for ray, run in runs:
+            codes.update(range(run.start * n + ray - 1, run.stop * n + ray - 1, run.step * n))
+        if len(codes) != sum(len(run) for _, run in runs):
             raise AssertionError("orbit re-entered off its start; not a bijection")
         in_cycle.update(visited)
-        k = orbit.index(min(orbit))
-        cycles.append(tuple(orbit[k:] + orbit[:k]))
-    cycles.sort(key=lambda c: c[0])
+        firsts = [(ray, run[0]) for ray, run in runs]
+        k = firsts.index(min(firsts))
+        cycles.append(tuple(runs[k:] + runs[:k]))
+    cycles.sort(key=lambda c: (c[0][0], c[0][1][0]))  # by least point
     return tuple(cycles)
+
+
+def _run_points(cycles: tuple) -> tuple:
+    """Cycles given as runs, as tuples of ``RayPoint``s; the points are built in C."""
+    point = partial(tuple.__new__, RayPoint)
+    return tuple(
+        tuple(chain.from_iterable(map(point, zip(repeat(ray), run)) for ray, run in cycle))
+        for cycle in cycles
+    )
+
+
+def _cycle_lengths(cycles: tuple) -> list:
+    """The length of each cycle given as runs."""
+    return [sum(len(run) for _, run in cycle) for cycle in cycles]
+
+
+def _finite_cycles(g: HoughtonElement) -> tuple:
+    """The finite cycles of g as tuples of ``RayPoint``s, from its least point, by least point."""
+    return _run_points(_cycle_runs(g))
 
 
 def _image_table(g: HoughtonElement, depth: int) -> list:
@@ -563,10 +601,17 @@ class FoldedOrbits:
     def window_incidence(self, depth: int) -> tuple:
         """Per orbit class meeting the window of depth W, by least point: the sorted rays it meets.
 
-        Read off the segments, each cut at W.  A run of period m shows its
-        first min(m, count) residues, which hold every class it meets, in the
-        order its points meet them; a dense stretch is a run whose period is
-        its length.  A fixed run gives one singleton class per point.
+        Read off the dense stretches and fixed runs, each cut at W: a dense
+        stretch gives its nodes' roots, a fixed run one singleton class per
+        point.  A periodic run adds no class and no ray.  On a ray with
+        m_i >= 1, position 0 is a head point (t < 0) or a head image (t > 0)
+        of some generator, so the ray starts with a dense stretch and every
+        run follows one.  A generator with t > 0 on the ray joins the last t
+        points of that stretch to the first t points of the run (its edge
+        moves), and one with t < 0 joins the first |t| points of the run to
+        the stretch (its entering pairs).  Every |t| is a multiple of m_i, so
+        each residue of the run is joined to a node of the stretch before it,
+        which lies wholly inside any window that reaches the run.
         """
         rays: dict = {}  # class key -> rays met, in order of least point
         for ray, segs in enumerate(self.segments, start=1):
@@ -575,10 +620,10 @@ class FoldedOrbits:
                 count = min(stop, depth) - start
                 if count <= 0:
                     break
-                if period:
-                    keys += self.roots[base:base + min(period, count)]
-                else:
+                if not period:
                     keys += [(ray, pos) for pos in range(start, start + count)]
+                elif period == stop - start:  # a dense stretch
+                    keys += self.roots[base:base + count]
             for key in dict.fromkeys(keys):
                 rays.setdefault(key, []).append(ray)
         return tuple(map(tuple, rays.values()))
@@ -686,11 +731,11 @@ def cycle_structure(g: HoughtonElement) -> CycleStructure:
     with the walk's head index, cross-checks both counts, and the result
     records that it agreed.
     """
-    finite = _finite_cycles(g)
+    runs = _cycle_runs(g)
     infinite = sum(abs(x) for x in g.t) // 2
     sizes, strands = _folded_cycle_counts(g)
-    checked = sizes == sorted(len(c) for c in finite) and strands == infinite
-    return CycleStructure(finite, infinite, checked)
+    checked = sizes == sorted(_cycle_lengths(runs)) and strands == infinite
+    return CycleStructure(runs, infinite, checked)
 
 
 # -- almost order preserving ---------------------------------------------

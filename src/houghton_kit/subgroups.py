@@ -16,7 +16,8 @@ from . import intlattice as la
 from .elements import (
     FoldedOrbits,
     HoughtonElement,
-    _finite_cycles,
+    _cycle_lengths,
+    _cycle_runs,
     _fold_orbits,
     commutator,
     from_cycles,
@@ -417,7 +418,7 @@ def finitary_commutator(group: GeneratedSubgroup) -> HoughtonElement:
         e = _two_support(n, 1, j)
         d = lattice.order(e)
         h = element_with_translation(group, [d * x for x in e])
-        k = lcm(*(len(c) for c in _finite_cycles(h)))
+        k = lcm(*_cycle_lengths(_cycle_runs(h)))
         bound = sum(h.threshold + (k - 1) * max(-x, 0) for x in h.t)
         if bound > POWER_HEAD_CAP:
             raise InconclusiveError(

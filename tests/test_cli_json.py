@@ -3,6 +3,9 @@
 Every payload the CLI emits is caught on its way into ``cli._emit`` and
 written both ways; the comparison is on the payload object itself, so a
 difference that a ``json.loads`` round trip would hide still fails.
+``element cycles`` hands the writer its cycles as runs, which ``json.dumps``
+cannot write, so its output is compared with the same payload holding the
+cycles as points.
 
 Inputs the CLI cannot read (a file it cannot open or load as JSON, numbers
 past Python's digit limit, characters whose coefficients pass
@@ -12,6 +15,7 @@ points) end in exit 2 with a message, never in a traceback.
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +23,14 @@ from houghton_kit import cli
 from houghton_kit.blocks import PROOF_CAVEAT, WINDOW_CAVEAT
 from houghton_kit.bns import CHARACTER_DIGIT_BOUND
 from houghton_kit.cli import WINDOW_POINT_BOUND, _json_text, cli_main
-from houghton_kit.elements import from_cycles, generator, houghton_generators, transposition
+from houghton_kit.elements import (
+    HoughtonElement,
+    cycle_structure,
+    from_cycles,
+    generator,
+    houghton_generators,
+    transposition,
+)
 from houghton_kit.rays import RayPoint
 from houghton_kit.subgroups import GeneratedSubgroup, delta_k
 
@@ -104,11 +115,17 @@ def test_every_cli_payload_is_written_as_json_dumps_writes_it(tmp_path, capsys, 
         assert cli_main(["--json", *argv]) == 0, argv
         assert len(payloads) == count
         payload = payloads[-1]
+        if argv[:2] == ["element", "cycles"]:
+            # the cycles go out as runs, which json.dumps cannot write: compare
+            # with the same payload holding the cycles as points
+            elt = HoughtonElement.from_json_dict(json.loads(Path(argv[-1]).read_text()))
+            payload = {**payload, "finite_cycles": list(cycle_structure(elt).finite_cycles)}
         assert _json_text(payload) == dumps(payload), argv
         assert capsys.readouterr().out == dumps(payload) + "\n"
     cycles, no_cycles = payloads[3], payloads[4]
     assert cycles["finite_cycles"] and no_cycles["finite_cycles"] == []
-    assert all(type(p) is RayPoint for c in cycles["finite_cycles"] for p in c)
+    assert all(type(ray) is int and type(run) is range and run
+               for c in cycles["finite_cycles"] for ray, run in c)
     pair_find, delta_find = payloads[11], payloads[12]
     assert pair_find["caveat"] == WINDOW_CAVEAT
     assert delta_find == {"systems": [], "caveat": PROOF_CAVEAT}
@@ -141,12 +158,13 @@ def test_edge_payloads_are_written_as_json_dumps_writes_them(payload):
     assert _json_text(payload) == dumps(payload)
 
 
-def test_cycles_of_ray_points_are_written_without_json_dumps(monkeypatch):
-    # `element cycles` hands over the walk's RayPoint tuples; the writer's pair
-    # template takes them as they are, with no fallback to the encoder
-    cycles = [(RayPoint(1, 0), RayPoint(2, 7)), (RayPoint(3, 5),)]
-    payload = {"finite_cycles": cycles, "infinite_cycles": 1}
-    want = dumps(payload)
+def test_cycles_of_runs_are_written_without_json_dumps(monkeypatch):
+    # `element cycles` hands over each cycle as its runs (ray, positions); the
+    # writer joins each run's positions, with no fallback to the encoder
+    runs = [((1, range(0, 4)), (2, range(9, 1, -4))), ((3, range(5, 6)),)]
+    points = [tuple(RayPoint(ray, pos) for ray, run in c for pos in run) for c in runs]
+    payload = {"finite_cycles": runs, "infinite_cycles": 1}
+    want = dumps({**payload, "finite_cycles": points})
 
     def refused(*args, **kwargs):
         raise AssertionError("json.dumps called")

@@ -9,17 +9,23 @@ validation must equal the validated construction from the same data.
 
 ``stepwise_finite_cycles`` is the original cycle walk, one point per step.
 The walk that jumps over translation runs must list the same cycles, point
-for point and in the same order.
+for point and in the same order, and ``element cycles --json`` must print
+them as ``json.dumps`` prints the oracle's cycles.
 """
 
+import json
 import random
 
 import pytest
 
+from houghton_kit import elements
+from houghton_kit.cli import cli_main
 from houghton_kit.elements import (
     HoughtonElement,
+    _cycle_runs,
     _finite_cycles,
     _threshold,
+    cycle_structure,
     from_cycles,
     generator,
     identity,
@@ -270,6 +276,86 @@ def walk_cases():
         yield g.compose(h)
         yield g.compose(h).compose(g.inverse())
         yield g ** rng.choice((-3, -2, 2, 3))
+
+
+def cycles_json(g, cycles):
+    """``json.dumps`` of the ``element cycles`` payload of g with these cycles."""
+    payload = {
+        "finite_cycles": list(cycles),
+        "infinite_cycles": sum(abs(x) for x in g.t) // 2,
+        "window_checked": True,
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def printed_cycles(g, path, capsys):
+    """The stdout of ``element cycles --json`` on g, written to path."""
+    path.write_text(g.to_json())
+    capsys.readouterr()
+    assert cli_main(["--json", "element", "cycles", "--file", str(path)]) == 0
+    return capsys.readouterr().out
+
+
+def test_element_cycles_prints_the_stepwise_cycles_as_json_dumps_does(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    ray_counts, thresholds, shifts = set(), set(), set()
+    for g in walk_cases():
+        assert printed_cycles(g, path, capsys) == cycles_json(g, stepwise_finite_cycles(g))
+        ray_counts.add(g.n)
+        thresholds.add(g.threshold)
+        shifts.update(g.t)
+    assert ray_counts == {1, 2, 3, 4, 5}
+    assert min(thresholds) <= 10 and max(thresholds) >= 10**4
+    assert min(shifts) < 0 < max(shifts)
+
+
+# g2, then the transposition of (1, 5) and (2, 5): one finite cycle of 11 points
+F = generator(2, 2).compose(transposition(2, (1, 5), (2, 5)))
+
+
+@pytest.mark.parametrize(
+    "g, runs",
+    [
+        # the walk starts at (2, 0), the head point of least code
+        (transposition(2, (1, 5), (2, 0)), ((1, range(5, 6)), (2, range(0, 1)))),
+        # ... and the least point (1, 0) starts a run going up
+        (F, ((1, range(0, 4)), (1, range(4, 5)), (2, range(5, 0, -1)), (2, range(0, 1)))),
+        # a run going down stops at (1, 1), just above the least point
+        (F.inverse(), ((1, range(0, 1)), (2, range(0, 5)), (2, range(5, 6)), (1, range(4, 0, -1)))),
+    ],
+    ids=["head-point", "run-going-up", "below-a-run-going-down"],
+)
+def test_a_cycle_is_listed_from_its_least_point(g, runs, tmp_path, capsys):
+    assert _cycle_runs(g) == (runs,)
+    want = stepwise_finite_cycles(g)
+    assert cycle_structure(g).finite_cycles == _finite_cycles(g) == want
+    assert printed_cycles(g, tmp_path / "g.json", capsys) == cycles_json(g, want)
+
+
+def test_element_cycles_builds_no_point_per_listed_point(tmp_path, capsys, monkeypatch):
+    g = transposition(3, (1, 0), (2, 10**4)).compose(generator(3, 2))
+    want = cycles_json(g, _finite_cycles(g))
+    assert sum(map(len, _finite_cycles(g))) > 10**4
+    built = []
+    new, point_of = RayPoint.__new__, elements.point_of
+
+    def counted_new(cls, *args):
+        built.append(args)
+        return new(cls, *args)
+
+    def counted_point_of(n, c):
+        built.append(c)
+        return point_of(n, c)
+
+    def refused(cycles):
+        raise AssertionError("the cycles were built as points")
+
+    monkeypatch.setattr(RayPoint, "__new__", staticmethod(counted_new))
+    monkeypatch.setattr(elements, "point_of", counted_point_of)
+    monkeypatch.setattr(elements, "_run_points", refused)
+    assert printed_cycles(g, tmp_path / "g.json", capsys) == want
+    # reading the file checks each head point, twice per entry
+    assert 0 < len(built) <= 4 * len(g._items)
 
 
 def test_jumping_walk_lists_the_stepwise_cycles_exactly():

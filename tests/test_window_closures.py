@@ -464,6 +464,23 @@ def test_window_incidence_matches_a_deep_closure_at_every_depth(group):
         assert orbits.window_incidence(depth) == incidence_of(deep, depth)
 
 
+def test_a_window_cut_inside_a_run_joined_by_edge_moves_alone():
+    # one generator, t = +2 on ray 1: its edge moves alone join the residues
+    # of the run [4, 18) to the dense stretch [0, 4); (1, 22) is a fixed point
+    g = transposition(2, (1, 20), (1, 22)).compose(generator(2, 2) ** 2)
+    group = GeneratedSubgroup(2, (g,))
+    orbits = group.orbits
+    assert [(start, stop, period) for start, stop, _, period in orbits.segments[0]] == [
+        (0, 4, 4), (4, 18, 2), (18, 27, 9), (27, float("inf"), 2),
+    ]
+    top = window_depth(group) + 2
+    deep = naive_orbit_classes(group, top, top + window_depth(group))
+    for depth in range(1, top + 1):
+        assert orbits.window_incidence(depth) == incidence_of(deep, depth)
+    assert orbits.window_incidence(9) == ((1, 2), (1, 2))
+    assert orbits.window_incidence(25) == ((1, 2), (1, 2), (1,))
+
+
 def test_a_gap_shorter_than_2s_is_dense():
     # with s = 3, a gap of 6 between the stretches is a run, one of 5 is dense
     run = cluster_group(6).orbits.segments[0]
