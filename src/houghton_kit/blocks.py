@@ -342,15 +342,32 @@ def _commutator_cycle(a, b, a_inv, b_inv):
     return _small_cycle(moved)
 
 
-def _components(cycles) -> list:
-    """(sorted codes, cycles) per connected union of the cycles' supports."""
-    points = sorted({p for c in cycles for p in c})
-    index = {p: i for i, p in enumerate(points)}
-    roots = _close(len(points), [(index[c[0]], index[p]) for c in cycles for p in c[1:]])
-    parts: dict = {}
-    for c in cycles:
-        parts.setdefault(roots[index[c[0]]], []).append(c)
-    return [(tuple(sorted({p for c in part for p in c})), tuple(part)) for part in parts.values()]
+def _witness_cycles(group: GeneratedSubgroup):
+    """The candidate witness cycles of ``_finitary_alternating_proof``, on codes, lazily.
+
+    Stages: the finitary generators; the commutators of generator pairs,
+    finitary since translation vectors commute; then two rounds of new
+    conjugates a^-1 w a of the last stage by the symmetric generators, whose
+    cycle is w's cycle moved by a, so they need no element product.  The
+    proof stops reading at the first cycle that certifies every orbit.
+    """
+    gens, inverses = group.generators, group.symmetric_generators()[len(group.generators):]
+    cycles = [c for g in gens if not any(g.t) and (c := _small_cycle(g._head))]
+    yield from cycles
+    for i, j in combinations(range(len(gens)), 2):
+        if c := _commutator_cycle(gens[i], gens[j], inverses[i], inverses[j]):
+            cycles.append(c)
+            yield c
+    seen = {frozenset(c) for c in cycles}
+    for _ in range(2):
+        conjugates = {}
+        for c in cycles:
+            for a in group.symmetric_generators():
+                image = tuple(map(a._image, c))
+                conjugates.setdefault(frozenset(image), image)
+        cycles = [c for key, c in conjugates.items() if key not in seen]
+        seen.update(conjugates)
+        yield from cycles
 
 
 def _finitary_alternating_proof(group: GeneratedSubgroup):
@@ -381,52 +398,35 @@ def _finitary_alternating_proof(group: GeneratedSubgroup):
       orbit O.  The elements of FAlt(O) that fix p fix B and move q to every
       point of O other than p, so B is infinite.
 
-    Witnesses come in stages, and each stage stops as soon as every orbit is
-    certified: the finitary generators; the commutators of generator pairs,
-    which are finitary since translation vectors commute; then two rounds of
-    conjugates a^-1 w a by the symmetric generators, whose cycle is the
-    image of w's cycle under a, so they need no element product.
+    Each cycle of ``_witness_cycles`` joins the components it meets, and a
+    component is tested again only when it gains a point: both conditions
+    survive growth, so the answer is the one the whole stream would give.
     """
     orbits = group.orbits
     tails = orbits.tail_roots()
     if orbits.has_fixed_run() or not tails.issuperset(orbits.roots):
         return None  # a fixed point, or a class without a tail node, is a finite orbit
     n, gens = group.n, group.generators
-
-    def certify(cycles):
-        """The proof when the witness cycles, on codes, certify every orbit, else None."""
-        found = {}
-        for codes, witnesses in _components(cycles):
-            support = set(codes)
-            if len(codes) >= 3 and all(any(a._image(c) in support for c in codes) for a in gens):
-                points = tuple(sorted(point_of(n, c) for c in codes))
-                witnesses = tuple(tuple(point_of(n, c) for c in w) for w in witnesses)
-                found.setdefault(orbits.key(points[0]), (points, witnesses))
-        return tuple(sorted(found.values())) if len(found) == len(tails) else None
-
-    cycles = [c for g in gens if not any(g.t) and (c := _small_cycle(g._head))]
-    if found := certify(cycles):
-        return found
-    inverses = group.symmetric_generators()[len(gens):]
-    for i, j in combinations(range(len(gens)), 2):
-        c = _commutator_cycle(gens[i], gens[j], inverses[i], inverses[j])
-        if c:
-            cycles.append(c)
-            if found := certify(cycles):
-                return found
-    seen = {frozenset(c) for c in cycles}
-    frontier = cycles
-    for _ in range(2):
-        conjugates = {}
-        for c in frontier:
-            for a in group.symmetric_generators():
-                image = tuple(map(a._image, c))
-                conjugates.setdefault(frozenset(image), image)
-        frontier = [c for key, c in conjugates.items() if key not in seen]
-        seen.update(conjugates)
-        cycles += frontier
-        if found := certify(cycles):
-            return found
+    part = {}  # code -> the (codes, witnesses) pair of its component, shared by its codes
+    found = {}  # orbit key -> its certified component
+    for cycle in _witness_cycles(group):
+        parts = {id(c): c for p in cycle if (c := part.get(p))}.values()
+        codes, witnesses = joined = max(parts, key=lambda c: len(c[0]), default=(set(), []))
+        if codes.issuperset(cycle):
+            continue  # no new point
+        for other_codes, other_witnesses in (c for c in parts if c is not joined):
+            codes |= other_codes
+            witnesses += other_witnesses
+            part.update(dict.fromkeys(other_codes, joined))
+        codes.update(cycle)
+        witnesses.append(cycle)
+        part.update(dict.fromkeys(cycle, joined))
+        if len(codes) >= 3 and all(any(a._image(c) in codes for c in codes) for a in gens):
+            found[orbits.key(point_of(n, cycle[0]))] = joined
+        if len(found) == len(tails):
+            points = lambda codes: tuple(point_of(n, c) for c in codes)
+            proof = [(tuple(sorted(points(c))), tuple(map(points, w))) for c, w in found.values()]
+            return tuple(sorted(proof))
     return None
 
 
@@ -587,7 +587,6 @@ def quotient(group: GeneratedSubgroup, system: BlockSystem, depth: int) -> Quoti
     n = group.n
     _check_in_window(system.blocks, n, depth)
     closure_depth = 2 * depth
-    # the deeper closure first: the shallower one reads a prefix of its tables
     deeper = congruence_classes(group, system, 2 * closure_depth)
     classes_all = congruence_classes(group, system, closure_depth)
 

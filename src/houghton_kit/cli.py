@@ -252,27 +252,26 @@ def _cmd_element(args) -> int:
         data = out.to_json_dict()
         _emit(args, data, [json.dumps(data)])
         return 0
-    if args.action == "cycles":
-        if len(args.file) != 1:
-            raise DomainError("element cycles needs exactly one --file")
-        elt = _load_element(args.file[0])
-        cs = cycle_structure(elt)
-        # the cycles go to the writer as runs: no point is built per listed point
-        payload = {
-            "finite_cycles": list(cs.runs),
-            "infinite_cycles": cs.infinite_cycle_count,
-            "window_checked": cs.window_checked,
-        }
-        _emit(
-            args,
-            payload,
-            [
-                f"finite cycles: {len(cs.runs)}",
-                f"infinite cycles: {cs.infinite_cycle_count}",
-            ],
-        )
-        return 0
-    raise DomainError(f"unknown element action {args.action!r}")
+    # cycles: argparse's choices leave no other action
+    if len(args.file) != 1:
+        raise DomainError("element cycles needs exactly one --file")
+    elt = _load_element(args.file[0])
+    cs = cycle_structure(elt)
+    # the cycles go to the writer as runs: no point is built per listed point
+    payload = {
+        "finite_cycles": list(cs.runs),
+        "infinite_cycles": cs.infinite_cycle_count,
+        "window_checked": cs.window_checked,
+    }
+    _emit(
+        args,
+        payload,
+        [
+            f"finite cycles: {len(cs.runs)}",
+            f"infinite cycles: {cs.infinite_cycle_count}",
+        ],
+    )
+    return 0
 
 
 def _cmd_subgroup(args) -> int:
@@ -314,18 +313,17 @@ def _cmd_subgroup(args) -> int:
             ],
         )
         return 0
-    if args.action == "orbits":
-        payload = orbit_summary(group, args.window)
-        _emit(
-            args,
-            payload,
-            [
-                f"orbit classes in window {args.window}: {payload['class_count']}",
-                f"stabilized: {payload['stabilized']}",
-            ],
-        )
-        return 0
-    raise DomainError(f"unknown subgroup action {args.action!r}")
+    # orbits
+    payload = orbit_summary(group, args.window)
+    _emit(
+        args,
+        payload,
+        [
+            f"orbit classes in window {args.window}: {payload['class_count']}",
+            f"stabilized: {payload['stabilized']}",
+        ],
+    )
+    return 0
 
 
 def _cmd_blocks(args) -> int:
@@ -353,21 +351,20 @@ def _cmd_blocks(args) -> int:
         }
         _emit(args, payload, [f"valid: {verdict.valid}"] + [str(w) for w in verdict.witnesses])
         return 0
-    if args.action == "quotient":
-        q = quotient(group, system, depth=args.window)
-        payload = {
-            "classes": len(q.classes),
-            "kernel_generators": list(q.kernel_generators),
-            "induced": [e.to_json_dict() for e in q.induced],
-        }
-        lines = [f"classes in window: {len(q.classes)}"]
-        lines += [
-            f"generator {i} induces t={e.translation_vector()}"
-            for i, e in enumerate(q.induced)
-        ]
-        _emit(args, payload, lines)
-        return 0
-    raise DomainError(f"unknown blocks action {args.action!r}")
+    # quotient
+    q = quotient(group, system, depth=args.window)
+    payload = {
+        "classes": len(q.classes),
+        "kernel_generators": list(q.kernel_generators),
+        "induced": [e.to_json_dict() for e in q.induced],
+    }
+    lines = [f"classes in window: {len(q.classes)}"]
+    lines += [
+        f"generator {i} induces t={e.translation_vector()}"
+        for i, e in enumerate(q.induced)
+    ]
+    _emit(args, payload, lines)
+    return 0
 
 
 def _cmd_wreath(args) -> int:
@@ -388,18 +385,17 @@ def _cmd_wreath(args) -> int:
             )
         _emit(args, payload, lines)
         return 0
-    if args.action == "verify":
-        report = verify_kk(group, ctx, samples=args.samples, seed=args.seed)
-        payload = {
-            "pairs_checked": report.pairs_checked,
-            "homomorphism_failures": report.homomorphism_failures,
-            "injectivity_failures": report.injectivity_failures,
-            "support_mismatches": report.support_mismatches,
-            "ok": report.ok,
-        }
-        _emit(args, payload, [f"embedding check: {'ok' if report.ok else 'FAILED'}"])
-        return 0
-    raise DomainError(f"unknown wreath action {args.action!r}")
+    # verify
+    report = verify_kk(group, ctx, samples=args.samples, seed=args.seed)
+    payload = {
+        "pairs_checked": report.pairs_checked,
+        "homomorphism_failures": report.homomorphism_failures,
+        "injectivity_failures": report.injectivity_failures,
+        "support_mismatches": report.support_mismatches,
+        "ok": report.ok,
+    }
+    _emit(args, payload, [f"embedding check: {'ok' if report.ok else 'FAILED'}"])
+    return 0
 
 
 def _cmd_bns(args) -> int:
@@ -431,28 +427,27 @@ def _cmd_bns(args) -> int:
             ],
         )
         return 0
-    if args.action == "certificate":
-        if args.subgroup:
-            lattice = translation_lattice(_load_subgroup(args.subgroup))
-        elif args.lattice:
-            lattice = _parse_lattice(args.lattice, args.n)
-        else:
-            raise DomainError("certificate needs --subgroup or --lattice")
-        cert = f_certificate(lattice)
-        payload = {
-            "certified": cert.certified,
-            "witness_count": len(cert.witnesses),
-            "offending": list(cert.offending[:2]) if cert.offending else None,
-        }
-        _emit(
-            args,
-            payload,
-            [
-                "certified" if cert.certified else f"no certificate (pattern ray-{cert.offending[0]}-zero)"
-            ],
-        )
-        return 0
-    raise DomainError(f"unknown bns action {args.action!r}")
+    # certificate
+    if args.subgroup:
+        lattice = translation_lattice(_load_subgroup(args.subgroup))
+    elif args.lattice:
+        lattice = _parse_lattice(args.lattice, args.n)
+    else:
+        raise DomainError("certificate needs --subgroup or --lattice")
+    cert = f_certificate(lattice)
+    payload = {
+        "certified": cert.certified,
+        "witness_count": len(cert.witnesses),
+        "offending": list(cert.offending[:2]) if cert.offending else None,
+    }
+    _emit(
+        args,
+        payload,
+        [
+            "certified" if cert.certified else f"no certificate (pattern ray-{cert.offending[0]}-zero)"
+        ],
+    )
+    return 0
 
 
 def _cmd_classify(args) -> int:

@@ -423,10 +423,13 @@ def _cycle_runs(g: HoughtonElement) -> tuple:
     point, and cycles are sorted by least point.  The least point starts its
     run: a run going down stops just above the cycle's next point, a head
     point below it on its ray, and a run going up starts at its least point.
-    The walk costs O(log |head|) per run; a cycle's points are touched only
-    by the duplicate check, one ``set.update`` of codes per run.  Revisiting
-    a head point, listing a point twice, or stepping where a bijection cannot
-    go raises AssertionError.
+    The walk costs O(log |head|) per run and never touches a cycle's points
+    one by one.  Revisiting a head point, or stepping where a bijection
+    cannot go, raises AssertionError.  That also rejects a run that re-enters
+    its cycle: a run holds no head point and ends just before the next head
+    point along its line, so two runs of one cycle that share a point end at
+    the same head point.  That point is not the start, which would have
+    closed the cycle after the earlier run, so the later run revisits it.
     """
     n, head, t = g.n, g._head, g.t
     stops: dict[int, list[int]] = {}  # code mod n|t_i| names (ray, pos mod |t_i|)
@@ -477,11 +480,6 @@ def _cycle_runs(g: HoughtonElement) -> tuple:
         if escaped:
             escaping.update(visited)
             continue
-        codes: set[int] = set()
-        for ray, run in runs:
-            codes.update(range(run.start * n + ray - 1, run.stop * n + ray - 1, run.step * n))
-        if len(codes) != sum(len(run) for _, run in runs):
-            raise AssertionError("orbit re-entered off its start; not a bijection")
         in_cycle.update(visited)
         firsts = [(ray, run[0]) for ray, run in runs]
         k = firsts.index(min(firsts))

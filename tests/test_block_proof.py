@@ -21,6 +21,7 @@ from houghton_kit.blocks import (
     _finitary_alternating_proof,
     _search_block_systems,
     _small_cycle,
+    _witness_cycles,
     find_block_systems,
 )
 from houghton_kit.elements import (
@@ -35,8 +36,9 @@ from houghton_kit.elements import (
 )
 from houghton_kit.errors import DomainError, InconclusiveError
 from houghton_kit.finperm import FinitePermGroup
-from houghton_kit.rays import RayPoint, point_of
+from houghton_kit.rays import RayPoint, code_of, point_of
 from houghton_kit.subgroups import GeneratedSubgroup, delta_k, translation_lattice
+from test_classify_metamorphic import seeded_group
 from test_window_closures import block_preserving_group, orbit_test_groups, reference_search
 
 try:
@@ -248,3 +250,43 @@ def test_conjugated_delta_k_and_houghton_groups_are_certified(n, k):
         group = GeneratedSubgroup(n, tuple(c.inverse() * g * c for g in base.generators))
         proof = _finitary_alternating_proof(group)
         assert proof is not None and len(proof) == k
+
+
+def merged_supports(cycles):
+    """The connected unions of the cycles' supports, each cycle merging every union it meets."""
+    unions = []
+    for c in cycles:
+        union = set(c)
+        rest = []
+        for u in unions:
+            if u & union:
+                union |= u
+            else:
+                rest.append(u)
+        unions = rest + [union]
+    return unions
+
+
+def test_the_one_pass_proof_agrees_with_the_whole_witness_stream():
+    rng = random.Random(31)
+    proofs = 0
+    for group in proof_test_groups() + tuple(seeded_group(rng) for _ in range(300)):
+        n, orbits = group.n, group.orbits
+        cycles = list(_witness_cycles(group))
+        certified = [
+            s for s in merged_supports(cycles)
+            if len(s) >= 3 and all(any(a._image(c) in s for c in s) for a in group.generators)
+        ]
+        infinite = not orbits.has_fixed_run() and orbits.tail_roots() >= set(orbits.roots)
+        keys = {orbits.key(point_of(n, min(s))) for s in certified}
+        proof = _finitary_alternating_proof(group)
+        assert (proof is not None) == (infinite and keys >= orbits.tail_roots())
+        for points, witnesses in proof or ():
+            codes = {code_of(n, p) for p in points}
+            assert len(codes) >= 3 and all(any(a._image(c) in codes for c in codes) for a in group.generators)
+            assert any(codes <= s for s in certified)
+            witness_codes = [tuple(code_of(n, p) for p in w) for w in witnesses]
+            assert set(witness_codes) <= set(cycles)
+            assert merged_supports(witness_codes) == [codes]
+        proofs += proof is not None
+    assert proofs > 100
