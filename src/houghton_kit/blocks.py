@@ -550,9 +550,9 @@ def _read_element(n: int, codes, targets: list, top) -> HoughtonElement:
     sources in the top half of ray i + 1's known ranks (``_top_half``).  The
     translation on each ray is read off them: their pairs must be at least
     two, stay on the ray and share one shift.  The validating constructor
-    keeps every source whose image differs from the translation and checks
-    that the result is a bijection.  Raises InconclusiveError when the data
-    does not pin the element down.
+    keeps every source whose image differs from the translation, reading the
+    pairs as they are made, and checks that the result is a bijection.
+    Raises InconclusiveError when the data does not pin the element down.
     """
     t = []
     for ray, ids in enumerate(top, start=1):
@@ -565,7 +565,7 @@ def _read_element(n: int, codes, targets: list, top) -> HoughtonElement:
                 hint="increase the window depth",
             )
         t.append(shifts.pop())
-    pairs = [(codes[k], codes[j]) for k, j in enumerate(targets) if j is not None]
+    pairs = ((a, codes[j]) for a, j in zip(codes, targets) if j is not None)
     try:
         return HoughtonElement._from_codes(n, tuple(t), pairs)
     except InvalidElementError as exc:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, permutations
 from math import lcm
 
@@ -245,12 +246,41 @@ def meinert_complement_bound(n: int, k: int, grid) -> bool:
 
 @dataclass(frozen=True)
 class Certificate:
+    """The level test's verdict on a full-rank lattice, with its witnesses.
+
+    A certified lattice has one two-support witness per ordered ray pair,
+    n(n-1) of them (``witness_count``); the vectors are built on first read.
+    A full-rank lattice has finite index, so every e_j - e_i has a multiple
+    in it and ``two_support_vector`` cannot fail there.
+    """
+
     certified: bool
-    witnesses: tuple  # per ordered ray pair, a two-support lattice vector
     offending: tuple | None  # level failure: (zero ray, target ray, vector)
+    lattice: TranslationLattice  # the lattice tested, which the witnesses come from
 
     def __bool__(self):
         return self.certified
+
+    @property
+    def witness_count(self) -> int:
+        n = self.lattice.n
+        return n * (n - 1) if self.certified else 0
+
+    @cached_property
+    def witnesses(self) -> tuple:
+        """Per ordered ray pair, a two-support lattice vector; () when not certified.
+
+        Each unordered pair is solved once: a (e_i1 - e_i0) lies in the
+        lattice iff its negation does.
+        """
+        if not self.certified:
+            return ()
+        rays = range(1, self.lattice.n + 1)
+        half = {pair: two_support_vector(self.lattice, *pair) for pair in combinations(rays, 2)}
+        return tuple(
+            half[i0, i1] if i0 < i1 else tuple(-x for x in half[i1, i0])
+            for i0, i1 in permutations(rays, 2)
+        )
 
 
 def two_support_vector(lattice: TranslationLattice, i0: int, i1: int):
@@ -268,21 +298,12 @@ def f_certificate(lattice: TranslationLattice) -> Certificate:
     When the lattice is level, each support pattern vanishing on one ray and
     positive on another is defeated by a two-support lattice vector pointing
     from the zero ray to the positive one; the witnesses list one such vector
-    per ordered ray pair.  Each unordered pair is solved once: a (e_i1 - e_i0)
-    lies in the lattice iff its negation does.
+    per ordered ray pair (``Certificate.witnesses``, built on first read).
     """
     if lattice.index_in_zero_sum() is None:
         raise DomainError("the certificate needs a full-rank lattice")
     verdict = is_level(lattice)
-    if not verdict.is_level:
-        return Certificate(False, (), verdict.witness)
-    rays = range(1, lattice.n + 1)
-    half = {pair: two_support_vector(lattice, *pair) for pair in combinations(rays, 2)}
-    witnesses = tuple(
-        half[i0, i1] if i0 < i1 else tuple(-x for x in half[i1, i0])
-        for i0, i1 in permutations(rays, 2)
-    )
-    return Certificate(True, witnesses, None)
+    return Certificate(verdict.is_level, verdict.witness, lattice)
 
 
 # -- parsing ------------------------------------------------------------------------

@@ -135,7 +135,7 @@ def classify(group: GeneratedSubgroup, window: int = 40) -> ClassificationReport
     if cert is not None:
         certificate = {
             "status": "certified" if cert.certified else "no-certificate",
-            "witness_count": len(cert.witnesses),
+            "witness_count": cert.witness_count,
             "offending": list(cert.offending[:2]) if cert.offending else None,
         }
 

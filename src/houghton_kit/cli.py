@@ -437,7 +437,7 @@ def _cmd_bns(args) -> int:
     cert = f_certificate(lattice)
     payload = {
         "certified": cert.certified,
-        "witness_count": len(cert.witnesses),
+        "witness_count": cert.witness_count,
         "offending": list(cert.offending[:2]) if cert.offending else None,
     }
     _emit(

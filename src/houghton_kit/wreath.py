@@ -154,9 +154,13 @@ class MultiWreathElement:
             raise DomainError("wreath elements from different contexts")
         head = self.head.compose(other.head)
         a1, n = self.head, self.ctx.n
-        a1_inv, mine = a1.inverse(), self._values
-        # base keys are quotient points, so their images need no check
-        pulled = {point_of(n, a1_inv._image(code_of(n, qp))): v for qp, v in other.base}
+        t, mine = a1.t, self._values
+        # a1^-1 sends a head image back to its source and any other code c
+        # back along its ray to c - n t_ray; base keys are quotient points,
+        # so their images need no check
+        back = {q: p for p, q in a1._head.items()}
+        codes = [(code_of(n, qp), v) for qp, v in other.base]
+        pulled = {point_of(n, back.get(c, c - n * t[c % n])): v for c, v in codes}
         base = []
         for qp in mine.keys() | pulled.keys():
             v, w = mine.get(qp), pulled.get(qp)
@@ -318,6 +322,7 @@ def verify_kk(
     supplied, base values outside them are reported as typing exceptions.
     """
     rng = random.Random(seed)
+    q = ctx.quotient
     words = random_words(group, 2 * samples, max_len, rng)
     hom_fail = inj_fail = supp_fail = 0
     typing = []
@@ -332,12 +337,13 @@ def verify_kk(
             inj_fail += 1
         by_image[kg] = g
         # kk_embed(g) raised for any class reaching below g's threshold with
-        # no known image; a class wholly past it moves by translation
+        # no known image; a class wholly past it moves by translation, and a
+        # class of one point has only one order
         supp = set(kg.support())
-        for k, qp in enumerate(ctx.quotient.quotient_points):
-            if ctx.quotient._least_pos[k] >= g.threshold:
+        for k, (qp, cls) in enumerate(zip(q.quotient_points, q.classes)):
+            if q._least_pos[k] >= g.threshold:
                 continue
-            if (qp in supp) == order_preserving_on_class(g, ctx, qp):
+            if (qp in supp) == (len(cls) == 1 or order_preserving_on_class(g, ctx, qp)):
                 supp_fail += 1
         if w_groups_by_orbit is not None:
             for qp, v in kg.base:
@@ -477,9 +483,10 @@ class _DescentTables:
 
     Built on a context's first descent with a group and kept on the context:
     the quotient images of the symmetric generators (the head search's
-    letters), one lazily extended list of ``_conjugator_candidates``, and
-    the memo of conjugated kernel elements, each with whether it embeds.
-    Their embeddings are in the context's memo (``kk_embed``).
+    letters), one lazily extended list of ``_conjugator_candidates``, the
+    memo of conjugated kernel elements, each with whether it embeds, and
+    where each clearing scan resumes (``resume``).  Their embeddings are in
+    the context's memo (``kk_embed``).
     """
 
     def __init__(self, group: GeneratedSubgroup, ctx: BlockContext):
@@ -488,10 +495,18 @@ class _DescentTables:
         self._candidate_stream = _conjugator_candidates(group, self.letters, ctx.n)
         self._candidates = []
         self._conjugates = {}  # (candidate index, f) -> c^-1 f c, or None if it does not embed
+        # kernel tuple -> {(target, psi's base value there): candidate index}.
+        # A clearing scan records the first candidate that passes every test
+        # not reading psi: the image tests, the conjugate's embedding, its
+        # support and its base value at the target; a scan that finds none
+        # records the end of the list.  No earlier candidate passes those
+        # tests for that key, so a scan that starts there picks the candidate
+        # a scan from 0 would.
+        self.resume = {}
 
-    def candidates(self):
-        """(index, c, cq) in ``_conjugator_candidates`` order."""
-        k = 0
+    def candidates(self, start: int = 0):
+        """(index, c, cq) in ``_conjugator_candidates`` order, from index start on."""
+        k = start
         while True:
             if k == len(self._candidates):
                 nxt = next(self._candidate_stream, None)
@@ -536,8 +551,11 @@ def phi_s_descent(
     (``_DescentTables``).  The tables live as long as the context.  The
     20000-word cap of the candidate enumeration bounds the candidate table;
     the conjugate memo holds one entry per candidate and kernel element that
-    a descent has used.  The head's search, over quotient images and capped
-    at 20000 of them, runs afresh on every descent.
+    a descent has used.  A clearing scan does not start afresh: it resumes
+    at the first candidate that passed the psi-free tests for its kernel,
+    target and base value (``_DescentTables.resume``), and still runs the
+    measure test there and after.  The head's search, over quotient images
+    and capped at 20000 of them, runs afresh on every descent.
     """
     kernel_elements = list(kernel_elements)
     kk_kernel = [kk_embed(f, ctx) for f in kernel_elements]
@@ -549,6 +567,7 @@ def phi_s_descent(
     tables = ctx._descent_tables.get(group)
     if tables is None:
         tables = ctx._descent_tables[group] = _DescentTables(group, ctx)
+    resume = tables.resume.setdefault(tuple(kernel_elements), {})
     one = houghton_identity(ctx.n)
     heads = bounded_words(one, tables.letters, HoughtonElement.compose, 10, cap=20000)
     path = next((p for p, wq in heads if wq == alpha.head), None)
@@ -566,8 +585,10 @@ def phi_s_descent(
         target = min(set(psi.support()) - big_s)
         allowed = big_s | {target}
         allowed_codes = {*big_codes, code_of(n, target)}
+        want = psi.base_value(target)
+        key = (target, want)
         cleared = False
-        for k, c, cq in tables.candidates():
+        for k, c, cq in tables.candidates(resume.get(key, 0)):
             if not all(cq._image(x) in allowed_codes for x in big_codes):
                 continue
             for f, kf, support in zip(kernel_elements, kk_kernel, kernel_codes):
@@ -579,8 +600,9 @@ def phi_s_descent(
                 kh = kk_embed(h, ctx)
                 if not set(kh.support()) <= allowed:
                     continue
-                if kh.base_value(target) != psi.base_value(target):
+                if kh.base_value(target) != want:
                     continue
+                resume.setdefault(key, k)
                 nxt = psi.multiply(kh.inverse())
                 nxt_measure = len(set(nxt.support()) - big_s)
                 if nxt_measure >= measure:
@@ -594,6 +616,7 @@ def phi_s_descent(
             if cleared:
                 break
         if not cleared:
+            resume.setdefault(key, len(tables._candidates))
             return DescentResult(
                 "inconclusive",
                 psi,

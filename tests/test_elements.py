@@ -60,6 +60,20 @@ def test_identity_applies_trivially():
         assert e.apply(p) == p
 
 
+def test_identity_matches_the_validating_constructor():
+    for n in range(1, 65):
+        e, want = identity(n), HoughtonElement(n, (0,) * n)
+        assert e == want and hash(e) == hash(want), n
+        assert (e.t, e.threshold, e.head) == (want.t, 0, ()), n
+    for n in (0, -1):
+        with pytest.raises(InvalidElementError) as exc:
+            identity(n)
+        assert exc.value.invariant == "format"
+        with pytest.raises(InvalidElementError) as ref:
+            HoughtonElement(n, (0,) * n)
+        assert str(exc.value) == str(ref.value)
+
+
 # -- composition and inversion ------------------------------------------------
 
 

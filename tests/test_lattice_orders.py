@@ -215,8 +215,17 @@ def test_lattice_facts_match_the_divisor_scans():
         witnesses = ref_witnesses(lat)
         for (i0, i1), want in zip(permutations(range(1, n + 1), 2), witnesses):
             assert two_support_vector(lat, i0, i1) == want, (lat, i0, i1)
-        want = Certificate(True, witnesses, None) if verdict else Certificate(False, (), verdict.witness)
-        assert f_certificate(lat) == want, lat
+        # the count first: the vectors are built only when read
+        cert = f_certificate(lat)
+        count = n * (n - 1) if verdict else 0
+        assert (cert.certified, cert.offending, cert.witness_count) == (
+            verdict.is_level,
+            verdict.witness,
+            count,
+        ), lat
+        assert cert.witnesses == (witnesses if verdict else ()), lat
+        assert len(cert.witnesses) == cert.witness_count, lat
+        assert cert == Certificate(verdict.is_level, verdict.witness, lat), lat
 
 
 def test_level_verdicts_match_the_zero_ray_sublattices_at_every_rank():

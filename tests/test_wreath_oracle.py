@@ -39,7 +39,9 @@ shared: it rebuilds the quotient letters, the head-match enumeration, the
 conjugator candidates and every conjugated kernel element's embedding on each
 call.  ``wreath.phi_s_descent``, which keeps that work on the context, must
 return the same ``DescentResult`` whatever the contexts, groups, kernels and
-order of the descents before it.
+order of the descents before it.  A batch run twice on one context makes
+every clearing scan of the second pass resume where the context's memo
+(``_DescentTables.resume``) says.
 """
 
 import random
@@ -733,7 +735,15 @@ def test_descents_sharing_a_context_match_the_reference_in_any_order(order_seed)
     batch = alphas(ctx, group, 12, 40, [(1, 0)])
     random.Random(order_seed).shuffle(batch)
     kernel = [group.generators[1]]
-    assert assert_descents_match([(a, group, ctx, kernel) for a in batch]) == {"ok"}
+    runs = [(a, group, ctx, kernel) for a in batch]
+    assert assert_descents_match(runs) == {"ok"}
+    # the same batch again: every clearing scan resumes where the memo says,
+    # and none adds a key to it
+    resume = ctx._descent_tables[group].resume[tuple(kernel)]
+    before = dict(resume)
+    assert before and max(before.values()) > 0
+    assert assert_descents_match(runs) == {"ok"}
+    assert resume == before
 
 
 def test_kernels_and_equal_groups_mixed_on_one_context_match_the_reference():
@@ -761,6 +771,22 @@ def test_descents_with_three_cycles_and_transpositions_match_the_reference():
     values = [(1, 0, 2), (0, 2, 1), (1, 2, 0), (2, 0, 1)]
     runs = [(a, triple, ctx, kernels[k % 2]) for k, a in enumerate(alphas(ctx, triple, 8, 43, values))]
     assert "ok" in assert_descents_match(runs)
+
+
+@pytest.mark.parametrize("order_seed", range(2))
+def test_repeated_descents_on_blocks_of_three_match_the_reference(order_seed):
+    # five base values share each target class, so a clearing scan that
+    # resumed by target alone would start past the candidate another value
+    # needs; each batch runs twice, the second time wholly from the memo
+    triple = triple_group()
+    ctx = build_block_context(triple, TRIPLE, 30)
+    g1, g2 = triple.generators[1], triple.generators[2]
+    values = [(1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 2, 0), (2, 0, 1)]
+    batch = alphas(ctx, triple, 12, 46, values)
+    random.Random(order_seed).shuffle(batch)
+    for kernel in ([g2], [g1], [g1, g2]):
+        runs = [(a, triple, ctx, kernel) for a in batch]
+        assert "ok" in assert_descents_match(runs + runs)
 
 
 def test_an_unmatched_head_matches_the_reference():
