@@ -7,11 +7,12 @@ computation is inconclusive (the report explains what was missing).
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 from .blocks import BlockSystem, find_block_systems, quotient, verify_block_system
 from .bns import (
@@ -252,7 +253,7 @@ def _cmd_element(args) -> int:
         data = out.to_json_dict()
         _emit(args, data, [json.dumps(data)])
         return 0
-    # cycles: argparse's choices leave no other action
+    # cycles: parse_argv admits no other action
     if len(args.file) != 1:
         raise DomainError("element cycles needs exactly one --file")
     elt = _load_element(args.file[0])
@@ -465,87 +466,311 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-# -- parser -------------------------------------------------------------------
+# -- argv -----------------------------------------------------------------------
+
+
+_PROG = "houghton-kit"
 
 
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+        raise ValueError(f"{text!r} is not a positive integer")
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="houghton-kit",
-        description="exact computations in Houghton groups and their subgroups",
-    )
-    parser.add_argument("--json", action="store_true", help="machine-readable output")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("element", help="parse, compose and analyze elements")
-    p.add_argument("action", choices=["parse", "compose", "cycles"])
-    p.add_argument("--file", action="append", default=[], help="element JSON file")
-    p.add_argument("--word", action="append", default=[], help="generator word")
-    p.add_argument("--n", type=int, help="ray count for words")
-    p.set_defaults(func=_cmd_element)
-
-    p = sub.add_parser("subgroup", help="lattice, hirsch, level and orbit reports")
-    p.add_argument("action", choices=["lattice", "hirsch", "level", "orbits"])
-    p.add_argument("--subgroup", required=True, help="subgroup JSON file")
-    p.add_argument("--window", type=_positive_int, default=40)
-    p.set_defaults(func=_cmd_subgroup)
-
-    p = sub.add_parser("blocks", help="find, verify and quotient block systems")
-    p.add_argument("action", choices=["find", "verify", "quotient"])
-    p.add_argument("--subgroup", required=True)
-    p.add_argument("--blocks", help="block system JSON file")
-    p.add_argument("--window", type=_positive_int, default=40)
-    p.set_defaults(func=_cmd_blocks)
-
-    p = sub.add_parser("wreath", help="embed into the multi-wreath product")
-    p.add_argument("action", choices=["embed", "verify"])
-    p.add_argument("--subgroup", required=True)
-    p.add_argument("--blocks", required=True)
-    p.add_argument("--window", type=_positive_int, default=60)
-    p.add_argument("--word", action="append", default=[])
-    p.add_argument("--samples", type=_positive_int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_wreath)
-
-    p = sub.add_parser("bns", help="character sphere computations")
-    p.add_argument("action", choices=["sigma", "type", "certificate"])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--chi", help="character, e.g. 't1 - 2 t2'")
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--kernel", help="character whose kernel to classify")
-    p.add_argument("--lattice", help="semicolon-separated integer rows")
-    p.add_argument("--subgroup")
-    p.set_defaults(func=_cmd_bns)
-
-    p = sub.add_parser("classify", help="full classification report")
-    p.add_argument("--subgroup", required=True)
-    p.add_argument("--window", type=_positive_int, default=40)
-    p.set_defaults(func=_cmd_classify)
-
-    return parser
+class _Flag(NamedTuple):
+    type: Callable[[str], object] | None  # None: a switch, which reads no value
+    default: object = None
+    help: str = ""
+    repeat: bool = False  # each use appends to a list, fresh on every call
+    required: bool = False
 
 
-_parser: argparse.ArgumentParser | None = None
+class _Command(NamedTuple):
+    func: Callable
+    help: str
+    actions: tuple  # empty for a command that takes no action
+    flags: dict  # name -> _Flag, read as --name
+
+
+_JSON = _Flag(None, False, "machine-readable output")
+_SUBGROUP = _Flag(str, None, "subgroup JSON file", required=True)
+
+
+def _window(default: int) -> _Flag:
+    return _Flag(_positive_int, default, "window depth, a positive integer")
+
+
+COMMANDS = {
+    "element": _Command(
+        _cmd_element,
+        "parse, compose and analyze elements",
+        ("parse", "compose", "cycles"),
+        {
+            "json": _JSON,
+            "file": _Flag(str, None, "element JSON file", repeat=True),
+            "word": _Flag(str, None, "generator word", repeat=True),
+            "n": _Flag(_positive_int, None, "ray count for words, a positive integer"),
+        },
+    ),
+    "subgroup": _Command(
+        _cmd_subgroup,
+        "lattice, hirsch, level and orbit reports",
+        ("lattice", "hirsch", "level", "orbits"),
+        {"json": _JSON, "subgroup": _SUBGROUP, "window": _window(40)},
+    ),
+    "blocks": _Command(
+        _cmd_blocks,
+        "find, verify and quotient block systems",
+        ("find", "verify", "quotient"),
+        {
+            "json": _JSON,
+            "subgroup": _SUBGROUP,
+            "blocks": _Flag(str, None, "block system JSON file"),
+            "window": _window(40),
+        },
+    ),
+    "wreath": _Command(
+        _cmd_wreath,
+        "embed into the multi-wreath product",
+        ("embed", "verify"),
+        {
+            "json": _JSON,
+            "subgroup": _SUBGROUP,
+            "blocks": _Flag(str, None, "block system JSON file", required=True),
+            "window": _window(60),
+            "word": _Flag(str, None, "generator word to embed", repeat=True),
+            "samples": _Flag(_positive_int, 200, "pairs to check, a positive integer"),
+            "seed": _Flag(int, 0, "sample seed"),
+        },
+    ),
+    "bns": _Command(
+        _cmd_bns,
+        "character sphere computations",
+        ("sigma", "type", "certificate"),
+        {
+            "json": _JSON,
+            "n": _Flag(_positive_int, None, "ray count, a positive integer", required=True),
+            "chi": _Flag(str, None, "character, e.g. 't1 - 2 t2'"),
+            "m": _Flag(int, 1, "the m of Sigma^m"),
+            "kernel": _Flag(str, None, "character whose kernel to classify"),
+            "lattice": _Flag(str, None, "semicolon-separated integer rows"),
+            "subgroup": _Flag(str, None, "subgroup JSON file"),
+        },
+    ),
+    "classify": _Command(
+        _cmd_classify,
+        "full classification report",
+        (),
+        {"json": _JSON, "subgroup": _SUBGROUP, "window": _window(40)},
+    ),
+}
+
+# option string -> flag name, at the top level (key None) and per command
+_TOP_OPTIONS = {"-h": "help", "--help": "help", "--json": "json"}
+_OPTIONS = {None: _TOP_OPTIONS} | {
+    command: _TOP_OPTIONS | {f"--{name}": name for name in cmd.flags}
+    for command, cmd in COMMANDS.items()
+}
+
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+_SEPARATOR = object()  # the first "--": every later argument is a value
+
+
+class UsageExit(Exception):
+    """What `parse_argv` raises in place of a namespace: the text to print and
+    the exit code, 0 with the help on stdout or 2 with usage and error on stderr."""
+
+    def __init__(self, code: int, text: str):
+        super().__init__(text)
+        self.code = code
+        self.text = text
+
+
+def _usage(command=None) -> str:
+    if command is None:
+        return f"usage: {_PROG} [-h] [--json] {{{','.join(COMMANDS)}}} ..."
+    cmd = COMMANDS[command]
+    parts = [f"usage: {_PROG} {command} [-h]"]
+    if cmd.actions:
+        parts.append("{" + ",".join(cmd.actions) + "}")
+    for name, flag in cmd.flags.items():
+        text = f"--{name}" if flag.type is None else f"--{name} {name.upper()}"
+        parts.append(text if flag.required else f"[{text}]")
+    return " ".join(parts)
+
+
+def _help(command=None) -> str:
+    """The -h text: usage, what the command does, and a line per command or flag."""
+    options = [("-h, --help", "show this help and exit")]
+    if command is None:
+        about = "exact computations in Houghton groups and their subgroups"
+        sections = [("commands", [(name, cmd.help) for name, cmd in COMMANDS.items()])]
+        options.append(("--json", f"{_JSON.help}, before or after the command"))
+    else:
+        about, sections = COMMANDS[command].help, []
+        for name, flag in COMMANDS[command].flags.items():
+            notes = [flag.help]
+            if flag.required:
+                notes.append("(required)")
+            elif flag.repeat:
+                notes.append("(repeatable)")
+            elif flag.type is not None and flag.default is not None:
+                notes.append(f"(default {flag.default})")
+            options.append((f"--{name}", " ".join(notes)))
+    sections.append(("options", options))
+    width = max(len(left) for _, rows in sections for left, _ in rows) + 2
+    lines = [_usage(command), "", about]
+    for title, rows in sections:
+        lines += ["", f"{title}:"] + [f"  {left:<{width}}{right}" for left, right in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _failure(command, message: str) -> UsageExit:
+    return UsageExit(2, f"{_usage(command)}\n{_PROG}: error: {message}\n")
+
+
+def _option(arg: str, command):
+    """(flag name, explicit value or None) if ``arg`` is an option, None if a value.
+
+    As argparse reads it: an option is matched by its whole string, by its
+    string before "=", or by a unique prefix of a long option; "-h" may
+    carry a value glued on.  Any other string starting with "-" is an
+    unknown option (name None), unless it is "-", a negative number or
+    holds a space.
+    """
+    if arg[:1] != "-" or arg == "-":
+        return None
+    options = _OPTIONS[command]
+    name = options.get(arg)
+    if name is not None:
+        return name, None
+    head, eq, explicit = arg.partition("=")
+    if eq and head in options:
+        return options[head], explicit
+    if arg[1] != "-":
+        if arg[:2] in options:
+            return options[arg[:2]], arg[2:]
+    else:
+        matches = [o for o in options if o.startswith(head)]
+        if len(matches) > 1:
+            raise _failure(command, f"ambiguous option: {arg} could match {', '.join(matches)}")
+        if matches:
+            return options[matches[0]], explicit if eq else None
+    if _NEGATIVE_NUMBER.match(arg) or " " in arg:
+        return None
+    return None, None
+
+
+def _positional(argv, kinds, k):
+    """(the positional at ``argv[k]``, the index after it), or None for a bare "--".
+
+    As in argparse, a "--" just before or after a positional goes with it.
+    """
+    if kinds[k] is _SEPARATOR:
+        return (argv[k + 1], k + 2) if k + 1 < len(argv) else None
+    return argv[k], k + 2 if k + 1 < len(kinds) and kinds[k + 1] is _SEPARATOR else k + 1
+
+
+def parse_argv(argv) -> SimpleNamespace:
+    """The namespace the handlers read, from one command line checked against COMMANDS.
+
+    Flags come in any order after the command, as ``--flag value`` or
+    ``--flag=value`` or a unique prefix of either; a repeatable flag appends
+    and any other keeps its last value; ``--json`` and ``-h`` go before or
+    after the command.  Raises UsageExit for ``-h`` and for argv it cannot
+    read.
+    """
+    json_first, unknown = False, []
+    for i, arg in enumerate(argv):
+        if arg == "--" or (kind := _option(arg, None)) is None:
+            break
+        name, explicit = kind
+        if name is None:
+            unknown.append(arg)
+        elif explicit is not None:
+            raise _failure(None, f"argument {arg}: ignored explicit argument {explicit!r}")
+        elif name == "help":
+            raise UsageExit(0, _help())
+        else:
+            json_first = True
+    else:
+        raise _failure(None, "the following arguments are required: command")
+    command = argv[i]
+    cmd = COMMANDS.get(command)
+    if cmd is None:
+        choices = ", ".join(map(repr, COMMANDS))
+        raise _failure(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
+
+    rest = argv[i + 1:]
+    kinds = []
+    for k, arg in enumerate(rest):
+        if arg == "--":
+            kinds += [_SEPARATOR] + [None] * (len(rest) - k - 1)
+            break
+        kinds.append(_option(arg, command))
+    values = {name: [] if flag.repeat else flag.default for name, flag in cmd.flags.items()}
+    values["json"] |= json_first
+    action, k = None, 0
+    while k < len(rest):
+        kind = kinds[k]
+        if kind is None or kind is _SEPARATOR:
+            taken = _positional(rest, kinds, k) if cmd.actions and action is None else None
+            if taken is None:
+                unknown.append(rest[k])
+                k += 1
+            else:
+                action, k = taken
+                if action not in cmd.actions:
+                    choices = ", ".join(map(repr, cmd.actions))
+                    raise _failure(command, f"argument action: invalid choice: {action!r} (choose from {choices})")
+            continue
+        k += 1
+        name, explicit = kind
+        if name is None:
+            unknown.append(rest[k - 1])
+            continue
+        flag = cmd.flags.get(name)
+        if flag is None or flag.type is None:  # -h or a switch
+            if explicit is not None:
+                raise _failure(command, f"argument {rest[k - 1]}: ignored explicit argument {explicit!r}")
+            if flag is None:
+                raise UsageExit(0, _help(command))
+            values[name] = True
+            continue
+        if explicit is None:
+            if k == len(rest) or kinds[k] is not None:
+                raise _failure(command, f"argument --{name}: expected one argument")
+            explicit = rest[k]
+            k += 1
+        try:
+            value = flag.type(explicit)
+        except ValueError as exc:
+            raise _failure(command, f"argument --{name}: {exc}") from None
+        if flag.repeat:
+            values[name].append(value)
+        else:
+            values[name] = value
+
+    missing = ["action"] if cmd.actions and action is None else []
+    missing += [f"--{name}" for name, flag in cmd.flags.items() if flag.required and values[name] is None]
+    if missing:
+        raise _failure(command, f"the following arguments are required: {', '.join(missing)}")
+    if unknown:
+        raise _failure(None, f"unrecognized arguments: {' '.join(unknown)}")
+    if cmd.actions:
+        values["action"] = action
+    return SimpleNamespace(command=command, func=cmd.func, **values)
 
 
 def cli_main(argv=None) -> int:
-    # parse_args keeps no state between calls, so one parser serves them all;
-    # it is built on the first call, not at import
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
     try:
-        args = _parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = parse_argv(sys.argv[1:] if argv is None else argv)
         return args.func(args)
+    except UsageExit as exc:
+        (sys.stderr if exc.code else sys.stdout).write(exc.text)
+        return exc.code
     except InconclusiveError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         if exc.hint is not None:

@@ -1,5 +1,9 @@
 import json
+import os
+import shlex
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,8 @@ from houghton_kit.classify import classify
 from houghton_kit.cli import cli_main
 from houghton_kit.elements import from_cycles, generator, houghton_generators, identity, transposition
 from houghton_kit.subgroups import GeneratedSubgroup, delta_k, element_with_translation
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def write_subgroup(tmp_path, group, name="group.json"):
@@ -399,10 +405,9 @@ def test_cli_append_lists_do_not_leak_between_calls(tmp_path, capsys):
     assert "nothing to compose" in capsys.readouterr().err
 
 
-def test_cli_call_after_a_parse_error_matches_a_fresh_call(tmp_path, capsys, monkeypatch):
+def test_cli_call_after_a_parse_error_matches_a_fresh_call(tmp_path, capsys):
     path = write_subgroup(tmp_path, delta_k(3, 2))
     argv = ["--json", "subgroup", "lattice", "--subgroup", path]
-    monkeypatch.setattr(cli, "_parser", None)
     assert cli_main(argv) == 0
     fresh = capsys.readouterr()
     for bad in (["subgroup", "lattice"], ["element", "spin"], ["--window", "3"]):
@@ -412,20 +417,34 @@ def test_cli_call_after_a_parse_error_matches_a_fresh_call(tmp_path, capsys, mon
         assert capsys.readouterr() == fresh
 
 
-def test_cli_builds_its_parser_once(tmp_path, capsys, monkeypatch):
-    build, built = cli.build_parser, []
-    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
-    monkeypatch.setattr(cli, "_parser", None)
-    path = write_subgroup(tmp_path, delta_k(3, 2))
-    for argv in (
-        ["subgroup", "hirsch", "--subgroup", path],
-        ["nonsense"],
-        ["--json", "subgroup", "lattice", "--subgroup", path],
-        ["element", "parse", "--word", "g2", "--n", "2"],
-    ):
-        cli_main(argv)
-    capsys.readouterr()
-    assert len(built) == 1
+def readme_cli_lines():
+    """The argv of each ``houghton-kit`` line in the README's CLI block."""
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("houghton-kit ")]
+
+
+def test_every_readme_cli_line_parses():
+    lines = readme_cli_lines()
+    assert len(lines) == 14
+    for argv in lines:
+        assert cli.parse_argv(argv).command == argv[0]
+    assert lines[-1][-1] == "--json" and cli.parse_argv(lines[-1]).json
+
+
+def test_python_dash_m_runs_the_cli(tmp_path, capsys):
+    argv = ["subgroup", "hirsch", "--subgroup", write_subgroup(tmp_path, delta_k(3, 2)), "--json"]
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "houghton_kit", *args],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    process = run(*argv)
+    assert process.returncode == cli_main(argv) == 0
+    assert process.stdout == capsys.readouterr().out
+    process = run("-h")
+    assert process.returncode == 0 and process.stdout.startswith("usage: houghton-kit")
 
 
 @pytest.mark.parametrize(
@@ -437,14 +456,19 @@ def test_cli_builds_its_parser_once(tmp_path, capsys, monkeypatch):
         ["classify", "--window", "-2"],
         ["wreath", "verify", "--blocks", "BLOCKS", "--samples", "-3"],
         ["wreath", "verify", "--blocks", "BLOCKS", "--samples", "0"],
+        ["element", "parse", "--word", "g2", "--n", "0"],
+        ["element", "parse", "--word", "g2", "--n", "-2"],
     ],
-    ids=["subgroup", "blocks", "wreath", "classify", "samples-negative", "samples-zero"],
+    ids=["subgroup", "blocks", "wreath", "classify", "samples-negative", "samples-zero",
+         "n-zero", "n-negative"],
 )
 def test_cli_window_must_be_positive(tmp_path, capsys, argv):
     spath = write_subgroup(tmp_path, delta_k(3, 2))
     bpath = tmp_path / "blocks.json"
     bpath.write_text(json.dumps([[[1, 0]], [[1, 1]]]))
-    argv = [str(bpath) if a == "BLOCKS" else a for a in argv] + ["--subgroup", spath]
+    argv = [str(bpath) if a == "BLOCKS" else a for a in argv]
+    if argv[0] != "element":
+        argv += ["--subgroup", spath]
     assert cli_main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
