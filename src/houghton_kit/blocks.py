@@ -13,11 +13,12 @@ the induced generator images as elements of the quotient ray system.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations, compress, islice
+from itertools import chain, combinations, compress, islice
 from operator import ne
 
-from .elements import HoughtonElement, _image_table
+from .elements import HoughtonElement, _image_table, _off_translation, _translation_table
 from .errors import DomainError, InconclusiveError, InvalidElementError
 from .finperm import _classes, _close, _witness_system
 from .rays import RayPoint, RaySystem, code_of, point_of
@@ -433,6 +434,25 @@ def _finitary_alternating_proof(group: GeneratedSubgroup):
 # -- quotient structure ----------------------------------------------------------
 
 
+# Most entries each memo keeps, oldest out first: a quotient's translation
+# actions and a block context's embeddings.  A pass of the wreath-descent
+# benchmark embeds 100-130 distinct elements per context, so every repeat
+# there is a hit.
+EMBED_MEMO_CAP = 4096
+
+
+@dataclass(frozen=True)
+class _Translated:
+    """How the translations of one vector act on the kept classes, and the quotient read of it."""
+
+    targets: list  # per kept class, as in _class_action; None also where it splits
+    split: tuple  # ids of the kept classes whose images fall in two classes
+    moved: dict  # as in _class_action
+    shifts: tuple | None  # the translation read off _top, None where the read fails
+    failure: tuple | None  # (message, hint) of a failed read
+    pairs: dict  # class id -> (code, image code), where the image is off the shifts
+
+
 @dataclass(eq=False)
 class QuotientStructure:
     """Window classes ordered by least element, with induced generator images.
@@ -440,6 +460,16 @@ class QuotientStructure:
     Kept class k is the quotient point of code _codes[k], and an element acts
     on the kept classes as a list of target class ids (``_class_action``),
     which ``_read_element`` reads.
+
+    An element g acts on the kept classes as its translation vector t does,
+    except on the classes that hold a key of its head.  The head is in
+    canonical form and holds every point off the translation rule, every
+    point below -t_j included, so every point of any other kept class moves
+    by p + n * t[ray]: that class has the same images, target, ranks and
+    split status under g as under the plain translation table of t.  The
+    whole-window pass therefore runs once per vector (``_translation``, at
+    most ``EMBED_MEMO_CAP`` vectors, oldest out first), and each element
+    reads again only the kept classes that hold a head key (``_action``).
     """
 
     system: BlockSystem
@@ -460,13 +490,101 @@ class QuotientStructure:
     _starts: tuple  # per kept class, the start of its points in _members
     _codes: tuple  # per kept class, the code of its quotient point
     _least_pos: tuple  # per kept class, the least position of its points (on any ray)
+    _by_least: tuple  # the kept class ids in order of _least_pos
     _top: tuple  # per ray, the kept class ids in the top half of its complete rank prefix
+    _top_ids: frozenset  # the ids in _top
+    _translations: dict  # translation vector -> its _Translated
 
     def class_index_of(self, p) -> int | None:
         ray, pos = p
         if not (1 <= ray <= self.n and 0 <= pos):
             return None
         return self._target_of.get(self._class_of.get(code_of(self.n, p)))
+
+    def _below(self, threshold: int) -> list:
+        """The ids of the kept classes with a point below the threshold, in id order."""
+        below = bisect_left(self._by_least, threshold, key=self._least_pos.__getitem__)
+        return sorted(self._by_least[:below])
+
+    def _translation(self, t: tuple) -> _Translated:
+        """The class action of the translation table of t, and its quotient read.
+
+        One comparison over the whole window shows that every kept class
+        lands in one class, and one that no rank moves; only the classes
+        that fail a comparison are read one by one.  A read that fails keeps
+        its message and hint, not the exception, whose frames it would keep.
+        """
+        got = self._translations.get(t)
+        if got is not None:
+            return got
+        table = _translation_table(self.n, t, self._closure_depth)
+        images = list(map(table.__getitem__, self._members))
+        # an image past the closure window or below position 0 has no class and no rank: None
+        classes = list(map(self._class_of.get, images))
+        ranks = list(map(self._rank_of.get, images))
+        targets = list(map(self._target_of.get, map(classes.__getitem__, self._starts)))
+        leads = list(map(classes.__getitem__, self._lead))
+        split = []
+        if leads != classes:
+            for k in sorted(set(compress(self._member_class, map(ne, leads, classes)))):
+                start = self._starts[k]
+                if None not in classes[start:start + len(self.classes[k])]:
+                    split.append(k)
+                targets[k] = None
+        moved = {}
+        if ranks != self._member_rank:
+            for k in sorted(set(compress(self._member_class, map(ne, ranks, self._member_rank)))):
+                if targets[k] is not None:
+                    start = self._starts[k]
+                    moved[k] = tuple(ranks[start:start + len(self.classes[k])])
+        codes, shifts, failure, pairs = self._codes, None, None, {}
+        try:
+            shifts = _read_shifts(self.n, codes, targets, self._top)
+        except InconclusiveError as exc:
+            failure = (str(exc), exc.hint)
+        else:
+            off = _off_translation(self.n, shifts, _pairs(codes, targets))
+            pairs = {k: (a, off[a]) for k, a in enumerate(codes) if a in off}
+        memo = self._translations
+        if len(memo) >= EMBED_MEMO_CAP:
+            del memo[next(iter(memo))]
+        got = memo[t] = _Translated(targets, tuple(split), moved, shifts, failure, pairs)
+        return got
+
+    def _action(self, element: HoughtonElement):
+        """``_class_action``'s (targets, moved), with the ``corrected`` ids and ``translated``.
+
+        Only the kept classes that hold a head key (``corrected``) are read
+        again; every other class keeps what the translation vector's action
+        (``translated``) gives it.  DomainError names the least id that splits.
+        """
+        translated = self._translation(element.t)
+        class_of, target_of = self._class_of, self._target_of
+        corrected = set(map(target_of.get, map(class_of.get, element._head)))
+        corrected.discard(None)
+        targets = translated.targets.copy()
+        moved = {k: v for k, v in translated.moved.items() if k not in corrected}
+        split = [k for k in translated.split if k not in corrected]
+        for k in corrected:
+            start = self._starts[k]
+            images = list(map(element._image, self._members[start:start + len(self.classes[k])]))
+            classes = set(map(class_of.get, images))
+            if len(classes) > 1:
+                if None not in classes:
+                    split.append(k)
+                targets[k] = None
+                continue
+            targets[k] = target_of.get(classes.pop())
+            ranks = tuple(map(self._rank_of.get, images))
+            if targets[k] is not None and ranks != tuple(range(len(ranks))):
+                moved[k] = ranks
+        if split:
+            raise DomainError(
+                f"element does not preserve the congruence near {self.classes[min(split)][0]}"
+            )
+        if corrected:
+            moved = dict(sorted(moved.items()))
+        return targets, moved, corrected, translated
 
     def _class_action(self, element: HoughtonElement):
         """(targets, moved): how the element acts on the kept classes.
@@ -476,36 +594,34 @@ class QuotientStructure:
         images fall in two classes, and where the images land in a class that
         crosses the depth.  Images in two classes raise DomainError.
         ``moved`` maps each class with a target whose image ranks are not the
-        identity to those ranks.  One comparison over the whole window shows
-        that every kept class lands in one class, and one that no rank moves;
-        only the classes that fail a comparison are read one by one.
+        identity to those ranks, in class-id order.  Every class but those of
+        the element's head keys gets what its translation vector gives it
+        (``_action``).
         """
-        table = _image_table(element, self._closure_depth)
-        images = list(map(table.__getitem__, self._members))
-        # an image past the closure window has no class and no rank: None
-        classes = list(map(self._class_of.get, images))
-        ranks = list(map(self._rank_of.get, images))
-        targets = list(map(self._target_of.get, map(classes.__getitem__, self._starts)))
-        leads = list(map(classes.__getitem__, self._lead))
-        if leads != classes:
-            for k in sorted(set(compress(self._member_class, map(ne, leads, classes)))):
-                start = self._starts[k]
-                if None not in classes[start:start + len(self.classes[k])]:
-                    raise DomainError(
-                        f"element does not preserve the congruence near {self.classes[k][0]}"
-                    )
-                targets[k] = None
-        moved = {}
-        if ranks != self._member_rank:
-            for k in sorted(set(compress(self._member_class, map(ne, ranks, self._member_rank)))):
-                if targets[k] is not None:
-                    start = self._starts[k]
-                    moved[k] = tuple(ranks[start:start + len(self.classes[k])])
-        return targets, moved
+        return self._action(element)[:2]
 
     def _induced(self, targets: list) -> HoughtonElement:
-        """The quotient element that ``_class_action``'s targets pin down."""
+        """The quotient element that ``_class_action``'s targets pin down, read afresh."""
         return _read_element(self.n, self._codes, targets, self._top)
+
+    def _read(self, targets: list, corrected: set, translated: _Translated) -> HoughtonElement:
+        """``_induced`` of ``_action``'s targets, with the same result or error.
+
+        While no corrected class lies in ``_top``, the translation's shift
+        vector (or failed read) holds, and so do its pairs off that vector
+        outside the corrected classes; the constructor reads them with the
+        corrected classes' pairs in class-id order, as ``_read_element`` would.
+        """
+        if not corrected.isdisjoint(self._top_ids):
+            return self._induced(targets)
+        if translated.shifts is None:
+            raise InconclusiveError(*translated.failure)
+        pairs = {k: p for k, p in translated.pairs.items() if k not in corrected}
+        codes = self._codes
+        for k in corrected:
+            if (j := targets[k]) is not None:
+                pairs[k] = (codes[k], codes[j])
+        return _element_of(self.n, translated.shifts, map(pairs.get, sorted(pairs)))
 
     def partial_action(self, element: HoughtonElement) -> dict:
         """Partial map on quotient points induced by an element of the group.
@@ -524,7 +640,8 @@ class QuotientStructure:
     def induce(self, element: HoughtonElement) -> HoughtonElement:
         """The permutation the element induces on the quotient ray system."""
         _same_rays(element, self.n)
-        return self._induced(self._class_action(element)[0])
+        targets, _, corrected, translated = self._action(element)
+        return self._read(targets, corrected, translated)
 
 
 def _top_half(points, known_ranks) -> tuple:
@@ -542,17 +659,31 @@ def _top_half(points, known_ranks) -> tuple:
     return top
 
 
+def _pairs(codes, targets):
+    """(code, image code) of each source with a target."""
+    return ((a, codes[j]) for a, j in zip(codes, targets) if j is not None)
+
+
 def _read_element(n: int, codes, targets: list, top) -> HoughtonElement:
     """The element of n rays that a partial map on points pins down.
 
     Point k has code codes[k].  Source k is point k, and maps to point
     targets[k], or to nothing where that is None.  ``top[i]`` lists the
     sources in the top half of ray i + 1's known ranks (``_top_half``).  The
-    translation on each ray is read off them: their pairs must be at least
-    two, stay on the ray and share one shift.  The validating constructor
-    keeps every source whose image differs from the translation, reading the
-    pairs as they are made, and checks that the result is a bijection.
-    Raises InconclusiveError when the data does not pin the element down.
+    translation on each ray is read off them (``_read_shifts``).  The
+    validating constructor keeps every source whose image differs from the
+    translation, reading the pairs as they are made, and checks that the
+    result is a bijection.  Raises InconclusiveError when the data does not
+    pin the element down.
+    """
+    return _element_of(n, _read_shifts(n, codes, targets, top), _pairs(codes, targets))
+
+
+def _read_shifts(n: int, codes, targets: list, top) -> tuple:
+    """The translation vector of ``_read_element``'s partial map.
+
+    On each ray the pairs of the sources in ``top`` with a target must be at
+    least two, stay on the ray and share one shift; InconclusiveError if not.
     """
     t = []
     for ray, ids in enumerate(top, start=1):
@@ -565,9 +696,13 @@ def _read_element(n: int, codes, targets: list, top) -> HoughtonElement:
                 hint="increase the window depth",
             )
         t.append(shifts.pop())
-    pairs = ((a, codes[j]) for a, j in zip(codes, targets) if j is not None)
+    return tuple(t)
+
+
+def _element_of(n: int, t: tuple, pairs) -> HoughtonElement:
+    """The validating constructor on (code, image code) pairs; InconclusiveError if no bijection."""
     try:
-        return HoughtonElement._from_codes(n, tuple(t), pairs)
+        return HoughtonElement._from_codes(n, t, pairs)
     except InvalidElementError as exc:
         raise InconclusiveError(
             f"partial quotient data does not close to a bijection: {exc}",
@@ -630,6 +765,8 @@ def quotient(group: GeneratedSubgroup, system: BlockSystem, depth: int) -> Quoti
         lead.extend([start] * size)
         starts.append(start)
     quotient_points = tuple(qpoints[k] for k in kept_indices)
+    least_pos = tuple(min(p.pos for p in classes_all[k]) for k in kept_indices)
+    top = _top_half(quotient_points, known_ranks)
     structure = QuotientStructure(
         system=system,
         n=n,
@@ -648,8 +785,11 @@ def quotient(group: GeneratedSubgroup, system: BlockSystem, depth: int) -> Quoti
         _lead=tuple(lead),
         _starts=tuple(starts),
         _codes=tuple(code_of(n, qp) for qp in quotient_points),
-        _least_pos=tuple(min(p.pos for p in classes_all[k]) for k in kept_indices),
-        _top=_top_half(quotient_points, known_ranks),
+        _least_pos=least_pos,
+        _by_least=tuple(sorted(range(len(kept_indices)), key=least_pos.__getitem__)),
+        _top=top,
+        _top_ids=frozenset(chain.from_iterable(top)),
+        _translations={},
     )
     induced = []
     kernel = []

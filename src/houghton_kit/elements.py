@@ -512,15 +512,24 @@ def _image_table(g: HoughtonElement, depth: int) -> list:
 
     An image of code n * D or more lies outside the window.
     """
-    n = g.n
-    size = n * depth
-    table = [0] * size
-    for ray, shift in enumerate(g.t):
-        # a translate below position 0 is a head point, set below
-        table[ray::n] = range(ray + n * shift, size + n * shift, n)
+    table = _translation_table(g.n, g.t, depth)
+    size = len(table)
+    # a translate below position 0 is a head point
     for p, q in g._items:
         if p < size:
             table[p] = q
+    return table
+
+
+def _translation_table(n: int, t: tuple, depth: int) -> list:
+    """``_image_table`` of the translations t alone, with no head.
+
+    A point below -t_j translates to a negative code.
+    """
+    size = n * depth
+    table = [0] * size
+    for ray, shift in enumerate(t):
+        table[ray::n] = range(ray + n * shift, size + n * shift, n)
     return table
 
 

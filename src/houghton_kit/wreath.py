@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .blocks import (
+    EMBED_MEMO_CAP,
     BlockSystem,
     QuotientStructure,
     _same_rays,
@@ -30,11 +31,6 @@ from .errors import DomainError, InconclusiveError
 from .finperm import FinitePermGroup, _inv, _is_id, _mul
 from .rays import RayPoint, code_of, point_of
 from .subgroups import GeneratedSubgroup, bounded_words
-
-# Most embeddings one block context keeps (``kk_embed``); past it the oldest
-# goes first.  A pass of the wreath-descent benchmark embeds 100-130 distinct
-# elements per context, so every repeat there is a hit.
-EMBED_MEMO_CAP = 4096
 
 
 class BlockContext:
@@ -233,8 +229,12 @@ def kk_embed(g: HoughtonElement, ctx: BlockContext) -> MultiWreathElement:
     the element's threshold makes the result inconclusive.
 
     One class-action pass gives every class's target id and the classes
-    whose ranks move, which are the base, and one kernel
-    (``QuotientStructure._induced``) reads the head off the targets.
+    whose ranks move, which are the base, and one kernel reads the head off
+    the targets.  Both start from the action of g's translation vector,
+    built once per vector on the quotient, and read again only the classes
+    that hold a key of g's head (``QuotientStructure._action`` and
+    ``_read``): g's head holds every point off the translation rule, so every
+    other class moves exactly as under the translations alone.
 
     The context keeps each embedding made on it (``EMBED_MEMO_CAP`` at most,
     oldest out first), and an element seen before is rewrapped, not embedded
@@ -251,11 +251,11 @@ def kk_embed(g: HoughtonElement, ctx: BlockContext) -> MultiWreathElement:
             "element head region exceeds the verified window", hint=g.threshold
         )
     _same_rays(g, q.n)
-    targets, moved = q._class_action(g)
-    head = q._induced(targets)
+    targets, moved, corrected, translated = q._action(g)
+    head = q._read(targets, corrected, translated)
     if None in targets:
-        for k, j in enumerate(targets):
-            if j is None and q._least_pos[k] < g.threshold:
+        for k in q._below(g.threshold):
+            if targets[k] is None:
                 raise InconclusiveError(
                     f"image of class {q.classes[k][0]} is outside the verified window"
                 )
@@ -340,9 +340,8 @@ def verify_kk(
         # no known image; a class wholly past it moves by translation, and a
         # class of one point has only one order
         supp = set(kg.support())
-        for k, (qp, cls) in enumerate(zip(q.quotient_points, q.classes)):
-            if q._least_pos[k] >= g.threshold:
-                continue
+        for k in q._below(g.threshold):
+            qp, cls = q.quotient_points[k], q.classes[k]
             if (qp in supp) == (len(cls) == 1 or order_preserving_on_class(g, ctx, qp)):
                 supp_fail += 1
         if w_groups_by_orbit is not None:
@@ -556,9 +555,17 @@ def phi_s_descent(
     target and base value (``_DescentTables.resume``), and still runs the
     measure test there and after.  The head's search, over quotient images
     and capped at 20000 of them, runs afresh on every descent.
+
+    The kernel elements must act trivially on the classes: DomainError names
+    the first whose embedding has a non-identity head.
     """
     kernel_elements = list(kernel_elements)
     kk_kernel = [kk_embed(f, ctx) for f in kernel_elements]
+    for i, kf in enumerate(kk_kernel):
+        if not kf.head.is_identity():
+            raise DomainError(
+                f"kernel element {i} moves the classes: its quotient image is not the identity"
+            )
     supports = [set(k.support()) for k in kk_kernel]
     big_s = set().union(*supports) if supports else set()
     n = ctx.n

@@ -216,6 +216,34 @@ def test_embedding_check_reads_a_class_reaching_below_the_threshold(monkeypatch)
     assert report.support_mismatches > 0
 
 
+def test_embedding_check_reads_the_classes_just_below_the_threshold(monkeypatch):
+    # an embedding that toggles the base at every class whose least position
+    # is the threshold minus 1 or the threshold: the check counts each class
+    # of the first kind, which reaches below the threshold, and skips those
+    # of the second, which lie wholly past it.  On the spanning context h's
+    # threshold is 12, and (2:11 2:12) and (3:12 3:13) are classes.
+    h, ctx, _ = spanning_context(30)
+    q = ctx.quotient
+    least = [min(p.pos for p in cls) for cls in q.classes]
+    embed = wreath.kk_embed
+
+    def toggling(g, c):
+        got = embed(g, c)
+        base = dict(got.base)
+        for qp, pos in zip(q.quotient_points, least):
+            if pos in (g.threshold - 1, g.threshold) and base.pop(qp, None) is None:
+                base[qp] = swap_perm()
+        return MultiWreathElement(c, tuple(base.items()), got.head)
+
+    samples = 20
+    sampled = random_words(ctx.group, 2 * samples, 1, random.Random(0))[::2]
+    want = sum(least.count(g.threshold - 1) for g in sampled)
+    assert want > 0 and any(g.threshold in least for g in sampled)
+    monkeypatch.setattr(wreath, "kk_embed", toggling)
+    report = verify_kk(ctx.group, ctx, samples=samples, max_len=1, seed=0)
+    assert report.support_mismatches == want
+
+
 # -- the embedding memo -------------------------------------------------------------
 
 
@@ -492,6 +520,14 @@ def test_descent_strictly_decreasing_measure():
         assert result.ok
         assert len(result.steps) == len(offs)
         assert alpha == result.residue.multiply(kk_embed(result.witness, ctx))
+
+
+def test_descent_rejects_a_kernel_element_that_moves_the_classes():
+    # the pair swap exchanges the classes (1:0 1:1) and (1:2 1:3)
+    group, ctx = pair_context()
+    alpha = kk_embed(group.generators[0], ctx)
+    with pytest.raises(DomainError, match="kernel element 1 moves the classes"):
+        phi_s_descent(alpha, group, ctx, [group.generators[1], group.generators[2]])
 
 
 # -- serialization ------------------------------------------------------------------

@@ -25,6 +25,15 @@ the moved classes its non-identity rank tuples, the kernel the element
 the dict rule it replaced.  The contexts and elements take every branch,
 including the intransitive context ⟨g2^4, (1:0 1:2), (1:1 1:3)⟩.
 
+The quotient keeps the action of each translation vector and reads again
+only the classes that hold a head key (``QuotientStructure._action``).  The
+branch test also reaches each way that memo is used: a corrected class in a
+``_top`` half, read afresh; a translation's failed read, reused; a split only
+in a class with no head key; and a corrected class that splits at the least
+id.  One context meets every element cold, warm and shuffled, against the
+reference and a context whose memo is emptied before each call, and a
+patched cap bounds the memo, oldest out first.
+
 ``reference_inference`` is the quotient's inference kernel
 (``blocks._read_element``) on a partial map, as a per-ray scan that rereads
 the whole map for every ray; the kernel comparisons read heads through it.
@@ -49,6 +58,7 @@ import time
 
 import pytest
 
+from houghton_kit import blocks
 from houghton_kit.blocks import (
     BlockSystem,
     _read_element,
@@ -461,12 +471,40 @@ def action_branches(label, ctx, ref, g):
     return seen
 
 
+def memo_branches(ctx, ref, g):
+    """The branches of the per-vector memo that g takes.
+
+    The classes holding a head key of g are found through RayPoints, and
+    those that split through the reference's classes.
+    """
+    q = ctx.quotient
+    translated = q._translation(g.t)
+    corrected = {q.class_index_of(p) for p, _ in g.head} - {None}
+    split = set()
+    for k in corrected:
+        owners = {ref.point_class.get(g.apply(p)) for p in q.classes[k]}
+        if len(owners) > 1 and None not in owners:
+            split.add(k)
+    untouched = set(translated.split) - corrected
+    if not split and untouched:
+        return {"a split only in an untouched class"}
+    if split and min(split) < min(untouched, default=len(q.classes)):
+        return {"a corrected class splits at the least id"}
+    if split:
+        return set()
+    if corrected & q._top_ids:
+        return {"a corrected top class is read afresh"}
+    if translated.failure is not None:
+        return {"the translation's failed read is reused"}
+    return set()
+
+
 def test_class_action_and_kernel_comparisons_reach_every_branch():
     seen = set()
     for label, ctx in CONTEXTS.items():
         ref = Reference(ctx)
         for g in elements(label, ctx):
-            seen |= action_branches(label, ctx, ref, g)
+            seen |= action_branches(label, ctx, ref, g) | memo_branches(ctx, ref, g)
     assert seen == {
         "every class lands in one class",
         "an image leaves the window",
@@ -475,7 +513,74 @@ def test_class_action_and_kernel_comparisons_reach_every_branch():
         "the congruence breaks",
         "the translation cannot be read",
         "the intransitive context",
+        "a corrected top class is read afresh",
+        "the translation's failed read is reused",
+        "a split only in an untouched class",
+        "a corrected class splits at the least id",
     }
+
+
+# -- the per-vector memo -----------------------------------------------------------------
+
+
+def fresh_context(ctx):
+    """A new context on the group, blocks and depth of ctx."""
+    q = ctx.quotient
+    return build_block_context(ctx.group, q.system, q.window_depth)
+
+
+def as_pair(got):
+    """An embedding's outcome, the element given as its (base, head)."""
+    return ("ok", (got[1].base, got[1].head)) if got[0] == "ok" else got
+
+
+def embedded(g, ctx):
+    """``kk_embed``'s outcome as ``as_pair`` gives it, the context's embedding memo emptied first."""
+    ctx._embeddings.clear()
+    return as_pair(outcome(kk_embed, g, ctx))
+
+
+@pytest.mark.parametrize("label", list(CONTEXTS))
+def test_a_warm_memo_acts_as_the_reference_and_a_fresh_context(label):
+    # one context meets the elements cold (only the generators' vectors
+    # kept), warm, and warm in a shuffled order; the fresh context's memo is
+    # emptied before each call, so it runs the whole-window pass every time
+    ctx, fresh = fresh_context(CONTEXTS[label]), fresh_context(CONTEXTS[label])
+    q, q_fresh = ctx.quotient, fresh.quotient
+    ref = Reference(ctx)
+    once = elements(label, ctx)
+    shuffled = random.Random(label).sample(once, len(once))
+    for g in once + once + shuffled:
+        assert outcome(q.partial_action, g) == outcome(ref.partial_action, g), g
+        # only the classes that hold a head key are read again
+        action = outcome(q._action, g)
+        if action[0] == "ok":
+            assert action[1][2] == {q.class_index_of(p) for p, _ in g.head} - {None}, g
+        for call in ("_class_action", "induce"):
+            q_fresh._translations.clear()
+            assert outcome(getattr(q, call), g) == outcome(getattr(q_fresh, call), g), g
+        q_fresh._translations.clear()
+        got = embedded(g, ctx)
+        assert got == as_pair(outcome(ref.kk_embed, g)) == embedded(g, fresh), g
+    assert set(q._translations) == {g.t for g in once} | {g.t for g in ctx.group.generators}
+
+
+def test_the_memo_keeps_at_most_its_cap_and_drops_the_oldest_first(monkeypatch):
+    monkeypatch.setattr(blocks, "EMBED_MEMO_CAP", 3)
+    label = "delta_k(3,2)"
+    ctx = fresh_context(CONTEXTS[label])
+    q = ctx.quotient
+    ref = Reference(ctx)
+    kept = list(q._translations)
+    assert len(kept) <= 3
+    gs = elements(label, ctx)
+    assert len({g.t for g in gs}) > 6
+    for g in gs:
+        assert outcome(q.partial_action, g) == outcome(ref.partial_action, g), g
+        assert embedded(g, ctx) == as_pair(outcome(ref.kk_embed, g)), g
+        if g.t not in kept:
+            kept = (kept + [g.t])[-3:]
+        assert list(q._translations) == kept
 
 
 # -- the inference and the words against their references ----------------------------
