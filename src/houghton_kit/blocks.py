@@ -276,17 +276,17 @@ def _search_block_systems(group: GeneratedSubgroup, depth: int) -> BlockSearchRe
 def find_block_systems(group: GeneratedSubgroup, depth: int) -> BlockSearchResult:
     """Proper non-trivial block systems: none by proof, or a bounded search.
 
-    When ``_finitary_alternating_proof`` holds, the result is empty with
-    ``PROOF_CAVEAT``: no proper non-trivial system of finite blocks exists,
-    so neither the window nor the translation lattice is read.  Otherwise the
-    window-bounded search runs (``_search_block_systems``) and its caveat is
-    ``WINDOW_CAVEAT``: an empty result is then evidence only, never a proof
-    of strong orbit primitivity.  The search raises DomainError when the
-    translation lattice is not of full rank, since the block size bound
-    needs it, and InconclusiveError when half the depth is below the
-    generator margin.
+    When the finitary alternating proof holds (``_alternating_components``,
+    read without its points), the result is empty with ``PROOF_CAVEAT``: no
+    proper non-trivial system of finite blocks exists, so neither the window
+    nor the translation lattice is read.  Otherwise the window-bounded search
+    runs (``_search_block_systems``) and its caveat is ``WINDOW_CAVEAT``: an
+    empty result is then evidence only, never a proof of strong orbit
+    primitivity.  The search raises DomainError when the translation lattice
+    is not of full rank, since the block size bound needs it, and
+    InconclusiveError when half the depth is below the generator margin.
     """
-    if _finitary_alternating_proof(group) is not None:
+    if _alternating_components(group) is not None:
         return BlockSearchResult((), PROOF_CAVEAT)
     return _search_block_systems(group, depth)
 
@@ -321,21 +321,49 @@ def _small_cycle(moved: dict):
     return tuple(cycle)
 
 
-def _commutator_cycle(a, b, a_inv, b_inv):
-    """``_small_cycle`` of the commutator "a, then b, then a^-1, then b^-1".
+def _letters(group: GeneratedSubgroup) -> list:
+    """The generators, then their inverses, as (head, steps) on codes.
 
-    Reads the commutator's moved points without building it: a point that
-    none of the four steps meets in its head moves by t_a + t_b - t_a - t_b
-    = 0 along its ray, so only the head points of a and the preimages of the
-    later steps' head points can move.  Stops as soon as a fourth point moves.
+    The order is that of ``symmetric_generators()``.  A letter sends the code
+    c to ``head.get(c, c + steps[c % n])``.  An inverse's head is the
+    reversed head ``{q: p for p, q in g._items}``, which is the head of
+    ``g.inverse()``, and its steps are negated: no inverse element is built.
     """
-    candidates = set(a._head)
-    candidates.update(map(a_inv._image, b._head))
-    candidates.update(a_inv._image(b_inv._image(p)) for p in a_inv._head)
-    candidates.update(a_inv._image(b_inv._image(a._image(p))) for p in b_inv._head)
+    n, gens = group.n, group.generators
+    forward = [(g._head, tuple(n * x for x in g.t)) for g in gens]
+    inverse = [({q: p for p, q in g._items}, tuple(-n * x for x in g.t)) for g in gens]
+    return forward + inverse
+
+
+def _commutator_cycle(a, b, a_inv, b_inv):
+    """``_small_cycle`` of the commutator "a, then b, then a^-1, then b^-1", on ``_letters``.
+
+    Reads the commutator's moved points without building it.  If b is
+    finitary with support F, the commutator is a b a^-1, which moves only
+    a^-1(F), then b^-1, which moves only F; if a is, it is a, moving only F,
+    then b a^-1 b^-1, moving only b^-1(F).  So 2|F| candidates suffice.
+    Otherwise x moves only where b(a(x)) != a(b(x)): with x off both heads,
+    a(x) off b's head and b(x) off a's, both are x + t_a + t_b along x's ray,
+    so the candidates are the two heads and their preimages under a and b.
+    Stops as soon as a fourth point moves.
+    """
+    (a_head, a_steps), (b_head, b_steps) = a, b
+    (ai_head, ai_steps), (bi_head, bi_steps) = a_inv, b_inv
+    n = len(a_steps)
+    if not any(b_steps):
+        candidates = {*b_head, *(ai_head.get(p, p + ai_steps[p % n]) for p in b_head)}
+    elif not any(a_steps):
+        candidates = {*a_head, *(bi_head.get(p, p + bi_steps[p % n]) for p in a_head)}
+    else:
+        candidates = {*a_head, *b_head}
+        candidates.update(ai_head.get(p, p + ai_steps[p % n]) for p in b_head)
+        candidates.update(bi_head.get(p, p + bi_steps[p % n]) for p in a_head)
     moved = {}
     for x in candidates:
-        y = b_inv._image(a_inv._image(b._image(a._image(x))))
+        y = a_head.get(x, x + a_steps[x % n])
+        y = b_head.get(y, y + b_steps[y % n])
+        y = ai_head.get(y, y + ai_steps[y % n])
+        y = bi_head.get(y, y + bi_steps[y % n])
         if y != x:
             if len(moved) == 3:
                 return None
@@ -350,21 +378,23 @@ def _witness_cycles(group: GeneratedSubgroup):
     finitary since translation vectors commute; then two rounds of new
     conjugates a^-1 w a of the last stage by the symmetric generators, whose
     cycle is w's cycle moved by a, so they need no element product.  The
+    generators are read as ``_letters``, so no inverse element is built.  The
     proof stops reading at the first cycle that certifies every orbit.
     """
-    gens, inverses = group.generators, group.symmetric_generators()[len(group.generators):]
+    n, gens = group.n, group.generators
     cycles = [c for g in gens if not any(g.t) and (c := _small_cycle(g._head))]
     yield from cycles
-    for i, j in combinations(range(len(gens)), 2):
-        if c := _commutator_cycle(gens[i], gens[j], inverses[i], inverses[j]):
+    letters, k = _letters(group), len(gens)
+    for i, j in combinations(range(k), 2):
+        if c := _commutator_cycle(letters[i], letters[j], letters[k + i], letters[k + j]):
             cycles.append(c)
             yield c
     seen = {frozenset(c) for c in cycles}
     for _ in range(2):
         conjugates = {}
         for c in cycles:
-            for a in group.symmetric_generators():
-                image = tuple(map(a._image, c))
+            for head, steps in letters:
+                image = tuple(head.get(p, p + steps[p % n]) for p in c)
                 conjugates.setdefault(frozenset(image), image)
         cycles = [c for key, c in conjugates.items() if key not in seen]
         seen.update(conjugates)
@@ -377,6 +407,7 @@ def _finitary_alternating_proof(group: GeneratedSubgroup):
     The result holds one (S, witnesses) pair per orbit of G, in order of
     least point: S is a sorted tuple of points of the orbit, and each witness
     is the cycle, as a tuple of points, of a transposition or 3-cycle in G.
+    They are the components of ``_alternating_components`` read as points.
     It proves that G preserves no partition into finite blocks other than
     the partition into points:
 
@@ -398,6 +429,17 @@ def _finitary_alternating_proof(group: GeneratedSubgroup):
     - A finite block is a point.  Let p != q lie in a block B, with q in the
       orbit O.  The elements of FAlt(O) that fix p fix B and move q to every
       point of O other than p, so B is infinite.
+    """
+    found = _alternating_components(group)
+    if found is None:
+        return None
+    n = group.n
+    points = lambda codes: tuple(point_of(n, c) for c in codes)
+    return tuple(sorted((tuple(sorted(points(c))), tuple(map(points, w))) for c, w in found))
+
+
+def _alternating_components(group: GeneratedSubgroup):
+    """The proof of ``_finitary_alternating_proof`` on codes: per orbit, (codes, witnesses); else None.
 
     Each cycle of ``_witness_cycles`` joins the components it meets, and a
     component is tested again only when it gains a point: both conditions
@@ -425,9 +467,7 @@ def _finitary_alternating_proof(group: GeneratedSubgroup):
         if len(codes) >= 3 and all(any(a._image(c) in codes for c in codes) for a in gens):
             found[orbits.key(point_of(n, cycle[0]))] = joined
         if len(found) == len(tails):
-            points = lambda codes: tuple(point_of(n, c) for c in codes)
-            proof = [(tuple(sorted(points(c))), tuple(map(points, w))) for c, w in found.values()]
-            return tuple(sorted(proof))
+            return list(found.values())
     return None
 
 

@@ -75,7 +75,35 @@ def induce_on_orbit(group: GeneratedSubgroup, point, g: HoughtonElement) -> Houg
         raise DomainError(f"element acts on {g.n} rays, the group on {n}")
     point = RaySystem(n).check(point)
     key, tails = orbits.key(point), orbits.tails()
-    t, edge = [], max(start for start, *_ in tails) + g.threshold + g.max_shift()
+    keys = orbits.window_keys(_edge(tails, g) + g.max_shift())
+    return _induce(n, point, key, tails, _ranks(n, keys, key), g)
+
+
+def _edge(tails: tuple, g: HoughtonElement) -> int:
+    """max S_i + threshold(g) + max shift: g's head on an orbit lies below this position."""
+    return max(start for start, *_ in tails) + g.threshold + g.max_shift()
+
+
+def _ranks(n: int, keys: list, key) -> dict:
+    """Code -> rank code for the points of the orbit ``key`` among the window ``keys``.
+
+    The r-th point of the orbit on ray i, in order of position, gets the code
+    r n + i: the orbit's intrinsic copy of the ray system.
+    """
+    ranks = {}
+    for ray in range(n):
+        codes = [c for c in range(ray, len(keys), n) if keys[c] == key]  # O's points on the ray
+        ranks.update((c, rank * n + ray) for rank, c in enumerate(codes))
+    return ranks
+
+
+def _induce(n: int, point, key, tails: tuple, ranks: dict, g: HoughtonElement) -> HoughtonElement:
+    """``induce_on_orbit`` on the orbit's tails and ``_ranks`` to at least ``_edge`` + max shift.
+
+    A wider rank table gives the same element: its codes below the edge come
+    in the same order, and g maps them below the edge plus its max shift.
+    """
+    t, edge = [], _edge(tails, g)
     for ray, (shift, (_, period, tail)) in enumerate(zip(g.t, tails), start=1):
         ours = {r for r, k in enumerate(tail) if k == key}
         if not ours:
@@ -83,10 +111,6 @@ def induce_on_orbit(group: GeneratedSubgroup, point, g: HoughtonElement) -> Houg
         if {(r + shift) % period for r in ours} != ours:
             raise DomainError(f"the element moves the tail of ray {ray} off the orbit of {point}")
         t.append(shift * len(ours) // period)
-    keys, ranks = orbits.window_keys(edge + g.max_shift()), {}
-    for ray in range(n):
-        codes = [c for c in range(ray, len(keys), n) if keys[c] == key]  # O's points on the ray
-        ranks.update((c, rank * n + ray) for rank, c in enumerate(codes))
     pairs = []
     for c in (c for c in ranks if c < n * edge):
         if (image := g._image(c)) not in ranks:
@@ -102,14 +126,18 @@ def decompose(group: GeneratedSubgroup, depth: int = 40) -> SubdirectDecompositi
     ray system: an orbit meeting only the rays R would add the relation
     sum_R t_i r_i / m_i = 0 to the lattice.  A finite orbit raises
     DomainError naming its least point.  ``depth`` sets only the window of
-    each factor's ``points``.
+    each factor's ``points``.  The tails, the window keys and each orbit's
+    rank table are built once and read by every generator.
     """
     if not translation_lattice(group).rank == group.n - 1:
         raise DomainError("decompose needs a subgroup of full Hirsch length")
-    n, orbits = group.n, group.orbits
+    n, orbits, gens = group.n, group.orbits, group.generators
+    tails = orbits.tails()
     # every orbit has a point below the edge
-    edge = max(start + max(period, 1) for start, period, _ in orbits.tails())
-    keys, least, infinite = orbits.window_keys(max(depth, edge)), {}, orbits.tail_roots()
+    edge = max(start + max(period, 1) for start, period, _ in tails)
+    reach = max((_edge(tails, g) + g.max_shift() for g in gens), default=0)
+    keys, least, infinite = orbits.window_keys(max(depth, edge, reach)), {}, orbits.tail_roots()
+    rank_keys = keys[:n * reach]
     for ray in range(n):
         for pos, key in enumerate(keys[ray:n * edge:n]):
             least.setdefault(key, RayPoint(ray + 1, pos))
@@ -118,7 +146,8 @@ def decompose(group: GeneratedSubgroup, depth: int = 40) -> SubdirectDecompositi
         if key not in infinite:
             raise DomainError(f"the orbit of {where} is finite")
         cls = tuple(sorted(point_of(n, c) for c in range(n * depth) if keys[c] == key))
-        induced = tuple(induce_on_orbit(group, where, g) for g in group.generators)
+        ranks = _ranks(n, rank_keys, key)
+        induced = tuple(_induce(n, where, key, tails, ranks, g) for g in gens)
         lattice = TranslationLattice.from_vectors(
             group.n, [e.translation_vector() for e in induced]
         )

@@ -38,7 +38,11 @@ class GeneratedSubgroup:
     Equality and the hash compare every field.  Two things are built from
     the generators on first use and kept on the group: the symmetric
     generators and the exact orbit partition (``orbits``).  Nothing else
-    holds them, so they go with the group.
+    holds them, so they go with the group.  The symmetric generators are
+    built by the code that spells or applies words in them: the window
+    search in ``blocks``, ``wreath`` and ``subdirect``.  The finitary
+    alternating proof reads the generators' reversed heads instead and
+    builds no inverse.
     """
 
     n: int

@@ -9,6 +9,7 @@ certified.  The witnesses are checked as permutation groups, against
 
 import random
 from functools import lru_cache
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -19,11 +20,13 @@ from houghton_kit.blocks import (
     BlockSearchResult,
     _commutator_cycle,
     _finitary_alternating_proof,
+    _letters,
     _search_block_systems,
     _small_cycle,
     _witness_cycles,
     find_block_systems,
 )
+from houghton_kit.classify import classify
 from houghton_kit.elements import (
     HoughtonElement,
     commutator,
@@ -99,6 +102,9 @@ def pair_group():
 def test_the_pair_group_is_never_certified():
     group = pair_group()
     assert _finitary_alternating_proof(group) is None
+    assert "_symmetric" not in vars(group)  # the proof builds no inverse element
+    classify(group)
+    assert "_symmetric" in vars(group)  # the window search spells words in them
     result = find_block_systems(group, 40)
     assert result.caveat == WINDOW_CAVEAT
     assert result.systems == _search_block_systems(group, 40).systems != ()
@@ -221,22 +227,22 @@ def test_commutator_and_conjugate_cycles_match_the_element_products(seed):
     rng = random.Random(40 + seed)
     matched = 0
     for group in rng.sample(groups, 20):
-        gens = group.symmetric_generators()
+        gens, letters = group.symmetric_generators(), _letters(group)
         k = len(group.generators)
-        for i in range(k):
-            for j in range(i + 1, k):
-                a, b = group.generators[i], group.generators[j]
-                full = commutator(a, b)
-                cycle = _commutator_cycle(a, b, gens[k + i], gens[k + j])
-                assert cycle == _small_cycle(full._head)
-                if cycle is None:
-                    continue
-                matched += 1
-                cycle = tuple(point_of(group.n, c) for c in cycle)
-                assert from_cycles(group.n, [cycle]) == full
-                for c in gens:
-                    image = tuple(c.apply(p) for p in cycle)
-                    assert from_cycles(group.n, [image]) == c.inverse() * full * c
+        # every ordered pair: the finitary candidates depend on which member is finitary
+        for i, j in permutations(range(k), 2):
+            a, b = group.generators[i], group.generators[j]
+            full = commutator(a, b)
+            cycle = _commutator_cycle(letters[i], letters[j], letters[k + i], letters[k + j])
+            assert cycle == _small_cycle(full._head)
+            if cycle is None:
+                continue
+            matched += 1
+            cycle = tuple(point_of(group.n, c) for c in cycle)
+            assert from_cycles(group.n, [cycle]) == full
+            for c in gens:
+                image = tuple(c.apply(p) for p in cycle)
+                assert from_cycles(group.n, [image]) == c.inverse() * full * c
     assert matched > 0
 
 
@@ -248,6 +254,8 @@ def test_conjugated_delta_k_and_houghton_groups_are_certified(n, k):
     for _ in range(6):
         c = random_element(n, head_budget=3, t_bound=1, seed=rng)
         group = GeneratedSubgroup(n, tuple(c.inverse() * g * c for g in base.generators))
+        classify(group)
+        assert "_symmetric" not in vars(group)  # no symmetric generators on the proof's path
         proof = _finitary_alternating_proof(group)
         assert proof is not None and len(proof) == k
 
