@@ -481,13 +481,21 @@ def _alternating_components(group: GeneratedSubgroup):
 EMBED_MEMO_CAP = 4096
 
 
+def _remember(memo: dict, key, value):
+    """Keep value under key; a memo at ``EMBED_MEMO_CAP`` entries drops its oldest first."""
+    if len(memo) >= EMBED_MEMO_CAP:
+        del memo[next(iter(memo))]
+    memo[key] = value
+    return value
+
+
 @dataclass(frozen=True)
 class _Translated:
     """How the translations of one vector act on the kept classes, and the quotient read of it."""
 
-    targets: list  # per kept class, as in _class_action; None also where it splits
+    targets: list  # per kept class, as in QuotientStructure._action; None also where it splits
     split: tuple  # ids of the kept classes whose images fall in two classes
-    moved: dict  # as in _class_action
+    moved: dict  # as in QuotientStructure._action
     shifts: tuple | None  # the translation read off _top, None where the read fails
     failure: tuple | None  # (message, hint) of a failed read
     pairs: dict  # class id -> (code, image code), where the image is off the shifts
@@ -498,8 +506,9 @@ class QuotientStructure:
     """Window classes ordered by least element, with induced generator images.
 
     Kept class k is the quotient point of code _codes[k], and an element acts
-    on the kept classes as a list of target class ids (``_class_action``),
-    which ``_read_element`` reads.
+    on the kept classes as a list of target class ids (``_action``), which
+    ``_read_element`` reads.  ``_read`` gives that action with the quotient
+    element it pins down: ``induce`` and ``wreath.kk_embed`` both call it.
 
     An element g acts on the kept classes as its translation vector t does,
     except on the classes that hold a key of its head.  The head is in
@@ -585,18 +594,22 @@ class QuotientStructure:
         else:
             off = _off_translation(self.n, shifts, _pairs(codes, targets))
             pairs = {k: (a, off[a]) for k, a in enumerate(codes) if a in off}
-        memo = self._translations
-        if len(memo) >= EMBED_MEMO_CAP:
-            del memo[next(iter(memo))]
-        got = memo[t] = _Translated(targets, tuple(split), moved, shifts, failure, pairs)
-        return got
+        return _remember(
+            self._translations, t, _Translated(targets, tuple(split), moved, shifts, failure, pairs)
+        )
 
     def _action(self, element: HoughtonElement):
-        """``_class_action``'s (targets, moved), with the ``corrected`` ids and ``translated``.
+        """(targets, moved, corrected, translated): how the element acts on the kept classes.
 
-        Only the kept classes that hold a head key (``corrected``) are read
-        again; every other class keeps what the translation vector's action
-        (``translated``) gives it.  DomainError names the least id that splits.
+        ``targets[k]`` is the id of the kept class that class k lands in, or
+        None where an image leaves the closure window, even if the other
+        images fall in two classes, and where the images land in a class that
+        crosses the depth.  Images in two classes raise DomainError, naming
+        the least id that splits.  ``moved`` maps each class with a target
+        whose image ranks are not the identity to those ranks, in class-id
+        order.  Only the kept classes that hold a head key (``corrected``) are
+        read again; every other class keeps what the translation vector's
+        action (``translated``) gives it.
         """
         translated = self._translation(element.t)
         class_of, target_of = self._class_of, self._target_of
@@ -626,34 +639,17 @@ class QuotientStructure:
             moved = dict(sorted(moved.items()))
         return targets, moved, corrected, translated
 
-    def _class_action(self, element: HoughtonElement):
-        """(targets, moved): how the element acts on the kept classes.
-
-        ``targets[k]`` is the id of the kept class that class k lands in, or
-        None where an image leaves the closure window, even if the other
-        images fall in two classes, and where the images land in a class that
-        crosses the depth.  Images in two classes raise DomainError.
-        ``moved`` maps each class with a target whose image ranks are not the
-        identity to those ranks, in class-id order.  Every class but those of
-        the element's head keys gets what its translation vector gives it
-        (``_action``).
-        """
-        return self._action(element)[:2]
-
-    def _induced(self, targets: list) -> HoughtonElement:
-        """The quotient element that ``_class_action``'s targets pin down, read afresh."""
-        return _read_element(self.n, self._codes, targets, self._top)
-
-    def _read(self, targets: list, corrected: set, translated: _Translated) -> HoughtonElement:
-        """``_induced`` of ``_action``'s targets, with the same result or error.
+    def _read(self, element: HoughtonElement):
+        """``_action``'s targets and moved, and the head ``_read_element`` reads off the targets.
 
         While no corrected class lies in ``_top``, the translation's shift
         vector (or failed read) holds, and so do its pairs off that vector
         outside the corrected classes; the constructor reads them with the
         corrected classes' pairs in class-id order, as ``_read_element`` would.
         """
+        targets, moved, corrected, translated = self._action(element)
         if not corrected.isdisjoint(self._top_ids):
-            return self._induced(targets)
+            return targets, moved, _read_element(self.n, self._codes, targets, self._top)
         if translated.shifts is None:
             raise InconclusiveError(*translated.failure)
         pairs = {k: p for k, p in translated.pairs.items() if k not in corrected}
@@ -661,7 +657,7 @@ class QuotientStructure:
         for k in corrected:
             if (j := targets[k]) is not None:
                 pairs[k] = (codes[k], codes[j])
-        return _element_of(self.n, translated.shifts, map(pairs.get, sorted(pairs)))
+        return targets, moved, _element_of(self.n, translated.shifts, map(pairs.get, sorted(pairs)))
 
     def partial_action(self, element: HoughtonElement) -> dict:
         """Partial map on quotient points induced by an element of the group.
@@ -674,14 +670,13 @@ class QuotientStructure:
         """
         _same_rays(element, self.n)
         qps = self.quotient_points
-        targets, _ = self._class_action(element)
+        targets = self._action(element)[0]
         return {qps[k]: qps[j] for k, j in enumerate(targets) if j is not None}
 
     def induce(self, element: HoughtonElement) -> HoughtonElement:
         """The permutation the element induces on the quotient ray system."""
         _same_rays(element, self.n)
-        targets, _, corrected, translated = self._action(element)
-        return self._read(targets, corrected, translated)
+        return self._read(element)[2]
 
 
 def _top_half(points, known_ranks) -> tuple:

@@ -33,7 +33,6 @@ from .errors import (
 from .subgroups import (
     GeneratedSubgroup,
     TranslationLattice,
-    hirsch_length,
     is_congruence_lifting,
     is_level,
     orbit_summary,
@@ -287,11 +286,11 @@ def _cmd_subgroup(args) -> int:
         _emit(args, payload, [f"basis: {payload['basis']}", f"index: {payload['index_in_zero_sum']}"])
         return 0
     if args.action == "hirsch":
-        rank, full = hirsch_length(group)
+        full = lattice.rank == group.n - 1
         _emit(
             args,
-            {"hirsch": rank, "full": full},
-            [f"hirsch length: {rank} ({'full' if full else 'not full'})"],
+            {"hirsch": lattice.rank, "full": full},
+            [f"hirsch length: {lattice.rank} ({'full' if full else 'not full'})"],
         )
         return 0
     if args.action == "level":

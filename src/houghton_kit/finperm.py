@@ -162,17 +162,20 @@ class FinitePermGroup:
     # -- permutation coercion ---------------------------------------------
 
     def coerce(self, perm) -> tuple:
-        """Accept a point mapping or an image array of points."""
+        """Accept a point mapping or an image array of points (DomainError names a stray point)."""
         d = len(self.domain)
-        if isinstance(perm, dict):
-            images = list(range(d))
-            for src, dst in perm.items():
-                images[self._index[src]] = self._index[dst]
-        else:
-            seq = list(perm)
-            if len(seq) != d:
-                raise DomainError("image array length differs from the domain")
-            images = [self._index[p] for p in seq]
+        try:
+            if isinstance(perm, dict):
+                images = list(range(d))
+                for src, dst in perm.items():
+                    images[self._index[src]] = self._index[dst]
+            else:
+                seq = list(perm)
+                if len(seq) != d:
+                    raise DomainError("image array length differs from the domain")
+                images = [self._index[p] for p in seq]
+        except KeyError as exc:
+            raise DomainError(f"point {exc.args[0]!r} is outside the domain") from None
         if sorted(images) != list(range(d)):
             raise DomainError("not a permutation of the domain")
         return tuple(images)

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .blocks import (
-    EMBED_MEMO_CAP,
     BlockSystem,
     QuotientStructure,
+    _remember,
     _same_rays,
     quotient as build_quotient,
 )
@@ -66,9 +66,9 @@ class BlockContext:
             raise DomainError("an orbit of classes carries no block")
         # element -> the validated (base, head) of its embedding, for every
         # kk_embed caller; only successes, at most EMBED_MEMO_CAP of them.
-        # And group -> phi_s_descent's _DescentTables.  Neither holds a
-        # MultiWreathElement, which holds the context, so no reference cycle
-        # keeps a context alive once its callers drop it.
+        # And group -> phi_s_descent's _DescentTables, whose steps keep plain
+        # conjugates.  Neither holds a MultiWreathElement, which holds the
+        # context, so no reference cycle keeps a context alive.
         self._embeddings = {}
         self._descent_tables = {}
 
@@ -228,13 +228,12 @@ def kk_embed(g: HoughtonElement, ctx: BlockContext) -> MultiWreathElement:
     in two classes, and raises DomainError otherwise; a skipped class below
     the element's threshold makes the result inconclusive.
 
-    One class-action pass gives every class's target id and the classes
-    whose ranks move, which are the base, and one kernel reads the head off
-    the targets.  Both start from the action of g's translation vector,
-    built once per vector on the quotient, and read again only the classes
-    that hold a key of g's head (``QuotientStructure._action`` and
-    ``_read``): g's head holds every point off the translation rule, so every
-    other class moves exactly as under the translations alone.
+    One call of ``QuotientStructure._read`` gives every class's target id,
+    the classes whose ranks move, which are the base, and the head read off
+    the targets.  It starts from the action of g's translation vector, built
+    once per vector on the quotient, and reads again only the classes that
+    hold a key of g's head: g's head holds every point off the translation
+    rule, so every other class moves exactly as under the translations alone.
 
     The context keeps each embedding made on it (``EMBED_MEMO_CAP`` at most,
     oldest out first), and an element seen before is rewrapped, not embedded
@@ -251,8 +250,7 @@ def kk_embed(g: HoughtonElement, ctx: BlockContext) -> MultiWreathElement:
             "element head region exceeds the verified window", hint=g.threshold
         )
     _same_rays(g, q.n)
-    targets, moved, corrected, translated = q._action(g)
-    head = q._read(targets, corrected, translated)
+    targets, moved, head = q._read(g)
     if None in targets:
         for k in q._below(g.threshold):
             if targets[k] is None:
@@ -261,9 +259,7 @@ def kk_embed(g: HoughtonElement, ctx: BlockContext) -> MultiWreathElement:
                 )
     base = tuple((q.quotient_points[k], v) for k, v in moved.items())
     elt = MultiWreathElement(ctx, base, head)
-    if len(memo) >= EMBED_MEMO_CAP:
-        del memo[next(iter(memo))]
-    memo[g] = elt.base, elt.head
+    _remember(memo, g, (elt.base, elt.head))
     return elt
 
 
@@ -367,7 +363,7 @@ class WGroupsReport:
 
 def _acts_trivially_on_classes(elt: HoughtonElement, ctx: BlockContext) -> bool:
     """Whether every kept class whose image is known lands on itself."""
-    targets, _ = ctx.quotient._class_action(elt)
+    targets = ctx.quotient._action(elt)[0]
     return all(j is None or j == k for k, j in enumerate(targets))
 
 
@@ -382,9 +378,12 @@ def w_groups(
     finitary ones among them, and those acting trivially on every class.
     A block of one point needs no search: Sym(1) is trivial, and the empty
     word lies in all three, so each is generated by the identity.
+    DomainError if no orbit of the context has that index.
     """
     if group.n != ctx.n:
         raise DomainError(f"group acts on {group.n} rays, the block context on {ctx.n}")
+    if not 0 <= orbit < len(ctx.block_of_orbit):
+        raise DomainError(f"no orbit {orbit}: the context has {len(ctx.block_of_orbit)}")
     block = ctx.block_of_orbit[orbit]
     if len(block) == 1:
         gens_g = gens_fin = gens_ker = [(0,)]
@@ -483,8 +482,8 @@ class _DescentTables:
     Built on a context's first descent with a group and kept on the context:
     the quotient images of the symmetric generators (the head search's
     letters), one lazily extended list of ``_conjugator_candidates``, the
-    memo of conjugated kernel elements, each with whether it embeds, and
-    where each clearing scan resumes (``resume``).  Their embeddings are in
+    memo of conjugated kernel elements, each with whether it embeds, and the
+    memo of finished clearing steps (``steps``).  Their embeddings are in
     the context's memo (``kk_embed``).
     """
 
@@ -494,26 +493,18 @@ class _DescentTables:
         self._candidate_stream = _conjugator_candidates(group, self.letters, ctx.n)
         self._candidates = []
         self._conjugates = {}  # (candidate index, f) -> c^-1 f c, or None if it does not embed
-        # kernel tuple -> {(target, psi's base value there): candidate index}.
-        # A clearing scan records the first candidate that passes every test
-        # not reading psi: the image tests, the conjugate's embedding, its
-        # support and its base value at the target; a scan that finds none
-        # records the end of the list.  No earlier candidate passes those
-        # tests for that key, so a scan that starts there picks the candidate
-        # a scan from 0 would.
-        self.resume = {}
+        # kernel tuple -> {(target, psi's base value there): what
+        # _clearing_step returns}.  Every test of that scan reads only the
+        # kernel, the target and that base value, so the key fixes the step.
+        self.steps = {}
 
-    def candidates(self, start: int = 0):
-        """(index, c, cq) in ``_conjugator_candidates`` order, from index start on."""
-        k = start
-        while True:
-            if k == len(self._candidates):
-                nxt = next(self._candidate_stream, None)
-                if nxt is None:
-                    return
-                self._candidates.append(nxt)
-            yield (k, *self._candidates[k])
-            k += 1
+    def candidates(self):
+        """(index, c, cq) in ``_conjugator_candidates`` order: the kept list, then the stream."""
+        for k, (c, cq) in enumerate(self._candidates):
+            yield k, c, cq
+        for nxt in self._candidate_stream:
+            self._candidates.append(nxt)  # before the yield: a scan may stop at it
+            yield (len(self._candidates) - 1, *nxt)
 
     def conjugate(self, ctx: BlockContext, k: int, c: HoughtonElement, f: HoughtonElement):
         """c^-1 f c for candidate k, or None if its embedding is inconclusive."""
@@ -529,6 +520,37 @@ class _DescentTables:
         return h
 
 
+def _clearing_step(
+    tables: _DescentTables, ctx: BlockContext, kernel_elements, supports, big_s, target, want
+):
+    """(i, h) for the first conjugate h = c^-1 f c, f = kernel_elements[i], that clears target.
+
+    Candidates c are read from the first, and for each the kernel elements
+    in order.  c must keep S (``big_s``, the union of the kernel's embedded
+    ``supports``) and the support of f inside S plus the target; h must
+    embed, with its support inside S plus the target and its base value there
+    equal to ``want``.  None if no candidate within the budget passes.
+    """
+    n = ctx.n
+    allowed = big_s | {target}
+    allowed_codes = {code_of(n, qp) for qp in allowed}
+    big_codes = [code_of(n, qp) for qp in big_s]
+    kernel_codes = [[code_of(n, qp) for qp in support] for support in supports]
+    for k, c, cq in tables.candidates():
+        if not all(cq._image(x) in allowed_codes for x in big_codes):
+            continue
+        for i, (f, codes) in enumerate(zip(kernel_elements, kernel_codes)):
+            if not all(cq._image(x) in allowed_codes for x in codes):
+                continue
+            h = tables.conjugate(ctx, k, c, f)
+            if h is None:
+                continue
+            kh = kk_embed(h, ctx)
+            if set(kh.support()) <= allowed and kh.base_value(target) == want:
+                return i, h
+    return None
+
+
 def phi_s_descent(
     alpha: MultiWreathElement,
     group: GeneratedSubgroup,
@@ -540,21 +562,22 @@ def phi_s_descent(
     S is the union of the supports of the embedded kernel elements.  After
     matching the head by word search, each off-S base class is cleared by a
     conjugated kernel element whose embedded support stays inside S plus the
-    class being cleared; the off-S support size strictly decreases at every
-    step.
+    class being cleared, and whose base value there is psi's
+    (``_clearing_step``).  Its head is the identity, as the kernel
+    element's is, so the step clears the class and changes psi nowhere else
+    off S: the off-S support size drops by one at every step.
 
     Every descent over one context shares its group-level work: the kernel
     elements' embeddings, and every other one, through the context's memo
     (``kk_embed``), and per group (by equality) the quotient letters, the
-    conjugator candidates and the conjugated kernel elements
-    (``_DescentTables``).  The tables live as long as the context.  The
-    20000-word cap of the candidate enumeration bounds the candidate table;
-    the conjugate memo holds one entry per candidate and kernel element that
-    a descent has used.  A clearing scan does not start afresh: it resumes
-    at the first candidate that passed the psi-free tests for its kernel,
-    target and base value (``_DescentTables.resume``), and still runs the
-    measure test there and after.  The head's search, over quotient images
-    and capped at 20000 of them, runs afresh on every descent.
+    conjugator candidates, the conjugated kernel elements and the finished
+    clearing steps, per kernel, target and base value (``_DescentTables``).
+    The tables live as long as the context.  The 20000-word cap of the
+    candidate enumeration bounds the candidate table; the conjugate memo
+    holds one entry per candidate and kernel element that a scan has tried,
+    and the step memo one per key that a descent has met.  The head's
+    search, over quotient images and capped at 20000 of them, runs afresh on
+    every descent.
 
     The kernel elements must act trivially on the classes: DomainError names
     the first whose embedding has a non-identity head.
@@ -568,13 +591,10 @@ def phi_s_descent(
             )
     supports = [set(k.support()) for k in kk_kernel]
     big_s = set().union(*supports) if supports else set()
-    n = ctx.n
-    big_codes = [code_of(n, qp) for qp in big_s]
-    kernel_codes = [[code_of(n, qp) for qp in k.support()] for k in kk_kernel]
     tables = ctx._descent_tables.get(group)
     if tables is None:
         tables = ctx._descent_tables[group] = _DescentTables(group, ctx)
-    resume = tables.resume.setdefault(tuple(kernel_elements), {})
+    memo = tables.steps.setdefault(tuple(kernel_elements), {})
     one = houghton_identity(ctx.n)
     heads = bounded_words(one, tables.letters, HoughtonElement.compose, 10, cap=20000)
     path = next((p for p, wq in heads if wq == alpha.head), None)
@@ -587,43 +607,13 @@ def phi_s_descent(
     if not psi.head.is_identity():
         raise AssertionError("head did not cancel after the word match")
     steps = []
-    measure = len(set(psi.support()) - big_s)
-    while measure:
-        target = min(set(psi.support()) - big_s)
-        allowed = big_s | {target}
-        allowed_codes = {*big_codes, code_of(n, target)}
-        want = psi.base_value(target)
-        key = (target, want)
-        cleared = False
-        for k, c, cq in tables.candidates(resume.get(key, 0)):
-            if not all(cq._image(x) in allowed_codes for x in big_codes):
-                continue
-            for f, kf, support in zip(kernel_elements, kk_kernel, kernel_codes):
-                if not all(cq._image(x) in allowed_codes for x in support):
-                    continue
-                h = tables.conjugate(ctx, k, c, f)
-                if h is None:
-                    continue
-                kh = kk_embed(h, ctx)
-                if not set(kh.support()) <= allowed:
-                    continue
-                if kh.base_value(target) != want:
-                    continue
-                resume.setdefault(key, k)
-                nxt = psi.multiply(kh.inverse())
-                nxt_measure = len(set(nxt.support()) - big_s)
-                if nxt_measure >= measure:
-                    continue
-                psi = nxt
-                witness = h.compose(witness)
-                steps.append((target, kernel_elements.index(f), nxt_measure))
-                measure = nxt_measure
-                cleared = True
-                break
-            if cleared:
-                break
-        if not cleared:
-            resume.setdefault(key, len(tables._candidates))
+    off = set(psi.support()) - big_s
+    while off:
+        target = min(off)
+        key = (target, psi.base_value(target))
+        if key not in memo:
+            memo[key] = _clearing_step(tables, ctx, kernel_elements, supports, big_s, *key)
+        if memo[key] is None:
             return DescentResult(
                 "inconclusive",
                 psi,
@@ -631,4 +621,12 @@ def phi_s_descent(
                 tuple(steps),
                 f"no conjugated kernel element clears {target} within the budget",
             )
+        i, h = memo[key]
+        psi = psi.multiply(kk_embed(h, ctx).inverse())
+        witness = h.compose(witness)
+        left = set(psi.support()) - big_s
+        if len(left) >= len(off):
+            raise AssertionError(f"clearing {target} did not shrink the support off S")
+        off = left
+        steps.append((target, i, len(off)))
     return DescentResult("ok", psi, witness, tuple(steps))

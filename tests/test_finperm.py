@@ -191,6 +191,17 @@ def test_coerce_and_image_array():
         grp.coerce([2, 3, 1])
 
 
+def test_a_point_outside_the_domain_is_named():
+    with pytest.raises(DomainError, match="point 9 is outside the domain"):
+        FinitePermGroup([1, 2, 3], [{1: 9}])
+    with pytest.raises(DomainError, match="point 9 is outside the domain"):
+        FinitePermGroup([1, 2, 3], [{9: 1}])
+    grp = FinitePermGroup([1, 2, 3], [{1: 2, 2: 1}])
+    with pytest.raises(DomainError, match="point 9 is outside the domain"):
+        grp.membership([1, 2, 9])
+    assert grp.membership([2, 1, 3]) and not grp.membership([1, 3, 2])
+
+
 def test_restriction():
     d = diagonal_group(3)
     r = restriction(d, (1, 2, 3))

@@ -4,7 +4,7 @@ import weakref
 
 import pytest
 
-from houghton_kit import wreath
+from houghton_kit import blocks, wreath
 from houghton_kit.blocks import BlockSystem
 from houghton_kit.elements import (
     HoughtonElement,
@@ -275,7 +275,7 @@ def test_an_inconclusive_element_raises_on_every_call_and_stays_out_of_the_memo(
 
 
 def test_memo_keeps_at_most_its_cap_and_drops_the_oldest_first(monkeypatch):
-    monkeypatch.setattr(wreath, "EMBED_MEMO_CAP", 8)
+    monkeypatch.setattr(blocks, "EMBED_MEMO_CAP", 8)
     group, ctx = pair_context()
     words = list(dict.fromkeys(random_words(group, 60, 5, random.Random(12))))
     assert len(words) > 16
@@ -367,6 +367,14 @@ def test_w_groups_of_a_one_point_block_is_what_the_word_search_finds():
 def test_w_groups_lists_the_identity_word():
     group, ctx = delta_context()
     assert w_groups(group, ctx).from_kernel.gens == [(0,)]
+
+
+@pytest.mark.parametrize("orbit", [-1, 2, 5])
+def test_w_groups_rejects_an_orbit_the_context_lacks(orbit):
+    group, ctx = delta_context()
+    assert len(ctx.block_of_orbit) == 2
+    with pytest.raises(DomainError, match=f"no orbit {orbit}: the context has 2"):
+        w_groups(group, ctx, orbit=orbit)
 
 
 def test_context_rejects_under_covered_system():

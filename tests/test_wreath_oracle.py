@@ -17,10 +17,11 @@ point on its lowest ray lies at a generator's threshold and whose other point
 lies below it: a class with no known image is inconclusive when its least
 position, on any ray, is below the element's threshold.
 
-The class-action pass (``QuotientStructure._class_action``) and the
-inference kernel it feeds (``_induced``) are checked against the same
-reference one level down: the target ids give the reference's partial map,
-the moved classes its non-identity rank tuples, the kernel the element
+The class-action pass (the targets and moved classes of
+``QuotientStructure._action``) and the inference kernel it feeds
+(``_read_element``) are checked against the same reference one level
+down: the target ids give the reference's partial map, the moved classes
+its non-identity rank tuples, the kernel the element
 ``reference_inference`` reads off that map, and ``_acts_trivially_on_classes``
 the dict rule it replaced.  The contexts and elements take every branch,
 including the intransitive context ⟨g2^4, (1:0 1:2), (1:1 1:3)⟩.
@@ -48,9 +49,10 @@ shared: it rebuilds the quotient letters, the head-match enumeration, the
 conjugator candidates and every conjugated kernel element's embedding on each
 call.  ``wreath.phi_s_descent``, which keeps that work on the context, must
 return the same ``DescentResult`` whatever the contexts, groups, kernels and
-order of the descents before it.  A batch run twice on one context makes
-every clearing scan of the second pass resume where the context's memo
-(``_DescentTables.resume``) says.
+order of the descents before it.  A batch run twice on one context takes
+every clearing step of the second pass from the context's memo
+(``_DescentTables.steps``), and ``reference_step``, the reference's
+clearing scan from the first candidate, checks every step in that memo.
 """
 
 import random
@@ -421,6 +423,11 @@ def reference_moved(ctx, g, partial):
     return moved
 
 
+def class_action(q, g):
+    """(targets, moved) of ``QuotientStructure._action``."""
+    return q._action(g)[:2]
+
+
 @pytest.mark.parametrize("label", list(CONTEXTS))
 def test_class_action_and_kernel_match_the_reference(label):
     ctx = CONTEXTS[label]
@@ -428,7 +435,7 @@ def test_class_action_and_kernel_match_the_reference(label):
     ref = Reference(ctx)
     for g in elements(label, ctx):
         want = outcome(ref.partial_action, g)
-        got = outcome(q._class_action, g)
+        got = outcome(class_action, q, g)
         if want[0] != "ok":
             assert got == want, g
             continue
@@ -437,7 +444,7 @@ def test_class_action_and_kernel_match_the_reference(label):
         assert {qps[k]: qps[j] for k, j in enumerate(targets) if j is not None} == want[1], g
         assert moved == reference_moved(ctx, g, want[1]), g
         read = outcome(reference_inference, want[1], q.n, ref.known_ranks)
-        assert outcome(q._induced, targets) == read, g
+        assert outcome(_read_element, q.n, q._codes, targets, q._top) == read, g
         trivial = all(want[1].get(qp, qp) == qp for qp in qps)
         assert _acts_trivially_on_classes(g, ctx) == trivial, g
 
@@ -556,9 +563,9 @@ def test_a_warm_memo_acts_as_the_reference_and_a_fresh_context(label):
         action = outcome(q._action, g)
         if action[0] == "ok":
             assert action[1][2] == {q.class_index_of(p) for p, _ in g.head} - {None}, g
-        for call in ("_class_action", "induce"):
+        for call in (class_action, type(q).induce):
             q_fresh._translations.clear()
-            assert outcome(getattr(q, call), g) == outcome(getattr(q_fresh, call), g), g
+            assert outcome(call, q, g) == outcome(call, q_fresh, g), g
         q_fresh._translations.clear()
         got = embedded(g, ctx)
         assert got == as_pair(outcome(ref.kk_embed, g)) == embedded(g, fresh), g
@@ -842,13 +849,15 @@ def test_descents_sharing_a_context_match_the_reference_in_any_order(order_seed)
     kernel = [group.generators[1]]
     runs = [(a, group, ctx, kernel) for a in batch]
     assert assert_descents_match(runs) == {"ok"}
-    # the same batch again: every clearing scan resumes where the memo says,
-    # and none adds a key to it
-    resume = ctx._descent_tables[group].resume[tuple(kernel)]
-    before = dict(resume)
-    assert before and max(before.values()) > 0
+    # the same batch again: every clearing step comes from the memo, so the
+    # second pass adds no key to it, computes no conjugate and extends no
+    # candidate list
+    tables = ctx._descent_tables[group]
+    memo = tables.steps[tuple(kernel)]
+    before = dict(memo), len(tables._conjugates), len(tables._candidates)
+    assert before[0]
     assert assert_descents_match(runs) == {"ok"}
-    assert resume == before
+    assert (dict(memo), len(tables._conjugates), len(tables._candidates)) == before
 
 
 def test_kernels_and_equal_groups_mixed_on_one_context_match_the_reference():
@@ -880,9 +889,9 @@ def test_descents_with_three_cycles_and_transpositions_match_the_reference():
 
 @pytest.mark.parametrize("order_seed", range(2))
 def test_repeated_descents_on_blocks_of_three_match_the_reference(order_seed):
-    # five base values share each target class, so a clearing scan that
-    # resumed by target alone would start past the candidate another value
-    # needs; each batch runs twice, the second time wholly from the memo
+    # five base values share each target class, so a clearing-step memo keyed
+    # by target alone would give one value's step to another; each batch runs
+    # twice, the second time wholly from the memo
     triple = triple_group()
     ctx = build_block_context(triple, TRIPLE, 30)
     g1, g2 = triple.generators[1], triple.generators[2]
@@ -892,6 +901,57 @@ def test_repeated_descents_on_blocks_of_three_match_the_reference(order_seed):
     for kernel in ([g2], [g1], [g1, g2]):
         runs = [(a, triple, ctx, kernel) for a in batch]
         assert "ok" in assert_descents_match(runs + runs)
+
+
+def reference_step(group, ctx, kernel, target, want):
+    """The first (kernel index, h) that clears target with base value want, or None.
+
+    The scan of ``reference_descent`` on its own, from the first candidate.
+    """
+    kk_kernel = [kk_embed(f, ctx) for f in kernel]
+    big_s = set().union(*(kf.support() for kf in kk_kernel))
+    allowed = big_s | {target}
+    letters = [ctx.quotient.induce(g) for g in group.generators]
+    images = (identity(ctx.n), letters + [e.inverse() for e in letters])
+    for c, cq in reference_candidates(group, images):
+        if not {cq.apply(qp) for qp in big_s} <= allowed:
+            continue
+        for i, (f, kf) in enumerate(zip(kernel, kk_kernel)):
+            if not {cq.apply(qp) for qp in kf.support()} <= allowed:
+                continue
+            h = c.inverse().compose(f).compose(c)
+            try:
+                kh = kk_embed(h, ctx)
+            except InconclusiveError:
+                continue
+            if set(kh.support()) <= allowed and kh.base_value(target) == want:
+                return i, h
+    return None
+
+
+def test_every_memoized_clearing_step_is_the_scan_from_the_first_candidate():
+    pair, triple = pair_group(), triple_group()
+    pair_ctx = build_block_context(pair, PAIR, 60)
+    triple_ctx = build_block_context(triple, TRIPLE, 30)
+    values = [(1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 2, 0), (2, 0, 1)]
+    runs = [(a, pair, pair_ctx, [pair.generators[1]]) for a in alphas(pair_ctx, pair, 8, 40, [(1, 0)])]
+    for kernel in ([triple.generators[1]], [triple.generators[1], triple.generators[2]]):
+        runs += [(a, triple, triple_ctx, kernel) for a in alphas(triple_ctx, triple, 8, 46, values)]
+    for alpha, group, ctx, kernel in runs:
+        phi_s_descent(alpha, group, ctx, kernel)
+    wants = {}  # (context, kernel, target) -> the base values met there
+    steps = []
+    for group, ctx in ((pair, pair_ctx), (triple, triple_ctx)):
+        for kernel, memo in ctx._descent_tables[group].steps.items():
+            for (target, want), step in memo.items():
+                assert step == reference_step(group, ctx, list(kernel), target, want), (target, want)
+                wants.setdefault((id(ctx), kernel, target), set()).add(want)
+                steps.append(step)
+    # every context and kernel kept steps, some target met two base values,
+    # and the steps include a miss and a hit by the second kernel element
+    assert len({key[:2] for key in wants}) == 3
+    assert max(map(len, wants.values())) > 1
+    assert None in steps and any(step and step[0] == 1 for step in steps)
 
 
 def test_an_unmatched_head_matches_the_reference():
