@@ -13,7 +13,6 @@ the induced generator images as elements of the quotient ray system.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, combinations, compress, islice
 from operator import ne
@@ -539,7 +538,6 @@ class QuotientStructure:
     _starts: tuple  # per kept class, the start of its points in _members
     _codes: tuple  # per kept class, the code of its quotient point
     _least_pos: tuple  # per kept class, the least position of its points (on any ray)
-    _by_least: tuple  # the kept class ids in order of _least_pos
     _top: tuple  # per ray, the kept class ids in the top half of its complete rank prefix
     _top_ids: frozenset  # the ids in _top
     _translations: dict  # translation vector -> its _Translated
@@ -552,8 +550,7 @@ class QuotientStructure:
 
     def _below(self, threshold: int) -> list:
         """The ids of the kept classes with a point below the threshold, in id order."""
-        below = bisect_left(self._by_least, threshold, key=self._least_pos.__getitem__)
-        return sorted(self._by_least[:below])
+        return [k for k, low in enumerate(self._least_pos) if low < threshold]
 
     def _translation(self, t: tuple) -> _Translated:
         """The class action of the translation table of t, and its quotient read.
@@ -821,7 +818,6 @@ def quotient(group: GeneratedSubgroup, system: BlockSystem, depth: int) -> Quoti
         _starts=tuple(starts),
         _codes=tuple(code_of(n, qp) for qp in quotient_points),
         _least_pos=least_pos,
-        _by_least=tuple(sorted(range(len(kept_indices)), key=least_pos.__getitem__)),
         _top=top,
         _top_ids=frozenset(chain.from_iterable(top)),
         _translations={},

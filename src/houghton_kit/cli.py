@@ -66,6 +66,13 @@ WINDOW_POINT_BOUND = 20_000
 # one Xeon core).  No benchmark input has more than 5 rays; the library is unbounded.
 RAY_BOUND = 64
 
+# Largest `wreath verify --samples` the command line accepts.  The check
+# grows linearly with it, since `random_words` builds 2 * samples words up
+# front: on the pair group (n = 2) at the default window, 10^4 samples took
+# 1.2-1.3 s and 30 MiB and 2 * 10^4 took 2.0 s and 42 MiB (in process, one
+# Xeon core).  The library itself is unbounded.
+SAMPLE_BOUND = 10**4
+
 _WORD_EXPONENT = re.compile(r"\^(-?\d+)")
 _WORD_POSITION = re.compile(r"\d+:(\d+)")
 _WORD_NUMBER = re.compile(r"\d+")
@@ -368,6 +375,8 @@ def _cmd_blocks(args) -> int:
 
 
 def _cmd_wreath(args) -> int:
+    if args.samples > SAMPLE_BOUND:
+        raise DomainError(f"--samples {args.samples} is above the command-line bound {SAMPLE_BOUND}")
     group = _load_windowed(args)
     system = _load_blocks(args.blocks)
     ctx = build_block_context(group, system, args.window)

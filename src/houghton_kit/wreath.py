@@ -103,20 +103,24 @@ class MultiWreathElement:
     head: HoughtonElement
 
     def __post_init__(self):
-        cleaned = tuple(
-            sorted((qp, tuple(v)) for qp, v in dict(self.base).items() if not _is_id(v))
-        )
-        object.__setattr__(self, "base", cleaned)
         n = self.ctx.n
         _same_rays(self.head, n)
-        for qp, v in cleaned:
+        values = {}
+        for qp, v in self.base:
+            if qp in values:
+                raise DomainError(f"base key {qp} is repeated")
             ray, pos = qp
             if not (1 <= ray <= n and pos >= 0):
                 raise DomainError(f"base key {qp} is not a point of the quotient ray system")
-            if len(v) != self.ctx.block_size(qp):
+            v = values[qp] = tuple(v)
+            size = self.ctx.block_size(qp)
+            if not (all(type(x) is int for x in v) and sorted(v) == list(range(size))):
                 raise DomainError(
-                    f"base value at {qp} is not a permutation of its block"
+                    f"base value {v} at {qp} is not a permutation of its block's "
+                    f"ranks 0..{size - 1}"
                 )
+        cleaned = tuple(sorted((qp, v) for qp, v in values.items() if not _is_id(v)))
+        object.__setattr__(self, "base", cleaned)
 
     def __eq__(self, other):
         if not isinstance(other, MultiWreathElement):
@@ -315,8 +319,14 @@ def verify_kk(
     Checks the product rule, injectivity on distinct sampled elements and
     the exact support characterization (base support = classes where the
     element fails to preserve order).  When per-orbit induced groups are
-    supplied, base values outside them are reported as typing exceptions.
+    supplied, base values outside them are reported as typing exceptions;
+    DomainError unless there is exactly one group per orbit of the context.
     """
+    orbits = len(ctx.block_of_orbit)
+    if w_groups_by_orbit is not None and len(w_groups_by_orbit) != orbits:
+        raise DomainError(
+            f"{len(w_groups_by_orbit)} induced groups for the context's {orbits} orbits"
+        )
     rng = random.Random(seed)
     q = ctx.quotient
     words = random_words(group, 2 * samples, max_len, rng)
@@ -481,10 +491,9 @@ class _DescentTables:
 
     Built on a context's first descent with a group and kept on the context:
     the quotient images of the symmetric generators (the head search's
-    letters), one lazily extended list of ``_conjugator_candidates``, the
-    memo of conjugated kernel elements, each with whether it embeds, and the
-    memo of finished clearing steps (``steps``).  Their embeddings are in
-    the context's memo (``kk_embed``).
+    letters), one lazily extended list of ``_conjugator_candidates``, and
+    the memo of finished clearing steps (``steps``).  The conjugates that a
+    step finds are embedded in the context's memo (``kk_embed``).
     """
 
     def __init__(self, group: GeneratedSubgroup, ctx: BlockContext):
@@ -492,60 +501,43 @@ class _DescentTables:
         self.letters = letters + [e.inverse() for e in letters]
         self._candidate_stream = _conjugator_candidates(group, self.letters, ctx.n)
         self._candidates = []
-        self._conjugates = {}  # (candidate index, f) -> c^-1 f c, or None if it does not embed
         # kernel tuple -> {(target, psi's base value there): what
         # _clearing_step returns}.  Every test of that scan reads only the
         # kernel, the target and that base value, so the key fixes the step.
         self.steps = {}
 
     def candidates(self):
-        """(index, c, cq) in ``_conjugator_candidates`` order: the kept list, then the stream."""
-        for k, (c, cq) in enumerate(self._candidates):
-            yield k, c, cq
+        """(c, cq) in ``_conjugator_candidates`` order: the kept list, then the stream."""
+        yield from self._candidates
         for nxt in self._candidate_stream:
             self._candidates.append(nxt)  # before the yield: a scan may stop at it
-            yield (len(self._candidates) - 1, *nxt)
-
-    def conjugate(self, ctx: BlockContext, k: int, c: HoughtonElement, f: HoughtonElement):
-        """c^-1 f c for candidate k, or None if its embedding is inconclusive."""
-        key = (k, f)
-        if key in self._conjugates:
-            return self._conjugates[key]
-        h = c.inverse().compose(f).compose(c)
-        try:
-            kk_embed(h, ctx)
-        except InconclusiveError:
-            h = None
-        self._conjugates[key] = h
-        return h
+            yield nxt
 
 
-def _clearing_step(
-    tables: _DescentTables, ctx: BlockContext, kernel_elements, supports, big_s, target, want
-):
+def _clearing_step(tables: _DescentTables, ctx: BlockContext, kernel_elements, big_s, target, want):
     """(i, h) for the first conjugate h = c^-1 f c, f = kernel_elements[i], that clears target.
 
     Candidates c are read from the first, and for each the kernel elements
-    in order.  c must keep S (``big_s``, the union of the kernel's embedded
-    ``supports``) and the support of f inside S plus the target; h must
-    embed, with its support inside S plus the target and its base value there
-    equal to ``want``.  None if no candidate within the budget passes.
+    in order.  c must keep S (``big_s``) inside S plus the target; S is the
+    union of the kernel elements' embedded supports, so that one test keeps
+    each f's support there too.  h must embed, with its support inside S
+    plus the target and its base value there equal to ``want``.  None if no
+    candidate within the budget passes.
     """
     n = ctx.n
     allowed = big_s | {target}
     allowed_codes = {code_of(n, qp) for qp in allowed}
     big_codes = [code_of(n, qp) for qp in big_s]
-    kernel_codes = [[code_of(n, qp) for qp in support] for support in supports]
-    for k, c, cq in tables.candidates():
+    for c, cq in tables.candidates():
         if not all(cq._image(x) in allowed_codes for x in big_codes):
             continue
-        for i, (f, codes) in enumerate(zip(kernel_elements, kernel_codes)):
-            if not all(cq._image(x) in allowed_codes for x in codes):
+        c_inv = c.inverse()
+        for i, f in enumerate(kernel_elements):
+            h = c_inv.compose(f).compose(c)
+            try:
+                kh = kk_embed(h, ctx)
+            except InconclusiveError:
                 continue
-            h = tables.conjugate(ctx, k, c, f)
-            if h is None:
-                continue
-            kh = kk_embed(h, ctx)
             if set(kh.support()) <= allowed and kh.base_value(target) == want:
                 return i, h
     return None
@@ -570,14 +562,12 @@ def phi_s_descent(
     Every descent over one context shares its group-level work: the kernel
     elements' embeddings, and every other one, through the context's memo
     (``kk_embed``), and per group (by equality) the quotient letters, the
-    conjugator candidates, the conjugated kernel elements and the finished
-    clearing steps, per kernel, target and base value (``_DescentTables``).
-    The tables live as long as the context.  The 20000-word cap of the
-    candidate enumeration bounds the candidate table; the conjugate memo
-    holds one entry per candidate and kernel element that a scan has tried,
-    and the step memo one per key that a descent has met.  The head's
-    search, over quotient images and capped at 20000 of them, runs afresh on
-    every descent.
+    conjugator candidates and the finished clearing steps, per kernel,
+    target and base value (``_DescentTables``).  The tables live as long as
+    the context.  The 20000-word cap of the candidate enumeration bounds the
+    candidate table, and the step memo holds one entry per key that a
+    descent has met.  The head's search, over quotient images and capped at
+    20000 of them, runs afresh on every descent.
 
     The kernel elements must act trivially on the classes: DomainError names
     the first whose embedding has a non-identity head.
@@ -589,8 +579,7 @@ def phi_s_descent(
             raise DomainError(
                 f"kernel element {i} moves the classes: its quotient image is not the identity"
             )
-    supports = [set(k.support()) for k in kk_kernel]
-    big_s = set().union(*supports) if supports else set()
+    big_s = set().union(*(k.support() for k in kk_kernel))
     tables = ctx._descent_tables.get(group)
     if tables is None:
         tables = ctx._descent_tables[group] = _DescentTables(group, ctx)
@@ -612,7 +601,7 @@ def phi_s_descent(
         target = min(off)
         key = (target, psi.base_value(target))
         if key not in memo:
-            memo[key] = _clearing_step(tables, ctx, kernel_elements, supports, big_s, *key)
+            memo[key] = _clearing_step(tables, ctx, kernel_elements, big_s, *key)
         if memo[key] is None:
             return DescentResult(
                 "inconclusive",

@@ -9,8 +9,9 @@ cycles as points.
 
 Inputs the CLI cannot read (a file it cannot open or load as JSON, numbers
 past Python's digit limit, characters whose coefficients pass
-``bns.CHARACTER_DIGIT_BOUND`` and windows past ``cli.WINDOW_POINT_BOUND``
-points) end in exit 2 with a message, never in a traceback.
+``bns.CHARACTER_DIGIT_BOUND``, windows past ``cli.WINDOW_POINT_BOUND``
+points and ``wreath verify --samples`` past ``cli.SAMPLE_BOUND``) end in
+exit 2 with a message, never in a traceback.
 """
 
 import json
@@ -22,7 +23,7 @@ import pytest
 from houghton_kit import cli
 from houghton_kit.blocks import PROOF_CAVEAT, WINDOW_CAVEAT
 from houghton_kit.bns import CHARACTER_DIGIT_BOUND
-from houghton_kit.cli import WINDOW_POINT_BOUND, _json_text, cli_main
+from houghton_kit.cli import SAMPLE_BOUND, WINDOW_POINT_BOUND, _json_text, cli_main
 from houghton_kit.elements import (
     HoughtonElement,
     cycle_structure,
@@ -266,3 +267,15 @@ def test_a_window_past_the_point_bound_exits_2_before_any_closure(tmp_path, caps
     assert err.startswith("error: ") and f"bound {WINDOW_POINT_BOUND}" in err
     assert 2 * 10000 == WINDOW_POINT_BOUND
     assert cli_main(["classify", "--subgroup", path, "--window", "10000"]) == 0
+
+
+def test_samples_past_the_bound_exit_2_before_the_context_is_built(tmp_path, capsys):
+    spath = write(tmp_path, "pair.json", pair_group().to_json_dict())
+    bpath = write(tmp_path, "blocks.json", [[[1, 0], [1, 1]]])
+    argv = ["wreath", "verify", "--subgroup", spath, "--blocks", bpath, "--samples"]
+    start = time.perf_counter()
+    assert cli_main(argv + [str(SAMPLE_BOUND + 1)]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"bound {SAMPLE_BOUND}" in err
+    assert cli_main(argv + ["20"]) == 0

@@ -153,6 +153,34 @@ def test_wreath_element_rejects_data_off_the_quotient_ray_system():
         w_groups(delta_k(3, 2), ctx)
 
 
+@pytest.mark.parametrize("values, message", [
+    ([(0, 0)], r"base value \(0, 0\) at \(1:0\) is not a permutation"),
+    ([("a", "b")], r"base value \('a', 'b'\) at \(1:0\) is not a permutation"),
+    ([(True, False)], r"at \(1:0\) is not a permutation"),
+    ([(0, 1, 2)], r"at \(1:0\) is not a permutation of its block's ranks 0..1"),
+    ([(1, 0), (0, 1)], r"base key \(1:0\) is repeated"),
+], ids=["repeated-rank", "not-ints", "bools", "wrong-size", "repeated-key"])
+def test_wreath_element_rejects_a_base_that_is_not_one_permutation_per_class(values, message):
+    # the pair block has two points, so every base value must permute 0..1
+    _, ctx = pair_context()
+    qp = ctx.quotient.quotient_points[0]
+    with pytest.raises(DomainError, match=message):
+        MultiWreathElement(ctx, tuple((qp, v) for v in values), identity(2))
+    data = {"base": [[[1, 0], list(v)] for v in values], "head": identity(2).to_json_dict()}
+    with pytest.raises(DomainError, match=message):
+        MultiWreathElement.from_json_dict(ctx, data)
+
+
+def test_verify_kk_needs_one_induced_group_per_orbit():
+    group, ctx = pair_context()
+    assert len(ctx.block_of_orbit) == 1
+    report = w_groups(group, ctx)
+    for groups in ([], [report.from_group] * 2):
+        with pytest.raises(DomainError, match=f"{len(groups)} induced groups for the context's 1 orbits"):
+            verify_kk(group, ctx, samples=5, w_groups_by_orbit=groups)
+    assert verify_kk(group, ctx, samples=5, w_groups_by_orbit=[report.from_group]).ok
+
+
 def test_kk_homomorphism_pair_group():
     group, ctx = pair_context()
     report = verify_kk(group, ctx, samples=120, max_len=5, seed=1)

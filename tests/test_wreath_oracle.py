@@ -51,8 +51,10 @@ call.  ``wreath.phi_s_descent``, which keeps that work on the context, must
 return the same ``DescentResult`` whatever the contexts, groups, kernels and
 order of the descents before it.  A batch run twice on one context takes
 every clearing step of the second pass from the context's memo
-(``_DescentTables.steps``), and ``reference_step``, the reference's
-clearing scan from the first candidate, checks every step in that memo.
+(``_DescentTables.steps``), so a counter patched onto
+``wreath._clearing_step`` sees no scan in that pass; ``reference_step``,
+the reference's clearing scan from the first candidate, checks every step
+in that memo.
 """
 
 import random
@@ -60,7 +62,7 @@ import time
 
 import pytest
 
-from houghton_kit import blocks
+from houghton_kit import blocks, wreath
 from houghton_kit.blocks import (
     BlockSystem,
     _read_element,
@@ -841,7 +843,7 @@ def test_descent_on_a_fresh_context_matches_the_reference():
 
 
 @pytest.mark.parametrize("order_seed", range(3))
-def test_descents_sharing_a_context_match_the_reference_in_any_order(order_seed):
+def test_descents_sharing_a_context_match_the_reference_in_any_order(order_seed, monkeypatch):
     group = pair_group()
     ctx = build_block_context(group, PAIR, 60)
     batch = alphas(ctx, group, 12, 40, [(1, 0)])
@@ -850,14 +852,23 @@ def test_descents_sharing_a_context_match_the_reference_in_any_order(order_seed)
     runs = [(a, group, ctx, kernel) for a in batch]
     assert assert_descents_match(runs) == {"ok"}
     # the same batch again: every clearing step comes from the memo, so the
-    # second pass adds no key to it, computes no conjugate and extends no
-    # candidate list
+    # second pass runs no clearing scan, adds no key to the memo and extends
+    # no candidate list
     tables = ctx._descent_tables[group]
     memo = tables.steps[tuple(kernel)]
-    before = dict(memo), len(tables._conjugates), len(tables._candidates)
+    before = dict(memo), len(tables._candidates)
     assert before[0]
+    scans = []
+    step = wreath._clearing_step
+
+    def counted(*args):
+        scans.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(wreath, "_clearing_step", counted)
     assert assert_descents_match(runs) == {"ok"}
-    assert (dict(memo), len(tables._conjugates), len(tables._candidates)) == before
+    assert scans == []
+    assert (dict(memo), len(tables._candidates)) == before
 
 
 def test_kernels_and_equal_groups_mixed_on_one_context_match_the_reference():
