@@ -637,13 +637,33 @@ class FoldedOrbits:
 
 
 def _fold_orbits(n: int, generators: tuple) -> FoldedOrbits:
-    """The ``FoldedOrbits`` of the group the generators span."""
+    """The ``FoldedOrbits`` of the group the generators span.
+
+    One pass over each ray's dense stretches builds its segments and fills
+    ``at``, the node of each dense point's code.  The closure pairs join,
+    for each generator g:
+
+    - the nodes of each head point and its image, both touched, so dense;
+    - on a ray with t != 0, each dense point off g's head with the node of
+      its translate, which lies at position 0 or more (translation
+      validity): the translate's own node if it is dense, else its run's
+      residue node;
+    - each run point whose translate lies in a dense stretch (the entering
+      pairs) with that translate's node.
+
+    So each dense point p is paired with g(p), unless g fixes it (off the
+    head on a ray with t = 0), and with g^-1(p): by that point's own pair
+    when it is dense, by an entering pair when it lies in a run.  That is
+    the rule of ``FoldedOrbits``.  A run point whose translate stays in its
+    run keeps its residue, so it needs no pair.  The closure roots every
+    class at its least node.
+    """
     touched = [set() for _ in range(n)]
     for c in (c for g in generators for pair in g._items for c in pair):
         touched[c % n].add(c // n)
     shifts = list(zip(*(g.t for g in generators))) or [()] * n  # per ray
-    segments, size = [], 0
-    for ray_shifts, positions in zip(shifts, touched):
+    segments, at, size = [], {}, 0
+    for ray, (ray_shifts, positions) in enumerate(zip(shifts, touched)):
         s, m = max(map(abs, ray_shifts), default=0), gcd(*ray_shifts)
         dense: list = []
         for pos in sorted(positions):
@@ -651,32 +671,32 @@ def _fold_orbits(n: int, generators: tuple) -> FoldedOrbits:
                 dense[-1][1] = pos + s + 1
             else:
                 dense.append([max(pos - s, 0), pos + s + 1])
-        segs, cuts = [], [0, *(x for stretch in dense for x in stretch), inf]
-        for k, (lo, hi) in enumerate(zip(cuts, cuts[1:])):  # a run, a dense stretch, ..., a run
-            if lo < hi:
-                segs.append((lo, hi, size, hi - lo if k % 2 else m))
-                size += segs[-1][3]
+        segs, end = [], 0  # a run, a dense stretch, ..., a run
+        for lo, hi in dense:
+            if end < lo:
+                segs.append((end, lo, size, m))
+                size += m
+            segs.append((lo, hi, size, hi - lo))
+            at.update(zip(range(lo * n + ray, hi * n + ray, n), range(size, size + hi - lo)))
+            size, end = size + hi - lo, hi
+        segs.append((end, inf, size, m))
         segments.append(tuple(segs))
+        size += m
     orbits = FoldedOrbits(tuple(segments))
     node = orbits.node
-    stretches = [[seg for seg in segs if seg[3] == seg[1] - seg[0]] for segs in segments]
     pairs = []
     for g in generators:
-        moves = {}  # node -> node of its image, where a translation or the head moves it
-        for ray, dense in enumerate(stretches, start=1):  # a run's moves stay at their nodes
-            t = g.t[ray - 1]
-            for start, stop, base, _ in dense if t else ():
-                lo, hi = start + max(-t, 0), stop - max(t, 0)  # x + t stays in the stretch
-                moves.update((i, i + t) for i in range(base + lo - start, base + hi - start))
-                # x + t < 0 only for a head point, whose entry the head loop sets
-                edge = (*range(start, lo), *range(hi, stop))
-                moves.update((base + x - start, node(ray, x + t)) for x in edge if x + t >= 0)
-                # run points x with g(x) = x + t in the stretch: g^-1 of its dense points
+        head = g._head
+        pairs += [(at[p], at[q]) for p, q in g._items]
+        for ray, t in enumerate(g.t):
+            # t != 0, so position 0 is touched: the dense stretches are every other segment
+            for start, stop, base, period in segments[ray][::2] if t else ():
+                for c, a in zip(range(start * n + ray, stop * n + ray, n), range(base, base + period)):
+                    if c not in head:
+                        b = at.get(c + n * t)
+                        pairs.append((a, node(ray + 1, c // n + t) if b is None else b))
                 entering = range(max(start - t, 0), start) if t > 0 else range(stop, stop - t)
-                pairs.extend((node(ray, x), node(ray, x + t)) for x in entering)
-        for p, q in g._items:
-            moves[node(p % n + 1, p // n)] = node(q % n + 1, q // n)
-        pairs.extend(moves.items())
+                pairs += [(node(ray + 1, x), at[(x + t) * n + ray]) for x in entering]
     orbits.roots = _close(size, pairs)
     return orbits
 

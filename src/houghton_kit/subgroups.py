@@ -119,17 +119,20 @@ class TranslationLattice:
     @classmethod
     def zero_sum(cls, n: int) -> "TranslationLattice":
         """The full lattice of zero-sum integer vectors."""
-        vecs = [[0] * n for _ in range(n - 1)]
-        for i in range(n - 1):
-            vecs[i][i], vecs[i][-1] = 1, -1
-        return cls.from_vectors(n, vecs)
+        return cls.congruence(n, 1)
 
     @classmethod
     def congruence(cls, n: int, m: int) -> "TranslationLattice":
-        """Zero-sum vectors with every entry divisible by m."""
+        """Zero-sum vectors with every entry divisible by m.
+
+        Its rows m e_k - m e_n, k < n, are already a Hermite basis: pivot m
+        in column k and zeros above it.
+        """
         if m < 1:
             raise DomainError("modulus must be positive")
-        return cls.from_vectors(n, [[m * x for x in v] for v in cls.zero_sum(n).basis])
+        return cls(n, tuple(
+            tuple(m if j == k else -m if j == n - 1 else 0 for j in range(n)) for k in range(n - 1)
+        ))
 
     @property
     def rank(self) -> int:
@@ -148,6 +151,11 @@ class TranslationLattice:
         onto the sum of the Z / d_j, so row k of V is e_k - e_n's image.  Only
         the coordinates with d_j != 1 are kept; d_j = 0 is a free coordinate,
         past the rank.  ``images[k]`` is reduced mod d_j; ``images[n-1]`` is 0.
+
+        Only ``order`` and ``congruence_exponent`` need the images or the
+        moduli one by one; the index and the congruence test read the Hermite
+        basis alone, so a caller that asks for nothing else builds no
+        diagonal form.
         """
         d, v = la.diagonal_form([row[:-1] for row in self.basis], self.n - 1)
         keep = [j for j, a in enumerate(d) if a != 1]
@@ -169,8 +177,18 @@ class TranslationLattice:
         return lcm(*(d // gcd(d, u) for d, u in zip(moduli, x) if d))
 
     def index_in_zero_sum(self) -> int | None:
-        """Index in the zero-sum lattice: the product of the moduli, or None if one is 0."""
-        return prod(self._quotient[0]) or None
+        """Index in the zero-sum lattice: the product of the Hermite pivots, or None below rank n-1.
+
+        Truncation to the first n-1 entries is injective on Z^n_0, so at
+        rank n-1 no basis row has its pivot in the last column: the n-1
+        pivots sit in columns 0..n-2, the truncated basis is square and
+        upper triangular, and the index of its span in Z^(n-1) is its
+        determinant, the product of the pivots.  Below rank n-1 the index is
+        infinite.
+        """
+        if self.rank != self.n - 1:
+            return None
+        return prod(row[k] for k, row in enumerate(self.basis))
 
 
 def translation_lattice(group: GeneratedSubgroup) -> TranslationLattice:
@@ -264,10 +282,13 @@ class CongruenceVerdict:
 
 
 def congruence_exponent(lattice: TranslationLattice) -> int | None:
-    """Smallest m with every m-scaled zero-sum vector in the lattice.
+    """Smallest m with every m-scaled zero-sum vector in the lattice, or None below rank n-1.
 
-    The exponent of the quotient Z^n_0 / L: the lcm of its moduli, 0 below
-    rank n-1.
+    The exponent of the quotient Z^n_0 / L: the lcm of the moduli of its
+    diagonal form (``TranslationLattice._quotient``), 0 when one is a free
+    coordinate, that is below rank n-1.  The Hermite pivots do not give it:
+    their product is the index, but their lcm can fall short of the
+    exponent (rows (2, 1, -3) and (0, 2, -2) span a quotient Z / 4).
     """
     return lcm(*lattice._quotient[0]) or None
 
@@ -280,15 +301,21 @@ def _two_support(n: int, i0: int, i1: int) -> tuple:
 
 
 def is_congruence_lifting(lattice: TranslationLattice) -> CongruenceVerdict:
-    """Whether the lattice is exactly the m-congruence zero-sum lattice.
+    """Whether the lattice is exactly the m-congruence zero-sum lattice, with that m.
 
-    The only candidate modulus is the quotient's exponent m.  The lattice
-    contains the m-congruence lattice, of index m^(n-1): equal iff the indices are.
+    Equal lattices have equal Hermite bases, and the m-congruence lattice
+    has rank n-1 and basis rows m e_k - m e_n (``TranslationLattice.congruence``),
+    whose first pivot is m.  So the only candidate is m = basis[0][0] at
+    rank n-1 (m = 1 when n = 1, where both bases are empty), and the lattice
+    is congruence iff its basis is that one.  This is the test "exponent m
+    and index m^(n-1)" read off the basis, with no diagonal form.
     """
-    m = congruence_exponent(lattice)
-    if m is None or m ** (lattice.n - 1) != lattice.index_in_zero_sum():
-        return CongruenceVerdict(False)
-    return CongruenceVerdict(True, m)
+    n, basis = lattice.n, lattice.basis
+    if lattice.rank == n - 1:
+        m = basis[0][0] if basis else 1
+        if basis == TranslationLattice.congruence(n, m).basis:
+            return CongruenceVerdict(True, m)
+    return CongruenceVerdict(False)
 
 
 # -- window orbits -------------------------------------------------------------

@@ -206,10 +206,11 @@ class MultiWreathElement:
         """Wrap a base and head that are already known to be valid.
 
         The base is in canonical form (sorted, no identity value) and fits
-        its blocks, so no second check runs: ``kk_embed``'s memo holds what
-        the constructor checked, and ``multiply`` and ``inverse`` build their
-        results from elements of the product, whose heads carry each class to
-        a class of its orbit, hence of the same block size.
+        its blocks, so no second check runs: ``kk_embed`` reads its values as
+        rank permutations off the quotient's class action, and ``multiply``
+        and ``inverse`` build their results from elements of the product,
+        whose heads carry each class to a class of its orbit, hence of the
+        same block size.
         """
         elt = object.__new__(cls)
         object.__setattr__(elt, "ctx", ctx)
@@ -239,6 +240,14 @@ def kk_embed(g: HoughtonElement, ctx: BlockContext) -> MultiWreathElement:
     hold a key of g's head: g's head holds every point off the translation
     rule, so every other class moves exactly as under the translations alone.
 
+    The base needs no check (``MultiWreathElement._trusted``).  Each value is
+    the rank tuple of a class's images in its target class, onto which g,
+    preserving the congruence, carries the class, so it is a permutation of
+    the class's ranks, and it is left out where it is the identity.  ``moved`` lists the classes
+    in class-id order, which is the order of their quotient points:
+    ``blocks.quotient`` numbers the kept classes by least point, ray first,
+    and counts ranks up each ray.
+
     The context keeps each embedding made on it (``EMBED_MEMO_CAP`` at most,
     oldest out first), and an element seen before is rewrapped, not embedded
     again.  Failures are not kept: an element that is inconclusive or does
@@ -262,9 +271,8 @@ def kk_embed(g: HoughtonElement, ctx: BlockContext) -> MultiWreathElement:
                     f"image of class {q.classes[k][0]} is outside the verified window"
                 )
     base = tuple((q.quotient_points[k], v) for k, v in moved.items())
-    elt = MultiWreathElement(ctx, base, head)
-    _remember(memo, g, (elt.base, elt.head))
-    return elt
+    _remember(memo, g, (base, head))
+    return MultiWreathElement._trusted(ctx, base, head)
 
 
 def order_preserving_on_class(g: HoughtonElement, ctx: BlockContext, qpoint) -> bool:

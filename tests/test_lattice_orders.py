@@ -1,8 +1,9 @@
-"""Lattice facts read off the quotient's diagonal form, against the divisor scans.
+"""Lattice facts read off the Hermite basis and the quotient's diagonal form, against the divisor scans.
 
-The package reads index, exponent and every order from one diagonal form of
-the truncated Hermite basis (``TranslationLattice.order``), and the level
-test from pairs of basis columns.  The references are scans: trial
+The package reads the index and the congruence test off the Hermite basis,
+the exponent and every order from one diagonal form of the truncated
+Hermite basis (``TranslationLattice.order``), and the level test from pairs
+of basis columns.  The references are scans: trial
 multiples over the divisors of the index, the truncated basis put in
 Hermite form a second time with its pivot product taken here, and a level
 test that builds one zero-ray sublattice per ray, by a Hermite form with
@@ -25,17 +26,21 @@ import pytest
 from houghton_kit import cli
 from houghton_kit import intlattice as la
 from houghton_kit.bns import Certificate, f_certificate, two_support_vector
+from houghton_kit.classify import classify
 from houghton_kit.cli import cli_main
-from houghton_kit.elements import generator
+from houghton_kit.elements import generator, houghton_generators, random_element
 from houghton_kit.subgroups import (
     GeneratedSubgroup,
     LevelVerdict,
     TranslationLattice,
     _vector_with_projection,
     congruence_exponent,
+    delta_k,
+    is_congruence_lifting,
     is_level,
     translation_lattice,
 )
+from test_block_proof import pair_group
 
 LARGE_PRIME = 10_000_019
 
@@ -192,8 +197,30 @@ def random_low_rank_lattices(seed, per_rank=8):
     return out
 
 
+def small_lattices(seed, count=60):
+    """Lattices on n = 1 and n = 2 rays, and on n = 3..5 rays spanned by redundant m-congruence rows.
+
+    The third kind are all congruence lattices; a random extra row of
+    multiples of m (not of the same m everywhere) makes about half of them
+    proper supersets, which are not.
+    """
+    rng = random.Random(seed)
+    out = [TranslationLattice.from_vectors(1, []), TranslationLattice.from_vectors(1, [(0,)])]
+    out += [TranslationLattice.from_vectors(2, [(a, -a) for a in rng.sample(range(-9, 10), rng.randint(1, 3))])
+            for _ in range(count // 3)]
+    while len(out) < count:
+        n, m = rng.randint(3, 5), rng.randint(1, 6)
+        rows = [[rng.randint(-2, 2) * m for _ in range(n - 1)] for _ in range(2 * n)]
+        rows += [[m * (j == k) for j in range(n - 1)] for k in range(n - 1)]
+        if rng.random() < 0.5:
+            rows.append([rng.randint(-2, 2) * rng.choice([1, m]) for _ in range(n - 1)])
+        out.append(TranslationLattice.from_vectors(n, [v + [-sum(v)] for v in rows]))
+    return out
+
+
 LATTICES = random_full_rank_lattices(29, 150)
 LOW_RANK = random_low_rank_lattices(41)
+SMALL = small_lattices(43)
 
 
 def test_the_sample_holds_level_and_non_level_lattices():
@@ -226,6 +253,55 @@ def test_lattice_facts_match_the_divisor_scans():
         assert cert.witnesses == (witnesses if verdict else ()), lat
         assert len(cert.witnesses) == cert.witness_count, lat
         assert cert == Certificate(verdict.is_level, verdict.witness, lat), lat
+
+
+def test_index_and_congruence_lifting_match_the_divisor_scans():
+    verdicts = []
+    for lat in LATTICES + SMALL + LOW_RANK:
+        n = lat.n
+        verdict = is_congruence_lifting(lat)
+        verdicts.append(verdict.is_congruence_lifting)
+        if len(la.hnf_rows(lat.basis, n)) < n - 1:
+            assert lat.index_in_zero_sum() is None and not verdict, lat
+            continue
+        index, exponent = ref_index(lat), ref_congruence_exponent(lat)
+        assert lat.index_in_zero_sum() == index, lat
+        congruence = index == exponent ** (n - 1)
+        assert (verdict.is_congruence_lifting, verdict.modulus) == (
+            congruence,
+            exponent if congruence else None,
+        ), lat
+    assert sum(verdicts) >= 40 and verdicts.count(False) >= 150
+    assert {1, 2} <= {lat.n for lat, v in zip(LATTICES + SMALL, verdicts) if v}
+
+
+def conjugated(group, rng):
+    c = random_element(group.n, head_budget=3, t_bound=1, seed=rng)
+    c_inv = c.inverse()
+    return GeneratedSubgroup(group.n, tuple(c_inv * g * c for g in group.generators))
+
+
+def test_classify_builds_no_diagonal_form_for_the_suite_groups(monkeypatch):
+    # the index and the congruence test read the Hermite basis; only the
+    # exponent of a lattice that is not level and the orders need the
+    # diagonal form
+    calls = []
+    diagonal_form = la.diagonal_form
+
+    def counted(*args):
+        calls.append(args)
+        return diagonal_form(*args)
+
+    monkeypatch.setattr(la, "diagonal_form", counted)
+    rng = random.Random(47)
+    h4 = GeneratedSubgroup.from_elements(4, houghton_generators(4))
+    for group in (delta_k(3, 2), h4, delta_k(5, 3), pair_group()):
+        for _ in range(3):
+            report = classify(conjugated(group, rng))
+            assert report.lattice_index is not None and report.congruence_lifting["status"]
+    assert calls == []
+    assert congruence_exponent(TranslationLattice.from_vectors(3, [(2, 1, -3), (0, 2, -2)])) == 4
+    assert len(calls) == 1
 
 
 def test_level_verdicts_match_the_zero_ray_sublattices_at_every_rank():

@@ -33,7 +33,10 @@ branch test also reaches each way that memo is used: a corrected class in a
 in a class with no head key; and a corrected class that splits at the least
 id.  One context meets every element cold, warm and shuffled, against the
 reference and a context whose memo is emptied before each call, and a
-patched cap bounds the memo, oldest out first.
+patched cap bounds the memo, oldest out first.  ``kk_embed`` wraps each new
+embedding unchecked, so on every context each fresh embedding must equal
+what the checked ``MultiWreathElement`` constructor builds from its base and
+head.
 
 ``reference_inference`` is the quotient's inference kernel
 (``blocks._read_element``) on a partial map, as a per-ray scan that rereads
@@ -572,6 +575,23 @@ def test_a_warm_memo_acts_as_the_reference_and_a_fresh_context(label):
         got = embedded(g, ctx)
         assert got == as_pair(outcome(ref.kk_embed, g)) == embedded(g, fresh), g
     assert set(q._translations) == {g.t for g in once} | {g.t for g in ctx.group.generators}
+
+
+def test_a_fresh_embedding_is_what_the_checked_constructor_builds():
+    # kk_embed wraps its base unchecked: sorted, identities dropped, and
+    # every value a permutation of its class's ranks
+    built = 0
+    for label in CONTEXTS:
+        ctx = fresh_context(CONTEXTS[label])
+        for g in elements(label, ctx):
+            ctx._embeddings.clear()
+            got = outcome(kk_embed, g, ctx)
+            if got[0] == "ok":
+                elt = got[1]
+                checked = MultiWreathElement(ctx, elt.base, elt.head)
+                assert (checked.base, checked.head) == (elt.base, elt.head), (label, g)
+                built += len(elt.base) > 1
+    assert built >= 20
 
 
 def test_the_memo_keeps_at_most_its_cap_and_drops_the_oldest_first(monkeypatch):
