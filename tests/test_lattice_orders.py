@@ -200,9 +200,9 @@ def random_low_rank_lattices(seed, per_rank=8):
 def small_lattices(seed, count=60):
     """Lattices on n = 1 and n = 2 rays, and on n = 3..5 rays spanned by redundant m-congruence rows.
 
-    The third kind are all congruence lattices; a random extra row of
-    multiples of m (not of the same m everywhere) makes about half of them
-    proper supersets, which are not.
+    The rows of the third kind span the m-congruence lattice.  About half of
+    them also get an extra row whose entries are multiples of 1 or of m,
+    which mostly makes a proper superset that is not a congruence lattice.
     """
     rng = random.Random(seed)
     out = [TranslationLattice.from_vectors(1, []), TranslationLattice.from_vectors(1, [(0,)])]
